@@ -5,7 +5,10 @@ target function F, attach unknown rational-function coefficients to every
 smaller monomial (plus a constant slot), rewrite all derivatives of F in
 terms of the first n_j derivatives of each input dependent, and require the
 numerator to vanish identically.  That is a linear system for the unknown
-coefficients, solved exactly by fraction-free elimination.
+coefficients with polynomial entries.  It is solved exactly by a Bareiss
+fraction-free forward pass, where each row step divides exactly by the
+previous pivot instead of taking a gcd, and Cramer back-substitution, which
+writes every unknown over the last pivot.
 """
 
 from __future__ import annotations
@@ -13,12 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 
 from .context import DIFF, PARAM
 from .diffpoly import (ADE, RatFunc, implicit_higher_derivative,
                        normalize_ade, rational_substitute)
 from .errors import AnsatzNotFoundError, ArgumentError
-from .poly import Poly, poly_gcd, pseudo_divide, try_exact_divide
+from .poly import (Poly, content_primitive, poly_gcd, pseudo_divide,
+                   try_exact_divide)
 
 _C_PREFIX = "_c"  # reserved names for unknown coefficients (parser rejects them)
 
@@ -91,69 +96,75 @@ class LinearSystem:
 
 
 def solve_linear_ratfunc(system: LinearSystem):
-    """Fraction-free Gaussian elimination; pivot on the lowest-total-degree
-    nonzero entry.  Free unknowns are set to zero.  Returns the assignment
-    as a list of rational functions, or None when inconsistent."""
+    """Fraction-free (Bareiss) elimination with Cramer back-substitution.
+
+    Each step pivots on the nonzero entry of lowest (total degree, terms,
+    row, column) among the unused rows and columns, and replaces every other
+    unused row by (pivot*row - row[col]*pivot_row) / previous pivot.  By
+    Sylvester's identity that division is exact: after k steps every entry
+    of an unused row is a (k+1)-minor of the (once content-stripped) input
+    matrix, so no gcd is taken while eliminating.  With d the last pivot,
+    Cramer's rule makes each pivoted unknown N_i/d with a polynomial N_i,
+    found last pivot first by exact division by its own pivot.  Free
+    unknowns are set to zero.  Returns the assignment as a list of rational
+    functions, or None as soon as a row reads 0 = nonzero constant."""
     if not system.rows:
         raise ArgumentError("empty linear system")
     ncols = len(system.unknowns)
     ctx = system.rows[0][1].ctx
-    rows = [[p for p in coeffs] + [const] for coeffs, const in system.rows]
+    rows = [list(coeffs) + [const] for coeffs, const in system.rows]
     rows = [_strip_row(r) for r in rows if any(not p.is_zero() for p in r)]
-    if not rows:
-        return [RatFunc(Poly(ctx))] * ncols
 
-    pivot_rows: list = []       # (row index, col index) in selection order
-    used_rows, used_cols = set(), set()
+    pivots: list = []           # (pivot row, column) in selection order
+    free_cols = list(range(ncols))
+    prev = Poly.const(ctx, 1)   # the previous pivot; d once elimination ends
     while True:
+        # an unused row that is zero in every free column reads 0 = constant;
+        # it stays so, so the system is inconsistent as soon as one appears
+        if any(not row[ncols].is_zero() and all(row[c].is_zero() for c in free_cols)
+               for row in rows):
+            return None
         best = None
         for ri, row in enumerate(rows):
-            if ri in used_rows:
-                continue
-            for ci in range(ncols):
-                if ci in used_cols or row[ci].is_zero():
-                    continue
-                deg = row[ci].total_degree()
-                cand = (deg, row[ci].num_terms(), ri, ci)
-                if best is None or cand < best:
-                    best = cand
+            for ci in free_cols:
+                p = row[ci]
+                if not p.is_zero():
+                    cand = (p.total_degree(), p.num_terms(), ri, ci)
+                    if best is None or cand < best:
+                        best = cand
         if best is None:
             break
         _, _, ri, ci = best
-        pivot = rows[ri][ci]
-        for rj, row in enumerate(rows):
-            if rj == ri or rj in used_rows or row[ci].is_zero():
-                continue
-            factor = row[ci]
-            rows[rj] = [pivot * p - factor * q for p, q in zip(row, rows[ri])]
-            rows[rj] = _strip_row(rows[rj])
-        used_rows.add(ri)
-        used_cols.add(ci)
-        pivot_rows.append((ri, ci))
+        prow = rows.pop(ri)
+        pivot = prow[ci]
+        rows = [[_exact_quotient(pivot * p - row[ci] * q, prev)
+                 for p, q in zip(row, prow)] for row in rows]
+        free_cols.remove(ci)
+        pivots.append((prow, ci))
+        prev = pivot
 
-    # consistency: any remaining row must be entirely zero
-    for ri, row in enumerate(rows):
-        if ri in used_rows:
-            continue
-        if not row[ncols].is_zero():
-            return None
+    nums: dict = {}
+    for prow, ci in reversed(pivots):
+        acc = prow[ncols] * prev
+        for cj, n in nums.items():
+            if not prow[cj].is_zero():
+                acc = acc + prow[cj] * n
+        nums[ci] = _exact_quotient(-acc, prow[ci])
+    zero = Poly(ctx)
+    return [RatFunc(nums.get(ci, zero), prev) for ci in range(ncols)]
 
-    zero = RatFunc(Poly(ctx))
-    solution = [zero] * ncols
-    for ri, ci in reversed(pivot_rows):
-        row = rows[ri]
-        acc = RatFunc(row[ncols])
-        for cj in range(ncols):
-            if cj != ci and not row[cj].is_zero():
-                acc = acc + RatFunc(row[cj]) * solution[cj]
-        solution[ci] = -acc / RatFunc(row[ci])
-    return solution
+
+def _exact_quotient(p: Poly, d: Poly) -> Poly:
+    """p / d, where d is known to divide p."""
+    if d.is_constant():
+        return p.scale(1 / d.constant_value())
+    q = try_exact_divide(p, d)
+    if q is None:
+        raise RuntimeError("internal error: Bareiss division is not exact")
+    return q
 
 
 def _strip_row(row):
-    from .poly import content_primitive, poly_gcd, try_exact_divide
-    from math import gcd
-
     nonzero = [p for p in row if not p.is_zero()]
     if not nonzero:
         return row
@@ -208,21 +219,7 @@ def assemble_and_solve(ades, R: RatFunc, k: int, r: int, leading: DeltaMonomial,
     c_vars = [ctx.param(f"{_C_PREFIX}{i}") for i in range(len(earlier) + 1)]
     # bring every slot over one shared denominator; the unknowns then enter
     # a single polynomial numerator linearly
-    vals = [value(leading)] + [value(m) for m in earlier]
-    common = Poly.const(ctx, 1)
-    nums: list = []
-    for num, den in vals:
-        q = try_exact_divide(common, den)
-        if q is not None:
-            nums.append(num * q)
-            continue
-        q = try_exact_divide(den, common)
-        if q is None:
-            g = poly_gcd(common, den)
-            q = try_exact_divide(den, g)
-        nums = [n * q for n in nums]
-        common = common * q
-        nums.append(num * try_exact_divide(common, den))
+    nums, common = _over_lcm(ctx, [value(leading)] + [value(m) for m in earlier])
 
     numerator = nums[0] + Poly.var(ctx, c_vars[0]) * common
     for i in range(len(earlier)):
@@ -274,11 +271,37 @@ def assemble_and_solve(ades, R: RatFunc, k: int, r: int, leading: DeltaMonomial,
                 p = p * Poly.var(ctx, ctx.diff_var(z_id, i), e)
         return p
 
-    total = RatFunc(z_poly(leading)) + solution[0]
-    for i, m in enumerate(earlier):
-        if not solution[i + 1].is_zero():
-            total = total + solution[i + 1] * RatFunc(z_poly(m))
-    return normalize_ade(total.num, dep=z_id)
+    # z_lead + sum s_i*m_i over the lcm L of the s_i denominators: no factor
+    # of L divides the numerator (the m_i are distinct monomials in z), so
+    # this is the reduced numerator of the sum up to a constant
+    slots = [(Poly.const(ctx, 1), solution[0])]
+    slots += [(z_poly(m), s) for m, s in zip(earlier, solution[1:])]
+    slots = [(zm, s) for zm, s in slots if not s.is_zero()]
+    nums, common = _over_lcm(ctx, [(s.num, s.den) for _, s in slots])
+    numerator = z_poly(leading) * common
+    for (zm, _), n in zip(slots, nums):
+        numerator = numerator + zm * n
+    return normalize_ade(numerator, dep=z_id)
+
+
+def _over_lcm(ctx, pairs):
+    """Bring (numerator, denominator) pairs over the lcm of the denominators;
+    returns the rescaled numerators and the lcm."""
+    common = Poly.const(ctx, 1)
+    nums: list = []
+    for num, den in pairs:
+        q = try_exact_divide(common, den)
+        if q is not None:
+            nums.append(num * q)
+            continue
+        q = try_exact_divide(den, common)
+        if q is None:
+            g = poly_gcd(common, den)
+            q = try_exact_divide(den, g)
+        nums = [n * q for n in nums]
+        common = common * q
+        nums.append(num * try_exact_divide(common, den))
+    return nums, common
 
 
 def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z"):

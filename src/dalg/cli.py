@@ -38,6 +38,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, so a bad value is a usage error."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value"
+    return parse
+
+
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="dalg",
                              description="differential equations for rational "
@@ -55,24 +66,27 @@ def _build_parser() -> _ArgumentParser:
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--out", help="write the result here instead of stdout")
         p.add_argument("--max-degree", type=int, default=60,
-                       help="abort when intermediate degrees exceed this cap")
+                       help="abort when intermediate degrees exceed this cap "
+                            "(elimination only; ansatz ignores it)")
         p.add_argument("--max-basis", type=int, default=5000,
-                       help="abort when the basis/pair count exceeds this cap")
+                       help="abort when the basis/pair count exceeds this cap "
+                            "(elimination only; ansatz ignores it)")
 
     common(sub.add_parser("unary", help="equation for R(x, f(x))"), spec=True)
     common(sub.add_parser("arith", help="equation for R(x, f1, ..., fN)"), spec=True)
     common(sub.add_parser("compose", help="equation for f(g(x)); outer first"))
     p = sub.add_parser("diff", help="equation for the j-th derivative")
     common(p)
-    p.add_argument("--j", type=int, default=1, help="derivative count")
+    p.add_argument("--j", type=_int_at_least(1), default=1, help="derivative count")
     common(sub.add_parser("inverse", help="equation for the functional inverse"))
     common(sub.add_parser("ddfinite",
                           help="main linear equation first, then one equation "
                                "per coefficient function"))
     p = sub.add_parser("ansatz", help="degree-bounded search for R(x, f1, ..., fN)")
     common(p, spec=True)
-    p.add_argument("--degree-de", type=int, default=2, help="degree bound")
-    p.add_argument("--order-cap", type=int, default=None,
+    p.add_argument("--degree-de", type=_int_at_least(1), default=2,
+                   help="degree bound")
+    p.add_argument("--order-cap", type=_int_at_least(0), default=None,
                    help="max derivative order of the output")
     return parser
 

@@ -91,6 +91,31 @@ EQ_MATHIEU = (
     " + 2*diff(y(x),x)^2*diff(y(x),x,x)"
 )
 
+# criterion 7 at k=2 and k=3 as rendered by render(out, "text"); the
+# search picks one equation among many, so these pin its exact output
+EQ_ANSATZ_K2_TEXT = (
+    "48*z(x)^2*x^5 - 64*diff(z(x),x)^2*x^4 + 32*diff(z(x),x,x)*z(x)*x^4"
+    " + 24*z(x)^2*x^3*g2 - 32*diff(z(x),x)*z(x)*x^3"
+    " - 8*diff(z(x),x,x)*x^4 + 16*diff(z(x),x)^2*x^2*g2"
+    " - 8*diff(z(x),x,x)*z(x)*x^2*g2 - 24*z(x)*x^3*g2 + 3*z(x)^2*x*g2^2"
+    " - 96*z(x)^2*x^2*g3 - 16*diff(z(x),x)*x^3"
+    " - 8*diff(z(x),x)*z(x)*x*g2 + 6*diff(z(x),x,x)*x^2*g2 - 4*x^3*g2"
+    " - 6*z(x)*x*g2^2 - 16*diff(z(x),x)^2*x*g3"
+    " + 8*diff(z(x),x,x)*z(x)*x*g3 + 144*z(x)*x^2*g3"
+    " - 16*diff(z(x),x)^2*x + 8*diff(z(x),x,x)*z(x)*x - 8*z(x)^2*g2"
+    " + 12*diff(z(x),x)*x*g2 + 3*x*g2^2 + 16*diff(z(x),x)*z(x)*g3"
+    " - 8*diff(z(x),x,x)*x*g3 - 48*x^2*g3 + 16*diff(z(x),x)*z(x)"
+    " - 8*diff(z(x),x,x)*x + 12*z(x)*g2 - 16*diff(z(x),x)*g3"
+    " - 16*diff(z(x),x) - 4*g2 = 0"
+)
+
+EQ_ANSATZ_K3_TEXT = (
+    "16*z(x)^3*x^3 - 12*z(x)^2*x^3 - 4*z(x)^3*x*g2 + 9*z(x)^2*x*g2"
+    " + 4*z(x)^3*g3 + 4*z(x)^3 - 8*diff(z(x),x)*z(x)*x"
+    " + 2*diff(z(x),x,x)*x^2 - 6*z(x)*x*g2 - 12*z(x)^2*g3 - 4*z(x)^2"
+    " + 4*diff(z(x),x)*x + x*g2 + 12*z(x)*g3 - 4*g3 = 0"
+)
+
 
 def test_criterion_01_unary_rational_map():
     with criterion(1, "unary_dalg reproduces the Weierstrass z=y/(x+y) "
@@ -214,9 +239,11 @@ def test_criterion_07_ansatz_search_family():
             z_id = ctx.indet_id("z")
             if check == "quad":
                 assert out.order == 2 and z_degree(out.poly, z_id) == 2
+                assert render(out, "text") == EQ_ANSATZ_K2_TEXT
                 RESULTS["ansatz2"] = (ctx, out, ade, R)
             elif check == "cubic":
                 assert out.order == 2 and z_degree(out.poly, z_id) == 3
+                assert render(out, "text") == EQ_ANSATZ_K3_TEXT
                 RESULTS["ansatz3"] = (ctx, out, ade, R)
             else:
                 expected = equation_to_ade(EQ_RATMAP, ctx, dep="z")

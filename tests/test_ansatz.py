@@ -73,6 +73,49 @@ def test_solve_linear_inconsistent_and_free():
         solve_linear_ratfunc(LinearSystem([a], []))
 
 
+def _assert_solves(rows, sol):
+    """Every row vanishes after substituting the returned assignment."""
+    for coeffs, const in rows:
+        total = RatFunc(const)
+        for c, s in zip(coeffs, sol):
+            total = total + RatFunc(c) * s
+        assert total.is_zero()
+
+
+def test_solve_linear_polynomial_pivots():
+    # 3x3 over Q(x, a) whose entries are all non-constant, so every pivot is
+    # a polynomial; row 1 is zero in the first pivot column (x at row 0), so
+    # it is only scaled at step 1 and the next step divides it by x
+    ctx = Context()
+    cs = [ctx.param(f"c{i}") for i in range(3)]
+    x = Poly.var(ctx, ctx.indep)
+    a = Poly.var(ctx, ctx.param("a"))
+    zero = Poly(ctx)
+    rows = [([x, a, x + a], Poly.const(ctx, 1)),
+            ([zero, x + a, a * x], x),
+            ([a, x, x * a + Poly.const(ctx, 1)], a)]
+    sol = solve_linear_ratfunc(LinearSystem(cs, rows))
+    _assert_solves(rows, sol)
+    assert all(not s.is_polynomial() for s in sol)
+    # a third row x*row0 + row1 with a different constant contradicts them
+    combo = [x * p + q for p, q in zip(rows[0][0], rows[1][0])]
+    bad = rows[:2] + [(combo, Poly(ctx))]
+    assert solve_linear_ratfunc(LinearSystem(cs, bad)) is None
+
+
+def test_solve_linear_underdetermined_free_unknown():
+    # two rows, three unknowns: one column is never pivoted and stays zero
+    ctx = Context()
+    cs = [ctx.param(f"c{i}") for i in range(3)]
+    x = Poly.var(ctx, ctx.indep)
+    a = Poly.var(ctx, ctx.param("a"))
+    rows = [([x, a, x * a], Poly.const(ctx, 1)),
+            ([a, x * x, a + x], x)]
+    sol = solve_linear_ratfunc(LinearSystem(cs, rows))
+    _assert_solves(rows, sol)
+    assert sum(s.is_zero() for s in sol) == 1
+
+
 def test_ansatz_recovers_exponential():
     # [DERIVED] y' = y, z = y: the degree-1 search finds z' - z
     ctx = Context()

@@ -94,6 +94,13 @@ def test_usage_exit_64():
     assert r.returncode == 64
     r = run_cli("unary", "--ade", "y'=y", "--format", "yaml")
     assert r.returncode == 64
+    # out-of-range integer flags are usage errors, not parse errors
+    r = run_cli("diff", "--ade", "y'=y", "--j", "0")
+    assert r.returncode == 64
+    r = run_cli("ansatz", "--ade", "y'=y", "--spec", "z = y", "--degree-de", "0")
+    assert r.returncode == 64
+    r = run_cli("ansatz", "--ade", "y'=y", "--spec", "z = y", "--order-cap", "-1")
+    assert r.returncode == 64
 
 
 def test_version():
