@@ -18,8 +18,8 @@ from .ansatz import ansatz_search
 from .closure import (arithmetic_dalg, compose_dalg, ddfinite_to_dalg,
                       diff_dalg, inv_dalg, unary_dalg)
 from .context import Context
-from .errors import (AnsatzNotFoundError, DalgError, EliminationFailedError,
-                     ParseError, ResourceCapError)
+from .errors import (AnsatzNotFoundError, ArgumentError, DalgError,
+                     EliminationFailedError, ParseError, ResourceCapError)
 from .groebner import GBConfig
 from .parser import applied_names, equation_to_ade, parse_equation, spec_to_ratfunc
 from .render import render
@@ -129,13 +129,12 @@ def run(args) -> str:
         if len(texts) < 2:
             raise ParseError("ddfinite needs the main equation plus at least "
                              "one coefficient equation")
+        # Lower the main equation first, as the library callers do: its
+        # dependent then ranks above the coefficients, and its eliminated
+        # high derivatives above theirs in the elimination order (the
+        # other way round, Mathieu takes about four times as long).
         coeff_nodes = [parse_equation(t) for t in texts[1:]]
-        coeff_names = []
-        for node in coeff_nodes:
-            for name in applied_names(node):
-                if name not in coeff_names:
-                    coeff_names.append(name)
-                ctx.indeterminate(name)
+        coeff_names = [n for node in coeff_nodes for n in applied_names(node)]
         main = equation_to_ade(texts[0], ctx, extra_deps=coeff_names)
         coeffs = [equation_to_ade(node, ctx) for node in coeff_nodes]
         result = ddfinite_to_dalg(main, coeffs, config=config).ade
@@ -188,6 +187,9 @@ def main(argv=None) -> int:
     except (EliminationFailedError, AnsatzNotFoundError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_ELIMINATION
+    except ArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except DalgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

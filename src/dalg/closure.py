@@ -2,10 +2,13 @@
 
 Each operation builds a prolonged triangular system relating the inputs to
 a new dependent variable z, eliminates every non-z derivative variable with
-a block Groebner order, and selects the generator of lowest order and
-degree as the output equation.  Derivatives and functional inverses get a
-cheaper treatment: the inverse is written down explicitly with no
-elimination at all.
+a block Groebner order, and selects, among the generators of the reduced
+basis that involve z, the one of lowest (order, total degree, term count)
+as the output equation.  Its order is at most the operation's bound, but
+it need not be the least order in the elimination ideal: an element of
+lower order can exist without being a basis generator.  Derivatives and
+functional inverses get a cheaper treatment: the inverse is written down
+explicitly with no elimination at all.
 """
 
 from __future__ import annotations
@@ -164,8 +167,9 @@ def _degenerate_result(ctx, R: RatFunc, z_id) -> ClosureResult:
 
 def unary_dalg(ade: ADE, R: RatFunc, z_name: str = "z",
                config: GBConfig | None = None) -> ClosureResult:
-    """Least-order equation (order <= n) satisfied by R(x, f(x)) for every
-    solution f of the input equation."""
+    """Equation of order <= n satisfied by R(x, f(x)) for every solution f
+    of the input equation: the lowest-order reduced-basis generator, which
+    is not always the least order in the elimination ideal."""
     _check_map_vars([ade], R)
     ctx = ade.ctx
     z_id = ctx.indeterminate(z_name)

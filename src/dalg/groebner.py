@@ -1,24 +1,32 @@
 """Buchberger's algorithm with pair criteria and block elimination orders.
 
 The kernel works on integer-cleared polynomials (rationals are cleared at
-the boundary and restored as primitive parts), uses the Gebauer-Moeller
-criteria to discard unnecessary S-pairs, and selects pairs by smallest lcm
-(normal strategy).  Hard caps on intermediate total degree and basis size
-turn runaway eliminations into a :class:`ResourceCapError` instead of
-unbounded growth.
+the boundary and restored as primitive parts) in which a monomial is one
+packed int.  Its fixed-width fields hold, from the most significant down,
+the order's rows (:meth:`~dalg.orders.MonomialOrder.rows`), the total
+degree, and one exponent per variable; so int comparison is the monomial
+order, a product is a sum, and a guard bit on top of every field makes
+divisibility one subtraction and turns any field overflow into a
+:class:`ResourceCapError`.  The normal form pops leading terms from a heap
+of the work polynomial's monomials (lazy deletion; Monagan & Pearce, JSC
+2011).  S-pairs are discarded by the Gebauer-Moeller criteria and selected
+by the sugar strategy: smallest sugar, then smallest lcm (Giovini, Mora,
+Niesi, Robbiano & Traverso, ISSAC 1991).  Hard caps on intermediate total
+degree and basis size turn runaway eliminations into a
+:class:`ResourceCapError` instead of unbounded growth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .context import same_context
 from .errors import ArgumentError, ResourceCapError
 from .orders import Block, GrevLex, MonomialOrder
-from .poly import (Poly, content_primitive, mono_degree, mono_div,
-                   mono_divides, mono_lcm, mono_mul)
+from .poly import Poly, mono_div, mono_lcm
 
 
 @dataclass
@@ -38,105 +46,157 @@ class IdealBasis:
     reduced: bool = False
 
 
-def _to_int_terms(p: Poly) -> dict:
-    den = 1
-    for c in p.terms.values():
-        den = lcm(den, c.denominator)
-    terms = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
-    g = 0
-    for c in terms.values():
-        g = gcd(g, abs(c))
-    return {m: c // g for m, c in terms.items()}
-
-
 class _Kernel:
-    def __init__(self, order: MonomialOrder, config: GBConfig):
-        self.order = order
+    """Packed monomials of one computation and the operations on them.
+
+    A polynomial is a pair (monomials in descending order, integer
+    coefficients), so the leading term is at index 0.  Fields are
+    ``bits + 1`` wide, with ``2**bits`` above twice the degree cap: every
+    field value is at most the monomial's total degree, so the lcm or the
+    product of two monomials under the cap always fits, and a guard bit
+    is set exactly when a total degree reaches ``2**bits``.
+    """
+
+    def __init__(self, order: MonomialOrder, config: GBConfig, variables):
         self.config = config
-        self._keys: dict = {}
+        rows = order.rows()
+        vars_ = list(dict.fromkeys(v for row in rows for v in row))
+        vars_ += sorted(set(variables) - set(vars_), key=lambda v: v.index)
+        bits = (2 * max(config.max_degree, 1)).bit_length()
+        width = bits + 1
+        n, fields = len(vars_), len(vars_) + 1 + len(rows)
+        self.mask = (1 << bits) - 1
+        self.guard = sum(1 << (k * width + bits) for k in range(fields))
+        self.deg_shift = n * width
+        unit = {v.index: (1 << (k * width)) + (1 << self.deg_shift)
+                for k, v in enumerate(vars_)}
+        for r, row in enumerate(rows):
+            for v in row:
+                unit[v.index] += 1 << ((fields - 1 - r) * width)
+        self.unit = unit
+        # (variable index, exponent shift, unit) by variable index
+        self.fields = sorted((v.index, k * width, unit[v.index])
+                             for k, v in enumerate(vars_))
 
-    def key(self, mono):
-        k = self._keys.get(mono)
-        if k is None:
-            k = self._keys[mono] = self.order.key(mono)
-        return k
+    def degree_error(self):
+        return ResourceCapError(
+            f"intermediate degree exceeded cap {self.config.max_degree}")
 
-    def lm(self, terms):
-        return max(terms, key=self.key)
+    def encode(self, p: Poly) -> dict:
+        """Packed monomial -> integer coefficient, denominators cleared and
+        content removed."""
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        terms = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+        g = gcd(*terms.values())
+        unit, out = self.unit, {}
+        for mono, c in terms.items():
+            if sum(e for _, e in mono) > self.mask:
+                raise self.degree_error()
+            out[sum(e * unit[idx] for idx, e in mono)] = c // g
+        return out
 
-    @staticmethod
-    def strip(terms):
-        g = 0
-        for c in terms.values():
-            g = gcd(g, abs(c))
-        if g <= 1:
-            return dict(terms)
-        return {m: c // g for m, c in terms.items()}
+    def decode(self, m) -> tuple:
+        mask = self.mask
+        return tuple((idx, e) for idx, shift, _ in self.fields
+                     if (e := (m >> shift) & mask))
 
-    def check_caps(self, terms, n_items):
+    def degree(self, m) -> int:
+        return (m >> self.deg_shift) & self.mask
+
+    def divides(self, b, a) -> bool:
+        """b | a: no field of a minus b borrows from its guard bit."""
+        G = self.guard
+        return ((a | G) - b) & G == G
+
+    def lcm(self, a, b):
+        mask, out = self.mask, 0
+        for _, shift, unit in self.fields:
+            ea, eb = (a >> shift) & mask, (b >> shift) & mask
+            out += (ea if ea > eb else eb) * unit
+        return out
+
+    def check_caps(self, poly, n_items):
         if n_items > self.config.max_basis:
             raise ResourceCapError(
                 f"basis/pair count exceeded cap {self.config.max_basis}"
             )
-        if terms and max(mono_degree(m) for m in terms) > self.config.max_degree:
-            raise ResourceCapError(
-                f"intermediate degree exceeded cap {self.config.max_degree}"
-            )
+        if poly and max(self.degree(m) for m in poly[0]) > self.config.max_degree:
+            raise self.degree_error()
 
-    @staticmethod
-    def shift(terms, mono, scale=1):
-        return {mono_mul(m, mono): c * scale for m, c in terms.items()}
+    def subtract(self, work: dict, heap: list, poly, shift, mult):
+        """work -= mult * x^shift * (poly minus its leading term); monomials
+        new to work go on the heap."""
+        G = self.guard
+        monos, coefs = poly
+        for k in range(1, len(monos)):
+            m = monos[k] + shift
+            if m & G:
+                raise self.degree_error()
+            c = work.get(m)
+            if c is None:
+                work[m] = -coefs[k] * mult
+                heappush(heap, -m)
+            else:
+                c -= coefs[k] * mult
+                if c:
+                    work[m] = c
+                else:
+                    del work[m]
 
-    def spoly(self, f, g):
-        lmf, lmg = self.lm(f), self.lm(g)
-        l = mono_lcm(lmf, lmg)
-        cf, cg = f[lmf], g[lmg]
-        d = gcd(cf, cg)
-        a = self.shift(f, mono_div(l, lmf), cg // d)
-        b = self.shift(g, mono_div(l, lmg), cf // d)
-        for m, c in b.items():
-            a[m] = a.get(m, 0) - c
-            if a[m] == 0:
-                del a[m]
-        return a
+    def spoly(self, f, g, L):
+        """The S-polynomial of f and g, whose lcm is L, as (work, heap)."""
+        d = gcd(f[1][0], g[1][0])
+        work, heap = {}, []
+        self.subtract(work, heap, f, L - f[0][0], -(g[1][0] // d))
+        self.subtract(work, heap, g, L - g[0][0], f[1][0] // d)
+        return work, heap
 
-    def normal_form(self, terms, basis, lms):
-        """Full fraction-free normal form of terms by the basis."""
-        out: dict = {}
-        work = dict(terms)
-        while work:
-            m = self.lm(work)
-            c = work.pop(m)
-            reducer = None
-            for i, lmg in enumerate(lms):
-                if mono_divides(lmg, m):
-                    reducer = i
-                    break
-            if reducer is None:
-                out[m] = c
+    def normal_form(self, work: dict, basis, lms, heap=None):
+        """Full fraction-free normal form of the packed terms ``work`` (the
+        dict is consumed; ``heap`` holds its negated monomials, if the
+        caller has them) by the basis: a primitive polynomial with positive
+        leading coefficient, or None for zero."""
+        G = self.guard
+        if heap is None:
+            heap = [-m for m in work]
+            heapify(heap)
+        out_m, out_c, stamps, scales = [], [], [], []
+        while heap:
+            m = -heappop(heap)
+            c = work.pop(m, 0)
+            if not c:  # cancelled after it was pushed
                 continue
-            g = basis[reducer]
-            lcg = g[lms[reducer]]
-            d = gcd(c, lcg)
-            scale, cmul = abs(lcg // d), c // d
-            if lcg < 0:
-                cmul = -cmul
+            mg = m | G
+            for i, b in enumerate(lms):
+                if (mg - b) & G == G:
+                    break
+            else:
+                out_m.append(m)
+                out_c.append(c)
+                stamps.append(len(scales))
+                continue
+            g = basis[i]
+            d = gcd(c, g[1][0])
+            scale = g[1][0] // d
             if scale != 1:
-                out = {mm: cc * scale for mm, cc in out.items()}
                 work = {mm: cc * scale for mm, cc in work.items()}
-            shift_mono = mono_div(m, lms[reducer])
-            for mm, cc in g.items():
-                if mm == lms[reducer]:
-                    continue
-                # injected monomials are all below the current maximum, and
-                # every monomial already in `out` is above it
-                key = mono_mul(mm, shift_mono)
-                work[key] = work.get(key, 0) - cc * cmul
-                if work[key] == 0:
-                    del work[key]
-        if out:
-            out = self.strip(out)
-        return out
+                scales.append(scale)
+            # every new monomial is below m, so m is never pushed again
+            self.subtract(work, heap, g, m - g[0][0], c // d)
+        if not out_m:
+            return None
+        if scales:
+            # a term moved to the remainder owes every later rescale
+            owed = [1]
+            for scale in reversed(scales):
+                owed.append(owed[-1] * scale)
+            out_c = [c * owed[len(scales) - t] for c, t in zip(out_c, stamps)]
+        g = gcd(*out_c)
+        if out_c[0] < 0:
+            g = -g
+        if g != 1:
+            out_c = [c // g for c in out_c]
+        return out_m, out_c
 
 
 def buchberger(gens, order: MonomialOrder, config: GBConfig | None = None) -> IdealBasis:
@@ -149,86 +209,84 @@ def buchberger(gens, order: MonomialOrder, config: GBConfig | None = None) -> Id
         raise ArgumentError("empty generator list")
     ctx = same_context(*gens)
     config = config or GBConfig()
-    K = _Kernel(order, config)
+    K = _Kernel(order, config, set().union(*(g.variables() for g in gens)))
 
-    G: list = []
+    G: list = []      # (monomials descending, coefficients)
     lms: list = []
-    pairs: set = set()
+    sugar: list = []
+    pairs: set = set()   # (sugar, lcm, i, j); the smallest is selected next
 
-    def update(f):
-        """Gebauer-Moeller update of the pair set with the new element f."""
-        lmf = K.lm(f)
+    def update(f, s):
+        """Gebauer-Moeller update of the pair set with the new element f of
+        sugar s."""
+        lmf = f[0][0]
+        s = max(s, max(K.degree(m) for m in f[0]))
+        lcm_f = [K.lcm(b, lmf) for b in lms]
         kept = set()
-        for (i, j) in pairs:
-            lij = mono_lcm(lms[i], lms[j])
-            if (not mono_divides(lmf, lij)
-                    or lij == mono_lcm(lms[i], lmf)
-                    or lij == mono_lcm(lms[j], lmf)):
-                kept.add((i, j))
+        for pair in pairs:
+            _, L, i, j = pair
+            if not K.divides(lmf, L) or L == lcm_f[i] or L == lcm_f[j]:
+                kept.add(pair)
         t = len(G)
         by_lcm: dict = {}
-        for i in range(t):
-            by_lcm.setdefault(mono_lcm(lms[i], lmf), []).append(i)
+        for i, L in enumerate(lcm_f):
+            by_lcm.setdefault(L, []).append(i)
         minimal = []
-        for L in sorted(by_lcm, key=K.key):
-            if all(not mono_divides(M, L) for M in minimal):
+        for L in sorted(by_lcm):
+            if all(not K.divides(M, L) for M in minimal):
                 minimal.append(L)
-        new_pairs = set()
+        deg_f = K.degree(lmf)
         for L in minimal:
-            if not any(mono_lcm(lms[i], lmf) == mono_mul(lms[i], lmf)
-                       for i in by_lcm[L]):
-                new_pairs.add((min(by_lcm[L]), t))
+            if not any(L == lms[i] + lmf for i in by_lcm[L]):
+                i = min(by_lcm[L])
+                dL = K.degree(L)
+                kept.add((max(sugar[i] + dL - K.degree(lms[i]), s + dL - deg_f),
+                          L, i, t))
         G.append(f)
         lms.append(lmf)
-        return kept | new_pairs
+        sugar.append(s)
+        return kept
 
-    for p in sorted(gens, key=lambda p: K.key(K.lm(_to_int_terms(p))) if not p.is_zero() else ()):
-        if p.is_zero():
-            continue
-        terms = K.normal_form(_to_int_terms(p), G, lms)
-        if terms:
-            K.check_caps(terms, len(G) + len(pairs))
-            pairs = update(terms)
+    inputs = sorted((K.encode(p) for p in gens if not p.is_zero()), key=max)
+    for terms in inputs:
+        s = max(K.degree(m) for m in terms)
+        f = K.normal_form(terms, G, lms)
+        if f:
+            K.check_caps(f, len(G) + len(pairs))
+            pairs = update(f, s)
     if not G:
         raise ArgumentError("all generators are zero")
 
     while pairs:
-        K.check_caps({}, len(G) + len(pairs))
-        i, j = min(pairs, key=lambda p: (
-            mono_degree(mono_lcm(lms[p[0]], lms[p[1]])),
-            K.key(mono_lcm(lms[p[0]], lms[p[1]])),
-            p,
-        ))
-        pairs.discard((i, j))
-        s = K.spoly(G[i], G[j])
-        s = K.normal_form(s, G, lms)
-        if s:
-            K.check_caps(s, len(G))
-            pairs = update(s)
+        K.check_caps(None, len(G) + len(pairs))
+        pair = min(pairs)
+        pairs.discard(pair)
+        s, L, i, j = pair
+        work, heap = K.spoly(G[i], G[j], L)
+        f = K.normal_form(work, G, lms, heap)
+        if f:
+            K.check_caps(f, len(G))
+            pairs = update(f, s)
 
     # minimalize
-    order_idx = sorted(range(len(G)), key=lambda i: K.key(lms[i]))
     minimal_idx = []
-    for i in order_idx:
-        if all(not mono_divides(lms[j], lms[i]) for j in minimal_idx):
+    for i in sorted(range(len(G)), key=lms.__getitem__):
+        if all(not K.divides(lms[j], lms[i]) for j in minimal_idx):
             minimal_idx.append(i)
     Gmin = [G[i] for i in minimal_idx]
     lmin = [lms[i] for i in minimal_idx]
 
     # interreduce
     reduced = []
-    for i, g in enumerate(Gmin):
-        others = Gmin[:i] + Gmin[i + 1:]
-        lothers = lmin[:i] + lmin[i + 1:]
-        r = K.normal_form(g, others, lothers)
+    for i, (monos, coefs) in enumerate(Gmin):
+        r = K.normal_form(dict(zip(monos, coefs)), Gmin[:i] + Gmin[i + 1:],
+                          lmin[:i] + lmin[i + 1:])
         if r:
             reduced.append(r)
-    reduced.sort(key=lambda t: K.key(K.lm(t)))
+    reduced.sort(key=lambda r: r[0][0])
 
-    out = []
-    for terms in reduced:
-        p = Poly(ctx, {m: Fraction(c) for m, c in terms.items()})
-        out.append(content_primitive(p, order)[1])
+    out = [Poly(ctx, {K.decode(m): Fraction(c) for m, c in zip(*r)})
+           for r in reduced]
     return IdealBasis(out, order, reduced=True)
 
 

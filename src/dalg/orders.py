@@ -4,6 +4,11 @@ A monomial is a sorted tuple of (variable index, positive exponent) pairs;
 see :mod:`dalg.poly`.  An order turns a monomial into a sort key, so
 ``max(monomials, key=order.key)`` picks the leading monomial.  All orders
 here are total, multiplicative, and have 1 as the minimal element.
+
+Each order also lists its ``rows``: nonnegative linear forms in the
+exponents, each given as the variables whose exponents it sums, such that
+comparing the row values lexicographically, first row first, is the order.
+The Groebner kernel packs these values into one integer per monomial.
 """
 
 from __future__ import annotations
@@ -13,6 +18,11 @@ LT, EQ, GT = -1, 0, 1
 
 class MonomialOrder:
     def key(self, mono):
+        raise NotImplementedError
+
+    def rows(self) -> list:
+        """The order as linear forms: a list of variable lists, most
+        significant first; a row's value is its variables' exponent sum."""
         raise NotImplementedError
 
     def cmp(self, a, b) -> int:
@@ -44,6 +54,9 @@ class Lex(MonomialOrder):
         k = self._cache[mono] = tuple(exps)
         return k
 
+    def rows(self) -> list:
+        return [[v] for v in self.vars_desc]
+
 
 class GrevLex(MonomialOrder):
     """Graded reverse lexicographic order over the listed variables.
@@ -71,6 +84,12 @@ class GrevLex(MonomialOrder):
         k = self._cache[mono] = (deg, tuple(-e for e in reversed(exps)))
         return k
 
+    def rows(self) -> list:
+        # prefix sums S_n = deg, S_{n-1}, ..., S_1 with S_j = e_1 + ... + e_j
+        # compare exactly like (deg, -e_n, ..., -e_1)
+        n = len(self.vars_desc)
+        return [self.vars_desc[:j] for j in range(n, 0, -1)]
+
 
 class Block(MonomialOrder):
     """Elimination order: the high block dominates, ties break by the low block."""
@@ -85,6 +104,9 @@ class Block(MonomialOrder):
         if k is None:
             k = self._cache[mono] = (self.high.key(mono), self.low.key(mono))
         return k
+
+    def rows(self) -> list:
+        return self.high.rows() + self.low.rows()
 
 
 def mono_cmp(order: MonomialOrder, a, b) -> int:

@@ -5,6 +5,10 @@ import json
 import subprocess
 import sys
 
+from dalg import Context, equation_to_ade
+
+from test_acceptance import EQ_MATHIEU
+
 WEIER = "diff(y1(x),x)^2 = 4*y1(x)^3 - g2*y1(x) - g3"
 
 
@@ -46,6 +50,16 @@ def test_compose_inverse_diff_ddfinite():
                 "--ade", "diff(C(x),x,x) + C(x) = 0")
     assert r.returncode == 0
     assert "y(x)" in r.stdout
+
+
+def test_ddfinite_mathieu_matches_criterion_6():
+    r = run_cli("ddfinite",
+                "--ade", "diff(y(x),x,x) + (a - 2*q*C)*y(x)",
+                "--ade", "diff(C(x),x,x) + 4*C(x)")
+    assert r.returncode == 0
+    ctx = Context()
+    out = equation_to_ade(r.stdout.strip(), ctx, dep="y")
+    assert out.poly == equation_to_ade(EQ_MATHIEU, ctx, dep="y").poly
 
 
 def test_ansatz_subcommand():
@@ -101,6 +115,10 @@ def test_usage_exit_64():
     assert r.returncode == 64
     r = run_cli("ansatz", "--ade", "y'=y", "--spec", "z = y", "--order-cap", "-1")
     assert r.returncode == 64
+    # an argument error raised inside the library is a usage error too
+    r = run_cli("compose", "--ade", "diff(y(x),x) = y(x)", "--ade", "diff(y(x),x) = 2")
+    assert r.returncode == 64
+    assert "distinct dependents" in r.stderr
 
 
 def test_version():

@@ -3,6 +3,7 @@
 The exponential family gives outputs that can be derived by hand and
 verified against truncated series solutions."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,9 @@ from dalg import (Context, Poly, SeriesWitness, arithmetic_dalg, build_system,
 from dalg.closure import prolong
 from dalg.diffpoly import normalize_ade
 from dalg.errors import ArgumentError
+from dalg.series import TruncSeries
 
-from conftest import proportional
+from conftest import proportional, weierstrass
 
 
 def exp_ade(ctx, name="y", rate=1):
@@ -72,6 +74,28 @@ def test_select_output_order_before_degree():
     a = z1 * z0 + z0
     b = z1 + z0
     assert select_output([a, b], z).poly == b
+
+
+def test_unary_weierstrass_square_over_shift():
+    # Guards the sugar pair selection: with pairs taken by the degree of
+    # their lcm this elimination runs for over 300 s; with sugar, about a
+    # second.  The witness is the solution with y(0) = y'(0) = 1 at g2 = 1,
+    # g3 = 2, from y'' = 6y^2 - g2/2.
+    ctx = Context()
+    ade = weierstrass(ctx)
+    zname, R = spec_to_ratfunc("z = y^2/(x+y)", ctx, ["y"])
+    t0 = time.process_time()
+    res = unary_dalg(ade, R, z_name=zname)
+    assert time.process_time() - t0 < 60
+    assert res.ade.order == 1
+    T, g2, g3 = 12, Fraction(1), Fraction(2)
+    y = [Fraction(1), Fraction(1)]
+    for k in range(T - 2):
+        square = sum(y[i] * y[k - i] for i in range(k + 1))
+        y.append((6 * square - (g2 / 2 if k == 0 else 0)) / ((k + 2) * (k + 1)))
+    y = TruncSeries(y)
+    z = y * y / (TruncSeries.x(T) + y)
+    check_series(res.ade, SeriesWitness("z", z.coeffs, {"g2": g2, "g3": g3}), T)
 
 
 def test_unary_square_of_exponential():

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from dalg import (Context, GBConfig, GrevLex, Poly, buchberger, eliminate,
-                  reduce)
+from dalg import (Block, Context, GBConfig, GrevLex, IdealBasis, Lex, Poly,
+                  buchberger, eliminate, reduce)
 from dalg.errors import ArgumentError, ResourceCapError
 from dalg.groebner import buchberger_with_certificates, elimination_order
 
@@ -42,6 +42,12 @@ def from_sympy(expr, ctx, vs, syms):
     return Poly(ctx, terms)
 
 
+def sympy_basis(exprs, ctx, vs, syms, order):
+    """A sympy basis as Polys, sorted by leading monomial under order."""
+    converted = [from_sympy(e, ctx, vs, syms) for e in exprs]
+    return sorted(converted, key=lambda p: order.key(p.leading(order)[0]))
+
+
 def test_groebner_matches_sympy_random():
     # criterion 9: 20 random ideals in <= 4 variables, degree <= 3,
     # [DERIVED] reduced bases cross-checked against sympy.groebner
@@ -58,11 +64,112 @@ def test_groebner_matches_sympy_random():
         mine = buchberger(gens, order)
         theirs = sympy.groebner([to_sympy(g, vs, syms) for g in gens],
                                 *syms, order="grevlex")
-        converted = [from_sympy(e, ctx, vs, syms) for e in theirs.exprs]
+        converted = sympy_basis(theirs.exprs, ctx, vs, syms, order)
         assert len(mine.generators) == len(converted), f"trial {trial}"
-        for a, b in zip(mine.generators, sorted(
-                converted, key=lambda p: order.key(p.leading(order)[0]))):
+        for a, b in zip(mine.generators, converted):
             assert proportional(a, b), f"trial {trial}"
+
+
+def test_groebner_lex_and_nested_blocks_match_sympy():
+    # lex, and the same order written as nested single-variable blocks,
+    # pack their rows differently; both must give sympy's lex basis
+    rng = make_rng(2025)
+    nontrivial = 0
+    for trial in range(20):
+        ctx, vs = fresh_vars(4)
+        syms = sympy.symbols("s0 s1 s2 s3")
+        gens = []
+        while len(gens) < 2:
+            p = random_poly(ctx, vs, rng, max_terms=3, max_deg=3)
+            if not p.is_zero():
+                gens.append(p)
+        theirs = sympy.groebner([to_sympy(g, vs, syms) for g in gens],
+                                *syms, order="lex")
+        nested = Block(GrevLex(vs[:1]),
+                       Block(GrevLex(vs[1:2]), Block(GrevLex(vs[2:3]), GrevLex(vs[3:]))))
+        for order in (Lex(vs), nested):
+            mine = buchberger(gens, order)
+            converted = sympy_basis(theirs.exprs, ctx, vs, syms, order)
+            assert len(mine.generators) == len(converted), f"trial {trial}"
+            for a, b in zip(mine.generators, converted):
+                assert proportional(a, b), f"trial {trial}"
+        nontrivial += len(theirs.exprs) > 1
+    assert nontrivial >= 10
+
+
+def test_eliminate_matches_sympy():
+    # the keep-only part of the block-order basis is the reduced grevlex
+    # basis of the elimination ideal: sympy's lex basis, cut to the kept
+    # variables and reduced again under grevlex
+    rng = make_rng(77)
+    nontrivial = 0
+    for trial in range(20):
+        ctx, vs = fresh_vars(4)
+        syms = sympy.symbols("s0 s1 s2 s3")
+        n_elim = 1 + trial % 2
+        gens = []
+        while len(gens) < n_elim + 1:
+            p = random_poly(ctx, vs, rng, max_terms=3, max_deg=3)
+            if not p.is_zero():
+                gens.append(p)
+        kept = eliminate(gens, set(vs[:n_elim]), set(vs[n_elim:]))
+        lex = sympy.groebner([to_sympy(g, vs, syms) for g in gens],
+                             *syms, order="lex")
+        keep_syms = syms[n_elim:]
+        cut = [e for e in lex.exprs if e.free_symbols <= set(keep_syms)]
+        ref = sympy.groebner(cut, *keep_syms, order="grevlex").exprs if cut else []
+        # the keep block is grevlex in rank order, which matches keep_syms
+        order = GrevLex(sorted(vs[n_elim:], key=ctx.rank_key))
+        converted = sympy_basis(ref, ctx, vs, syms, order)
+        assert len(kept) == len(converted), f"trial {trial}"
+        for a, b in zip(kept, converted):
+            assert proportional(a, b), f"trial {trial}"
+        nontrivial += any(not g.is_constant() for g in kept)
+    assert nontrivial >= 10
+
+
+def test_exponent_overflow_never_gives_a_wrong_basis():
+    # An exponent field holds values below 2**bits with 2**bits > 2 *
+    # max_degree (127 at the default cap of 60).  Whatever the cap, a
+    # monomial that does not fit must raise, not wrap into the next field.
+    ctx, vs = fresh_vars(3)
+    a, b, c = (Poly.var(ctx, v) for v in vs)
+    syms = sympy.symbols("s0 s1 s2")
+    grevlex = GrevLex(vs)
+    cases = []
+    for gens in ([a ** 130 - b * c, b ** 2 - a * c],
+                 [a ** 40 * b - c ** 3, b ** 45 - a ** 2, a * c ** 2 - b]):
+        theirs = sympy.groebner([to_sympy(g, vs, syms) for g in gens],
+                                *syms, order="grevlex")
+        cases.append((gens, grevlex, sympy_basis(theirs.exprs, ctx, vs, syms, grevlex)))
+    # Under an elimination order the normal form of the input a^8 - c
+    # reduces by a - b^9 first and walks through b^9 a^7, b^18 a^6, ...,
+    # b^72 before b^9 - b^7 (the normal form of a - b^7) brings it back to
+    # degree 8.  The basis stays under every cap tried, but b^72 overflows
+    # the fields of the small caps.  The reference basis is checked against
+    # the independent rational-arithmetic Buchberger.
+    block = Block(GrevLex(vs[:1]), GrevLex(vs[1:]))
+    gens = [a - b ** 9, a - b ** 7, a ** 8 - c]
+    expected = buchberger(gens, block, GBConfig(max_degree=400))
+    independent = IdealBasis(buchberger_with_certificates(gens, block)[0], block)
+    assert all(reduce(g, independent).is_zero() for g in expected.generators)
+    assert all(reduce(g, expected).is_zero() for g in independent.generators)
+    assert max(g.total_degree() for g in expected.generators) <= 8
+    cases.append((gens, block, expected.generators))
+    for gens, order, expected in cases:
+        outcomes = []
+        for cap in (3, 10, 40, 60, 64, 100, 130, 400):
+            try:
+                mine = buchberger(gens, order, GBConfig(max_degree=cap))
+            except ResourceCapError:
+                outcomes.append("cap")
+                continue
+            assert len(mine.generators) == len(expected), f"cap {cap}"
+            for p, q in zip(mine.generators, expected):
+                assert proportional(p, q), f"cap {cap}"
+            outcomes.append("ok")
+        assert outcomes[-1] == "ok"
+        assert outcomes[0] == "cap"
 
 
 def test_confluence_random_combinations():
