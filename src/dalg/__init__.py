@@ -22,11 +22,10 @@ from .errors import (AnsatzNotFoundError, ArgumentError, ContextError,
                      DalgError, DegeneracyError, DivisionByZeroError,
                      EliminationFailedError, ParseError, ResourceCapError)
 from .groebner import (GBConfig, IdealBasis, buchberger, eliminate, reduce)
-from .orders import Block, GrevLex, Lex, MonomialOrder, default_order, mono_cmp
+from .orders import Block, GrevLex, Lex, MonomialOrder, default_order
 from .parser import (equation_to_ade, parse_equation, parse_rational_spec,
                      spec_to_ratfunc)
-from .poly import (Poly, content_primitive, poly_arith, pseudo_divide,
-                   try_exact_divide)
+from .poly import Poly, content_primitive, pseudo_divide, try_exact_divide
 from .render import poly_to_text, render
 from .series import SeriesWitness, TruncSeries, verify_series
 
@@ -41,8 +40,8 @@ __all__ = [
     "build_system", "compose_dalg", "content_primitive", "ddfinite_to_dalg",
     "default_order", "derivative_closure", "diff_dalg", "eliminate",
     "enumerate_delta", "equation_to_ade", "implicit_higher_derivative",
-    "inv_dalg", "mono_cmp", "normalize_ade", "parse_equation",
-    "parse_rational_spec", "poly_arith", "poly_to_text", "pseudo_divide",
+    "inv_dalg", "normalize_ade", "parse_equation",
+    "parse_rational_spec", "poly_to_text", "pseudo_divide",
     "rational_substitute", "reduce", "render", "select_output",
     "solve_linear_ratfunc", "spec_to_ratfunc", "total_derivative",
     "try_exact_divide", "unary_dalg", "verify_series",

@@ -5,12 +5,14 @@ inverse, ddfinite, and ansatz.  Equations are given with repeatable --ade
 flags or an input file (--in, one equation per line, '#' comments); the
 rational map with --spec.  Exit codes: 0 success, 2 parse error,
 3 elimination failure or search exhaustion, 4 resource-cap abort,
-64 usage error.
+64 usage error.  A reader that closes stdout early (``dalg ... | head``)
+is not an error: the output is dropped and the exit code stays 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -197,7 +199,14 @@ def main(argv=None) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # point fd 1 at devnull so the flush at interpreter exit stays quiet
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return EXIT_OK
 
 

@@ -1,33 +1,41 @@
 """Closure operations for differentially algebraic functions.
 
-Each operation builds a prolonged triangular system relating the inputs to
-a new dependent variable z, eliminates every non-z derivative variable with
-a block Groebner order, and selects, among the generators of the reduced
-basis that involve z, the one of lowest (order, total degree, term count)
-as the output equation.  Its order is at most the operation's bound, but
+Five operations (rational maps of one or several functions, composition,
+derivation and the D-finite to D-algebraic conversion) share one pipeline
+and each declares only its inputs, its saturation factors and its order
+bound.  The pipeline couples the inputs to a new dependent variable z in a
+triangular system, prolongs it, inverts the product of the saturation
+factors (the initials and separants, which cut out degenerate solution
+branches) with a Rabinowitsch variable, eliminates every non-z derivative
+variable with a block Groebner order, and selects, among the generators of
+the reduced basis that involve z, the one of lowest (order, total degree,
+term count) as the output equation.  Its order is at most the bound, but
 it need not be the least order in the elimination ideal: an element of
-lower order can exist without being a basis generator.  Derivatives and
-functional inverses get a cheaper treatment: the inverse is written down
-explicitly with no elimination at all.
+lower order can exist without being a basis generator.  While no such
+generator within the bound appears, the system is prolonged once more, up
+to RETRY_CAP times.  The functional inverse alone is written down
+explicitly, with no elimination at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .context import DIFF, Var, same_context
+from .context import DIFF, same_context
 from .diffpoly import (ADE, RatFunc, normalize_ade, rational_substitute,
                        total_derivative)
 from .errors import ArgumentError, EliminationFailedError
 from .groebner import GBConfig, eliminate
-from .poly import Poly
+from .poly import Poly, content_primitive
 
 RETRY_CAP = 3  # extra prolongation rounds before giving up
+SAT_NAME = "_sat"  # reserved auxiliary name for the saturation variable
 
 
 @dataclass
 class TriangularSystem:
-    """A prolonged system ready for elimination."""
+    """A prolonged system ready for elimination; ``prolongations`` is the
+    largest number of total derivatives taken of any input."""
 
     polys: list
     elim_vars: set
@@ -37,7 +45,12 @@ class TriangularSystem:
 
 @dataclass
 class ClosureResult:
-    """Selected output equation plus the full set of keep-only generators."""
+    """Selected output equation plus the full set of keep-only generators.
+
+    ``prolongations`` is the largest number of total derivatives taken of
+    any input in the system that produced the output: the bound plus the
+    retries, plus j for the j-th derivative; 0 when nothing was eliminated.
+    """
 
     ade: ADE
     generators: list
@@ -52,10 +65,7 @@ def prolong(p: Poly, s: int) -> list:
     return out
 
 
-SAT_NAME = "_sat"  # reserved auxiliary name for the saturation variable
-
-
-def saturation_poly(ctx, factors):
+def saturation_poly(factors):
     """Product of the distinct non-constant factors, primitive-normalized.
 
     The factors are the initials and separants of the triangular system;
@@ -63,8 +73,6 @@ def saturation_poly(ctx, factors):
     cut out, matching the triangular-set (saturation ideal) reading of the
     system.  Returns None when nothing needs inverting.
     """
-    from .poly import content_primitive
-
     product = None
     seen = []
     for f in factors:
@@ -78,40 +86,41 @@ def saturation_poly(ctx, factors):
     return product
 
 
-def build_system(inputs, z_id: int, s: int, saturate: Poly | None = None) -> TriangularSystem:
-    """Prolong every input polynomial s times and partition the variables:
-    derivatives of z (and x, parameters) are kept, everything else is
-    eliminated.  A saturation polynomial H is inverted by adjoining
-    w*H - 1 (un-prolonged) with an eliminated fresh variable w."""
+def build_system(inputs, z_id: int, s: int, saturate: Poly | None = None,
+                 leads=None) -> TriangularSystem:
+    """Prolong input i s + leads[i] times (every lead defaults to 0) and
+    partition the variables: derivatives of z up to order s (and x,
+    parameters) are kept, everything else is eliminated.  A saturation
+    polynomial H is inverted by adjoining w*H - 1 (un-prolonged) with an
+    eliminated fresh variable w."""
+    leads = leads or [0] * len(inputs)
     polys = []
-    for p in inputs:
-        polys.extend(prolong(p, s))
+    for p, lead in zip(inputs, leads):
+        polys.extend(prolong(p, s + lead))
     if saturate is not None:
         ctx = inputs[0].ctx
         w = Poly.var(ctx, ctx.diff_var(ctx.indeterminate(SAT_NAME), 0))
         polys.append(w * saturate - Poly.const(ctx, 1))
-    return _partition(polys, z_id, keep_order=s, prolongations=s)
-
-
-def _partition(polys, z_id, keep_order, prolongations) -> TriangularSystem:
     elim, keep = set(), set()
     for p in polys:
         for v in p.variables():
-            if v.kind == DIFF and (v.indet != z_id or v.order > keep_order):
+            if v.kind == DIFF and (v.indet != z_id or v.order > s):
                 elim.add(v)
             else:
                 keep.add(v)
-    return TriangularSystem(polys, elim, keep, prolongations)
+    return TriangularSystem(polys, elim, keep, s + max(leads))
+
+
+def _involves(g: Poly, z_id: int) -> bool:
+    return any(v.kind == DIFF and v.indet == z_id for v in g.variables())
 
 
 def select_output(generators, z_id: int) -> ADE:
-    """The generator of minimal (order, total degree, term count), as an ADE."""
+    """The generator involving z of minimal (order, total degree, term
+    count), as an ADE."""
     from .render import poly_to_text
 
-    candidates = [
-        g for g in generators
-        if any(v.kind == DIFF and v.indet == z_id for v in g.variables())
-    ]
+    candidates = [g for g in generators if _involves(g, z_id)]
     if not candidates:
         raise EliminationFailedError("no generator involves the output variable")
 
@@ -124,21 +133,17 @@ def select_output(generators, z_id: int) -> ADE:
     return normalize_ade(best, dep=z_id)
 
 
-def _eliminate_system(system: TriangularSystem, z_id, config) -> list:
-    gens = eliminate(system.polys, system.elim_vars, system.keep_vars, config)
-    return [
-        g for g in gens
-        if any(v.kind == DIFF and v.indet == z_id for v in g.variables())
-    ]
-
-
-def _search(make_system, z_id, bound, config) -> ClosureResult:
-    """Retry loop: rebuild with one more prolongation until a keep-only
-    generator of admissible order appears."""
+def _close(inputs, z_id: int, bound: int, factors, config, leads=None) -> ClosureResult:
+    """The pipeline: prolong the inputs bound (+ lead) times, saturate by
+    the factors, eliminate, select; retry with one more prolongation until
+    a generator involving z of order <= bound appears."""
+    sat = saturation_poly(factors)
     last = "no keep-only generator found"
     for extra in range(RETRY_CAP + 1):
-        system = make_system(extra)
-        gens = _eliminate_system(system, z_id, config)
+        system = build_system(inputs, z_id, bound + extra, sat, leads)
+        gens = [g for g in eliminate(system.polys, system.elim_vars,
+                                     system.keep_vars, config)
+                if _involves(g, z_id)]
         if gens:
             ade = select_output(gens, z_id)
             if ade.order <= bound:
@@ -149,7 +154,10 @@ def _search(make_system, z_id, bound, config) -> ClosureResult:
     )
 
 
-def _check_map_vars(ades, R: RatFunc):
+def _rational(ades, R: RatFunc, z_name, config) -> ClosureResult:
+    """R(x, f_1, ..., f_N) through z*den(R) - num(R), saturated by den(R)
+    and the initials and separants of the inputs."""
+    same_context(*[a.poly for a in ades], R.num)
     allowed = {(a.dep, 0) for a in ades}
     for v in R.variables():
         if v.kind == DIFF and (v.indet, v.order) not in allowed:
@@ -157,12 +165,18 @@ def _check_map_vars(ades, R: RatFunc):
                 f"the rational map may only involve x, parameters, and the "
                 f"undifferentiated dependents; found {v!r}"
             )
-
-
-def _degenerate_result(ctx, R: RatFunc, z_id) -> ClosureResult:
+    ctx = ades[0].ctx
+    z_id = ctx.indeterminate(z_name)
     z = Poly.var(ctx, ctx.diff_var(z_id, 0))
-    poly = z * R.den - R.num
-    return ClosureResult(normalize_ade(poly, dep=z_id), [poly], 0)
+    defining = z * R.den - R.num
+    if not any(v.kind == DIFF for v in R.variables()):
+        # no dependent occurs: z = R(x) needs no elimination
+        return ClosureResult(normalize_ade(defining, dep=z_id), [defining], 0)
+    factors = [R.den]
+    for a in ades:
+        factors.extend([a.initial, a.separant])
+    return _close([a.poly for a in ades] + [defining], z_id,
+                  sum(a.order for a in ades), factors, config)
 
 
 def unary_dalg(ade: ADE, R: RatFunc, z_name: str = "z",
@@ -170,20 +184,7 @@ def unary_dalg(ade: ADE, R: RatFunc, z_name: str = "z",
     """Equation of order <= n satisfied by R(x, f(x)) for every solution f
     of the input equation: the lowest-order reduced-basis generator, which
     is not always the least order in the elimination ideal."""
-    _check_map_vars([ade], R)
-    ctx = ade.ctx
-    z_id = ctx.indeterminate(z_name)
-    if not any(v.kind == DIFF for v in R.variables()):
-        return _degenerate_result(ctx, R, z_id)
-    z = Poly.var(ctx, ctx.diff_var(z_id, 0))
-    defining = z * R.den - R.num
-    n = ade.order
-    sat = saturation_poly(ctx, [ade.initial, ade.separant, R.den])
-
-    def make(extra):
-        return build_system([ade.poly, defining], z_id, n + extra, saturate=sat)
-
-    return _search(make, z_id, n, config)
+    return _rational([ade], R, z_name, config)
 
 
 def arithmetic_dalg(ades, R: RatFunc, z_name: str = "z",
@@ -194,25 +195,7 @@ def arithmetic_dalg(ades, R: RatFunc, z_name: str = "z",
         raise ArgumentError("arithmetic operation needs at least two equations")
     if len({a.dep for a in ades}) != len(ades):
         raise ArgumentError("input equations must have distinct dependents")
-    same_context(*[a.poly for a in ades], R.num)
-    _check_map_vars(ades, R)
-    ctx = ades[0].ctx
-    z_id = ctx.indeterminate(z_name)
-    if not any(v.kind == DIFF for v in R.variables()):
-        return _degenerate_result(ctx, R, z_id)
-    z = Poly.var(ctx, ctx.diff_var(z_id, 0))
-    defining = z * R.den - R.num
-    total = sum(a.order for a in ades)
-    factors = [R.den]
-    for a in ades:
-        factors.extend([a.initial, a.separant])
-    sat = saturation_poly(ctx, factors)
-
-    def make(extra):
-        return build_system([a.poly for a in ades] + [defining], z_id,
-                            total + extra, saturate=sat)
-
-    return _search(make, z_id, total, config)
+    return _rational(ades, R, z_name, config)
 
 
 def compose_dalg(outer: ADE, inner: ADE, z_name: str = "z",
@@ -246,43 +229,24 @@ def compose_dalg(outer: ADE, inner: ADE, z_name: str = "z",
     ]
     z = Poly.var(ctx, ctx.diff_var(z_id, 0))
     inputs = [evaluated] + chain + [inner.poly, z - Poly.var(ctx, ctx.diff_var(v_ids[0], 0))]
-    sat = saturation_poly(ctx, [
-        outer.initial.substitute(bindings),
-        outer.separant.substitute(bindings),
-        u1, inner.initial, inner.separant,
-    ])
-
-    def make(extra):
-        return build_system(inputs, z_id, n + k + extra, saturate=sat)
-
-    return _search(make, z_id, n + k, config)
+    factors = [outer.initial.substitute(bindings), outer.separant.substitute(bindings),
+               u1, inner.initial, inner.separant]
+    return _close(inputs, z_id, n + k, factors, config)
 
 
 def diff_dalg(ade: ADE, j: int = 1, z_name: str = "z",
               config: GBConfig | None = None) -> ClosureResult:
     """Equation satisfied by the j-th derivative of every solution of the
-    input equation; output order <= n."""
+    input equation; output order <= n.  The input is prolonged j times
+    further than the link z - y^(j), so both reach the same orders."""
     if j < 1:
         raise ArgumentError("derivative count must be positive")
     ctx = ade.ctx
-    n = ade.order
     z_id = ctx.indeterminate(z_name)
-    sat = saturation_poly(ctx, [ade.initial, ade.separant])
-
-    def make(extra):
-        polys = prolong(ade.poly, n + j + extra)
-        for i in range(n + 1 + extra):
-            polys.append(
-                Poly.var(ctx, ctx.diff_var(z_id, i))
-                - Poly.var(ctx, ctx.diff_var(ade.dep, j + i))
-            )
-        if sat is not None:
-            w = Poly.var(ctx, ctx.diff_var(ctx.indeterminate(SAT_NAME), 0))
-            polys.append(w * sat - Poly.const(ctx, 1))
-        return _partition(polys, z_id, keep_order=n + extra,
-                          prolongations=n + j + extra)
-
-    return _search(make, z_id, n, config)
+    link = (Poly.var(ctx, ctx.diff_var(z_id, 0))
+            - Poly.var(ctx, ctx.diff_var(ade.dep, j)))
+    return _close([ade.poly, link], z_id, ade.order,
+                  [ade.initial, ade.separant], config, leads=(j, 0))
 
 
 def inv_dalg(ade: ADE, z_name: str = "z") -> ClosureResult:
@@ -314,7 +278,6 @@ def ddfinite_to_dalg(main: ADE, coeff_odes, config: GBConfig | None = None) -> C
     """Convert a linear equation whose coefficients satisfy linear equations
     of their own into a polynomial equation in the main dependent alone."""
     same_context(main.poly, *[c.poly for c in coeff_odes])
-    ctx = main.ctx
     deps = {main.dep}
     for c in coeff_odes:
         if c.dep in deps:
@@ -324,17 +287,12 @@ def ddfinite_to_dalg(main: ADE, coeff_odes, config: GBConfig | None = None) -> C
             raise ArgumentError(f"coefficient equation for {c.dep_name} is not linear")
     if not _is_linear_in(main.poly, main.dep):
         raise ArgumentError("main equation is not linear in its dependent")
-    s0 = main.order + sum(c.order for c in coeff_odes)
     inputs = [main.poly] + [c.poly for c in coeff_odes]
     factors = [main.initial, main.separant]
     for c in coeff_odes:
         factors.extend([c.initial, c.separant])
-    sat = saturation_poly(ctx, factors)
-
-    def make(extra):
-        return build_system(inputs, main.dep, s0 + extra, saturate=sat)
-
-    return _search(make, main.dep, s0, config)
+    return _close(inputs, main.dep, main.order + sum(c.order for c in coeff_odes),
+                  factors, config)
 
 
 def _is_linear_in(p: Poly, dep: int) -> bool:

@@ -101,13 +101,6 @@ class Context:
             self._diffs[(indet, order)] = var
         return var
 
-    def diff_vars_of(self, indet: int) -> list[Var]:
-        """All registered derivative variables of one indeterminate, by order."""
-        return sorted(
-            (v for v in self._vars if v.kind == DIFF and v.indet == indet),
-            key=lambda v: v.order,
-        )
-
     def rank_key(self, var: Var):
         """Canonical ranking for display and default orders.
 

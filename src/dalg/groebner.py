@@ -43,7 +43,6 @@ class IdealBasis:
 
     generators: list
     order: MonomialOrder
-    reduced: bool = False
 
 
 class _Kernel:
@@ -287,7 +286,7 @@ def buchberger(gens, order: MonomialOrder, config: GBConfig | None = None) -> Id
 
     out = [Poly(ctx, {K.decode(m): Fraction(c) for m, c in zip(*r)})
            for r in reduced]
-    return IdealBasis(out, order, reduced=True)
+    return IdealBasis(out, order)
 
 
 def reduce(f: Poly, basis: IdealBasis) -> Poly:

@@ -13,8 +13,6 @@ The Groebner kernel packs these values into one integer per monomial.
 
 from __future__ import annotations
 
-LT, EQ, GT = -1, 0, 1
-
 
 class MonomialOrder:
     def key(self, mono):
@@ -24,14 +22,6 @@ class MonomialOrder:
         """The order as linear forms: a list of variable lists, most
         significant first; a row's value is its variables' exponent sum."""
         raise NotImplementedError
-
-    def cmp(self, a, b) -> int:
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return LT
-        if ka > kb:
-            return GT
-        return EQ
 
 
 class Lex(MonomialOrder):
@@ -107,11 +97,6 @@ class Block(MonomialOrder):
 
     def rows(self) -> list:
         return self.high.rows() + self.low.rows()
-
-
-def mono_cmp(order: MonomialOrder, a, b) -> int:
-    """Compare two monomials under an order; returns LT, EQ, or GT."""
-    return order.cmp(a, b)
 
 
 def default_order(ctx) -> GrevLex:

@@ -262,19 +262,6 @@ class Poly:
         return result
 
 
-def poly_arith(op: str, f: Poly, g) -> Poly:
-    """Dispatch-style arithmetic entry point: add, sub, mul, or pow."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "pow":
-        return f ** g
-    raise ArgumentError(f"unknown operation {op!r}")
-
-
 def pseudo_divide(f: Poly, g: Poly, leader: Var):
     """Pseudo-division of f by g viewed as univariate in the leader.
 

@@ -7,6 +7,15 @@ from fractions import Fraction
 from dalg import Context, Poly, equation_to_ade
 
 
+LT, EQ, GT = -1, 0, 1
+
+
+def mono_cmp(order, a, b):
+    """Compare two monomials under an order; returns LT, EQ, or GT."""
+    ka, kb = order.key(a), order.key(b)
+    return (ka > kb) - (ka < kb)
+
+
 def proportional(p, q):
     """True when p == c*q for a nonzero rational constant c."""
     if p.is_zero() or q.is_zero():

@@ -2,6 +2,7 @@
 0 success, 2 parse error, 3 search exhaustion, 4 resource cap, 64 usage."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -119,6 +120,21 @@ def test_usage_exit_64():
     r = run_cli("compose", "--ade", "diff(y(x),x) = y(x)", "--ade", "diff(y(x),x) = 2")
     assert r.returncode == 64
     assert "distinct dependents" in r.stderr
+
+
+def test_closed_stdout_exit_0():
+    # the reader is gone before the result is written (as with `| head`)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run([sys.executable, "-m", "dalg.cli", "diff",
+                            "--ade", "diff(y(x),x)=y(x)", "--j", "2"],
+                           stdout=write_end, stderr=subprocess.PIPE, text=True,
+                           timeout=300)
+    finally:
+        os.close(write_end)
+    assert r.returncode == 0
+    assert r.stderr == ""
 
 
 def test_version():

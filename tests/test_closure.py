@@ -57,6 +57,17 @@ def test_prolong_and_build_system_counts():
     assert len(system.elim_vars) == 3
     s0 = build_system([ade.poly, defining], z, 0)
     assert len(s0.polys) == 2
+    # the diff shape: the input runs j = 2 prolongations ahead of the link
+    # z - y^(2), so at s = 1 both reach y^(4)
+    link = (Poly.var(ctx, ctx.diff_var(z, 0))
+            - Poly.var(ctx, ctx.diff_var(ctx.indet_id("y"), 2)))
+    sd = build_system([ade.poly, link], z, 1, leads=(2, 0))
+    assert len(sd.polys) == 4 + 2
+    assert {repr(v) for v in sd.keep_vars} == {"z", "z^(1)"}
+    assert len(sd.elim_vars) == 5  # y, y^(1), ..., y^(4)
+    assert sd.prolongations == 3
+    # diff_dalg reports n + j prolongations
+    assert diff_dalg(exp_ade(Context()), 2).prolongations == 3
 
 
 def test_select_output_order_before_degree():
@@ -300,3 +311,11 @@ def test_ddfinite_rejects_nonlinear():
     main = equation_to_ade("diff(y(x),x) = C(x)*y(x)^2", ctx, extra_deps=["C"])
     with pytest.raises(ArgumentError):
         ddfinite_to_dalg(main, [C])
+
+
+def test_public_names_resolve():
+    # a name left in __all__ after its deletion fails only on `import *`
+    import dalg
+
+    missing = [name for name in dalg.__all__ if not hasattr(dalg, name)]
+    assert missing == []

@@ -1,10 +1,9 @@
 """Monomial order axioms and the block elimination property."""
 
-from dalg import Block, Context, GrevLex, Lex, default_order, mono_cmp
-from dalg.orders import EQ, GT, LT
+from dalg import Block, Context, GrevLex, Lex, default_order
 from dalg.poly import mono_mul
 
-from conftest import make_rng
+from conftest import EQ, GT, LT, make_rng, mono_cmp
 
 
 def setup_vars():
