@@ -8,7 +8,9 @@ numerator to vanish identically.  That is a linear system for the unknown
 coefficients with polynomial entries.  It is solved exactly by a Bareiss
 fraction-free forward pass, where each row step divides exactly by the
 previous pivot instead of taking a gcd, and Cramer back-substitution, which
-writes every unknown over the last pivot.
+writes every unknown i as N_i/d over the last pivot d.  The equation is
+d*z_lead + sum N_i*m_i, divided once by g = gcd(d, N_0, ..., N_k); no row
+and no unknown is reduced on the way.
 """
 
 from __future__ import annotations
@@ -16,14 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd
 
-from .context import DIFF, PARAM
-from .diffpoly import (ADE, RatFunc, implicit_higher_derivative,
-                       normalize_ade, rational_substitute)
+from .context import DIFF
+from .diffpoly import (RatFunc, implicit_higher_derivative, normalize_ade,
+                       rational_substitute)
 from .errors import AnsatzNotFoundError, ArgumentError
-from .poly import (Poly, content_primitive, poly_gcd, pseudo_divide,
-                   try_exact_divide)
+from .poly import Poly, poly_gcd, pseudo_divide, try_exact_divide
 
 _C_PREFIX = "_c"  # reserved names for unknown coefficients (parser rejects them)
 
@@ -37,10 +37,6 @@ class DeltaMonomial:
     @property
     def degree(self) -> int:
         return sum(self.exps)
-
-    @property
-    def max_order(self) -> int:
-        return max((i for i, e in enumerate(self.exps) if e), default=0)
 
     def trimmed(self) -> tuple:
         exps = list(self.exps)
@@ -102,18 +98,17 @@ def solve_linear_ratfunc(system: LinearSystem):
     row, column) among the unused rows and columns, and replaces every other
     unused row by (pivot*row - row[col]*pivot_row) / previous pivot.  By
     Sylvester's identity that division is exact: after k steps every entry
-    of an unused row is a (k+1)-minor of the (once content-stripped) input
-    matrix, so no gcd is taken while eliminating.  With d the last pivot,
-    Cramer's rule makes each pivoted unknown N_i/d with a polynomial N_i,
-    found last pivot first by exact division by its own pivot.  Free
-    unknowns are set to zero.  Returns the assignment as a list of rational
-    functions, or None as soon as a row reads 0 = nonzero constant."""
+    of an unused row is a (k+1)-minor of the input matrix, so no gcd is
+    taken at all.  With d the last pivot, Cramer's rule makes each pivoted
+    unknown N_i/d with a polynomial N_i, found last pivot first by exact
+    division by its own pivot; free unknowns get N_i = 0.  Returns the pair
+    (N, d), left unreduced, or None as soon as a row reads 0 = nonzero
+    constant."""
     if not system.rows:
         raise ArgumentError("empty linear system")
     ncols = len(system.unknowns)
     ctx = system.rows[0][1].ctx
     rows = [list(coeffs) + [const] for coeffs, const in system.rows]
-    rows = [_strip_row(r) for r in rows if any(not p.is_zero() for p in r)]
 
     pivots: list = []           # (pivot row, column) in selection order
     free_cols = list(range(ncols))
@@ -150,8 +145,7 @@ def solve_linear_ratfunc(system: LinearSystem):
             if not prow[cj].is_zero():
                 acc = acc + prow[cj] * n
         nums[ci] = _exact_quotient(-acc, prow[ci])
-    zero = Poly(ctx)
-    return [RatFunc(nums.get(ci, zero), prev) for ci in range(ncols)]
+    return [nums.get(ci, Poly(ctx)) for ci in range(ncols)], prev
 
 
 def _exact_quotient(p: Poly, d: Poly) -> Poly:
@@ -164,38 +158,12 @@ def _exact_quotient(p: Poly, d: Poly) -> Poly:
     return q
 
 
-def _strip_row(row):
-    nonzero = [p for p in row if not p.is_zero()]
-    if not nonzero:
-        return row
-    g = nonzero[0]
-    for p in nonzero[1:]:
-        if g.is_constant():
-            break
-        g = poly_gcd(g, p)
-    if not g.is_constant():
-        row = [p if p.is_zero() else try_exact_divide(p, g) for p in row]
-        nonzero = [p for p in row if not p.is_zero()]
-    contents = [content_primitive(p)[0] for p in nonzero]
-    c = Fraction(0)
-    for ci in contents:
-        c = Fraction(gcd(c.numerator * ci.denominator, ci.numerator * c.denominator),
-                     c.denominator * ci.denominator)
-    if c in (0, 1):
-        return row
-    return [p.scale(1 / c) for p in row]
-
-
-def assemble_and_solve(ades, R: RatFunc, k: int, r: int, leading: DeltaMonomial,
-                       z_name: str = "z", closure_vals=None, value_cache=None):
+def assemble_and_solve(ades, r: int, leading: DeltaMonomial, closure_vals,
+                       value_cache: dict, z_name: str = "z"):
     """Try the ansatz with the given leading monomial (coefficient one) and
     unknowns on every smaller monomial plus a constant.  Returns the solved
     equation, or None when the linear system is inconsistent."""
     ctx = ades[0].ctx
-    if closure_vals is None:
-        closure_vals = derivative_closure(R, ades, r)
-    if value_cache is None:
-        value_cache = {}
 
     def value(m: DeltaMonomial):
         """(numerator, denominator) of the monomial's rational value; the
@@ -212,9 +180,8 @@ def assemble_and_solve(ades, R: RatFunc, k: int, r: int, leading: DeltaMonomial,
             v = value_cache[key] = (num, den)
         return v
 
-    candidates = enumerate_delta(k, r)
-    pos = candidates.index(leading)
-    earlier = candidates[:pos]
+    candidates = enumerate_delta(leading.degree, r)
+    earlier = candidates[:candidates.index(leading)]
 
     c_vars = [ctx.param(f"{_C_PREFIX}{i}") for i in range(len(earlier) + 1)]
     # bring every slot over one shared denominator; the unknowns then enter
@@ -230,37 +197,37 @@ def assemble_and_solve(ades, R: RatFunc, k: int, r: int, leading: DeltaMonomial,
     if numerator.is_zero():
         return None
 
-    c_indices = {v.index for v in c_vars}
+    # one row per monomial in the input dependents; each term lands in the
+    # column of the unknown it carries, or in the constant column
+    ncols = len(c_vars)
+    slot_of = {v.index: i for i, v in enumerate(c_vars)}
     dep_ids = {a.dep for a in ades}
     rows: dict = {}
     for mono, coeff in numerator.terms.items():
-        y_part, rest = [], []
+        y_part, rest, slot = [], [], ncols
         for idx, e in mono:
             var = ctx.var_by_index(idx)
-            if var.kind == DIFF and var.indet in dep_ids:
+            if idx in slot_of:
+                if e > 1 or slot < ncols:
+                    raise ArgumentError("system is not linear in the unknowns")
+                slot = slot_of[idx]
+            elif var.kind == DIFF and var.indet in dep_ids:
                 y_part.append((idx, e))
             else:
                 rest.append((idx, e))
-        row = rows.setdefault(tuple(y_part), {})
+        entry = rows.setdefault(tuple(y_part), {}).setdefault(slot, {})
         rest = tuple(rest)
-        row[rest] = row.get(rest, Fraction(0)) + coeff
+        entry[rest] = entry.get(rest, Fraction(0)) + coeff
 
     sys_rows = []
     for y_mono in sorted(rows):
-        poly = Poly(ctx, rows[y_mono])
-        coeffs, const = [], Poly(ctx)
-        for cv in c_vars:
-            if poly.degree(cv) > 1:
-                raise ArgumentError("system is not linear in the unknowns")
-            coeffs.append(poly.coeff_in(cv, 1))
-        const_terms = {m: c for m, c in poly.terms.items()
-                       if not any(idx in c_indices for idx, _ in m)}
-        const = Poly(ctx, const_terms)
-        sys_rows.append((coeffs, const))
+        row = [Poly(ctx, rows[y_mono].get(slot)) for slot in range(ncols + 1)]
+        sys_rows.append((row[:ncols], row[ncols]))
 
-    solution = solve_linear_ratfunc(LinearSystem(list(c_vars), sys_rows))
+    solution = solve_linear_ratfunc(LinearSystem(c_vars, sys_rows))
     if solution is None:
         return None
+    sol, d = solution
 
     z_id = ctx.indeterminate(z_name)
 
@@ -271,17 +238,21 @@ def assemble_and_solve(ades, R: RatFunc, k: int, r: int, leading: DeltaMonomial,
                 p = p * Poly.var(ctx, ctx.diff_var(z_id, i), e)
         return p
 
-    # z_lead + sum s_i*m_i over the lcm L of the s_i denominators: no factor
-    # of L divides the numerator (the m_i are distinct monomials in z), so
-    # this is the reduced numerator of the sum up to a constant
-    slots = [(Poly.const(ctx, 1), solution[0])]
-    slots += [(z_poly(m), s) for m, s in zip(earlier, solution[1:])]
-    slots = [(zm, s) for zm, s in slots if not s.is_zero()]
-    nums, common = _over_lcm(ctx, [(s.num, s.den) for _, s in slots])
-    numerator = z_poly(leading) * common
-    for (zm, _), n in zip(slots, nums):
-        numerator = numerator + zm * n
-    return normalize_ade(numerator, dep=z_id)
+    # d*z_lead + sum N_i*m_i over g = gcd(d, N_0, ..., N_k): for each prime
+    # its exponent in d/g is the largest in any reduced denominator of
+    # N_i/d, so up to a constant this is the numerator of z_lead + sum
+    # (N_i/d)*m_i over the lcm of those denominators (the m_i are distinct
+    # monomials in z, so no factor of d/g divides it)
+    g = d
+    for n in sol:
+        if g.is_constant():
+            break
+        if try_exact_divide(n, g) is None:
+            g = poly_gcd(g, n)
+    equation = z_poly(leading) * d + sol[0]
+    for m, n in zip(earlier, sol[1:]):
+        equation = equation + z_poly(m) * n
+    return normalize_ade(_exact_quotient(equation, g), dep=z_id)
 
 
 def _over_lcm(ctx, pairs):
@@ -319,10 +290,8 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
         for leading in enumerate_delta(k, r):
             if leading.degree != k:
                 continue
-            found = assemble_and_solve(
-                ades, R, k, r, leading, z_name=z_name,
-                closure_vals=closure_vals[: r + 1], value_cache=value_cache,
-            )
+            found = assemble_and_solve(ades, r, leading, closure_vals[: r + 1],
+                                       value_cache, z_name=z_name)
             if found is not None:
                 return found
     raise AnsatzNotFoundError(k, order_cap)

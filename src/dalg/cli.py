@@ -58,7 +58,7 @@ def _build_parser() -> _ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dalg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
 
-    def common(p, spec=False):
+    def common(p, spec=False, caps=True):
         p.add_argument("--ade", action="append", default=[],
                        help="input equation (repeatable)")
         p.add_argument("--in", dest="infile", help="file with one equation per line")
@@ -67,12 +67,13 @@ def _build_parser() -> _ArgumentParser:
                            help="rational map, e.g. 'z=y/(x+y)'")
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--out", help="write the result here instead of stdout")
-        p.add_argument("--max-degree", type=int, default=60,
-                       help="abort when intermediate degrees exceed this cap "
-                            "(elimination only; ansatz ignores it)")
-        p.add_argument("--max-basis", type=int, default=5000,
-                       help="abort when the basis/pair count exceeds this cap "
-                            "(elimination only; ansatz ignores it)")
+        if caps:
+            p.add_argument("--max-degree", type=_int_at_least(1), default=60,
+                           help="abort when intermediate degrees exceed this cap, "
+                                "at least 1 (elimination only; ansatz ignores it)")
+            p.add_argument("--max-basis", type=_int_at_least(1), default=5000,
+                           help="abort when the basis/pair count exceeds this cap, "
+                                "at least 1 (elimination only; ansatz ignores it)")
 
     common(sub.add_parser("unary", help="equation for R(x, f(x))"), spec=True)
     common(sub.add_parser("arith", help="equation for R(x, f1, ..., fN)"), spec=True)
@@ -80,7 +81,8 @@ def _build_parser() -> _ArgumentParser:
     p = sub.add_parser("diff", help="equation for the j-th derivative")
     common(p)
     p.add_argument("--j", type=_int_at_least(1), default=1, help="derivative count")
-    common(sub.add_parser("inverse", help="equation for the functional inverse"))
+    common(sub.add_parser("inverse", help="equation for the functional inverse "
+                                           "(explicit, no elimination)"), caps=False)
     common(sub.add_parser("ddfinite",
                           help="main linear equation first, then one equation "
                                "per coefficient function"))
@@ -124,9 +126,14 @@ def _spec(args, ctx, dep_names):
 
 def run(args) -> str:
     ctx = Context()
-    config = GBConfig(max_degree=args.max_degree, max_basis=args.max_basis)
     texts = _read_equations(args)
+    if args.command == "inverse":
+        if len(texts) != 1:
+            raise ParseError("inverse takes exactly one equation")
+        (ade,) = _parse_all(texts, ctx)
+        return render(inv_dalg(ade).ade, args.format)
 
+    config = GBConfig(max_degree=args.max_degree, max_basis=args.max_basis)
     if args.command == "ddfinite":
         if len(texts) < 2:
             raise ParseError("ddfinite needs the main equation plus at least "
@@ -150,11 +157,6 @@ def run(args) -> str:
             raise ParseError("diff takes exactly one equation")
         (ade,) = _parse_all(texts, ctx)
         result = diff_dalg(ade, args.j, config=config).ade
-    elif args.command == "inverse":
-        if len(texts) != 1:
-            raise ParseError("inverse takes exactly one equation")
-        (ade,) = _parse_all(texts, ctx)
-        result = inv_dalg(ade).ade
     else:
         ades = _parse_all(texts, ctx)
         dep_names = [a.dep_name for a in ades]

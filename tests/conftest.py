@@ -1,11 +1,20 @@
 """Shared helpers for the test suite: proportionality matching, random
-polynomial generation, and the standard Weierstrass fixture."""
+polynomial generation, the standard Weierstrass fixture, and certification
+of a closure output by substitution."""
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
-from dalg import Context, Poly, equation_to_ade
+from dalg import (Context, Poly, derivative_closure, equation_to_ade,
+                  pseudo_divide)
 
+# pytest puts src/ on sys.path (pyproject.toml); the CLI tests start
+# `python -m dalg.cli` in a child process, which needs it on PYTHONPATH
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 LT, EQ, GT = -1, 0, 1
 
@@ -37,6 +46,38 @@ def z_degree(p, z_id):
                 if (v := p.ctx.var_by_index(idx)).kind == DIFF and v.indet == z_id)
         best = max(best, d)
     return best
+
+
+def certified_by_substitution(out, ade, R):
+    """True when the equation out vanishes on z = R(y) for the input ade.
+
+    The closure-value denominators are cleared by hand and the substituted
+    equation must pseudo-reduce to zero by ade; plain polynomial products
+    keep the gcd machinery out of the loop."""
+    ctx = out.ctx
+    vals = derivative_closure(R, [ade], out.order)
+    by_index = {ctx.diff_var(out.dep, i).index: vals[i]
+                for i in range(out.order + 1)}
+    caps = {idx: out.poly.degree(ctx.var_by_index(idx)) for idx in by_index}
+    total = Poly(ctx)
+    for mono, coeff in out.poly.terms.items():
+        expo = dict.fromkeys(by_index, 0)
+        rest = []
+        for idx, e in mono:
+            if idx in by_index:
+                expo[idx] = e
+            else:
+                rest.append((idx, e))
+        term = Poly(ctx, {tuple(rest): coeff})
+        for idx, v in by_index.items():
+            e = expo[idx]
+            term = term * v.num ** e * v.den ** (caps[idx] - e)
+        total = total + term
+    # pseudo-reduce by the input equation: zero means membership in the
+    # ideal it generates over the localized coefficient ring
+    while total.degree(ade.leader) >= ade.leader_degree:
+        _, total, _ = pseudo_divide(total, ade.poly, ade.leader)
+    return total.is_zero()
 
 
 def weierstrass(ctx, name="y"):

@@ -16,15 +16,15 @@ from fractions import Fraction
 
 from dalg import (Context, GrevLex, IdealBasis, Poly, SeriesWitness,
                   ansatz_search, arithmetic_dalg, buchberger, compose_dalg,
-                  ddfinite_to_dalg, derivative_closure, diff_dalg,
+                  ddfinite_to_dalg, diff_dalg,
                   equation_to_ade, inv_dalg, poly_to_text, pseudo_divide,
                   reduce, render, spec_to_ratfunc, total_derivative,
                   unary_dalg, verify_series)
 from dalg.orders import default_order
 from dalg.poly import mono_div, mono_lcm
 
-from conftest import (make_rng, mono_cmp, proportional, random_poly, weierstrass,
-                      z_degree)
+from conftest import (certified_by_substitution, make_rng, mono_cmp,
+                      proportional, random_poly, weierstrass, z_degree)
 from test_series import bernoulli_series
 
 # results shared with the certification criteria (8 and 9); populated in
@@ -269,42 +269,6 @@ def _keep_basis(res, *extra):
     return IdealBasis(res.generators, order)
 
 
-def _reduces_to_zero_mod_ade(poly, ade):
-    """Pseudo-reduce by the defining equation; zero means membership in the
-    ideal it generates over the localized coefficient ring."""
-    rem = poly
-    while rem.degree(ade.leader) >= ade.leader_degree:
-        _, rem, _ = pseudo_divide(rem, ade.poly, ade.leader)
-    return rem.is_zero()
-
-
-def _certified_by_substitution(out, ade, R):
-    """Clear the closure-value denominators by hand and check that the
-    substituted equation pseudo-reduces to zero; plain polynomial products
-    keep the gcd machinery out of the loop."""
-    ctx = out.ctx
-    vals = derivative_closure(R, [ade], out.order)
-    z_id = ctx.indet_id("z")
-    by_index = {ctx.diff_var(z_id, i).index: vals[i]
-                for i in range(out.order + 1)}
-    caps = {idx: out.poly.degree(ctx.var_by_index(idx)) for idx in by_index}
-    total = Poly(ctx)
-    for mono, coeff in out.poly.terms.items():
-        expo = dict.fromkeys(by_index, 0)
-        rest = []
-        for idx, e in mono:
-            if idx in by_index:
-                expo[idx] = e
-            else:
-                rest.append((idx, e))
-        term = Poly(out.ctx, {tuple(rest): coeff})
-        for idx, v in by_index.items():
-            e = expo[idx]
-            term = term * v.num ** e * v.den ** (caps[idx] - e)
-        total = total + term
-    return _reduces_to_zero_mod_ade(total, ade)
-
-
 def test_criterion_08_certification_suite():
     need("unary", "arith", "compose", "diff1", "diff2", "inverse",
          "ansatz2", "ansatz3")
@@ -343,7 +307,7 @@ def test_criterion_08_certification_suite():
         # to zero
         for key in ("ansatz2", "ansatz3"):
             ctx, out, ade, R = RESULTS[key]
-            assert _certified_by_substitution(out, ade, R), key
+            assert certified_by_substitution(out, ade, R), key
 
 
 def _spoly(f, g, order):

@@ -1,17 +1,20 @@
 """Degree-bounded search: monomial enumeration, the exact linear solver, and
 recovery of known equations."""
 
-from fractions import Fraction
 
 import pytest
 
 from dalg import (Context, Poly, RatFunc, ansatz_search, derivative_closure,
-                  enumerate_delta, equation_to_ade, implicit_higher_derivative,
-                  solve_linear_ratfunc, spec_to_ratfunc)
-from dalg.ansatz import DeltaMonomial, LinearSystem
+                  equation_to_ade, implicit_higher_derivative, spec_to_ratfunc,
+                  try_exact_divide, unary_dalg)
+from dalg.ansatz import (DeltaMonomial, LinearSystem, enumerate_delta,
+                         solve_linear_ratfunc)
+from dalg.context import DIFF
 from dalg.errors import AnsatzNotFoundError, ArgumentError
+from dalg.poly import poly_gcd
 
-from conftest import proportional, weierstrass
+from conftest import (certified_by_substitution, make_rng, proportional,
+                      weierstrass)
 
 
 def test_enumerate_delta_order_and_counts():
@@ -28,7 +31,6 @@ def test_enumerate_delta_order_and_counts():
 def test_delta_monomial_views():
     m = DeltaMonomial((1, 0, 2))
     assert m.degree == 3
-    assert m.max_order == 2
     assert m.trimmed() == (1, 0, 2)
     assert DeltaMonomial((1, 0, 0)).trimmed() == (1,)
 
@@ -45,6 +47,18 @@ def test_derivative_closure_weierstrass():
     assert vals[2] == implicit_higher_derivative(ade, 1)
 
 
+def _assert_solves(rows, solution):
+    """Cramer form: with the returned (N, d), d is nonzero and every row
+    sum(coeff_i * N_i) + const * d vanishes as a polynomial."""
+    nums, d = solution
+    assert not d.is_zero()
+    for coeffs, const in rows:
+        total = const * d
+        for c, n in zip(coeffs, nums):
+            total = total + c * n
+        assert total.is_zero()
+
+
 def test_solve_linear_unique():
     # [TRIVIAL] C0 + 2 = 0 and C1 - x = 0
     ctx = Context()
@@ -55,8 +69,9 @@ def test_solve_linear_unique():
     rows = [([one, Poly(ctx)], Poly.const(ctx, 2)),
             ([Poly(ctx), one], -x)]
     sol = solve_linear_ratfunc(LinearSystem([a, b], rows))
-    assert sol[0] == RatFunc(Poly.const(ctx, -2))
-    assert sol[1] == RatFunc(x)
+    _assert_solves(rows, sol)
+    (n0, n1), d = sol
+    assert n0 == d.scale(-2) and n1 == x * d
 
 
 def test_solve_linear_inconsistent_and_free():
@@ -66,20 +81,13 @@ def test_solve_linear_inconsistent_and_free():
     # 0*C0 + 1 = 0 has no solution
     assert solve_linear_ratfunc(
         LinearSystem([a], [([Poly(ctx)], one)])) is None
-    # free unknowns default to zero
-    sol = solve_linear_ratfunc(LinearSystem([a], [([Poly(ctx)], Poly(ctx))]))
-    assert sol[0].is_zero()
+    # a free unknown gets a zero numerator
+    rows = [([Poly(ctx)], Poly(ctx))]
+    sol = solve_linear_ratfunc(LinearSystem([a], rows))
+    _assert_solves(rows, sol)
+    assert sol[0][0].is_zero()
     with pytest.raises(ArgumentError):
         solve_linear_ratfunc(LinearSystem([a], []))
-
-
-def _assert_solves(rows, sol):
-    """Every row vanishes after substituting the returned assignment."""
-    for coeffs, const in rows:
-        total = RatFunc(const)
-        for c, s in zip(coeffs, sol):
-            total = total + RatFunc(c) * s
-        assert total.is_zero()
 
 
 def test_solve_linear_polynomial_pivots():
@@ -96,7 +104,8 @@ def test_solve_linear_polynomial_pivots():
             ([a, x, x * a + Poly.const(ctx, 1)], a)]
     sol = solve_linear_ratfunc(LinearSystem(cs, rows))
     _assert_solves(rows, sol)
-    assert all(not s.is_polynomial() for s in sol)
+    nums, d = sol
+    assert all(try_exact_divide(n, d) is None for n in nums)
     # a third row x*row0 + row1 with a different constant contradicts them
     combo = [x * p + q for p, q in zip(rows[0][0], rows[1][0])]
     bad = rows[:2] + [(combo, Poly(ctx))]
@@ -113,7 +122,7 @@ def test_solve_linear_underdetermined_free_unknown():
             ([a, x * x, a + x], x)]
     sol = solve_linear_ratfunc(LinearSystem(cs, rows))
     _assert_solves(rows, sol)
-    assert sum(s.is_zero() for s in sol) == 1
+    assert sum(n.is_zero() for n in sol[0]) == 1
 
 
 def test_ansatz_recovers_exponential():
@@ -150,3 +159,53 @@ def test_ansatz_not_found():
         ansatz_search([ade], R, k=1, order_cap=0, z_name=zname)
     with pytest.raises(ArgumentError):
         ansatz_search([ade], R, k=0, z_name=zname)
+
+
+def _coefficient_gcd(ade):
+    """gcd of the coefficients of ade in x and the parameters, one per
+    monomial in the derivatives of its dependent."""
+    ctx = ade.ctx
+    coeffs: dict = {}
+    for mono, c in ade.poly.terms.items():
+        z_part = tuple((i, e) for i, e in mono
+                       if ctx.var_by_index(i).kind == DIFF)
+        rest = tuple((i, e) for i, e in mono
+                     if ctx.var_by_index(i).kind != DIFF)
+        coeffs.setdefault(z_part, {})[rest] = c
+    g = Poly(ctx)
+    for terms in coeffs.values():
+        g = poly_gcd(g, Poly(ctx, terms))
+    return g
+
+
+def test_engines_agree_on_seeded_first_order_maps():
+    # Differential test of both engines: constant-coefficient first-order
+    # inputs (linear, Riccati, logistic) under the ansatz maps (y+a)/(y+b),
+    # 1/(y+a) and a*y+b, each constant a small integer or a parameter.
+    # Both outputs must vanish on z = R(y).  Parameters make the Cramer
+    # denominator d a polynomial that shares factors with every numerator
+    # in some draws, so an ansatz output that kept that common factor shows
+    # as a nonconstant gcd of its coefficients.  Affine maps of linear
+    # inputs leave a free unknown.
+    def n(rng):
+        return rng.choice((-1, 1)) * rng.randint(1, 4)
+
+    def c(rng):
+        return rng.choice(("a", "b", str(n(rng))))
+
+    families = (lambda r: f"diff(y(x),x) = {c(r)}*y(x) + {c(r)}",
+                lambda r: f"diff(y(x),x) = y(x)^2 + {c(r)}",
+                lambda r: f"diff(y(x),x) = {c(r)}*y(x)^2 + {c(r)}*y(x)")
+    maps = (lambda r: (lambda a: f"z = (y + {a})/(y + {a} + {n(r)})")(c(r)),
+            lambda r: f"z = 1/(y + {c(r)})",
+            lambda r: f"z = {c(r)}*y + {c(r)}")
+    for seed in range(9):
+        rng = make_rng(seed)
+        ctx = Context()
+        ade = equation_to_ade(families[seed % 3](rng), ctx)
+        zname, R = spec_to_ratfunc(maps[seed // 3](rng), ctx, ["y"])
+        found = ansatz_search([ade], R, k=2, z_name=zname)
+        closed = unary_dalg(ade, R, z_name=zname).ade
+        assert certified_by_substitution(found, ade, R), seed
+        assert certified_by_substitution(closed, ade, R), seed
+        assert _coefficient_gcd(found).is_constant(), seed

@@ -116,6 +116,13 @@ def test_usage_exit_64():
     assert r.returncode == 64
     r = run_cli("ansatz", "--ade", "y'=y", "--spec", "z = y", "--order-cap", "-1")
     assert r.returncode == 64
+    r = run_cli("diff", "--ade", "diff(y(x),x) = y(x)", "--max-degree", "-3")
+    assert r.returncode == 64
+    r = run_cli("unary", "--ade", "y'=y", "--spec", "z = y", "--max-basis", "0")
+    assert r.returncode == 64
+    # inverse runs no elimination, so it takes no Groebner cap flags
+    r = run_cli("inverse", "--ade", "diff(y(x),x) = y(x)", "--max-degree", "5")
+    assert r.returncode == 64
     # an argument error raised inside the library is a usage error too
     r = run_cli("compose", "--ade", "diff(y(x),x) = y(x)", "--ade", "diff(y(x),x) = 2")
     assert r.returncode == 64
