@@ -10,7 +10,30 @@ fraction-free forward pass, where each row step divides exactly by the
 previous pivot instead of taking a gcd, and Cramer back-substitution, which
 writes every unknown i as N_i/d over the last pivot d.  The equation is
 d*z_lead + sum N_i*m_i, divided once by g = gcd(d, N_0, ..., N_k); no row
-and no unknown is reduced on the way.
+and no unknown is reduced on the way.  A power of z that divides every term
+is then divided out: it is the spurious branch z = 0 that a lead of degree
+exactly k brings when an equation of lower degree exists.
+
+Most candidates fail, so a cheap certificate of failure runs first.  Once
+per search, x and every parameter are evaluated at a fixed point modulo the
+prime q = 2^31 - 1, and the input dependents stay symbolic.  A candidate's
+ncols+1 columns (lead, constant and unknowns) are built there over D, the
+product of the closure denominators each to the largest power any slot
+needs, and reduced by the evaluated input equations made monic in their
+leaders.  Rank ncols+1 mod q proves the exact system inconsistent, and its
+exact pass is skipped.  This is sound because neither step from the exact
+system can raise the rank.  D is h times the lcm that the exact pass uses,
+so each column is h times the exact one, and multiplying every column by
+the same h keeps any linear relation among them modulo the input
+equations.  With a nonzero constant initial at the point, the evaluated
+pseudo-remainder is a constant times the unique remainder by the monic
+evaluated equation, so every minor of the matrix mod q is an exact minor
+evaluated mod q.  The certificate does not apply, and every candidate of
+the search takes the exact pass, when a coefficient denominator is
+divisible by q, an initial is not a nonzero constant at the point, a
+closure denominator vanishes there, or an input involves another
+dependent.  A candidate whose rank comes out short takes the exact pass
+too, so the equation found is the same either way.
 """
 
 from __future__ import annotations
@@ -18,14 +41,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add
 
 from .context import DIFF
 from .diffpoly import (RatFunc, implicit_higher_derivative, normalize_ade,
                        rational_substitute)
 from .errors import AnsatzNotFoundError, ArgumentError
-from .poly import Poly, poly_gcd, pseudo_divide, try_exact_divide
+from .poly import Poly, mono_div, poly_gcd, pseudo_divide, try_exact_divide
 
 _C_PREFIX = "_c"  # reserved names for unknown coefficients (parser rejects them)
+_Q = 2 ** 31 - 1  # the prime of the miss certificate
 
 
 @dataclass(frozen=True)
@@ -159,10 +184,16 @@ def _exact_quotient(p: Poly, d: Poly) -> Poly:
 
 
 def assemble_and_solve(ades, r: int, leading: DeltaMonomial, closure_vals,
-                       value_cache: dict, z_name: str = "z"):
+                       value_cache: dict, residues, z_name: str = "z"):
     """Try the ansatz with the given leading monomial (coefficient one) and
     unknowns on every smaller monomial plus a constant.  Returns the solved
-    equation, or None when the linear system is inconsistent."""
+    equation, or None when the linear system is inconsistent.  residues is
+    the search's evaluation mod q (None when the miss certificate cannot
+    apply); a candidate it proves inconsistent skips the exact pass."""
+    candidates = enumerate_delta(leading.degree, r)
+    earlier = candidates[:candidates.index(leading)]
+    if residues is not None and _certified_miss(residues, [leading] + earlier):
+        return None
     ctx = ades[0].ctx
 
     def value(m: DeltaMonomial):
@@ -179,9 +210,6 @@ def assemble_and_solve(ades, r: int, leading: DeltaMonomial, closure_vals,
                     den = den * closure_vals[i].den ** e
             v = value_cache[key] = (num, den)
         return v
-
-    candidates = enumerate_delta(leading.degree, r)
-    earlier = candidates[:candidates.index(leading)]
 
     c_vars = [ctx.param(f"{_C_PREFIX}{i}") for i in range(len(earlier) + 1)]
     # bring every slot over one shared denominator; the unknowns then enter
@@ -252,7 +280,15 @@ def assemble_and_solve(ades, r: int, leading: DeltaMonomial, closure_vals,
     equation = z_poly(leading) * d + sol[0]
     for m, n in zip(earlier, sol[1:]):
         equation = equation + z_poly(m) * n
-    return normalize_ade(_exact_quotient(equation, g), dep=z_id)
+    equation = _exact_quotient(equation, g)
+    # divide out z^e, the branch z = 0 (see the module docstring); a
+    # monomial equation would be left without z and stays
+    z0 = ctx.diff_var(z_id, 0).index
+    e = min(dict(mono).get(z0, 0) for mono in equation.terms)
+    if e and len(equation.terms) > 1:
+        equation = Poly(ctx, {mono_div(mono, ((z0, e),)): c
+                              for mono, c in equation.terms.items()})
+    return normalize_ade(equation, dep=z_id)
 
 
 def _over_lcm(ctx, pairs):
@@ -275,6 +311,111 @@ def _over_lcm(ctx, pairs):
     return nums, common
 
 
+def _residues(closure_vals, ades):
+    """The input equations, made monic in their leaders, and the closure
+    values at the point mod _Q, with the unit monomial; None where the
+    certificate cannot apply.  A polynomial is a dict from an exponent tuple
+    over the dependents' derivatives to a residue, and values are kept
+    reduced by the input equations."""
+    ctx = ades[0].ctx
+    if len({a.dep for a in ades}) < len(ades) or any(
+            v.kind == DIFF and v.indet != a.dep
+            for a in ades for v in a.poly.variables()):
+        return None
+    ys = [ctx.diff_var(a.dep, i).index for a in ades for i in range(a.order + 1)]
+    pos = {idx: i for i, idx in enumerate(ys)}
+
+    def at_point(p: Poly):
+        out: dict = {}
+        for mono, c in p.terms.items():
+            if c.denominator % _Q == 0:
+                return None
+            v, exps = c.numerator * pow(c.denominator, -1, _Q), [0] * len(ys)
+            for idx, e in mono:
+                if idx in pos:
+                    exps[pos[idx]] = e
+                else:   # x or a parameter: a point derived from the index
+                    v *= pow(7, (5 + idx) * e, _Q)
+            out[tuple(exps)] = out.get(tuple(exps), 0) + v
+        return {m: c % _Q for m, c in out.items() if c % _Q}
+
+    vals = [(at_point(v.num), at_point(v.den)) for v in closure_vals]
+    eqs = [at_point(a.poly) for a in ades]
+    if any(p is None for p in eqs + [p for v in vals for p in v]):
+        return None
+    reducers = []   # (leader position, degree d, leader^d as lower terms)
+    for ade, g in zip(ades, eqs):
+        lead, d = pos[ade.leader.index], ade.leader_degree
+        top = [m for m in g if m[lead] == d]
+        if top != [tuple(d if i == lead else 0 for i in range(len(ys)))]:
+            return None     # the initial is not a nonzero constant here
+        scale = -pow(g[top[0]], -1, _Q)
+        reducers.append((lead, d, {m: c * scale % _Q for m, c in g.items()
+                                   if m[lead] < d}))
+    vals = [(_reduce(n, reducers), _reduce(d, reducers)) for n, d in vals]
+    if not all(d for _, d in vals):
+        return None
+    return reducers, vals, (0,) * len(ys)
+
+
+def _reduce(p: dict, reducers) -> dict:
+    """p modulo the monic input equations, coefficients mod _Q.  Terms are
+    bucketed by leader exponent and the buckets cleared from the top:
+    rewriting leader^d lowers the exponent, so a bucket is final once every
+    higher one is done."""
+    for lead, d, tail in reducers:
+        top = max((m[lead] for m in p), default=0)
+        buckets: list = [{} for _ in range(top + 1)]
+        for m, c in p.items():
+            buckets[m[lead]][m] = c
+        for e in range(top, d - 1, -1):
+            for m, c in buckets[e].items():
+                base = m[:lead] + (e - d,) + m[lead + 1:]
+                for tm, tc in tail.items():
+                    k = tuple(map(add, base, tm))
+                    buckets[k[lead]][k] = buckets[k[lead]].get(k, 0) + c * tc
+        p = {m: c for b in buckets[:d] for m, c in b.items()}
+    return {m: c % _Q for m, c in p.items() if c % _Q}
+
+
+def _certified_miss(residues, slots) -> bool:
+    """True when the candidate with these slots (the lead first) is proven
+    inconsistent: its constant, lead and unknown columns have full rank mod
+    _Q.  The module docstring gives the argument."""
+    reducers, vals, one = residues
+    r = len(slots[0].exps)
+    top = tuple(max(m.exps[i] for m in slots) for i in range(r))
+    basis: dict = {}    # pivot monomial -> column scaled to 1 there
+    for exps in [(0,) * r] + [m.exps for m in slots]:
+        # num_i^e_i * den_i^(top_i - e_i): the slot over prod den_i^top_i
+        col = {one: 1}
+        for (num, den), e, t in zip(vals, exps, top):
+            for f in [num] * e + [den] * (t - e):
+                prod: dict = {}
+                for ma, ca in col.items():
+                    for mb, cb in f.items():
+                        m = tuple(map(add, ma, mb))
+                        prod[m] = prod.get(m, 0) + ca * cb
+                col = _reduce(prod, reducers)
+        # a basis column is zero at every pivot chosen before its own, so
+        # one pass in insertion order clears every pivot
+        for piv, b in basis.items():
+            c = col.get(piv)
+            if c:
+                for m, v in b.items():
+                    w = (col.get(m, 0) - c * v) % _Q
+                    if w:
+                        col[m] = w
+                    else:
+                        del col[m]
+        if not col:
+            return False
+        piv, c = next(iter(col.items()))
+        inv = pow(c, -1, _Q)
+        basis[piv] = {m: v * inv % _Q for m, v in col.items()}
+    return True
+
+
 def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z"):
     """Search leading monomials of degree k in enumeration order, raising the
     derivative order of the ansatz from 0 up to the cap, and return the first
@@ -286,12 +427,13 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
         order_cap = sum(a.order for a in ades) + 1
     value_cache: dict = {}
     closure_vals = derivative_closure(R, ades, order_cap)
+    residues = _residues(closure_vals, ades)
     for r in range(order_cap + 1):
         for leading in enumerate_delta(k, r):
             if leading.degree != k:
                 continue
             found = assemble_and_solve(ades, r, leading, closure_vals[: r + 1],
-                                       value_cache, z_name=z_name)
+                                       value_cache, residues, z_name=z_name)
             if found is not None:
                 return found
     raise AnsatzNotFoundError(k, order_cap)

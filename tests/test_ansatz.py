@@ -4,9 +4,12 @@ recovery of known equations."""
 
 import pytest
 
+from dalg import ansatz
 from dalg import (Context, Poly, RatFunc, ansatz_search, derivative_closure,
-                  equation_to_ade, implicit_higher_derivative, spec_to_ratfunc,
-                  try_exact_divide, unary_dalg)
+                  equation_to_ade, implicit_higher_derivative, render,
+                  pseudo_divide, spec_to_ratfunc, try_exact_divide,
+                  unary_dalg)
+from dalg.cli import main as cli_main
 from dalg.ansatz import (DeltaMonomial, LinearSystem, enumerate_delta,
                          solve_linear_ratfunc)
 from dalg.context import DIFF
@@ -178,15 +181,11 @@ def _coefficient_gcd(ade):
     return g
 
 
-def test_engines_agree_on_seeded_first_order_maps():
-    # Differential test of both engines: constant-coefficient first-order
-    # inputs (linear, Riccati, logistic) under the ansatz maps (y+a)/(y+b),
-    # 1/(y+a) and a*y+b, each constant a small integer or a parameter.
-    # Both outputs must vanish on z = R(y).  Parameters make the Cramer
-    # denominator d a polynomial that shares factors with every numerator
-    # in some draws, so an ansatz output that kept that common factor shows
-    # as a nonconstant gcd of its coefficients.  Affine maps of linear
-    # inputs leave a free unknown.
+def _seeded_first_order_maps():
+    """Nine seeded (input equation, map) pairs: constant-coefficient
+    first-order inputs (linear, Riccati, logistic) under the ansatz maps
+    (y+a)/(y+b), 1/(y+a) and a*y+b, each constant a small integer or a
+    parameter."""
     def n(rng):
         return rng.choice((-1, 1)) * rng.randint(1, 4)
 
@@ -201,11 +200,139 @@ def test_engines_agree_on_seeded_first_order_maps():
             lambda r: f"z = {c(r)}*y + {c(r)}")
     for seed in range(9):
         rng = make_rng(seed)
+        yield seed, families[seed % 3](rng), maps[seed // 3](rng)
+
+
+def test_engines_agree_on_seeded_first_order_maps():
+    # Differential test of both engines: both outputs must vanish on
+    # z = R(y).  Parameters make the Cramer denominator d a polynomial that
+    # shares factors with every numerator in some draws, so an ansatz output
+    # that kept that common factor shows as a nonconstant gcd of its
+    # coefficients.  Affine maps of linear inputs leave a free unknown.
+    for seed, ade_text, spec in _seeded_first_order_maps():
         ctx = Context()
-        ade = equation_to_ade(families[seed % 3](rng), ctx)
-        zname, R = spec_to_ratfunc(maps[seed // 3](rng), ctx, ["y"])
+        ade = equation_to_ade(ade_text, ctx)
+        zname, R = spec_to_ratfunc(spec, ctx, ["y"])
         found = ansatz_search([ade], R, k=2, z_name=zname)
         closed = unary_dalg(ade, R, z_name=zname).ade
         assert certified_by_substitution(found, ade, R), seed
         assert certified_by_substitution(closed, ade, R), seed
         assert _coefficient_gcd(found).is_constant(), seed
+
+
+def test_residues_reduce_like_pseudo_division():
+    # reduction at the point agrees with the evaluated pseudo-remainder,
+    # up to the initial's power, on a polynomial whose rewrites land at or
+    # above the leader degree again
+    riccati, wp = Context(), Context()
+    for ctx, ade in ((riccati, equation_to_ade("diff(y(x),x) = y(x)^2 + x",
+                                               riccati)),
+                     (wp, weierstrass(wp))):
+        y = Poly.var(ctx, ctx.diff_var(ade.dep, 0))
+        x = Poly.var(ctx, ctx.indep)
+        p = (Poly.var(ctx, ade.leader) * x + y) ** 5 + x * y
+        # the closure value p, reduced on evaluation, against the residue of
+        # its exact pseudo-remainder
+        (got, _), = ansatz._residues([RatFunc(p)], [ade])[1]
+        _, rem, power = pseudo_divide(p, ade.poly, ade.leader)
+        (want, _), = ansatz._residues([RatFunc(rem)], [ade])[1]
+        scale = pow(int(ade.initial.constant_value()), power, ansatz._Q)
+        assert want == {m: c * scale % ansatz._Q for m, c in got.items()}
+
+
+def _cli_text(capsys, *argv):
+    assert cli_main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ade_text, spec, k", [
+    ("diff(y(x),x) = -4*y(x) + 1", "z = -2*y + 3", 2),
+    ("diff(y(x),x) = y(x)^2 + x", "z = y/(x+y)", 3),
+])
+def test_ansatz_drops_spurious_z_factor(capsys, ade_text, spec, k):
+    # a lead of degree exactly k multiplies a lower-degree equation by a
+    # power of z (the branch z = 0); divided out, the search prints what
+    # elimination prints
+    found = _cli_text(capsys, "ansatz", "--ade", ade_text, "--spec", spec,
+                      "--degree-de", str(k))
+    assert found == _cli_text(capsys, "unary", "--ade", ade_text, "--spec", spec)
+    if k == 2:
+        assert found == "diff(z(x),x) + 4*z(x) - 10 = 0\n"
+
+
+def _run_search(ade_text, spec, k):
+    ctx = Context()
+    ade = (weierstrass(ctx) if ade_text == "wp"
+           else equation_to_ade(ade_text, ctx))
+    zname, R = spec_to_ratfunc(spec, ctx, ["y"])
+    return ansatz_search([ade], R, k=k, z_name=zname)
+
+
+def _trace_candidates(monkeypatch, certificate):
+    """Patch the search so every candidate logs (certificate fired, result);
+    certificate maps the real verdict to the one the search acts on."""
+    real_cert, real_solve = ansatz._certified_miss, ansatz.assemble_and_solve
+    log, fired = [], []
+
+    def cert(*args):
+        fired.append(real_cert(*args))
+        return certificate(fired[-1])
+
+    def solve(*args, **kwargs):
+        fired.clear()
+        out = real_solve(*args, **kwargs)
+        log.append((bool(fired and fired[0]), out))
+        return out
+
+    monkeypatch.setattr(ansatz, "_certified_miss", cert)
+    monkeypatch.setattr(ansatz, "assemble_and_solve", solve)
+    return log
+
+
+def test_miss_certificate_fires_only_on_inconsistent_candidates(monkeypatch):
+    # every candidate runs the exact pass; wherever the certificate fires,
+    # that pass must find no solution.  Checking outputs alone would miss a
+    # certificate that drops a consistent candidate when a later one hits.
+    log = _trace_candidates(monkeypatch, lambda fired: False)
+    searches = [("wp", "z = y/(x+y)", 2), ("wp", "z = y/(x+y)", 3),
+                ("diff(y(x),x) = y(x)^2 + x", "z = y^2/(x+y)", 4)]
+    searches += [(a, s, 2) for _, a, s in _seeded_first_order_maps()]
+    for search in searches:
+        start = len(log)
+        _run_search(*search)
+        assert any(fired for fired, _ in log[start:]), search
+    start = len(log)
+    with pytest.raises(AnsatzNotFoundError):
+        _run_search("wp", "z = y^2/(x+y)", 3)
+    assert len(log) - start == 15
+    assert all(fired for fired, _ in log[start:])
+    for fired, out in log:
+        assert not fired or out is None
+
+
+def test_miss_certificate_exhausts_hard_search(monkeypatch):
+    # every candidate of this exhausting search is certified, so the exact
+    # solver never runs (the exact search takes over a second)
+    def no_exact_pass(system):
+        raise AssertionError("exact pass ran")
+
+    monkeypatch.setattr(ansatz, "solve_linear_ratfunc", no_exact_pass)
+    with pytest.raises(AnsatzNotFoundError):
+        _run_search("wp", "z = y^2/(x+y)", 3)
+
+
+@pytest.mark.parametrize("ade_text", [
+    # a coefficient denominator of q: z'' carries 1/2147483647
+    "diff(y(x),x) = y(x)/2147483647 + 1",
+    # an initial, y, that is not constant at the point
+    "y(x)*diff(y(x),x) = x",
+])
+def test_miss_certificate_falls_back_to_exact_pass(monkeypatch, ade_text):
+    with monkeypatch.context() as m:
+        log = _trace_candidates(m, lambda fired: fired)
+        found = _run_search(ade_text, "z = y/(x+y)", 2)
+    assert any(out is None for _, out in log)
+    assert not any(fired for fired, _ in log)
+    monkeypatch.setattr(ansatz, "_certified_miss", lambda *args: False)
+    assert render(found, "text") == render(
+        _run_search(ade_text, "z = y/(x+y)", 2), "text")
