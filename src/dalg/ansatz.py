@@ -318,9 +318,8 @@ def _residues(closure_vals, ades):
     over the dependents' derivatives to a residue, and values are kept
     reduced by the input equations."""
     ctx = ades[0].ctx
-    if len({a.dep for a in ades}) < len(ades) or any(
-            v.kind == DIFF and v.indet != a.dep
-            for a in ades for v in a.poly.variables()):
+    if any(v.kind == DIFF and v.indet != a.dep
+           for a in ades for v in a.poly.variables()):
         return None
     ys = [ctx.diff_var(a.dep, i).index for a in ades for i in range(a.order + 1)]
     pos = {idx: i for i, idx in enumerate(ys)}
@@ -423,6 +422,8 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
     if k < 1:
         raise ArgumentError("degree bound must be at least 1")
     ades = list(ades)
+    if len({a.dep for a in ades}) != len(ades):
+        raise ArgumentError("input equations must have distinct dependents")
     if order_cap is None:
         order_cap = sum(a.order for a in ades) + 1
     value_cache: dict = {}

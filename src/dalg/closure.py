@@ -4,10 +4,11 @@ Five operations (rational maps of one or several functions, composition,
 derivation and the D-finite to D-algebraic conversion) share one pipeline
 and each declares only its inputs, its saturation factors and its order
 bound.  The pipeline couples the inputs to a new dependent variable z in a
-triangular system, prolongs it, inverts the product of the saturation
-factors (the initials and separants, which cut out degenerate solution
-branches) with a Rabinowitsch variable, eliminates every non-z derivative
-variable with a block Groebner order, and selects, among the generators of
+triangular system, prolongs it, inverts each distinct saturation factor
+(the initials and separants, which cut out degenerate solution branches)
+with a Rabinowitsch variable of its own, eliminates every non-z derivative
+variable with a block Groebner order whose eliminated block is led by the
+Rabinowitsch variables, and selects, among the generators of
 the reduced basis that involve z, the one of lowest (order, total degree,
 term count) as the output equation.  Its order is at most the bound, but
 it need not be the least order in the elimination ideal: an element of
@@ -15,6 +16,12 @@ lower order can exist without being a basis generator.  While no such
 generator within the bound appears, the system is prolonged once more, up
 to RETRY_CAP times.  The functional inverse alone is written down
 explicitly, with no elimination at all.
+
+One variable per factor gives the same elimination ideal as one variable
+for their product: both adjoin the inverse of every factor, so both
+eliminate to I : (h_1 ... h_m)^oo (the Rabinowitsch trick).  Its reduced
+basis, and so the output, is the same either way; the short relations
+w_i*h_i - 1 only make the Groebner basis far cheaper to reach.
 """
 
 from __future__ import annotations
@@ -29,18 +36,21 @@ from .groebner import GBConfig, eliminate
 from .poly import Poly, content_primitive
 
 RETRY_CAP = 3  # extra prolongation rounds before giving up
-SAT_NAME = "_sat"  # reserved auxiliary name for the saturation variable
+SAT_NAME = "_sat"  # reserved prefix of the saturation variables _sat0, _sat1, ...
 
 
 @dataclass
 class TriangularSystem:
     """A prolonged system ready for elimination; ``prolongations`` is the
-    largest number of total derivatives taken of any input."""
+    largest number of total derivatives taken of any input, and
+    ``sat_vars`` are the saturation variables, which lead the eliminated
+    block."""
 
     polys: list
     elim_vars: set
     keep_vars: set
     prolongations: int
+    sat_vars: list
 
 
 @dataclass
@@ -65,42 +75,39 @@ def prolong(p: Poly, s: int) -> list:
     return out
 
 
-def saturation_poly(factors):
-    """Product of the distinct non-constant factors, primitive-normalized.
+def saturation_factors(factors) -> list:
+    """The distinct non-constant factors, primitive-normalized.
 
     The factors are the initials and separants of the triangular system;
-    inverting their product discards the degenerate solution branches they
-    cut out, matching the triangular-set (saturation ideal) reading of the
-    system.  Returns None when nothing needs inverting.
+    inverting them discards the degenerate solution branches they cut out,
+    matching the triangular-set (saturation ideal) reading of the system.
     """
-    product = None
     seen = []
     for f in factors:
         if f.is_zero() or f.is_constant():
             continue
         f = content_primitive(f)[1]
-        if any(f == g for g in seen):
-            continue
-        seen.append(f)
-        product = f if product is None else product * f
-    return product
+        if not any(f == g for g in seen):
+            seen.append(f)
+    return seen
 
 
-def build_system(inputs, z_id: int, s: int, saturate: Poly | None = None,
+def build_system(inputs, z_id: int, s: int, saturate=(),
                  leads=None) -> TriangularSystem:
     """Prolong input i s + leads[i] times (every lead defaults to 0) and
     partition the variables: derivatives of z up to order s (and x,
-    parameters) are kept, everything else is eliminated.  A saturation
-    polynomial H is inverted by adjoining w*H - 1 (un-prolonged) with an
-    eliminated fresh variable w."""
+    parameters) are kept, everything else is eliminated.  Each saturation
+    factor h_i is inverted by adjoining w_i*h_i - 1 (un-prolonged) with an
+    eliminated fresh variable w_i, named _sat<i>."""
     leads = leads or [0] * len(inputs)
     polys = []
     for p, lead in zip(inputs, leads):
         polys.extend(prolong(p, s + lead))
-    if saturate is not None:
-        ctx = inputs[0].ctx
-        w = Poly.var(ctx, ctx.diff_var(ctx.indeterminate(SAT_NAME), 0))
-        polys.append(w * saturate - Poly.const(ctx, 1))
+    ctx = inputs[0].ctx
+    sat_vars = [ctx.diff_var(ctx.indeterminate(f"{SAT_NAME}{i}"), 0)
+                for i in range(len(saturate))]
+    for w, h in zip(sat_vars, saturate):
+        polys.append(Poly.var(ctx, w) * h - Poly.const(ctx, 1))
     elim, keep = set(), set()
     for p in polys:
         for v in p.variables():
@@ -108,7 +115,7 @@ def build_system(inputs, z_id: int, s: int, saturate: Poly | None = None,
                 elim.add(v)
             else:
                 keep.add(v)
-    return TriangularSystem(polys, elim, keep, s + max(leads))
+    return TriangularSystem(polys, elim, keep, s + max(leads), sat_vars)
 
 
 def _involves(g: Poly, z_id: int) -> bool:
@@ -137,12 +144,13 @@ def _close(inputs, z_id: int, bound: int, factors, config, leads=None) -> Closur
     """The pipeline: prolong the inputs bound (+ lead) times, saturate by
     the factors, eliminate, select; retry with one more prolongation until
     a generator involving z of order <= bound appears."""
-    sat = saturation_poly(factors)
+    sat = saturation_factors(factors)
     last = "no keep-only generator found"
     for extra in range(RETRY_CAP + 1):
         system = build_system(inputs, z_id, bound + extra, sat, leads)
         gens = [g for g in eliminate(system.polys, system.elim_vars,
-                                     system.keep_vars, config)
+                                     system.keep_vars, config,
+                                     first=system.sat_vars)
                 if _involves(g, z_id)]
         if gens:
             ade = select_output(gens, z_id)

@@ -317,28 +317,34 @@ def reduce(f: Poly, basis: IdealBasis) -> Poly:
     return out
 
 
-def elimination_order(ctx, elim_vars, keep_vars) -> Block:
-    """Block order with the eliminated variables dominating; GrevLex inside."""
-    high = sorted(elim_vars, key=ctx.rank_key)
+def elimination_order(ctx, elim_vars, keep_vars, first=()) -> Block:
+    """Block order with the eliminated variables dominating; GrevLex inside.
+    The eliminated variables listed in ``first`` are the largest, in the
+    given order; the others follow in canonical rank."""
+    high = [*first, *sorted(set(elim_vars) - set(first), key=ctx.rank_key)]
     low = sorted(keep_vars, key=ctx.rank_key)
     return Block(GrevLex(high), GrevLex(low))
 
 
-def eliminate(gens, elim_vars, keep_vars, config: GBConfig | None = None):
+def eliminate(gens, elim_vars, keep_vars, config: GBConfig | None = None,
+              first=()):
     """Keep-only generators of the reduced Groebner basis under a block order.
 
     Returns every reduced-basis element whose variables lie in keep_vars;
     the list may be empty, which signals the caller's prolongation retry.
+    ``first`` lists eliminated variables to rank above all the others.
     """
     ctx = same_context(*gens)
     elim_vars, keep_vars = set(elim_vars), set(keep_vars)
     if elim_vars & keep_vars:
         raise ArgumentError("eliminate and keep variable sets overlap")
+    if not set(first) <= elim_vars:
+        raise ArgumentError("leading variables must be eliminated")
     seen = set().union(*(g.variables() for g in gens))
     if not seen <= elim_vars | keep_vars:
         missing = seen - elim_vars - keep_vars
         raise ArgumentError(f"variables not covered by the partition: {missing}")
-    order = elimination_order(ctx, elim_vars, keep_vars)
+    order = elimination_order(ctx, elim_vars, keep_vars, first)
     basis = buchberger(gens, order, config)
     return [g for g in basis.generators if g.variables() <= keep_vars]
 

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from dalg import (Context, Poly, derivative_closure, equation_to_ade,
+from dalg import (ADE, Context, Poly, derivative_closure, equation_to_ade,
                   pseudo_divide)
 
 # pytest puts src/ on sys.path (pyproject.toml); the CLI tests start
@@ -48,14 +48,16 @@ def z_degree(p, z_id):
     return best
 
 
-def certified_by_substitution(out, ade, R):
-    """True when the equation out vanishes on z = R(y) for the input ade.
+def certified_by_substitution(out, ades, R):
+    """True when the equation out vanishes on z = R(y_1, ..., y_N) for the
+    input equations (one ADE or a list, with distinct dependents).
 
     The closure-value denominators are cleared by hand and the substituted
-    equation must pseudo-reduce to zero by ade; plain polynomial products
-    keep the gcd machinery out of the loop."""
+    equation must pseudo-reduce to zero by each input in turn; plain
+    polynomial products keep the gcd machinery out of the loop."""
     ctx = out.ctx
-    vals = derivative_closure(R, [ade], out.order)
+    ades = [ades] if isinstance(ades, ADE) else list(ades)
+    vals = derivative_closure(R, ades, out.order)
     by_index = {ctx.diff_var(out.dep, i).index: vals[i]
                 for i in range(out.order + 1)}
     caps = {idx: out.poly.degree(ctx.var_by_index(idx)) for idx in by_index}
@@ -73,10 +75,12 @@ def certified_by_substitution(out, ade, R):
             e = expo[idx]
             term = term * v.num ** e * v.den ** (caps[idx] - e)
         total = total + term
-    # pseudo-reduce by the input equation: zero means membership in the
-    # ideal it generates over the localized coefficient ring
-    while total.degree(ade.leader) >= ade.leader_degree:
-        _, total, _ = pseudo_divide(total, ade.poly, ade.leader)
+    # pseudo-reduce by each input equation (each involves only its own
+    # dependent): zero means membership in the ideal they generate over the
+    # localized coefficient ring
+    for ade in ades:
+        while total.degree(ade.leader) >= ade.leader_degree:
+            _, total, _ = pseudo_divide(total, ade.poly, ade.leader)
     return total.is_zero()
 
 

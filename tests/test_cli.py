@@ -127,6 +127,11 @@ def test_usage_exit_64():
     r = run_cli("compose", "--ade", "diff(y(x),x) = y(x)", "--ade", "diff(y(x),x) = 2")
     assert r.returncode == 64
     assert "distinct dependents" in r.stderr
+    # two ansatz inputs for the same dependent
+    r = run_cli("ansatz", "--ade", "diff(y(x),x) = y(x)", "--ade",
+                "diff(y(x),x) = 2*y(x)", "--spec", "z = y", "--degree-de", "1")
+    assert r.returncode == 64
+    assert "distinct dependents" in r.stderr
 
 
 def test_closed_stdout_exit_0():

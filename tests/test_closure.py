@@ -9,15 +9,16 @@ from fractions import Fraction
 import pytest
 
 from dalg import (Context, Poly, SeriesWitness, arithmetic_dalg, build_system,
-                  compose_dalg, ddfinite_to_dalg, diff_dalg, equation_to_ade,
-                  inv_dalg, select_output, spec_to_ratfunc, unary_dalg,
-                  verify_series)
-from dalg.closure import prolong
+                  compose_dalg, ddfinite_to_dalg, diff_dalg, eliminate,
+                  equation_to_ade, inv_dalg, poly_to_text, select_output,
+                  spec_to_ratfunc, unary_dalg, verify_series)
+from dalg import closure, groebner
+from dalg.closure import prolong, saturation_factors
 from dalg.diffpoly import normalize_ade
 from dalg.errors import ArgumentError
 from dalg.series import TruncSeries
 
-from conftest import proportional, weierstrass
+from conftest import certified_by_substitution, proportional, weierstrass
 
 
 def exp_ade(ctx, name="y", rate=1):
@@ -40,7 +41,7 @@ def check_series(ade, witness, T=12):
     assert val >= T - ade.order, f"residual valuation {val}"
 
 
-def test_prolong_and_build_system_counts():
+def test_prolong_and_build_system_counts(monkeypatch):
     ctx = Context()
     ade = exp_ade(ctx)
     assert len(prolong(ade.poly, 3)) == 4
@@ -68,6 +69,111 @@ def test_prolong_and_build_system_counts():
     assert sd.prolongations == 3
     # diff_dalg reports n + j prolongations
     assert diff_dalg(exp_ade(Context()), 2).prolongations == 3
+
+    # saturation: one polynomial and one eliminated variable per distinct
+    # non-constant factor; constants and rational multiples add nothing
+    y0 = Poly.var(ctx, ctx.diff_var(ctx.indet_id("y"), 0))
+    y1 = Poly.var(ctx, ctx.diff_var(ctx.indet_id("y"), 1))
+    shift = y0 + Poly.var(ctx, ctx.indep)
+    assert saturation_factors([Poly.const(ctx, 3), Poly(ctx)]) == []
+    factors = saturation_factors([shift, Poly.const(ctx, 3), y1,
+                                  shift.scale(Fraction(-2, 3)), y1.scale(5)])
+    assert len(factors) == 2
+    sat = build_system([ade.poly, defining], z, 1, factors)
+    assert len(sat.polys) == len(system.polys) + 2
+    assert len(sat.sat_vars) == 2
+    assert sat.elim_vars == system.elim_vars | set(sat.sat_vars)
+    assert build_system([ade.poly, defining], z, 1, []).sat_vars == []
+    # the saturation variables lead the high block of the order eliminate
+    # builds; the other eliminated variables and the keep block keep their
+    # canonical rank
+    orders = []
+
+    def spy(gens, order, config=None):
+        orders.append(order)
+        return real(gens, order, config)
+
+    real = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    eliminate(sat.polys, sat.elim_vars, sat.keep_vars, first=sat.sat_vars)
+    (order,) = orders
+    assert order.high.vars_desc == sat.sat_vars + sorted(system.elim_vars,
+                                                         key=ctx.rank_key)
+    assert order.low.vars_desc == sorted(sat.keep_vars, key=ctx.rank_key)
+
+
+def _weierstrass_shift_ratio(ctx):
+    # criterion 1's input and map: factors x + y and y'
+    zname, R = spec_to_ratfunc("z = y/(x+y)", ctx, ["y"])
+    return unary_dalg(weierstrass(ctx), R, z_name=zname)
+
+
+def _compose_doubling(ctx):
+    # criterion 3: factors v_1 (the outer separant at v) and y2'
+    return compose_dalg(weierstrass(ctx, "y1"),
+                        equation_to_ade("diff(y2(x),x) = 2", ctx))
+
+
+def _bernoulli_ratio(ctx):
+    # criterion 2: factors y2 (the map denominator) and x
+    a1 = equation_to_ade("x*diff(y1(x),x) - (t*x + 1)*y1(x)", ctx)
+    a2 = equation_to_ade("diff(y2(x),x) - y2(x) - 1", ctx)
+    zname, R = spec_to_ratfunc("z = y1/y2", ctx, ["y1", "y2"])
+    return arithmetic_dalg([a1, a2], R, z_name=zname)
+
+
+@pytest.mark.parametrize("run", [_weierstrass_shift_ratio, _compose_doubling,
+                                 _bernoulli_ratio])
+def test_per_factor_saturation_matches_product(monkeypatch, run):
+    # I : (h_1 ... h_m)^oo is reached either with one Rabinowitsch variable
+    # per factor or with one for the product, so the keep-only generators
+    # of the two reduced bases are the same polynomials
+    calls = []
+    real = closure.build_system
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(closure, "build_system", spy)
+    ctx = Context()
+    run(ctx)
+    inputs, z_id, s, factors, leads = calls[0]
+    assert len(factors) >= 2
+    per_factor = real(inputs, z_id, s, factors, leads)
+    new = eliminate(per_factor.polys, per_factor.elim_vars,
+                    per_factor.keep_vars, first=per_factor.sat_vars)
+
+    plain = real(inputs, z_id, s, leads=leads)
+    w = ctx.diff_var(ctx.indeterminate("_w"), 0)
+    product = factors[0]
+    for h in factors[1:]:
+        product = product * h
+    old = eliminate(plain.polys + [Poly.var(ctx, w) * product - Poly.const(ctx, 1)],
+                    plain.elim_vars | {w}, per_factor.keep_vars)
+    assert new
+    assert sorted(map(poly_to_text, new)) == sorted(map(poly_to_text, old))
+
+
+def test_unary_weierstrass_mobius_map():
+    # formerly about 8 s with one saturation variable for the product of
+    # the factors; well under a second with one per factor
+    ctx = Context()
+    ade = weierstrass(ctx)
+    zname, R = spec_to_ratfunc("z = (y+x)/(x*y+1)", ctx, ["y"])
+    res = unary_dalg(ade, R, z_name=zname)
+    assert certified_by_substitution(res.ade, ade, R)
+
+
+def test_arithmetic_sum_of_two_weierstrass_functions():
+    # formerly over 200 s with one saturation variable for the product
+    ctx = Context()
+    a1 = equation_to_ade("diff(y1(x),x)^2 = 4*y1(x)^3 - 2*y1(x) - 3", ctx)
+    a2 = equation_to_ade("diff(y2(x),x)^2 = 4*y2(x)^3 - 5*y2(x) - 7", ctx)
+    zname, R = spec_to_ratfunc("z = y1+y2", ctx, ["y1", "y2"])
+    res = arithmetic_dalg([a1, a2], R, z_name=zname)
+    assert res.ade.order == 2
+    assert certified_by_substitution(res.ade, [a1, a2], R)
 
 
 def test_select_output_order_before_degree():

@@ -245,6 +245,9 @@ def test_eliminate_validates_partition():
         eliminate(gens, {u, a}, {a})
     with pytest.raises(ArgumentError):
         eliminate(gens, {u}, set())
+    # only eliminated variables can lead the eliminated block
+    with pytest.raises(ArgumentError):
+        eliminate(gens, {u}, {a}, first=[a])
 
 
 def test_certificates():
