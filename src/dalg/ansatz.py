@@ -39,7 +39,6 @@ too, so the equation found is the same either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import add
 
@@ -47,7 +46,8 @@ from .context import DIFF
 from .diffpoly import (RatFunc, implicit_higher_derivative, normalize_ade,
                        rational_substitute)
 from .errors import AnsatzNotFoundError, ArgumentError
-from .poly import Poly, mono_div, poly_gcd, pseudo_divide, try_exact_divide
+from .poly import (Poly, exact_div, mono_div, poly_gcd, pseudo_divide,
+                   try_exact_divide)
 
 _C_PREFIX = "_c"  # reserved names for unknown coefficients (parser rejects them)
 _Q = 2 ** 31 - 1  # the prime of the miss certificate
@@ -176,7 +176,8 @@ def solve_linear_ratfunc(system: LinearSystem):
 def _exact_quotient(p: Poly, d: Poly) -> Poly:
     """p / d, where d is known to divide p."""
     if d.is_constant():
-        return p.scale(1 / d.constant_value())
+        k = d.constant_value()
+        return Poly(p.ctx, {m: exact_div(c, k) for m, c in p.terms.items()})
     q = try_exact_divide(p, d)
     if q is None:
         raise RuntimeError("internal error: Bareiss division is not exact")
@@ -245,7 +246,7 @@ def assemble_and_solve(ades, r: int, leading: DeltaMonomial, closure_vals,
                 rest.append((idx, e))
         entry = rows.setdefault(tuple(y_part), {}).setdefault(slot, {})
         rest = tuple(rest)
-        entry[rest] = entry.get(rest, Fraction(0)) + coeff
+        entry[rest] = entry.get(rest, 0) + coeff
 
     sys_rows = []
     for y_mono in sorted(rows):

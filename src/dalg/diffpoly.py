@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .context import DIFF, INDEP, Var, same_context
 from .errors import (ArgumentError, DegeneracyError, DivisionByZeroError)
-from .poly import Poly, content_primitive, poly_gcd, try_exact_divide
+from .poly import (Poly, content_primitive, exact_div, poly_gcd,
+                   try_exact_divide)
 
 
 def total_derivative(f: Poly) -> Poly:
@@ -64,7 +65,7 @@ class RatFunc:
                         num = try_exact_divide(num, g)
                         den = try_exact_divide(den, g)
             c_den, den = content_primitive(den)
-            num = num.scale(1 / c_den)
+            num = num.scale(exact_div(1, c_den))
         self.num = num
         self.den = den
         self.ctx = num.ctx
@@ -127,14 +128,14 @@ class RatFunc:
     def __repr__(self):
         if self.is_polynomial():
             c = self.den.constant_value()
-            return repr(self.num.scale(1 / c)) if c != 1 else repr(self.num)
+            return repr(self.num.scale(exact_div(1, c))) if c != 1 else repr(self.num)
         return f"({self.num!r})/({self.den!r})"
 
     def derivative(self) -> "RatFunc":
         """Total derivative by the quotient rule."""
         if self.is_polynomial():
             c = self.den.constant_value()
-            return RatFunc(total_derivative(self.num).scale(1 / c))
+            return RatFunc(total_derivative(self.num).scale(exact_div(1, c)))
         return RatFunc(
             total_derivative(self.num) * self.den - self.num * total_derivative(self.den),
             self.den * self.den,

@@ -1,8 +1,8 @@
 """Buchberger's algorithm with pair criteria and block elimination orders.
 
-The kernel works on integer-cleared polynomials (rationals are cleared at
-the boundary and restored as primitive parts) in which a monomial is one
-packed int.  Its fixed-width fields hold, from the most significant down,
+The kernel works on primitive integer polynomials (an input enters as its
+primitive part, and the output keeps the kernel's integer coefficients) in
+which a monomial is one packed int.  Its fixed-width fields hold, from the most significant down,
 the order's rows (:meth:`~dalg.orders.MonomialOrder.rows`), the total
 degree, and one exponent per variable; so int comparison is the monomial
 order, a product is a sum, and a guard bit on top of every field makes
@@ -19,14 +19,13 @@ degree and basis size turn runaway eliminations into a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 
 from .context import same_context
 from .errors import ArgumentError, ResourceCapError
 from .orders import Block, GrevLex, MonomialOrder
-from .poly import Poly, mono_div, mono_lcm
+from .poly import Poly, content_primitive, exact_div, mono_div, mono_lcm
 
 
 @dataclass
@@ -82,16 +81,12 @@ class _Kernel:
             f"intermediate degree exceeded cap {self.config.max_degree}")
 
     def encode(self, p: Poly) -> dict:
-        """Packed monomial -> integer coefficient, denominators cleared and
-        content removed."""
-        den = lcm(*(c.denominator for c in p.terms.values()))
-        terms = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
-        g = gcd(*terms.values())
+        """Packed monomial -> integer coefficient of p's primitive part."""
         unit, out = self.unit, {}
-        for mono, c in terms.items():
+        for mono, c in content_primitive(p)[1].terms.items():
             if sum(e for _, e in mono) > self.mask:
                 raise self.degree_error()
-            out[sum(e * unit[idx] for idx, e in mono)] = c // g
+            out[sum(e * unit[idx] for idx, e in mono)] = c
         return out
 
     def decode(self, m) -> tuple:
@@ -284,7 +279,7 @@ def buchberger(gens, order: MonomialOrder, config: GBConfig | None = None) -> Id
             reduced.append(r)
     reduced.sort(key=lambda r: r[0][0])
 
-    out = [Poly(ctx, {K.decode(m): Fraction(c) for m, c in zip(*r)})
+    out = [Poly(ctx, dict(zip(map(K.decode, r[0]), r[1])))
            for r in reduced]
     return IdealBasis(out, order)
 
@@ -313,7 +308,7 @@ def reduce(f: Poly, basis: IdealBasis) -> Poly:
             work = work - t
             continue
         g, q, lcg = hit
-        work = work - Poly(f.ctx, {q: c / lcg}) * g
+        work = work - Poly(f.ctx, {q: exact_div(c, lcg)}) * g
     return out
 
 
@@ -376,7 +371,7 @@ def buchberger_with_certificates(gens, order: MonomialOrder):
                 lmg, lcg = g.leading(order)
                 q = mono_div(m, lmg)
                 if q is not None:
-                    mult = Poly(ctx, {q: c / lcg})
+                    mult = Poly(ctx, {q: exact_div(c, lcg)})
                     f = f - mult * g
                     cert = [a - mult * b for a, b in zip(cert, gc)]
                     changed = True
@@ -389,8 +384,8 @@ def buchberger_with_certificates(gens, order: MonomialOrder):
         fi, fj = G[i], G[j]
         (lmi, lci), (lmj, lcj) = fi.leading(order), fj.leading(order)
         L = mono_lcm(lmi, lmj)
-        mi = Poly(ctx, {mono_div(L, lmi): Fraction(1) / lci})
-        mj = Poly(ctx, {mono_div(L, lmj): Fraction(1) / lcj})
+        mi = Poly(ctx, {mono_div(L, lmi): exact_div(1, lci)})
+        mj = Poly(ctx, {mono_div(L, lmj): exact_div(1, lcj)})
         s = mi * fi - mj * fj
         cert = [mi * a - mj * b for a, b in zip(certs[i], certs[j])]
         s, cert = reduce_tracked(s, cert)

@@ -2,9 +2,12 @@
 
 A monomial is a tuple of (variable index, positive exponent) pairs sorted by
 variable index; the empty tuple is 1.  A :class:`Poly` maps monomials to
-nonzero ``Fraction`` coefficients and carries a reference to the shared
-:class:`~dalg.context.Context`.  All values are immutable after construction
-and all operations are pure.
+nonzero exact rational coefficients and carries a reference to the shared
+:class:`~dalg.context.Context`.  A coefficient is an ``int`` whenever it is
+integral and a ``Fraction`` only when it is not, so integer-dominated work
+runs on plain ``int`` arithmetic; :func:`exact_div` is the one coefficient
+quotient.  All values are immutable after construction and all operations
+are pure.
 """
 
 from __future__ import annotations
@@ -18,6 +21,23 @@ from .orders import default_order
 
 Mono = tuple  # tuple[tuple[int, int], ...]
 ONE: Mono = ()
+
+
+def exact_coeff(c):
+    """c as a coefficient: an int when integral, else a Fraction."""
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise ArgumentError(f"coefficient must be an int or a Fraction, not {type(c).__name__}")
+
+
+def exact_div(a, b):
+    """a / b for exact rationals: an int when the quotient is integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return exact_coeff(Fraction(a) / b)
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
@@ -66,13 +86,15 @@ def mono_from_var(var: Var, exp: int = 1) -> Mono:
 
 
 class Poly:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients, each an
+    ``int`` when integral and a ``Fraction`` otherwise."""
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx, terms=None):
         self.ctx = ctx
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
+        self.terms = {m: c for m, v in (terms or {}).items()
+                      if (c := v if type(v) is int else exact_coeff(v))}
 
     # -- constructors -------------------------------------------------------
 
@@ -82,14 +104,13 @@ class Poly:
 
     @classmethod
     def const(cls, ctx, value) -> "Poly":
-        value = Fraction(value)
-        return cls(ctx, {ONE: value} if value else {})
+        return cls(ctx, {ONE: value})
 
     @classmethod
     def var(cls, ctx, var: Var, exp: int = 1) -> "Poly":
         if exp < 0:
             raise ArgumentError("negative exponent")
-        return cls(ctx, {mono_from_var(var, exp): Fraction(1)})
+        return cls(ctx, {mono_from_var(var, exp): 1})
 
     # -- predicates and views -----------------------------------------------
 
@@ -99,8 +120,8 @@ class Poly:
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {ONE}
 
-    def constant_value(self) -> Fraction:
-        return self.terms.get(ONE, Fraction(0))
+    def constant_value(self):
+        return self.terms.get(ONE, 0)
 
     def variables(self) -> set:
         """Set of Vars actually appearing."""
@@ -144,7 +165,7 @@ class Poly:
         same_context(self, other)
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
+            out[mono] = out.get(mono, 0) + c
         return Poly(self.ctx, out)
 
     def __sub__(self, other) -> "Poly":
@@ -154,20 +175,20 @@ class Poly:
         return Poly(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             return self.scale(other)
         same_context(self, other)
         out: dict = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 mono = mono_mul(ma, mb)
-                out[mono] = out.get(mono, Fraction(0)) + ca * cb
+                out[mono] = out.get(mono, 0) + ca * cb
         return Poly(self.ctx, out)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        c = exact_coeff(c)
         if not c:
             return Poly(self.ctx)
         return Poly(self.ctx, {m: co * c for m, co in self.terms.items()})
@@ -215,7 +236,7 @@ class Poly:
                     rest.append((idx, e))
             bucket = out.setdefault(k, {})
             rest = tuple(rest)
-            bucket[rest] = bucket.get(rest, Fraction(0)) + c
+            bucket[rest] = bucket.get(rest, 0) + c
         return {k: Poly(self.ctx, terms) for k, terms in out.items()}
 
     def coeff_in(self, var: Var, k: int) -> "Poly":
@@ -231,7 +252,7 @@ class Poly:
                         rest = mono[:i] + ((idx, e - 1),) + mono[i + 1:]
                     else:
                         rest = mono[:i] + mono[i + 1:]
-                    out[rest] = out.get(rest, Fraction(0)) + c * e
+                    out[rest] = out.get(rest, 0) + c * e
                     break
         return Poly(self.ctx, out)
 
@@ -257,7 +278,7 @@ class Poly:
                 if idx in by_index:
                     factor = factor * power(idx, e)
                 else:
-                    factor = factor * Poly(self.ctx, {((idx, e),): Fraction(1)})
+                    factor = factor * Poly(self.ctx, {((idx, e),): 1})
             result = result + factor
         return result
 
@@ -297,17 +318,12 @@ def content_primitive(f: Poly, order=None):
     """
     if f.is_zero():
         raise ArgumentError("zero polynomial has no content decomposition")
-    den_lcm = 1
-    for c in f.terms.values():
-        den_lcm = lcm(den_lcm, c.denominator)
-    num_gcd = 0
-    for c in f.terms.values():
-        num_gcd = gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-    content = Fraction(num_gcd, den_lcm)
-    _, lead = f.leading(order)
-    if lead < 0:
-        content = -content
-    return content, f.scale(1 / content)
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    cleared = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
+    g = gcd(*cleared.values())
+    if f.leading(order)[1] < 0:
+        g = -g
+    return exact_div(g, den), Poly(f.ctx, {m: c // g for m, c in cleared.items()})
 
 
 def primitive_part(f: Poly, order=None) -> Poly:
@@ -378,7 +394,7 @@ def try_exact_divide(f: Poly, g: Poly):
         m = mono_div(rm, gm)
         if m is None:
             return None
-        t = Poly(f.ctx, {m: rc / gc})
+        t = Poly(f.ctx, {m: exact_div(rc, gc)})
         q = q + t
         r = r - t * g
     return q

@@ -32,7 +32,7 @@ def proportional(p, q):
     if set(p.terms) != set(q.terms):
         return False
     mono = next(iter(p.terms))
-    c = p.terms[mono] / q.terms[mono]
+    c = Fraction(p.terms[mono]) / q.terms[mono]
     return all(p.terms[m] == c * q.terms[m] for m in q.terms)
 
 

@@ -1,6 +1,7 @@
 """Degree-bounded search: monomial enumeration, the exact linear solver, and
 recovery of known equations."""
 
+from fractions import Fraction
 
 import pytest
 
@@ -126,6 +127,38 @@ def test_solve_linear_underdetermined_free_unknown():
     sol = solve_linear_ratfunc(LinearSystem(cs, rows))
     _assert_solves(rows, sol)
     assert sum(n.is_zero() for n in sol[0]) == 1
+
+
+def test_exact_quotient_by_constant():
+    # a Bareiss division by a constant pivot other than +-1 stays exact:
+    # int where the quotient is integral, Fraction where it is not
+    ctx = Context()
+    x = Poly.var(ctx, ctx.indep)
+    one = Poly.const(ctx, 1)
+    q = ansatz._exact_quotient(x.scale(6) + one.scale(3), Poly.const(ctx, 3))
+    assert q == x.scale(2) + one
+    assert all(type(c) is int for c in q.terms.values())
+    q = ansatz._exact_quotient(x.scale(4) + one, Poly.const(ctx, Fraction(2, 3)))
+    assert q.terms == {((ctx.indep.index, 1),): 6, (): Fraction(3, 2)}
+
+
+def test_solve_linear_constant_pivots():
+    # 3x3 over Q whose first pivot is 2, so the last row is divided by 2;
+    # the unique solution is c = (1, -1/2, 2/3)
+    ctx = Context()
+    cs = [ctx.param(f"c{i}") for i in range(3)]
+
+    def const(v):
+        return Poly.const(ctx, v)
+
+    matrix = [[2, 4, 3], [4, 2, 9], [6, 2, Fraction(3, 2)]]
+    want = [1, Fraction(-1, 2), Fraction(2, 3)]
+    rows = [([const(a) for a in row], const(-sum(a * w for a, w in zip(row, want))))
+            for row in matrix]
+    sol = solve_linear_ratfunc(LinearSystem(cs, rows))
+    _assert_solves(rows, sol)
+    nums, d = sol
+    assert [Fraction(n.constant_value()) / d.constant_value() for n in nums] == want
 
 
 def test_ansatz_recovers_exponential():

@@ -6,7 +6,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from dalg import Context, equation_to_ade
+from dalg.cli import main as cli_main
 
 from test_acceptance import EQ_MATHIEU
 
@@ -22,6 +25,27 @@ def test_unary_text():
     r = run_cli("unary", "--ade", "diff(y(x),x) = y(x)", "--spec", "z = y^2")
     assert r.returncode == 0
     assert r.stdout.strip() == "diff(z(x),x) - 2*z(x) = 0"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["unary", "--ade", "diff(y(x),x) = y(x)/3", "--spec", "z = y/2 + 1/3"],
+     "9*diff(z(x),x) - 3*z(x) + 1 = 0"),
+    (["arith", "--ade", "diff(y1(x),x) = y1(x)/2", "--ade", "diff(y2(x),x) = 2/3*y2(x)",
+      "--spec", "z = y1/2 + 2/3*y2"],
+     "6*diff(z(x),x,x) - 7*diff(z(x),x) + 2*z(x) = 0"),
+    (["ansatz", "--ade", "diff(y(x),x) = y(x)/2 + 2/3", "--spec", "z = y^2/2 + 2/3",
+      "--degree-de", "2"],
+     "27*diff(z(x),x)^2 - 54*diff(z(x),x)*z(x) + 27*z(x)^2 + 36*diff(z(x),x)"
+     " - 60*z(x) + 28 = 0"),
+    (["ansatz", "--ade", "diff(y(x),x)^2 = y(x)^3/2 - 2/3", "--spec", "z = y/2 + 1/3",
+      "--degree-de", "2"],
+     "9*z(x)^2 - 6*diff(z(x),x,x) - 6*z(x) + 1 = 0"),
+])
+def test_rational_coefficients(capsys, argv, expected):
+    # inputs and maps with non-integral coefficients go through the exact
+    # rational path and print primitive integer equations
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out == expected + "\n"
 
 
 def test_arith_json():

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from dalg import Context, Poly, content_primitive, pseudo_divide, try_exact_divide
+from dalg import (Context, GrevLex, Poly, ansatz_search, buchberger,
+                  content_primitive, pseudo_divide, spec_to_ratfunc,
+                  try_exact_divide)
 from dalg.errors import ArgumentError
-from dalg.poly import (mono_degree, mono_div, mono_divides, mono_lcm,
-                       mono_mul, poly_gcd)
+from dalg.poly import (exact_div, mono_degree, mono_div, mono_divides,
+                       mono_lcm, mono_mul, poly_gcd)
 
-from conftest import make_rng, random_poly
+from conftest import make_rng, random_poly, weierstrass
 
 
 def setup_vars():
@@ -174,3 +176,156 @@ def test_poly_gcd_random():
         assert try_exact_divide(c * f, d) is not None
         assert try_exact_divide(c * g, d) is not None
         assert try_exact_divide(d, content_primitive(c)[1]) is not None
+
+
+def test_float_coefficients_rejected():
+    ctx, xs = setup_vars()
+    with pytest.raises(ArgumentError):
+        Poly(ctx, {(): 0.5})
+    with pytest.raises(ArgumentError):
+        Poly.const(ctx, 0.1)
+    with pytest.raises(ArgumentError):
+        Poly.var(ctx, xs[0]).scale(0.5)
+    with pytest.raises(ArgumentError):
+        Poly.var(ctx, xs[0]) * 0.5
+
+
+def test_exact_div():
+    assert exact_div(6, 3) == 2 and type(exact_div(6, 3)) is int
+    assert exact_div(-7, 2) == Fraction(-7, 2)
+    assert exact_div(Fraction(4, 3), Fraction(2, 3)) == 2
+    assert type(exact_div(Fraction(4, 3), Fraction(2, 3))) is int
+    assert exact_div(1, Fraction(2, 3)) == Fraction(3, 2)
+
+
+# -- the coefficient representation: int when integral, else Fraction -------
+
+def _canonical(p) -> bool:
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in p.terms.values())
+
+
+def _ref(p) -> dict:
+    """Fraction-only copy of p's terms, the reference representation."""
+    return {m: Fraction(c) for m, c in p.terms.items()}
+
+
+def _ref_clean(d) -> dict:
+    return {m: c for m, c in d.items() if c}
+
+
+def _ref_add(a, b, sign=1) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + sign * c
+    return _ref_clean(out)
+
+
+def _ref_mul(a, b) -> dict:
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = mono_mul(ma, mb)
+            out[m] = out.get(m, Fraction(0)) + ca * cb
+    return _ref_clean(out)
+
+
+def _ref_pow(a, e) -> dict:
+    out = {(): Fraction(1)}
+    for _ in range(e):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_var(v, e=1) -> dict:
+    return {((v.index, e),) if e else (): Fraction(1)}
+
+
+def _ref_substitute(a, bindings) -> dict:
+    out: dict = {}
+    for m, c in a.items():
+        term = {(): c}
+        for idx, e in m:
+            term = _ref_mul(term, _ref_pow(bindings[idx], e) if idx in bindings
+                            else {((idx, e),): Fraction(1)})
+        out = _ref_add(out, term)
+    return out
+
+
+def _ref_derivative(a, v) -> dict:
+    out: dict = {}
+    for m, c in a.items():
+        exps = dict(m)
+        e = exps.pop(v.index, 0)
+        if e > 1:
+            exps[v.index] = e - 1
+        if e:
+            out = _ref_add(out, {tuple(sorted(exps.items())): c * e})
+    return out
+
+
+def _check(result, expected_ref):
+    assert _canonical(result), result.terms
+    assert _ref(result) == expected_ref
+
+
+def test_representation_invariant_random():
+    # every operation keeps integral coefficients as int and the rest as
+    # non-integral Fractions, and agrees with Fraction-only arithmetic
+    ctx, xs = setup_vars()
+    rng = make_rng(2024)
+    x, y0, y1 = xs[0], xs[1], xs[2]
+    for _ in range(120):
+        f = random_poly(ctx, xs, rng)
+        g = random_poly(ctx, xs, rng)
+        F, G = _ref(f), _ref(g)
+        _check(f, F)
+        _check(f + g, _ref_add(F, G))
+        _check(f - g, _ref_add(F, G, -1))
+        _check(f * g, _ref_mul(F, G))
+        _check(f ** 3, _ref_pow(F, 3))
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        _check(f.scale(c), _ref_clean({m: v * c for m, v in F.items()}))
+        if g.is_zero():
+            continue
+        _check(try_exact_divide(f * g, g), F)
+        if g.degree(y1):
+            q, r, power = pseudo_divide(f, g, y1)
+            lc = _ref(g.coeff_in(y1, g.degree(y1)))
+            assert _canonical(q) and _canonical(r)
+            assert _ref_mul(_ref_pow(lc, power), F) == _ref_add(
+                _ref_mul(_ref(q), G), _ref(r))
+        if not f.is_zero():
+            content, prim = content_primitive(f)
+            assert type(content) in (int, Fraction) and _canonical(prim)
+            assert all(type(v) is int for v in prim.terms.values())
+            assert _ref_clean({m: v * content for m, v in _ref(prim).items()}) == F
+            d = poly_gcd(f * g, g)
+            assert all(type(v) is int for v in d.terms.values())
+            assert _ref_mul(_ref(try_exact_divide(g, d)), _ref(d)) == G
+        h = Poly.var(ctx, x) + Poly.const(ctx, Fraction(1, 2))
+        _check(f.substitute({y0: g, x: h}),
+               _ref_substitute(F, {y0.index: G, x.index: _ref(h)}))
+        _check(f.partial_derivative(y0), _ref_derivative(F, y0))
+        total: dict = {}
+        for k, coeff in f.as_univariate(y0).items():
+            assert not coeff.has_var(y0) and _canonical(coeff)
+            total = _ref_add(total, _ref_mul(_ref(coeff), _ref_var(y0, k)))
+        assert total == F
+
+
+def test_integer_coefficients_end_to_end():
+    # criterion 7 at k=3 and a Groebner basis of rational inputs carry only
+    # int coefficients
+    ctx = Context()
+    ade = weierstrass(ctx)
+    zname, R = spec_to_ratfunc("z = y/(x+y)", ctx, ["y"])
+    out = ansatz_search([ade], R, k=3, z_name=zname)
+    assert all(type(c) is int for c in out.poly.terms.values())
+    ctx, xs = setup_vars()
+    rng = make_rng(5)
+    gens = [random_poly(ctx, xs[:3], rng, max_terms=3, max_deg=2) for _ in range(3)]
+    assert any(type(c) is Fraction for g in gens for c in g.terms.values())
+    basis = buchberger(gens, GrevLex(xs[:3]))
+    assert basis.generators
+    assert all(type(c) is int for g in basis.generators for c in g.terms.values())
