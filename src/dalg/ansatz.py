@@ -5,23 +5,27 @@ target function F, attach unknown rational-function coefficients to every
 smaller monomial (plus a constant slot), rewrite all derivatives of F in
 terms of the first n_j derivatives of each input dependent, and require the
 numerator to vanish identically.  That is a linear system for the unknown
-coefficients with polynomial entries.  It is solved exactly by a Bareiss
-fraction-free forward pass, where each row step divides exactly by the
-previous pivot instead of taking a gcd, and Cramer back-substitution, which
-writes every unknown i as N_i/d over the last pivot d.  The equation is
-d*z_lead + sum N_i*m_i, divided once by g = gcd(d, N_0, ..., N_k); no row
-and no unknown is reduced on the way.  A power of z that divides every term
-is then divided out: it is the spurious branch z = 0 that a lead of degree
-exactly k brings when an equation of lower degree exists.
+coefficients with polynomial entries, built from its columns: one
+polynomial per slot, the slot's value over the common denominator of all
+slots, pseudo-reduced by the input equations.  The lead's column is the
+constant, and the unknowns are never variables of the polynomial ring.  The
+system is solved exactly by a Bareiss fraction-free forward pass, where
+each row step divides exactly by the previous pivot instead of taking a
+gcd, and Cramer back-substitution, which writes every unknown i as N_i/d
+over the last pivot d.  The equation is d*z_lead + sum N_i*m_i, divided
+once by g = gcd(d, N_0, ..., N_k); no row and no unknown is reduced on the
+way.  A power of z that divides every term is then divided out: it is the
+spurious branch z = 0 that a lead of degree exactly k brings when an
+equation of lower degree exists.
 
 Most candidates fail, so a cheap certificate of failure runs first.  Once
 per search, x and every parameter are evaluated at a fixed point modulo the
 prime q = 2^31 - 1, and the input dependents stay symbolic.  A candidate's
-ncols+1 columns (lead, constant and unknowns) are built there over D, the
+columns (constant slot, unknowns and lead) are built there over D, the
 product of the closure denominators each to the largest power any slot
 needs, and reduced by the evaluated input equations made monic in their
-leaders.  Rank ncols+1 mod q proves the exact system inconsistent, and its
-exact pass is skipped.  This is sound because neither step from the exact
+leaders.  Full column rank mod q proves the exact system inconsistent, and
+its exact pass is skipped.  This is sound because neither step from the exact
 system can raise the rank.  D is h times the lcm that the exact pass uses,
 so each column is h times the exact one, and multiplying every column by
 the same h keeps any linear relation among them modulo the input
@@ -46,36 +50,15 @@ from .context import DIFF
 from .diffpoly import (RatFunc, implicit_higher_derivative, normalize_ade,
                        rational_substitute)
 from .errors import AnsatzNotFoundError, ArgumentError
-from .poly import (Poly, exact_div, mono_div, poly_gcd, pseudo_divide,
-                   try_exact_divide)
+from .poly import Poly, exact_div, mono_div, poly_gcd, try_exact_divide
 
-_C_PREFIX = "_c"  # reserved names for unknown coefficients (parser rejects them)
 _Q = 2 ** 31 - 1  # the prime of the miss certificate
 
 
-@dataclass(frozen=True)
-class DeltaMonomial:
-    """A monomial in z, z', ..., z^(r): exps[i] is the power of z^(i)."""
-
-    exps: tuple
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exps)
-
-    def trimmed(self) -> tuple:
-        exps = list(self.exps)
-        while exps and exps[-1] == 0:
-            exps.pop()
-        return tuple(exps)
-
-    def sort_key(self):
-        return (self.degree, tuple(reversed(self.exps)))
-
-
 def enumerate_delta(k: int, r: int) -> list:
-    """All monomials of degree 1..k in z, ..., z^(r), lowest first:
-    by total degree, then graded lexicographic with z^(r) > ... > z."""
+    """All monomials of degree 1..k in z, ..., z^(r) as exponent tuples
+    (entry i is the power of z^(i)), lowest first: by total degree, then
+    graded lexicographic with z^(r) > ... > z."""
     if k < 1 or r < 0:
         raise ArgumentError("need degree bound >= 1 and derivative order >= 0")
     out = []
@@ -84,8 +67,8 @@ def enumerate_delta(k: int, r: int) -> list:
             exps = [0] * (r + 1)
             for i in combo:
                 exps[i] += 1
-            out.append(DeltaMonomial(tuple(exps)))
-    out.sort(key=DeltaMonomial.sort_key)
+            out.append(tuple(exps))
+    out.sort(key=lambda m: (sum(m), m[::-1]))
     return out
 
 
@@ -112,7 +95,7 @@ def derivative_closure(R: RatFunc, ades, r: int) -> list:
 class LinearSystem:
     """Rows sum(coeffs[i] * C_i) + constant = 0 with polynomial entries."""
 
-    unknowns: list          # the C variables, in slot order
+    unknowns: list          # the slot monomials of z, in column order
     rows: list              # list of (list[Poly], Poly)
 
 
@@ -184,85 +167,81 @@ def _exact_quotient(p: Poly, d: Poly) -> Poly:
     return q
 
 
-def assemble_and_solve(ades, r: int, leading: DeltaMonomial, closure_vals,
-                       value_cache: dict, residues, z_name: str = "z"):
+def assemble_and_solve(ades, leading, earlier, closure_vals, value_cache: dict,
+                       residues, z_name: str = "z"):
     """Try the ansatz with the given leading monomial (coefficient one) and
-    unknowns on every smaller monomial plus a constant.  Returns the solved
-    equation, or None when the linear system is inconsistent.  residues is
-    the search's evaluation mod q (None when the miss certificate cannot
-    apply); a candidate it proves inconsistent skips the exact pass."""
-    candidates = enumerate_delta(leading.degree, r)
-    earlier = candidates[:candidates.index(leading)]
-    if residues is not None and _certified_miss(residues, [leading] + earlier):
+    unknowns on the earlier monomials plus a constant slot, all exponent
+    tuples.  Returns the solved equation, or None when the linear system is
+    inconsistent.
+
+    The columns are the constant slot's (the common denominator), the
+    earlier monomials' and last the lead's, the system's constant.  They
+    are pseudo-reduced by each input in lockstep: a step takes the largest
+    leader degree over all columns, multiplies every column by the input's
+    initial and cancels each column's own top coefficient, which is
+    pseudo-division of sum c_i*col_i term for term.  Each monomial in the
+    input dependents then gives one row.  residues is the search's
+    evaluation mod q (None when the miss certificate cannot apply); a
+    candidate it proves inconsistent skips the exact pass."""
+    unknowns = [(0,) * len(leading)] + earlier
+    if residues is not None and _certified_miss(residues, unknowns + [leading]):
         return None
     ctx = ades[0].ctx
 
-    def value(m: DeltaMonomial):
+    def value(m):
         """(numerator, denominator) of the monomial's rational value; the
         quotient is left unreduced to keep gcd work out of the hot path."""
-        key = m.trimmed()
+        key = tuple((i, e) for i, e in enumerate(m) if e)  # same for every r
         v = value_cache.get(key)
         if v is None:
             num = Poly.const(ctx, 1)
             den = Poly.const(ctx, 1)
-            for i, e in enumerate(m.exps):
-                if e:
-                    num = num * closure_vals[i].num ** e
-                    den = den * closure_vals[i].den ** e
+            for i, e in key:
+                num = num * closure_vals[i].num ** e
+                den = den * closure_vals[i].den ** e
             v = value_cache[key] = (num, den)
         return v
 
-    c_vars = [ctx.param(f"{_C_PREFIX}{i}") for i in range(len(earlier) + 1)]
-    # bring every slot over one shared denominator; the unknowns then enter
-    # a single polynomial numerator linearly
     nums, common = _over_lcm(ctx, [value(leading)] + [value(m) for m in earlier])
-
-    numerator = nums[0] + Poly.var(ctx, c_vars[0]) * common
-    for i in range(len(earlier)):
-        numerator = numerator + Poly.var(ctx, c_vars[i + 1]) * nums[i + 1]
+    cols = [common, *nums[1:], nums[0]]
     for ade in ades:
-        if numerator.degree(ade.leader) >= ade.leader_degree:
-            _, numerator, _ = pseudo_divide(numerator, ade.poly, ade.leader)
-    if numerator.is_zero():
+        leader, d = ade.leader, ade.leader_degree
+        lc = ade.poly.coeff_in(leader, d)
+        while (top := max(c.degree(leader) for c in cols)) >= d:
+            shift = Poly.var(ctx, leader, top - d)
+            cols = [lc * c - c.coeff_in(leader, top) * shift * ade.poly for c in cols]
+    if all(c.is_zero() for c in cols):
         return None
 
-    # one row per monomial in the input dependents; each term lands in the
-    # column of the unknown it carries, or in the constant column
-    ncols = len(c_vars)
-    slot_of = {v.index: i for i, v in enumerate(c_vars)}
+    # one row per monomial in the input dependents; a column's term lands
+    # in that row with the rest of its monomial
     dep_ids = {a.dep for a in ades}
     rows: dict = {}
-    for mono, coeff in numerator.terms.items():
-        y_part, rest, slot = [], [], ncols
-        for idx, e in mono:
-            var = ctx.var_by_index(idx)
-            if idx in slot_of:
-                if e > 1 or slot < ncols:
-                    raise ArgumentError("system is not linear in the unknowns")
-                slot = slot_of[idx]
-            elif var.kind == DIFF and var.indet in dep_ids:
-                y_part.append((idx, e))
-            else:
-                rest.append((idx, e))
-        entry = rows.setdefault(tuple(y_part), {}).setdefault(slot, {})
-        rest = tuple(rest)
-        entry[rest] = entry.get(rest, 0) + coeff
+    for j, col in enumerate(cols):
+        for mono, coeff in col.terms.items():
+            y_part, rest = [], []
+            for idx, e in mono:
+                var = ctx.var_by_index(idx)
+                is_y = var.kind == DIFF and var.indet in dep_ids
+                (y_part if is_y else rest).append((idx, e))
+            row = rows.setdefault(tuple(y_part), [{} for _ in cols])
+            row[j][tuple(rest)] = coeff
 
     sys_rows = []
     for y_mono in sorted(rows):
-        row = [Poly(ctx, rows[y_mono].get(slot)) for slot in range(ncols + 1)]
-        sys_rows.append((row[:ncols], row[ncols]))
+        row = [Poly(ctx, terms) for terms in rows[y_mono]]
+        sys_rows.append((row[:-1], row[-1]))
 
-    solution = solve_linear_ratfunc(LinearSystem(c_vars, sys_rows))
+    solution = solve_linear_ratfunc(LinearSystem(unknowns, sys_rows))
     if solution is None:
         return None
     sol, d = solution
 
     z_id = ctx.indeterminate(z_name)
 
-    def z_poly(m: DeltaMonomial) -> Poly:
+    def z_poly(m) -> Poly:
         p = Poly.const(ctx, 1)
-        for i, e in enumerate(m.exps):
+        for i, e in enumerate(m):
             if e:
                 p = p * Poly.var(ctx, ctx.diff_var(z_id, i), e)
         return p
@@ -278,8 +257,8 @@ def assemble_and_solve(ades, r: int, leading: DeltaMonomial, closure_vals,
             break
         if try_exact_divide(n, g) is None:
             g = poly_gcd(g, n)
-    equation = z_poly(leading) * d + sol[0]
-    for m, n in zip(earlier, sol[1:]):
+    equation = z_poly(leading) * d
+    for m, n in zip(unknowns, sol):
         equation = equation + z_poly(m) * n
     equation = _exact_quotient(equation, g)
     # divide out z^e, the branch z = 0 (see the module docstring); a
@@ -379,14 +358,14 @@ def _reduce(p: dict, reducers) -> dict:
 
 
 def _certified_miss(residues, slots) -> bool:
-    """True when the candidate with these slots (the lead first) is proven
-    inconsistent: its constant, lead and unknown columns have full rank mod
-    _Q.  The module docstring gives the argument."""
+    """True when the candidate whose columns carry these slot monomials
+    (the constant slot, the unknowns and the lead) is proven inconsistent:
+    its columns have full rank mod _Q.  The module docstring gives the
+    argument."""
     reducers, vals, one = residues
-    r = len(slots[0].exps)
-    top = tuple(max(m.exps[i] for m in slots) for i in range(r))
+    top = tuple(max(m[i] for m in slots) for i in range(len(slots[0])))
     basis: dict = {}    # pivot monomial -> column scaled to 1 there
-    for exps in [(0,) * r] + [m.exps for m in slots]:
+    for exps in slots:
         # num_i^e_i * den_i^(top_i - e_i): the slot over prod den_i^top_i
         col = {one: 1}
         for (num, den), e, t in zip(vals, exps, top):
@@ -431,11 +410,12 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
     closure_vals = derivative_closure(R, ades, order_cap)
     residues = _residues(closure_vals, ades)
     for r in range(order_cap + 1):
-        for leading in enumerate_delta(k, r):
-            if leading.degree != k:
-                continue
-            found = assemble_and_solve(ades, r, leading, closure_vals[: r + 1],
-                                       value_cache, residues, z_name=z_name)
-            if found is not None:
-                return found
+        monos = enumerate_delta(k, r)
+        for i, leading in enumerate(monos):
+            if sum(leading) == k:
+                found = assemble_and_solve(ades, leading, monos[:i],
+                                           closure_vals[: r + 1], value_cache,
+                                           residues, z_name=z_name)
+                if found is not None:
+                    return found
     raise AnsatzNotFoundError(k, order_cap)

@@ -5,13 +5,16 @@ inverse, ddfinite, and ansatz.  Equations are given with repeatable --ade
 flags or an input file (--in, one equation per line, '#' comments); the
 rational map with --spec.  Exit codes: 0 success, 2 parse error,
 3 elimination failure or search exhaustion, 4 resource-cap abort,
-64 usage error.  A reader that closes stdout early (``dalg ... | head``)
-is not an error: the output is dropped and the exit code stays 0.
+64 usage error (also an --in file that cannot be read as UTF-8 text, or
+an --out file that cannot be written).  A reader that closes stdout early
+(``dalg ... | head``) is not an error: the output is dropped and the exit
+code stays 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -51,6 +54,7 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="dalg",
                              description="differential equations for rational "
@@ -70,10 +74,10 @@ def _build_parser() -> _ArgumentParser:
         if caps:
             p.add_argument("--max-degree", type=_int_at_least(1), default=60,
                            help="abort when intermediate degrees exceed this cap, "
-                                "at least 1 (elimination only; ansatz ignores it)")
+                                "at least 1")
             p.add_argument("--max-basis", type=_int_at_least(1), default=5000,
                            help="abort when the basis/pair count exceeds this cap, "
-                                "at least 1 (elimination only; ansatz ignores it)")
+                                "at least 1")
 
     common(sub.add_parser("unary", help="equation for R(x, f(x))"), spec=True)
     common(sub.add_parser("arith", help="equation for R(x, f1, ..., fN)"), spec=True)
@@ -86,8 +90,9 @@ def _build_parser() -> _ArgumentParser:
     common(sub.add_parser("ddfinite",
                           help="main linear equation first, then one equation "
                                "per coefficient function"))
-    p = sub.add_parser("ansatz", help="degree-bounded search for R(x, f1, ..., fN)")
-    common(p, spec=True)
+    p = sub.add_parser("ansatz", help="degree-bounded search for R(x, f1, ..., fN) "
+                                      "(no elimination)")
+    common(p, spec=True, caps=False)
     p.add_argument("--degree-de", type=_int_at_least(1), default=2,
                    help="degree bound")
     p.add_argument("--order-cap", type=_int_at_least(0), default=None,
@@ -98,14 +103,23 @@ def _build_parser() -> _ArgumentParser:
 def _read_equations(args) -> list:
     texts = list(args.ade)
     if args.infile:
-        with open(args.infile, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    texts.append(line)
+        try:
+            with open(args.infile, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeError) as exc:
+            raise _file_error("read", args.infile, exc) from exc
+        for line in lines:
+            line = line.split("#", 1)[0].strip()
+            if line:
+                texts.append(line)
     if not texts:
         raise ParseError("no input equations (use --ade or --in)")
     return texts
+
+
+def _file_error(verb, path, exc) -> ArgumentError:
+    reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+    return ArgumentError(f"cannot {verb} {path}: {reason}")
 
 
 def _parse_all(texts, ctx, extra_deps=()):
@@ -132,6 +146,12 @@ def run(args) -> str:
             raise ParseError("inverse takes exactly one equation")
         (ade,) = _parse_all(texts, ctx)
         return render(inv_dalg(ade).ade, args.format)
+    if args.command == "ansatz":
+        ades = _parse_all(texts, ctx)
+        z_name, ratmap = _spec(args, ctx, [a.dep_name for a in ades])
+        return render(ansatz_search(ades, ratmap, k=args.degree_de,
+                                    order_cap=args.order_cap, z_name=z_name),
+                      args.format)
 
     config = GBConfig(max_degree=args.max_degree, max_basis=args.max_basis)
     if args.command == "ddfinite":
@@ -165,15 +185,10 @@ def run(args) -> str:
             if len(ades) != 1:
                 raise ParseError("unary takes exactly one equation")
             result = unary_dalg(ades[0], ratmap, z_name=z_name, config=config).ade
-        elif args.command == "arith":
+        else:  # arith
             if len(ades) < 2:
                 raise ParseError("arith needs at least two equations")
             result = arithmetic_dalg(ades, ratmap, z_name=z_name, config=config).ade
-        elif args.command == "ansatz":
-            result = ansatz_search(ades, ratmap, k=args.degree_de,
-                                   order_cap=args.order_cap, z_name=z_name)
-        else:  # pragma: no cover - argparse restricts the choices
-            raise ParseError(f"unknown command {args.command!r}")
 
     return render(result, args.format)
 
@@ -182,6 +197,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text = run(args)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise _file_error("write", args.out, exc) from exc
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -197,10 +218,7 @@ def main(argv=None) -> int:
     except DalgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+    if not args.out:
         try:
             print(text)
             sys.stdout.flush()

@@ -162,6 +162,15 @@ def _close(inputs, z_id: int, bound: int, factors, config, leads=None) -> Closur
     )
 
 
+def _output_id(ctx, z_name: str, inputs) -> int:
+    """The id of the output dependent, which no input may share: the input
+    and the output would then be one function."""
+    z_id = ctx.indeterminate(z_name)
+    if any(a.dep == z_id for a in inputs):
+        raise ArgumentError(f"the output name {z_name!r} is the dependent of an input")
+    return z_id
+
+
 def _rational(ades, R: RatFunc, z_name, config) -> ClosureResult:
     """R(x, f_1, ..., f_N) through z*den(R) - num(R), saturated by den(R)
     and the initials and separants of the inputs."""
@@ -174,7 +183,7 @@ def _rational(ades, R: RatFunc, z_name, config) -> ClosureResult:
                 f"undifferentiated dependents; found {v!r}"
             )
     ctx = ades[0].ctx
-    z_id = ctx.indeterminate(z_name)
+    z_id = _output_id(ctx, z_name, ades)
     z = Poly.var(ctx, ctx.diff_var(z_id, 0))
     defining = z * R.den - R.num
     if not any(v.kind == DIFF for v in R.variables()):
@@ -220,7 +229,7 @@ def compose_dalg(outer: ADE, inner: ADE, z_name: str = "z",
         raise ArgumentError("outer and inner equations must use distinct dependents")
     ctx = outer.ctx
     n, k = outer.order, inner.order
-    z_id = ctx.indeterminate(z_name)
+    z_id = _output_id(ctx, z_name, [outer, inner])
     v_ids = [ctx.indeterminate(f"_v{i}") for i in range(n + 1)]
     u0 = Poly.var(ctx, ctx.diff_var(inner.dep, 0))
     u1 = Poly.var(ctx, ctx.diff_var(inner.dep, 1))
@@ -250,7 +259,7 @@ def diff_dalg(ade: ADE, j: int = 1, z_name: str = "z",
     if j < 1:
         raise ArgumentError("derivative count must be positive")
     ctx = ade.ctx
-    z_id = ctx.indeterminate(z_name)
+    z_id = _output_id(ctx, z_name, [ade])
     link = (Poly.var(ctx, ctx.diff_var(z_id, 0))
             - Poly.var(ctx, ctx.diff_var(ade.dep, j)))
     return _close([ade.poly, link], z_id, ade.order,

@@ -312,7 +312,7 @@ def reduce(f: Poly, basis: IdealBasis) -> Poly:
     return out
 
 
-def elimination_order(ctx, elim_vars, keep_vars, first=()) -> Block:
+def elimination_order(ctx, elim_vars, keep_vars, first=()) -> MonomialOrder:
     """Block order with the eliminated variables dominating; GrevLex inside.
     The eliminated variables listed in ``first`` are the largest, in the
     given order; the others follow in canonical rank."""

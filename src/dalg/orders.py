@@ -1,102 +1,73 @@
 """Monomial orders: lex, graded reverse lex, and block elimination orders.
 
 A monomial is a sorted tuple of (variable index, positive exponent) pairs;
-see :mod:`dalg.poly`.  An order turns a monomial into a sort key, so
-``max(monomials, key=order.key)`` picks the leading monomial.  All orders
-here are total, multiplicative, and have 1 as the minimal element.
-
-Each order also lists its ``rows``: nonnegative linear forms in the
-exponents, each given as the variables whose exponents it sums, such that
-comparing the row values lexicographically, first row first, is the order.
-The Groebner kernel packs these values into one integer per monomial.
+see :mod:`dalg.poly`.  An order is its ``rows``: nonnegative linear forms
+in the exponents, each given as the variables whose exponents it sums, such
+that comparing the row values lexicographically, first row first, is the
+order (Robbiano's matrix description of term orders).  ``key`` is the tuple
+of row values, so ``max(monomials, key=order.key)`` picks the leading
+monomial, and the Groebner kernel packs the same values into one integer
+per monomial.  All orders here are total on the variables their rows
+cover, multiplicative, and have 1 as the minimal element.
 """
 
 from __future__ import annotations
 
 
 class MonomialOrder:
-    def key(self, mono):
-        raise NotImplementedError
+    """The order given by its rows, a list of variable lists, most
+    significant first; a row's value is its variables' exponent sum."""
+
+    def __init__(self, rows):
+        self._rows = [list(row) for row in rows]
+        self._rows_of: dict = {}    # variable index -> the rows it is in
+        for r, row in enumerate(self._rows):
+            for v in row:
+                self._rows_of.setdefault(v.index, []).append(r)
+        # keyed again and again by leading-term searches; lives as long as
+        # the order object
+        self._cache: dict = {}
 
     def rows(self) -> list:
-        """The order as linear forms: a list of variable lists, most
-        significant first; a row's value is its variables' exponent sum."""
-        raise NotImplementedError
-
-
-class Lex(MonomialOrder):
-    """Pure lexicographic order; ``vars_desc`` lists variables largest first."""
-
-    def __init__(self, vars_desc):
-        self.vars_desc = list(vars_desc)
-        self._pos = {v.index: i for i, v in enumerate(self.vars_desc)}
-        self._cache: dict = {}
+        return self._rows
 
     def key(self, mono):
         k = self._cache.get(mono)
-        if k is not None:
-            return k
-        exps = [0] * len(self.vars_desc)
-        for idx, e in mono:
-            pos = self._pos.get(idx)
-            if pos is not None:
-                exps[pos] = e
-        k = self._cache[mono] = tuple(exps)
+        if k is None:
+            values = [0] * len(self._rows)
+            for idx, e in mono:
+                for r in self._rows_of.get(idx, ()):
+                    values[r] += e
+            k = self._cache[mono] = tuple(values)
         return k
 
-    def rows(self) -> list:
-        return [[v] for v in self.vars_desc]
+
+class Lex(MonomialOrder):
+    """Pure lexicographic order over the variables, listed largest first."""
+
+    def __init__(self, vars_desc):
+        super().__init__([v] for v in vars_desc)
 
 
 class GrevLex(MonomialOrder):
     """Graded reverse lexicographic order over the listed variables.
 
     Variables outside the list are ignored, which is what the block order
-    needs; standalone use should list every variable.
+    needs; standalone use should list every variable.  The rows are the
+    prefix sums S_n = deg, S_{n-1}, ..., S_1 with S_j = e_1 + ... + e_j,
+    which compare exactly like (deg, -e_n, ..., -e_1).
     """
 
     def __init__(self, vars_desc):
-        self.vars_desc = list(vars_desc)
-        self._pos = {v.index: i for i, v in enumerate(self.vars_desc)}
-        self._cache: dict = {}
-
-    def key(self, mono):
-        k = self._cache.get(mono)
-        if k is not None:
-            return k
-        exps = [0] * len(self.vars_desc)
-        deg = 0
-        for idx, e in mono:
-            pos = self._pos.get(idx)
-            if pos is not None:
-                exps[pos] = e
-                deg += e
-        k = self._cache[mono] = (deg, tuple(-e for e in reversed(exps)))
-        return k
-
-    def rows(self) -> list:
-        # prefix sums S_n = deg, S_{n-1}, ..., S_1 with S_j = e_1 + ... + e_j
-        # compare exactly like (deg, -e_n, ..., -e_1)
-        n = len(self.vars_desc)
-        return [self.vars_desc[:j] for j in range(n, 0, -1)]
+        vars_desc = list(vars_desc)
+        super().__init__(vars_desc[:j] for j in range(len(vars_desc), 0, -1))
 
 
 class Block(MonomialOrder):
     """Elimination order: the high block dominates, ties break by the low block."""
 
     def __init__(self, high: MonomialOrder, low: MonomialOrder):
-        self.high = high
-        self.low = low
-        self._cache: dict = {}
-
-    def key(self, mono):
-        k = self._cache.get(mono)
-        if k is None:
-            k = self._cache[mono] = (self.high.key(mono), self.low.key(mono))
-        return k
-
-    def rows(self) -> list:
-        return self.high.rows() + self.low.rows()
+        super().__init__(high.rows() + low.rows())
 
 
 def default_order(ctx) -> GrevLex:

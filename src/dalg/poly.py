@@ -154,9 +154,10 @@ class Poly:
         mono = max(self.terms, key=order.key)
         return mono, self.terms[mono]
 
-    def sorted_terms(self, order=None, reverse=True):
+    def sorted_terms(self, order=None):
+        """(monomial, coefficient) pairs, leading term first."""
         order = order or default_order(self.ctx)
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=reverse)
+        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
     # -- ring operations ----------------------------------------------------
 
@@ -310,24 +311,24 @@ def pseudo_divide(f: Poly, g: Poly, leader: Var):
     return q, r, power
 
 
-def content_primitive(f: Poly, order=None):
+def content_primitive(f: Poly):
     """Split f into (rational content, primitive part).
 
     The primitive part has coprime integer coefficients and a positive
-    leading coefficient under the given (or default) order.
+    leading coefficient under the default order.
     """
     if f.is_zero():
         raise ArgumentError("zero polynomial has no content decomposition")
     den = lcm(*(c.denominator for c in f.terms.values()))
     cleared = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
     g = gcd(*cleared.values())
-    if f.leading(order)[1] < 0:
+    if f.leading()[1] < 0:
         g = -g
     return exact_div(g, den), Poly(f.ctx, {m: c // g for m, c in cleared.items()})
 
 
-def primitive_part(f: Poly, order=None) -> Poly:
-    return content_primitive(f, order)[1]
+def primitive_part(f: Poly) -> Poly:
+    return content_primitive(f)[1]
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 
 from .context import DIFF, INDEP
-from .orders import default_order
 
 
 def _factor_text(ctx, var, exp: int) -> str:
@@ -33,7 +32,7 @@ def poly_to_text(p) -> str:
         return "0"
     ctx = p.ctx
     pieces = []
-    for mono, coeff in p.sorted_terms(default_order(ctx)):
+    for mono, coeff in p.sorted_terms():
         mag = abs(coeff)
         factors = [_factor_text(ctx, ctx.var_by_index(idx), e) for idx, e in
                    sorted(mono, key=lambda t: ctx.rank_key(ctx.var_by_index(t[0])))]
@@ -54,7 +53,7 @@ def render(ade, fmt: str = "text") -> str:
     if fmt == "json":
         ctx = ade.ctx
         terms = []
-        for mono, coeff in ade.poly.sorted_terms(default_order(ctx)):
+        for mono, coeff in ade.poly.sorted_terms():
             factors = []
             for idx, e in sorted(mono, key=lambda t: ctx.rank_key(ctx.var_by_index(t[0]))):
                 var = ctx.var_by_index(idx)

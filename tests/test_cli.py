@@ -144,8 +144,11 @@ def test_usage_exit_64():
     assert r.returncode == 64
     r = run_cli("unary", "--ade", "y'=y", "--spec", "z = y", "--max-basis", "0")
     assert r.returncode == 64
-    # inverse runs no elimination, so it takes no Groebner cap flags
+    # inverse and ansatz run no elimination, so they take no Groebner cap flags
     r = run_cli("inverse", "--ade", "diff(y(x),x) = y(x)", "--max-degree", "5")
+    assert r.returncode == 64
+    r = run_cli("ansatz", "--ade", "diff(y(x),x) = y(x)", "--spec", "z = y^2",
+                "--max-basis", "100")
     assert r.returncode == 64
     # an argument error raised inside the library is a usage error too
     r = run_cli("compose", "--ade", "diff(y(x),x) = y(x)", "--ade", "diff(y(x),x) = 2")
@@ -156,6 +159,46 @@ def test_usage_exit_64():
                 "diff(y(x),x) = 2*y(x)", "--spec", "z = y", "--degree-de", "1")
     assert r.returncode == 64
     assert "distinct dependents" in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["diff", "--ade", "diff(z(x),x) = z(x)^2"],
+    ["unary", "--ade", "diff(y(x),x) = y(x)", "--spec", "y = y^2"],
+    ["arith", "--ade", "diff(y1(x),x) = y1(x)", "--ade", "diff(y2(x),x) = 2*y2(x)",
+     "--spec", "y1 = y1*y2"],
+    ["compose", "--ade", "diff(y(x),x) = y(x)", "--ade", "diff(z(x),x) = 2"],
+])
+def test_output_named_like_an_input_exit_64(capsys, argv):
+    # the output would be the input function itself, so no equation is printed
+    assert cli_main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is the dependent of an input" in captured.err
+
+
+def test_file_errors_exit_64(tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("diff(y(x),x) = y(x)  # \xe9\n".encode("latin-1"))
+    missing = tmp_path / "missing.txt"
+    unwritable = tmp_path / "no-such-dir" / "out.txt"
+    for argv, path in [(["--in", str(missing)], missing),
+                       (["--in", str(bad)], bad),
+                       (["--ade", "diff(y(x),x) = y(x)", "--out", str(unwritable)],
+                        unwritable)]:
+        assert cli_main(["unary", "--spec", "z = y^2", *argv]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+    assert not unwritable.parent.exists()
+
+
+def test_in_process_calls_do_not_share_arguments(capsys):
+    # the parser is built once per process; each call still parses only
+    # its own --ade flags and prints what a fresh process prints
+    for ade in ["diff(y(x),x) = y(x)", "diff(y(x),x) = 2*y(x)"]:
+        argv = ["diff", "--ade", ade]
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out == run_cli(*argv).stdout
 
 
 def test_closed_stdout_exit_0():

@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from dalg import (Context, Poly, SeriesWitness, arithmetic_dalg, build_system,
-                  compose_dalg, ddfinite_to_dalg, diff_dalg, eliminate,
-                  equation_to_ade, inv_dalg, poly_to_text, select_output,
-                  spec_to_ratfunc, unary_dalg, verify_series)
+from dalg import (Block, Context, GrevLex, Poly, SeriesWitness,
+                  arithmetic_dalg, build_system, compose_dalg,
+                  ddfinite_to_dalg, diff_dalg, eliminate, equation_to_ade,
+                  inv_dalg, poly_to_text, select_output, spec_to_ratfunc,
+                  unary_dalg, verify_series)
 from dalg import closure, groebner
 from dalg.closure import prolong, saturation_factors
 from dalg.diffpoly import normalize_ade
@@ -97,9 +98,9 @@ def test_prolong_and_build_system_counts(monkeypatch):
     monkeypatch.setattr(groebner, "buchberger", spy)
     eliminate(sat.polys, sat.elim_vars, sat.keep_vars, first=sat.sat_vars)
     (order,) = orders
-    assert order.high.vars_desc == sat.sat_vars + sorted(system.elim_vars,
-                                                         key=ctx.rank_key)
-    assert order.low.vars_desc == sorted(sat.keep_vars, key=ctx.rank_key)
+    high = sat.sat_vars + sorted(system.elim_vars, key=ctx.rank_key)
+    low = sorted(sat.keep_vars, key=ctx.rank_key)
+    assert order.rows() == Block(GrevLex(high), GrevLex(low)).rows()
 
 
 def _weierstrass_shift_ratio(ctx):

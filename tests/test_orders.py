@@ -1,6 +1,7 @@
 """Monomial order axioms and the block elimination property."""
 
-from dalg import Block, Context, GrevLex, Lex, default_order
+from dalg import Block, Context, GBConfig, GrevLex, Lex, Poly, default_order
+from dalg.groebner import _Kernel
 from dalg.poly import mono_mul
 
 from conftest import EQ, GT, LT, make_rng, mono_cmp
@@ -64,6 +65,29 @@ def test_order_axioms_random():
             assert mono_cmp(order, a, ()) in (EQ, GT)
 
 
+def test_key_agrees_with_packed_kernel():
+    # the sort key and the Groebner kernel's packed ints are both read off
+    # the rows, so they must order every pair of monomials alike
+    ctx, vs = setup_vars()
+    y1, y0, x = vs
+    a = ctx.param("a")
+    vs = vs + [a]
+    rng = make_rng(9)
+    orders = [Lex(vs), GrevLex(vs), Block(GrevLex([y1, a]), Lex([y0, x])),
+              Block(Block(Lex([y1]), GrevLex([x, y0])), GrevLex([a]))]
+    for order in orders:
+        kernel = _Kernel(order, GBConfig(), vs)
+
+        def packed(mono):
+            (m,) = kernel.encode(Poly(ctx, {mono: 1}))
+            return m
+
+        for _ in range(300):
+            m1, m2 = random_mono(vs, rng), random_mono(vs, rng)
+            p1, p2 = packed(m1), packed(m2)
+            assert mono_cmp(order, m1, m2) == (p1 > p2) - (p1 < p2)
+
+
 def test_block_elimination_property():
     # any monomial touching the high block beats every low-only monomial
     ctx, vs = setup_vars()
@@ -83,4 +107,4 @@ def test_default_order_tracks_new_vars():
     ctx.diff_var(y, 1)
     o2 = default_order(ctx)
     assert o2 is not o1
-    assert len(o2.vars_desc) == len(o1.vars_desc) + 1
+    assert len(o2.rows()) == len(o1.rows()) + 1
