@@ -18,34 +18,24 @@ way.  A power of z that divides every term is then divided out: it is the
 spurious branch z = 0 that a lead of degree exactly k brings when an
 equation of lower degree exists.
 
-Most candidates fail, so a cheap certificate of failure runs first.  Once
-per search, x and every parameter are evaluated at a fixed point modulo the
-prime q = 2^31 - 1, and the input dependents stay symbolic.  A candidate's
-columns (constant slot, unknowns and lead) are built there over D, the
-product of the closure denominators each to the largest power any slot
-needs, and reduced by the evaluated input equations made monic in their
-leaders.  Full column rank mod q proves the exact system inconsistent, and
-its exact pass is skipped.  This is sound because neither step from the exact
-system can raise the rank.  D is h times the lcm that the exact pass uses,
-so each column is h times the exact one, and multiplying every column by
-the same h keeps any linear relation among them modulo the input
-equations.  With a nonzero constant initial at the point, the evaluated
-pseudo-remainder is a constant times the unique remainder by the monic
-evaluated equation, so every minor of the matrix mod q is an exact minor
-evaluated mod q.  The certificate does not apply, and every candidate of
-the search takes the exact pass, when a coefficient denominator is
-divisible by q, an initial is not a nonzero constant at the point, a
-closure denominator vanishes there, or an input involves another
-dependent.  A candidate whose rank comes out short takes the exact pass
-too, so the equation found is the same either way.
+Most candidates fail, so a failure is proven before the exact pass: every
+entry of the system is evaluated at a fixed point modulo the prime
+q = 2^31 - 1, each variable (x, a parameter or another function's
+derivative) at a power of 7.  Full column rank of [A|b] there means that
+some maximal minor is nonzero at the point, hence a nonzero polynomial
+(Schwartz, J. ACM 1980), so the exact system is inconsistent and its
+exact pass is skipped.  The test declines only when an entry's coefficient
+has a denominator divisible by q or there are fewer rows than columns; a
+declined or rank-short candidate takes the exact pass, so the equation
+found is the same either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from operator import add
 
+from .closure import _output_id
 from .context import DIFF
 from .diffpoly import (RatFunc, implicit_higher_derivative, normalize_ade,
                        rational_substitute)
@@ -168,7 +158,7 @@ def _exact_quotient(p: Poly, d: Poly) -> Poly:
 
 
 def assemble_and_solve(ades, leading, earlier, closure_vals, value_cache: dict,
-                       residues, z_name: str = "z"):
+                       z_name: str = "z"):
     """Try the ansatz with the given leading monomial (coefficient one) and
     unknowns on the earlier monomials plus a constant slot, all exponent
     tuples.  Returns the solved equation, or None when the linear system is
@@ -180,12 +170,9 @@ def assemble_and_solve(ades, leading, earlier, closure_vals, value_cache: dict,
     leader degree over all columns, multiplies every column by the input's
     initial and cancels each column's own top coefficient, which is
     pseudo-division of sum c_i*col_i term for term.  Each monomial in the
-    input dependents then gives one row.  residues is the search's
-    evaluation mod q (None when the miss certificate cannot apply); a
-    candidate it proves inconsistent skips the exact pass."""
+    input dependents then gives one row.  A system the miss certificate
+    proves inconsistent skips the exact pass."""
     unknowns = [(0,) * len(leading)] + earlier
-    if residues is not None and _certified_miss(residues, unknowns + [leading]):
-        return None
     ctx = ades[0].ctx
 
     def value(m):
@@ -232,7 +219,10 @@ def assemble_and_solve(ades, leading, earlier, closure_vals, value_cache: dict,
         row = [Poly(ctx, terms) for terms in rows[y_mono]]
         sys_rows.append((row[:-1], row[-1]))
 
-    solution = solve_linear_ratfunc(LinearSystem(unknowns, sys_rows))
+    system = LinearSystem(unknowns, sys_rows)
+    if _certified_miss(system):
+        return None
+    solution = solve_linear_ratfunc(system)
     if solution is None:
         return None
     sol, d = solution
@@ -291,108 +281,39 @@ def _over_lcm(ctx, pairs):
     return nums, common
 
 
-def _residues(closure_vals, ades):
-    """The input equations, made monic in their leaders, and the closure
-    values at the point mod _Q, with the unit monomial; None where the
-    certificate cannot apply.  A polynomial is a dict from an exponent tuple
-    over the dependents' derivatives to a residue, and values are kept
-    reduced by the input equations."""
-    ctx = ades[0].ctx
-    if any(v.kind == DIFF and v.indet != a.dep
-           for a in ades for v in a.poly.variables()):
-        return None
-    ys = [ctx.diff_var(a.dep, i).index for a in ades for i in range(a.order + 1)]
-    pos = {idx: i for i, idx in enumerate(ys)}
-
-    def at_point(p: Poly):
-        out: dict = {}
-        for mono, c in p.terms.items():
-            if c.denominator % _Q == 0:
-                return None
-            v, exps = c.numerator * pow(c.denominator, -1, _Q), [0] * len(ys)
-            for idx, e in mono:
-                if idx in pos:
-                    exps[pos[idx]] = e
-                else:   # x or a parameter: a point derived from the index
-                    v *= pow(7, (5 + idx) * e, _Q)
-            out[tuple(exps)] = out.get(tuple(exps), 0) + v
-        return {m: c % _Q for m, c in out.items() if c % _Q}
-
-    vals = [(at_point(v.num), at_point(v.den)) for v in closure_vals]
-    eqs = [at_point(a.poly) for a in ades]
-    if any(p is None for p in eqs + [p for v in vals for p in v]):
-        return None
-    reducers = []   # (leader position, degree d, leader^d as lower terms)
-    for ade, g in zip(ades, eqs):
-        lead, d = pos[ade.leader.index], ade.leader_degree
-        top = [m for m in g if m[lead] == d]
-        if top != [tuple(d if i == lead else 0 for i in range(len(ys)))]:
-            return None     # the initial is not a nonzero constant here
-        scale = -pow(g[top[0]], -1, _Q)
-        reducers.append((lead, d, {m: c * scale % _Q for m, c in g.items()
-                                   if m[lead] < d}))
-    vals = [(_reduce(n, reducers), _reduce(d, reducers)) for n, d in vals]
-    if not all(d for _, d in vals):
-        return None
-    return reducers, vals, (0,) * len(ys)
-
-
-def _reduce(p: dict, reducers) -> dict:
-    """p modulo the monic input equations, coefficients mod _Q.  Terms are
-    bucketed by leader exponent and the buckets cleared from the top:
-    rewriting leader^d lowers the exponent, so a bucket is final once every
-    higher one is done."""
-    for lead, d, tail in reducers:
-        top = max((m[lead] for m in p), default=0)
-        buckets: list = [{} for _ in range(top + 1)]
-        for m, c in p.items():
-            buckets[m[lead]][m] = c
-        for e in range(top, d - 1, -1):
-            for m, c in buckets[e].items():
-                base = m[:lead] + (e - d,) + m[lead + 1:]
-                for tm, tc in tail.items():
-                    k = tuple(map(add, base, tm))
-                    buckets[k[lead]][k] = buckets[k[lead]].get(k, 0) + c * tc
-        p = {m: c for b in buckets[:d] for m, c in b.items()}
-    return {m: c % _Q for m, c in p.items() if c % _Q}
-
-
-def _certified_miss(residues, slots) -> bool:
-    """True when the candidate whose columns carry these slot monomials
-    (the constant slot, the unknowns and the lead) is proven inconsistent:
-    its columns have full rank mod _Q.  The module docstring gives the
-    argument."""
-    reducers, vals, one = residues
-    top = tuple(max(m[i] for m in slots) for i in range(len(slots[0])))
-    basis: dict = {}    # pivot monomial -> column scaled to 1 there
-    for exps in slots:
-        # num_i^e_i * den_i^(top_i - e_i): the slot over prod den_i^top_i
-        col = {one: 1}
-        for (num, den), e, t in zip(vals, exps, top):
-            for f in [num] * e + [den] * (t - e):
-                prod: dict = {}
-                for ma, ca in col.items():
-                    for mb, cb in f.items():
-                        m = tuple(map(add, ma, mb))
-                        prod[m] = prod.get(m, 0) + ca * cb
-                col = _reduce(prod, reducers)
-        # a basis column is zero at every pivot chosen before its own, so
-        # one pass in insertion order clears every pivot
+def _certified_miss(system: LinearSystem) -> bool:
+    """True when [A|b] has full column rank at the point mod _Q, which
+    proves the system inconsistent (see the module docstring).  Rows are
+    evaluated and eliminated one at a time until the rank is full."""
+    ncols = len(system.unknowns) + 1
+    if len(system.rows) < ncols:
+        return False
+    basis: dict = {}    # pivot column -> row scaled to 1 there
+    for coeffs, const in system.rows:
+        row = []
+        for p in (*coeffs, const):
+            v = 0
+            for mono, c in p.terms.items():
+                if c.denominator % _Q == 0:
+                    return False
+                t = c.numerator * pow(c.denominator, -1, _Q)
+                for idx, e in mono:
+                    t *= pow(7, (5 + idx) * e, _Q)
+                v += t
+            row.append(v % _Q)
+        # a basis row is zero at every pivot chosen before its own, so one
+        # pass in insertion order clears every pivot
         for piv, b in basis.items():
-            c = col.get(piv)
+            c = row[piv]
             if c:
-                for m, v in b.items():
-                    w = (col.get(m, 0) - c * v) % _Q
-                    if w:
-                        col[m] = w
-                    else:
-                        del col[m]
-        if not col:
-            return False
-        piv, c = next(iter(col.items()))
-        inv = pow(c, -1, _Q)
-        basis[piv] = {m: v * inv % _Q for m, v in col.items()}
-    return True
+                row = [(r - c * w) % _Q for r, w in zip(row, b)]
+        piv = next((i for i, r in enumerate(row) if r), None)
+        if piv is not None:
+            inv = pow(row[piv], -1, _Q)
+            basis[piv] = [r * inv % _Q for r in row]
+            if len(basis) == ncols:
+                return True
+    return False
 
 
 def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z"):
@@ -404,18 +325,18 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
     ades = list(ades)
     if len({a.dep for a in ades}) != len(ades):
         raise ArgumentError("input equations must have distinct dependents")
+    _output_id(R.num.ctx, z_name, ades)
     if order_cap is None:
         order_cap = sum(a.order for a in ades) + 1
     value_cache: dict = {}
     closure_vals = derivative_closure(R, ades, order_cap)
-    residues = _residues(closure_vals, ades)
     for r in range(order_cap + 1):
         monos = enumerate_delta(k, r)
         for i, leading in enumerate(monos):
             if sum(leading) == k:
                 found = assemble_and_solve(ades, leading, monos[:i],
                                            closure_vals[: r + 1], value_cache,
-                                           residues, z_name=z_name)
+                                           z_name=z_name)
                 if found is not None:
                     return found
     raise AnsatzNotFoundError(k, order_cap)

@@ -99,10 +99,6 @@ class Poly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, ctx) -> "Poly":
-        return cls(ctx)
-
-    @classmethod
     def const(cls, ctx, value) -> "Poly":
         return cls(ctx, {ONE: value})
 

@@ -8,8 +8,7 @@ import pytest
 from dalg import ansatz
 from dalg import (Context, Poly, RatFunc, ansatz_search, derivative_closure,
                   equation_to_ade, implicit_higher_derivative, render,
-                  pseudo_divide, spec_to_ratfunc, try_exact_divide,
-                  unary_dalg)
+                  spec_to_ratfunc, try_exact_divide, unary_dalg)
 from dalg.cli import main as cli_main
 from dalg.ansatz import LinearSystem, enumerate_delta, solve_linear_ratfunc
 from dalg.context import DIFF
@@ -245,26 +244,6 @@ def test_engines_agree_on_seeded_first_order_maps():
         assert _coefficient_gcd(found).is_constant(), seed
 
 
-def test_residues_reduce_like_pseudo_division():
-    # reduction at the point agrees with the evaluated pseudo-remainder,
-    # up to the initial's power, on a polynomial whose rewrites land at or
-    # above the leader degree again
-    riccati, wp = Context(), Context()
-    for ctx, ade in ((riccati, equation_to_ade("diff(y(x),x) = y(x)^2 + x",
-                                               riccati)),
-                     (wp, weierstrass(wp))):
-        y = Poly.var(ctx, ctx.diff_var(ade.dep, 0))
-        x = Poly.var(ctx, ctx.indep)
-        p = (Poly.var(ctx, ade.leader) * x + y) ** 5 + x * y
-        # the closure value p, reduced on evaluation, against the residue of
-        # its exact pseudo-remainder
-        (got, _), = ansatz._residues([RatFunc(p)], [ade])[1]
-        _, rem, power = pseudo_divide(p, ade.poly, ade.leader)
-        (want, _), = ansatz._residues([RatFunc(rem)], [ade])[1]
-        scale = pow(int(ade.initial.constant_value()), power, ansatz._Q)
-        assert want == {m: c * scale % ansatz._Q for m, c in got.items()}
-
-
 def _cli_text(capsys, *argv):
     assert cli_main(list(argv)) == 0
     return capsys.readouterr().out
@@ -335,7 +314,8 @@ def test_miss_certificate_fires_only_on_inconsistent_candidates(monkeypatch):
     # certificate that drops a consistent candidate when a later one hits.
     log = _trace_candidates(monkeypatch, lambda fired: False)
     searches = [("wp", "z = y/(x+y)", 2), ("wp", "z = y/(x+y)", 3),
-                ("diff(y(x),x) = y(x)^2 + x", "z = y^2/(x+y)", 4)]
+                ("diff(y(x),x) = y(x)^2 + x", "z = y^2/(x+y)", 4),
+                ("y(x)*diff(y(x),x) = x", "z = y/(x+y)", 2)]
     searches += [(a, s, 2) for _, a, s in _seeded_first_order_maps()]
     for search in searches:
         start = len(log)
@@ -362,17 +342,48 @@ def test_miss_certificate_exhausts_hard_search(monkeypatch):
 
 
 @pytest.mark.parametrize("ade_text", [
-    # a coefficient denominator of q: z'' carries 1/2147483647
+    # the closure values carry coefficients with denominator q
     "diff(y(x),x) = y(x)/2147483647 + 1",
     # an initial, y, that is not constant at the point
     "y(x)*diff(y(x),x) = x",
+    # an input in another function, w, which stays in the entries
+    "diff(y(x),x) = w(x)*y(x)",
 ])
-def test_miss_certificate_falls_back_to_exact_pass(monkeypatch, ade_text):
-    with monkeypatch.context() as m:
-        log = _trace_candidates(m, lambda fired: fired)
-        found = _run_search(ade_text, "z = y/(x+y)", 2)
-    assert any(out is None for _, out in log)
-    assert not any(fired for fired, _ in log)
-    monkeypatch.setattr(ansatz, "_certified_miss", lambda *args: False)
-    assert render(found, "text") == render(
-        _run_search(ade_text, "z = y/(x+y)", 2), "text")
+def test_miss_certificate_applies_where_it_used_to_fall_back(monkeypatch, ade_text):
+    # the certificate reads the exact system's own rows, so it fires on these
+    # searches too; each candidate it fires on has no exact solution, and
+    # the equation is the one found without it
+    found = _run_search(ade_text, "z = y/(x+y)", 2)
+    log = _trace_candidates(monkeypatch, lambda fired: False)
+    unchecked = _run_search(ade_text, "z = y/(x+y)", 2)
+    assert any(fired for fired, _ in log)
+    assert all(out is None for fired, out in log if fired)
+    assert render(found, "text") == render(unchecked, "text")
+
+
+def _system(entries, unknowns=2):
+    """A LinearSystem over Q[x] from rows of (coefficient, x-exponent)
+    pairs, one pair per column and the constant last."""
+    ctx = Context()
+    x = ctx.indep
+    rows = [[Poly.const(ctx, c) * Poly.var(ctx, x, e) for c, e in row]
+            for row in entries]
+    return LinearSystem([(i,) for i in range(unknowns)],
+                        [(row[:-1], row[-1]) for row in rows])
+
+
+def test_certified_miss_is_a_rank_test():
+    # c0 + x*c1 = 1, c0 - c1 = x, x*c0 + c1 = 0: [A|b] has rank 3
+    inconsistent = [[(1, 0), (1, 1), (-1, 0)], [(1, 0), (-1, 0), (-1, 1)],
+                    [(1, 1), (1, 0), (0, 0)]]
+    assert ansatz._certified_miss(_system(inconsistent))
+    # the third row is the sum of the first two: c0 = 1, c1 = 0 solves it
+    consistent = [[(1, 0), (1, 1), (-1, 0)], [(1, 0), (-1, 1), (-1, 0)],
+                  [(2, 0), (0, 0), (-2, 0)]]
+    assert not ansatz._certified_miss(_system(consistent))
+    # two rows cannot give three columns full rank
+    assert not ansatz._certified_miss(_system(inconsistent[:2]))
+    # an entry with no residue mod q declines rather than raises
+    declined = [[(Fraction(1, 2 ** 31 - 1), 0), *inconsistent[0][1:]],
+                *inconsistent[1:]]
+    assert not ansatz._certified_miss(_system(declined))

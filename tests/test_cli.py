@@ -167,6 +167,7 @@ def test_usage_exit_64():
     ["arith", "--ade", "diff(y1(x),x) = y1(x)", "--ade", "diff(y2(x),x) = 2*y2(x)",
      "--spec", "y1 = y1*y2"],
     ["compose", "--ade", "diff(y(x),x) = y(x)", "--ade", "diff(z(x),x) = 2"],
+    ["ansatz", "--ade", "diff(y(x),x) = y(x)", "--spec", "y = y^2", "--degree-de", "2"],
 ])
 def test_output_named_like_an_input_exit_64(capsys, argv):
     # the output would be the input function itself, so no equation is printed
