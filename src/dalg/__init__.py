@@ -17,8 +17,8 @@ from .context import Context, Var
 from .diffpoly import (ADE, RatFunc, implicit_higher_derivative,
                        normalize_ade, rational_substitute, total_derivative)
 from .errors import (AnsatzNotFoundError, ArgumentError, ContextError,
-                     DalgError, DegeneracyError, DivisionByZeroError,
-                     EliminationFailedError, ParseError, ResourceCapError)
+                     DalgError, DivisionByZeroError, EliminationFailedError,
+                     ParseError, ResourceCapError)
 from .groebner import (GBConfig, IdealBasis, buchberger, eliminate, reduce)
 from .orders import Block, GrevLex, Lex, MonomialOrder, default_order
 from .parser import (equation_to_ade, parse_equation, parse_rational_spec,
@@ -30,7 +30,7 @@ from .series import SeriesWitness, TruncSeries, verify_series
 __all__ = [
     "ADE", "AnsatzNotFoundError", "ArgumentError", "Block",
     "ClosureResult", "Context", "ContextError", "DalgError",
-    "DegeneracyError", "DivisionByZeroError", "EliminationFailedError",
+    "DivisionByZeroError", "EliminationFailedError",
     "GBConfig", "GrevLex", "IdealBasis", "Lex", "MonomialOrder",
     "ParseError", "Poly", "RatFunc", "ResourceCapError", "SeriesWitness",
     "TriangularSystem", "TruncSeries", "Var", "ansatz_search",

@@ -37,8 +37,7 @@ from itertools import combinations_with_replacement
 
 from .closure import _output_id
 from .context import DIFF
-from .diffpoly import (RatFunc, implicit_higher_derivative, normalize_ade,
-                       rational_substitute)
+from .diffpoly import RatFunc, normalize_ade
 from .errors import AnsatzNotFoundError, ArgumentError
 from .poly import Poly, exact_div, mono_div, poly_gcd, try_exact_divide
 
@@ -64,20 +63,25 @@ def enumerate_delta(k: int, r: int) -> list:
 
 def derivative_closure(R: RatFunc, ades, r: int) -> list:
     """z, z', ..., z^(r) as rational functions of x, parameters, and the
-    first n_j derivatives of each input dependent."""
-    by_dep = {a.dep: a for a in ades}
+    first n_j derivatives of each input dependent.  Each value is the
+    previous one's :meth:`RatFunc.derivative`, which replaces every input's
+    y_j^(n_j+1) by its linear prolongation in one polynomial step.  So R
+    may involve y_j only up to y_j^(n_j), and an input may involve another
+    input's dependent only below that input's order."""
+    ades = list(ades)
+    orders = {a.dep: a.order for a in ades}
+    for v in R.variables():
+        if v.kind == DIFF and v.order > orders.get(v.indet, v.order):
+            raise ArgumentError(f"{v!r} is above the order of its input equation")
+    for a in ades:
+        for v in a.poly.variables():
+            if (v.kind == DIFF and v.indet != a.dep
+                    and v.order >= orders.get(v.indet, v.order + 1)):
+                raise ArgumentError(f"the equation of {a.dep_name} involves "
+                                    f"{v!r}, not below the order of its own")
     vals = [R]
     for _ in range(r):
-        d = vals[-1].derivative()
-        bindings = {}
-        for v in d.variables():
-            if v.kind == DIFF and v.indet in by_dep:
-                ade = by_dep[v.indet]
-                if v.order > ade.order:
-                    bindings[v] = implicit_higher_derivative(ade, v.order - ade.order)
-        if bindings:
-            d = rational_substitute(d, bindings)
-        vals.append(d)
+        vals.append(vals[-1].derivative(ades))
     return vals
 
 
@@ -323,6 +327,8 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
     if k < 1:
         raise ArgumentError("degree bound must be at least 1")
     ades = list(ades)
+    if not ades:
+        raise ArgumentError("ansatz needs at least one input equation")
     if len({a.dep for a in ades}) != len(ades):
         raise ArgumentError("input equations must have distinct dependents")
     _output_id(R.num.ctx, z_name, ades)

@@ -5,16 +5,19 @@ y_j^(k) -> y_j^(k+1), extended by linearity and Leibniz), rational
 functions as quotients of polynomials, normalized algebraic differential
 equations with leader/initial/separant data, and the implicit rewriting of
 higher derivatives of a dependent variable as rational functions of its
-first n derivatives.
+first n derivatives.  That rewriting is one step of
+:meth:`RatFunc.derivative`: the prolongation D(P) = S*y^(n+1) + rest is
+linear in y^(n+1) with the separant S as its coefficient, so the new
+leader is replaced by -rest/S inside the unreduced quotient rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .context import DIFF, INDEP, Var, same_context
-from .errors import (ArgumentError, DegeneracyError, DivisionByZeroError)
+from .errors import ArgumentError, DivisionByZeroError
 from .poly import (Poly, content_primitive, exact_div, poly_gcd,
                    try_exact_divide)
 
@@ -131,15 +134,20 @@ class RatFunc:
             return repr(self.num.scale(exact_div(1, c))) if c != 1 else repr(self.num)
         return f"({self.num!r})/({self.den!r})"
 
-    def derivative(self) -> "RatFunc":
-        """Total derivative by the quotient rule."""
-        if self.is_polynomial():
-            c = self.den.constant_value()
-            return RatFunc(total_derivative(self.num).scale(exact_div(1, c)))
-        return RatFunc(
-            total_derivative(self.num) * self.den - self.num * total_derivative(self.den),
-            self.den * self.den,
-        )
+    def derivative(self, ades=()) -> "RatFunc":
+        """Total derivative by the quotient rule, reduced once.  Where the
+        numerator holds y^(n+1) of an input P = 0 of order n, the linear
+        D(P) = S*y^(n+1) + rest replaces it by -rest/S (for the inputs
+        that ``derivative_closure`` accepts)."""
+        num = total_derivative(self.num) * self.den - self.num * total_derivative(self.den)
+        den = self.den * self.den
+        for ade in ades:
+            top = self.ctx.diff_var(ade.dep, ade.order + 1)
+            if num.has_var(top):
+                rest = total_derivative(ade.poly) - ade.separant * Poly.var(self.ctx, top)
+                num = num.coeff_in(top, 0) * ade.separant - num.coeff_in(top, 1) * rest
+                den = den * ade.separant
+        return RatFunc(num, den)
 
 
 def rational_substitute(f: RatFunc, bindings: dict) -> RatFunc:
@@ -182,7 +190,7 @@ def _poly_substitute_rat(p: Poly, bindings: dict) -> RatFunc:
     return total
 
 
-@dataclass(eq=False)
+@dataclass
 class ADE:
     """A normalized algebraic differential equation P = 0 in one dependent
     variable, with cached leader, initial, and separant."""
@@ -195,11 +203,6 @@ class ADE:
     leader_degree: int
     initial: Poly
     separant: Poly
-    _implicit: dict = field(default_factory=dict, repr=False)
-
-    def __eq__(self, other):
-        return (isinstance(other, ADE) and self.poly == other.poly
-                and self.dep == other.dep)
 
     @property
     def dep_name(self) -> str:
@@ -248,26 +251,12 @@ def normalize_ade(lhs, rhs=None, dep=None, ctx=None) -> ADE:
 
 def implicit_higher_derivative(ade: ADE, t: int) -> RatFunc:
     """Express y^(n+t) as a rational function of x, parameters, and
-    y, ..., y^(n); the denominator is a power of the separant."""
+    y, ..., y^(n): the leader differentiated t times, each step rewriting
+    y^(n+1) by the linear prolongation; the denominator is a power of the
+    separant."""
     if t < 1:
         raise ArgumentError("t must be positive")
-    cached = ade._implicit.get(t)
-    if cached is not None:
-        return cached
-    ctx = ade.ctx
-    if ade.separant.is_zero():
-        raise DegeneracyError("separant vanishes identically")
-    top = ctx.diff_var(ade.dep, ade.order + 1)
-    if 1 not in ade._implicit:
-        dp = total_derivative(ade.poly)
-        rest = dp - ade.separant * Poly.var(ctx, top)
-        if rest.has_var(top):
-            raise DegeneracyError("prolongation is not linear in the top derivative")
-        ade._implicit[1] = RatFunc(-rest, ade.separant)
-    first = ade._implicit[1]
-    for step in range(2, t + 1):
-        if step in ade._implicit:
-            continue
-        prev = ade._implicit[step - 1]
-        ade._implicit[step] = rational_substitute(prev.derivative(), {top: first})
-    return ade._implicit[t]
+    val = RatFunc(Poly.var(ade.ctx, ade.leader))
+    for _ in range(t):
+        val = val.derivative([ade])
+    return val

@@ -22,11 +22,6 @@ class ParseError(DalgError):
         self.column = column
 
 
-class DegeneracyError(DalgError):
-    """A separant or initial vanished identically where a genuine order-n
-    equation was required."""
-
-
 class DivisionByZeroError(DalgError, ZeroDivisionError):
     """A substitution produced an identically zero denominator."""
 

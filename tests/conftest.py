@@ -1,14 +1,16 @@
 """Shared helpers for the test suite: proportionality matching, random
-polynomial generation, the standard Weierstrass fixture, and certification
-of a closure output by substitution."""
+polynomial generation, the standard Weierstrass fixture, certification
+of a closure output by substitution, and the per-term reference for the
+derivative modulo the inputs."""
 
 import os
 import random
 from fractions import Fraction
 from pathlib import Path
 
-from dalg import (ADE, Context, Poly, derivative_closure, equation_to_ade,
-                  pseudo_divide)
+from dalg import (ADE, Context, Poly, RatFunc, derivative_closure,
+                  equation_to_ade, pseudo_divide, rational_substitute,
+                  total_derivative)
 
 # pytest puts src/ on sys.path (pyproject.toml); the CLI tests start
 # `python -m dalg.cli` in a child process, which needs it on PYTHONPATH
@@ -82,6 +84,27 @@ def certified_by_substitution(out, ades, R):
         while total.degree(ade.leader) >= ade.leader_degree:
             _, total, _ = pseudo_divide(total, ade.poly, ade.leader)
     return total.is_zero()
+
+
+def reference_derivative(f, ades):
+    """d/dx of f by the quotient rule, with each input's y^(n+1) replaced
+    by -rest/S (from D(P) = S*y^(n+1) + rest) through rational_substitute:
+    the term-by-term route that RatFunc.derivative(ades) takes in one
+    polynomial step.  Only the numerator D(N)*D - N*D(D) can hold a
+    y^(n+1), so D*D stays out of the substitution."""
+    ctx = f.ctx
+    num = total_derivative(f.num) * f.den - f.num * total_derivative(f.den)
+    bindings = {}
+    for ade in ades:
+        top = ctx.diff_var(ade.dep, ade.order + 1)
+        rest = total_derivative(ade.poly) - ade.separant * Poly.var(ctx, top)
+        bindings[top] = RatFunc(-rest, ade.separant)
+    return rational_substitute(RatFunc(num), bindings) / RatFunc(f.den * f.den)
+
+
+def same_ratfunc(f, g):
+    """Equal in the reduced normal form, term for term."""
+    return f.num == g.num and f.den == g.den
 
 
 def weierstrass(ctx, name="y"):

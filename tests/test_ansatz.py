@@ -16,7 +16,7 @@ from dalg.errors import AnsatzNotFoundError, ArgumentError
 from dalg.poly import poly_gcd
 
 from conftest import (certified_by_substitution, make_rng, proportional,
-                      weierstrass)
+                      reference_derivative, same_ratfunc, weierstrass)
 
 
 def test_enumerate_delta_order_and_counts():
@@ -40,6 +40,60 @@ def test_derivative_closure_weierstrass():
     assert vals[1] == RatFunc(Poly.var(ctx, ctx.diff_var(y, 1)))
     # z'' rewrites through the implicit second derivative 6y^2 - g2/2
     assert vals[2] == implicit_higher_derivative(ade, 1)
+
+
+def _assert_matches_reference(vals, ades):
+    """Each closure step agrees term for term with the quotient rule
+    followed by substitution of every y^(n+1) = -rest/S."""
+    ref = vals[0]
+    for v in vals[1:]:
+        ref = reference_derivative(ref, ades)
+        assert same_ratfunc(v, ref)
+
+
+@pytest.mark.parametrize("ade_text", [
+    "diff(y(x),x)^2 = 4*y(x)^3 - g2*y(x) - g3",
+    "diff(y(x),x)^2 = 4*y(x)^3 - 2*y(x) - 3",
+    "diff(y(x),x) = y(x)^2 + x",
+])
+@pytest.mark.parametrize("spec", ["z = y/(x+y)", "z = y^2/(x+y)"])
+def test_derivative_closure_matches_reference(ade_text, spec):
+    ctx = Context()
+    ade = equation_to_ade(ade_text, ctx)
+    _, R = spec_to_ratfunc(spec, ctx, ["y"])
+    _assert_matches_reference(derivative_closure(R, [ade], 3), [ade])
+
+
+def test_derivative_closure_matches_reference_for_two_inputs():
+    ctx = Context()
+    a1 = equation_to_ade("diff(y1(x),x)^2 = 4*y1(x)^3 - 2*y1(x) - 3", ctx)
+    a2 = equation_to_ade("diff(y2(x),x)^2 = 4*y2(x)^3 - 5*y2(x) - 7", ctx)
+    _, R = spec_to_ratfunc("z = y1+y2", ctx, ["y1", "y2"])
+    _assert_matches_reference(derivative_closure(R, [a1, a2], 3), [a1, a2])
+
+
+def test_derivative_closure_rejects_derivatives_above_the_input_order():
+    # y'' is not among the first n = 1 derivatives of y' = y
+    ctx = Context()
+    ade = equation_to_ade("diff(y(x),x) = y(x)", ctx)
+    R = RatFunc(Poly.var(ctx, ctx.diff_var(ctx.indet_id("y"), 2)))
+    with pytest.raises(ArgumentError):
+        derivative_closure(R, [ade], 2)
+
+
+def test_derivative_closure_rejects_an_input_at_another_inputs_order():
+    # y1's equation may involve y2 only below y2's order 1; y2' would
+    # survive the rewriting of y1''
+    ctx = Context()
+    a1 = equation_to_ade("diff(y1(x),x) = diff(y2(x),x) + y1(x)", ctx, dep="y1")
+    a2 = equation_to_ade("diff(y2(x),x) = x*y2(x)", ctx, dep="y2")
+    _, R = spec_to_ratfunc("z = y1", ctx, ["y1", "y2"])
+    for ades in ([a1, a2], [a2, a1]):
+        with pytest.raises(ArgumentError):
+            derivative_closure(R, ades, 2)
+    # y2 itself, at order 0, is allowed
+    a1 = equation_to_ade("diff(y1(x),x) = y2(x) + y1(x)", ctx, dep="y1")
+    _assert_matches_reference(derivative_closure(R, [a1, a2], 2), [a1, a2])
 
 
 def _assert_solves(rows, solution):
@@ -186,6 +240,13 @@ def test_ansatz_not_found():
         ansatz_search([ade], R, k=1, order_cap=0, z_name=zname)
     with pytest.raises(ArgumentError):
         ansatz_search([ade], R, k=0, z_name=zname)
+
+
+def test_ansatz_needs_an_input_equation():
+    ctx = Context()
+    zname, R = spec_to_ratfunc("z = x^2", ctx, [])
+    with pytest.raises(ArgumentError, match="at least one input equation"):
+        ansatz_search([], R, k=1, z_name=zname)
 
 
 def _coefficient_gcd(ade):

@@ -418,11 +418,3 @@ def test_ddfinite_rejects_nonlinear():
     main = equation_to_ade("diff(y(x),x) = C(x)*y(x)^2", ctx, extra_deps=["C"])
     with pytest.raises(ArgumentError):
         ddfinite_to_dalg(main, [C])
-
-
-def test_public_names_resolve():
-    # a name left in __all__ after its deletion fails only on `import *`
-    import dalg
-
-    missing = [name for name in dalg.__all__ if not hasattr(dalg, name)]
-    assert missing == []

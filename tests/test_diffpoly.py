@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from dalg import (Context, Poly, RatFunc, implicit_higher_derivative,
-                  normalize_ade, rational_substitute, total_derivative)
-from dalg.errors import (ArgumentError, DegeneracyError, DivisionByZeroError)
+from dalg import (Context, Poly, RatFunc, equation_to_ade,
+                  implicit_higher_derivative, normalize_ade,
+                  rational_substitute, total_derivative)
+from dalg.errors import ArgumentError, DivisionByZeroError
 
-from conftest import make_rng, random_poly, weierstrass
+from conftest import (make_rng, random_poly, reference_derivative,
+                      same_ratfunc, weierstrass)
 
 
 def setup_vars():
@@ -158,3 +160,16 @@ def test_implicit_higher_derivative_squared_leader():
     # (y')^2 = 0 forces y' = 0, and the implicit rewriting agrees: y'' = 0
     ade = normalize_ade(Poly.var(ctx, y1, 2), dep=y)
     assert implicit_higher_derivative(ade, 1) == RatFunc(Poly(ctx))
+
+
+def test_implicit_higher_derivative_matches_reference():
+    # a nonlinear order-2 input whose separant 2y'' + x is not constant:
+    # each step agrees term for term with the quotient rule followed by
+    # substitution of y^(3) = -rest/S
+    ctx = Context()
+    ade = equation_to_ade("diff(y(x),x,x)^2 + x*diff(y(x),x,x) = y(x)", ctx)
+    assert ade.order == 2 and not ade.separant.is_constant()
+    ref = RatFunc(Poly.var(ctx, ade.leader))
+    for t in range(1, 4):
+        ref = reference_derivative(ref, [ade])
+        assert same_ratfunc(implicit_higher_derivative(ade, t), ref)
