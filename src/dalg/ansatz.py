@@ -39,7 +39,7 @@ from .closure import _output_id
 from .context import DIFF
 from .diffpoly import RatFunc, normalize_ade
 from .errors import AnsatzNotFoundError, ArgumentError
-from .poly import Poly, exact_div, mono_div, poly_gcd, try_exact_divide
+from .poly import Poly, mono_div, over_lcm, poly_gcd, try_exact_divide
 
 _Q = 2 ** 31 - 1  # the prime of the miss certificate
 
@@ -152,9 +152,6 @@ def solve_linear_ratfunc(system: LinearSystem):
 
 def _exact_quotient(p: Poly, d: Poly) -> Poly:
     """p / d, where d is known to divide p."""
-    if d.is_constant():
-        k = d.constant_value()
-        return Poly(p.ctx, {m: exact_div(c, k) for m, c in p.terms.items()})
     q = try_exact_divide(p, d)
     if q is None:
         raise RuntimeError("internal error: Bareiss division is not exact")
@@ -193,7 +190,7 @@ def assemble_and_solve(ades, leading, earlier, closure_vals, value_cache: dict,
             v = value_cache[key] = (num, den)
         return v
 
-    nums, common = _over_lcm(ctx, [value(leading)] + [value(m) for m in earlier])
+    nums, common = over_lcm(ctx, [value(leading)] + [value(m) for m in earlier])
     cols = [common, *nums[1:], nums[0]]
     for ade in ades:
         leader, d = ade.leader, ade.leader_degree
@@ -263,26 +260,6 @@ def assemble_and_solve(ades, leading, earlier, closure_vals, value_cache: dict,
         equation = Poly(ctx, {mono_div(mono, ((z0, e),)): c
                               for mono, c in equation.terms.items()})
     return normalize_ade(equation, dep=z_id)
-
-
-def _over_lcm(ctx, pairs):
-    """Bring (numerator, denominator) pairs over the lcm of the denominators;
-    returns the rescaled numerators and the lcm."""
-    common = Poly.const(ctx, 1)
-    nums: list = []
-    for num, den in pairs:
-        q = try_exact_divide(common, den)
-        if q is not None:
-            nums.append(num * q)
-            continue
-        q = try_exact_divide(den, common)
-        if q is None:
-            g = poly_gcd(common, den)
-            q = try_exact_divide(den, g)
-        nums = [n * q for n in nums]
-        common = common * q
-        nums.append(num * try_exact_divide(common, den))
-    return nums, common
 
 
 def _certified_miss(system: LinearSystem) -> bool:

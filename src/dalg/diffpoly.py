@@ -19,7 +19,7 @@ from fractions import Fraction
 from .context import DIFF, INDEP, Var, same_context
 from .errors import ArgumentError, DivisionByZeroError
 from .poly import (Poly, content_primitive, exact_div, poly_gcd,
-                   try_exact_divide)
+                   substitute_fractions, try_exact_divide)
 
 
 def total_derivative(f: Poly) -> Poly:
@@ -46,7 +46,9 @@ def total_derivative(f: Poly) -> Poly:
 class RatFunc:
     """Reduced quotient of two polynomials; the denominator is primitive
     with positive leading coefficient and coprime to the numerator.
-    Equality is tested by cross-multiplication."""
+    Equality with a RatFunc, Poly or rational number is tested by
+    cross-multiplication; anything else compares unequal.  A RatFunc is
+    unhashable."""
 
     __slots__ = ("num", "den", "ctx")
 
@@ -121,12 +123,10 @@ class RatFunc:
         return RatFunc(self.num ** exp, self.den ** exp)
 
     def __eq__(self, other):
-        if not isinstance(other, RatFunc):
-            other = RatFunc.of(other, self.ctx)
+        if not isinstance(other, (RatFunc, Poly, int, Fraction)):
+            return NotImplemented
+        other = RatFunc.of(other, self.ctx)
         return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        raise TypeError("RatFunc is unhashable")
 
     def __repr__(self):
         if self.is_polynomial():
@@ -151,43 +151,17 @@ class RatFunc:
 
 
 def rational_substitute(f: RatFunc, bindings: dict) -> RatFunc:
-    """Simultaneous substitution Var -> RatFunc; unbound variables pass through."""
+    """Simultaneous substitution Var -> RatFunc; unbound variables pass
+    through.  Numerator and denominator each go over their own common
+    denominator (:func:`~dalg.poly.substitute_fractions`), and the quotient
+    is reduced once."""
     bindings = {v: RatFunc.of(r, f.ctx) for v, r in bindings.items()}
-    num = _poly_substitute_rat(f.num, bindings)
-    den = _poly_substitute_rat(f.den, bindings)
+    fractions = {v.index: (r.num, r.den) for v, r in bindings.items()}
+    num, num_den = substitute_fractions(f.num, fractions)
+    den, den_den = substitute_fractions(f.den, fractions)
     if den.is_zero():
         raise DivisionByZeroError("substitution produced a zero denominator")
-    return num / den
-
-
-def _poly_substitute_rat(p: Poly, bindings: dict) -> RatFunc:
-    ctx = p.ctx
-    by_index = {v.index: r for v, r in bindings.items()}
-    if not any(idx in by_index for mono in p.terms for idx, _ in mono):
-        return RatFunc(p)
-    powers: dict = {}
-
-    def power(idx, e):
-        cached = powers.get((idx, e))
-        if cached is None:
-            cached = powers[(idx, e)] = by_index[idx] ** e
-        return cached
-
-    total = RatFunc(Poly(ctx))
-    for mono, c in p.terms.items():
-        plain = []
-        factor = None
-        for idx, e in mono:
-            if idx in by_index:
-                f = power(idx, e)
-                factor = f if factor is None else factor * f
-            else:
-                plain.append((idx, e))
-        term = RatFunc(Poly(ctx, {tuple(plain): c}))
-        if factor is not None:
-            term = term * factor
-        total = total + term
-    return total
+    return RatFunc(num * den_den, den * num_den)
 
 
 @dataclass

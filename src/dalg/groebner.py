@@ -14,6 +14,10 @@ by the sugar strategy: smallest sugar, then smallest lcm (Giovini, Mora,
 Niesi, Robbiano & Traverso, ISSAC 1991).  Hard caps on intermediate total
 degree and basis size turn runaway eliminations into a
 :class:`ResourceCapError` instead of unbounded growth.
+
+This is the package's only Groebner engine; the independent references
+the tests check it against (a plain normal form and a certificate-tracking
+Buchberger) live in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from math import gcd
 from .context import same_context
 from .errors import ArgumentError, ResourceCapError
 from .orders import Block, GrevLex, MonomialOrder
-from .poly import Poly, content_primitive, exact_div, mono_div, mono_lcm
+from .poly import Poly, content_primitive
 
 
 @dataclass
@@ -284,34 +288,6 @@ def buchberger(gens, order: MonomialOrder, config: GBConfig | None = None) -> Id
     return IdealBasis(out, order)
 
 
-def reduce(f: Poly, basis: IdealBasis) -> Poly:
-    """Normal form of f modulo the basis: no term divisible by any leading
-    monomial remains, and f minus the result lies in the ideal."""
-    if not basis.generators:
-        return f
-    same_context(f, *basis.generators)
-    order = basis.order
-    leads = [g.leading(order) for g in basis.generators]
-    out = Poly(f.ctx)
-    work = f
-    while not work.is_zero():
-        m, c = work.leading(order)
-        hit = None
-        for g, (lmg, lcg) in zip(basis.generators, leads):
-            q = mono_div(m, lmg)
-            if q is not None:
-                hit = (g, q, lcg)
-                break
-        if hit is None:
-            t = Poly(f.ctx, {m: c})
-            out = out + t
-            work = work - t
-            continue
-        g, q, lcg = hit
-        work = work - Poly(f.ctx, {q: exact_div(c, lcg)}) * g
-    return out
-
-
 def elimination_order(ctx, elim_vars, keep_vars, first=()) -> MonomialOrder:
     """Block order with the eliminated variables dominating; GrevLex inside.
     The eliminated variables listed in ``first`` are the largest, in the
@@ -342,55 +318,3 @@ def eliminate(gens, elim_vars, keep_vars, config: GBConfig | None = None,
     order = elimination_order(ctx, elim_vars, keep_vars, first)
     basis = buchberger(gens, order, config)
     return [g for g in basis.generators if g.variables() <= keep_vars]
-
-
-def buchberger_with_certificates(gens, order: MonomialOrder):
-    """Plain rational-arithmetic Buchberger that tracks each basis element as
-    an explicit polynomial combination of the inputs.
-
-    Intended for small instances only (test-suite ideal-membership checks).
-    Returns (basis_polys, certificates) where certificates[i] is the list of
-    cofactors c_j with basis[i] == sum_j c_j * gens[j].
-    """
-    ctx = same_context(*gens)
-    one = Poly.const(ctx, 1)
-    zero = Poly(ctx)
-    G = []
-    certs = []
-    for i, g in enumerate(gens):
-        if not g.is_zero():
-            G.append(g)
-            certs.append([one if j == i else zero for j in range(len(gens))])
-
-    def reduce_tracked(f, cert):
-        changed = True
-        while changed and not f.is_zero():
-            changed = False
-            m, c = f.leading(order)
-            for g, gc in zip(G, certs):
-                lmg, lcg = g.leading(order)
-                q = mono_div(m, lmg)
-                if q is not None:
-                    mult = Poly(ctx, {q: exact_div(c, lcg)})
-                    f = f - mult * g
-                    cert = [a - mult * b for a, b in zip(cert, gc)]
-                    changed = True
-                    break
-        return f, cert
-
-    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
-    while pairs:
-        i, j = pairs.pop(0)
-        fi, fj = G[i], G[j]
-        (lmi, lci), (lmj, lcj) = fi.leading(order), fj.leading(order)
-        L = mono_lcm(lmi, lmj)
-        mi = Poly(ctx, {mono_div(L, lmi): exact_div(1, lci)})
-        mj = Poly(ctx, {mono_div(L, lmj): exact_div(1, lcj)})
-        s = mi * fi - mj * fj
-        cert = [mi * a - mj * b for a, b in zip(certs[i], certs[j])]
-        s, cert = reduce_tracked(s, cert)
-        if not s.is_zero():
-            pairs += [(k, len(G)) for k in range(len(G))]
-            G.append(s)
-            certs.append(cert)
-    return G, certs

@@ -73,6 +73,7 @@ class Equation(Node):
 # -- tokenizer ---------------------------------------------------------------
 
 _OPS = set("+-*/^(),='")
+_DIGITS = set("0123456789")  # str.isdigit also takes digits int() rejects
 
 
 def _tokenize(text: str):
@@ -83,9 +84,9 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("num", text[i:j], i))
             i = j

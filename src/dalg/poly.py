@@ -65,18 +65,6 @@ def mono_div(a: Mono, b: Mono):
     return tuple(sorted(exps.items()))
 
 
-def mono_divides(b: Mono, a: Mono) -> bool:
-    exps = dict(a)
-    return all(exps.get(idx, 0) >= e for idx, e in b)
-
-
-def mono_lcm(a: Mono, b: Mono) -> Mono:
-    exps = dict(a)
-    for idx, e in b:
-        exps[idx] = max(exps.get(idx, 0), e)
-    return tuple(sorted(exps.items()))
-
-
 def mono_degree(a: Mono) -> int:
     return sum(e for _, e in a)
 
@@ -256,28 +244,11 @@ class Poly:
     # -- substitution -------------------------------------------------------
 
     def substitute(self, bindings: dict) -> "Poly":
-        """Simultaneously replace variables by polynomials."""
-        if not bindings:
-            return self
-        by_index = {v.index: p for v, p in bindings.items()}
-        powers: dict = {}
-
-        def power(idx, e):
-            cached = powers.get((idx, e))
-            if cached is None:
-                cached = powers[(idx, e)] = by_index[idx] ** e
-            return cached
-
-        result = Poly(self.ctx)
-        for mono, c in self.terms.items():
-            factor = Poly.const(self.ctx, c)
-            for idx, e in mono:
-                if idx in by_index:
-                    factor = factor * power(idx, e)
-                else:
-                    factor = factor * Poly(self.ctx, {((idx, e),): 1})
-            result = result + factor
-        return result
+        """Simultaneously replace variables by polynomials: the one
+        substitution loop, :func:`substitute_fractions`, with every
+        denominator 1, so the common denominator is 1."""
+        one = Poly.const(self.ctx, 1)
+        return substitute_fractions(self, {v.index: (p, one) for v, p in bindings.items()})[0]
 
 
 def pseudo_divide(f: Poly, g: Poly, leader: Var):
@@ -382,6 +353,9 @@ def try_exact_divide(f: Poly, g: Poly):
         raise ArgumentError("division by zero polynomial")
     if f.is_zero():
         return f
+    if g.is_constant():
+        k = g.constant_value()
+        return Poly(f.ctx, {m: exact_div(c, k) for m, c in f.terms.items()})
     order = default_order(f.ctx)
     gm, gc = g.leading(order)
     q = Poly(f.ctx)
@@ -395,3 +369,53 @@ def try_exact_divide(f: Poly, g: Poly):
         q = q + t
         r = r - t * g
     return q
+
+
+def over_lcm(ctx, pairs):
+    """Bring (numerator, denominator) pairs over the lcm of the denominators;
+    returns the rescaled numerators and the lcm."""
+    common = Poly.const(ctx, 1)
+    nums: list = []
+    for num, den in pairs:
+        q = try_exact_divide(common, den)
+        if q is not None:
+            nums.append(num * q)
+            continue
+        q = try_exact_divide(den, common)
+        if q is None:
+            g = poly_gcd(common, den)
+            q = try_exact_divide(den, g)
+        nums = [n * q for n in nums]
+        common = common * q
+        nums.append(num * try_exact_divide(common, den))
+    return nums, common
+
+
+def substitute_fractions(p: Poly, fractions: dict):
+    """Simultaneously replace variables by quotients num/den, given as
+    {variable index: (num, den)}; unbound variables pass through.
+
+    Returns (numerator, denominator) with the denominator the lcm of the
+    terms' denominators (:func:`over_lcm`), one common denominator for the
+    whole sum instead of a reduction per term.  Each power of a bound
+    variable is computed once."""
+    ctx = p.ctx
+    powers: dict = {}
+    pairs = []
+    for mono, c in p.terms.items():
+        num = Poly(ctx, {tuple(t for t in mono if t[0] not in fractions): c})
+        den = Poly.const(ctx, 1)
+        for idx, e in mono:
+            if idx in fractions:
+                if (idx, e) not in powers:
+                    n, d = fractions[idx]
+                    powers[idx, e] = n ** e, d ** e
+                n, d = powers[idx, e]
+                num, den = num * n, den * d
+        pairs.append((num, den))
+    nums, common = over_lcm(ctx, pairs)
+    total: dict = {}
+    for part in nums:
+        for mono, c in part.terms.items():
+            total[mono] = total.get(mono, 0) + c
+    return Poly(ctx, total), common

@@ -1,7 +1,9 @@
 """Shared helpers for the test suite: proportionality matching, random
 polynomial generation, the standard Weierstrass fixture, certification
-of a closure output by substitution, and the per-term reference for the
-derivative modulo the inputs."""
+of a closure output by substitution, the per-term reference for the
+derivative modulo the inputs, and the independent Groebner references (a
+plain normal form and a certificate-tracking Buchberger on tuple
+monomials) that the kernel in dalg.groebner is checked against."""
 
 import os
 import random
@@ -9,8 +11,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from dalg import (ADE, Context, Poly, RatFunc, derivative_closure,
-                  equation_to_ade, pseudo_divide, rational_substitute,
-                  total_derivative)
+                  equation_to_ade, pseudo_divide)
+from dalg.context import same_context
+from dalg.diffpoly import rational_substitute, total_derivative
+from dalg.groebner import IdealBasis
+from dalg.orders import MonomialOrder
+from dalg.poly import Mono, exact_div, mono_div
 
 # pytest puts src/ on sys.path (pyproject.toml); the CLI tests start
 # `python -m dalg.cli` in a child process, which needs it on PYTHONPATH
@@ -136,3 +142,98 @@ def random_poly(ctx, vars_, rng, max_terms=5, max_deg=3):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+# -- independent Groebner references ------------------------------------------
+
+
+def mono_divides(b: Mono, a: Mono) -> bool:
+    exps = dict(a)
+    return all(exps.get(idx, 0) >= e for idx, e in b)
+
+
+def mono_lcm(a: Mono, b: Mono) -> Mono:
+    exps = dict(a)
+    for idx, e in b:
+        exps[idx] = max(exps.get(idx, 0), e)
+    return tuple(sorted(exps.items()))
+
+
+def reduce(f: Poly, basis: IdealBasis) -> Poly:
+    """Normal form of f modulo the basis: no term divisible by any leading
+    monomial remains, and f minus the result lies in the ideal."""
+    if not basis.generators:
+        return f
+    same_context(f, *basis.generators)
+    order = basis.order
+    leads = [g.leading(order) for g in basis.generators]
+    out = Poly(f.ctx)
+    work = f
+    while not work.is_zero():
+        m, c = work.leading(order)
+        hit = None
+        for g, (lmg, lcg) in zip(basis.generators, leads):
+            q = mono_div(m, lmg)
+            if q is not None:
+                hit = (g, q, lcg)
+                break
+        if hit is None:
+            t = Poly(f.ctx, {m: c})
+            out = out + t
+            work = work - t
+            continue
+        g, q, lcg = hit
+        work = work - Poly(f.ctx, {q: exact_div(c, lcg)}) * g
+    return out
+
+
+def buchberger_with_certificates(gens, order: MonomialOrder):
+    """Plain rational-arithmetic Buchberger that tracks each basis element as
+    an explicit polynomial combination of the inputs.
+
+    Intended for small instances only (test-suite ideal-membership checks).
+    Returns (basis_polys, certificates) where certificates[i] is the list of
+    cofactors c_j with basis[i] == sum_j c_j * gens[j].
+    """
+    ctx = same_context(*gens)
+    one = Poly.const(ctx, 1)
+    zero = Poly(ctx)
+    G = []
+    certs = []
+    for i, g in enumerate(gens):
+        if not g.is_zero():
+            G.append(g)
+            certs.append([one if j == i else zero for j in range(len(gens))])
+
+    def reduce_tracked(f, cert):
+        changed = True
+        while changed and not f.is_zero():
+            changed = False
+            m, c = f.leading(order)
+            for g, gc in zip(G, certs):
+                lmg, lcg = g.leading(order)
+                q = mono_div(m, lmg)
+                if q is not None:
+                    mult = Poly(ctx, {q: exact_div(c, lcg)})
+                    f = f - mult * g
+                    cert = [a - mult * b for a, b in zip(cert, gc)]
+                    changed = True
+                    break
+        return f, cert
+
+    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
+    while pairs:
+        i, j = pairs.pop(0)
+        fi, fj = G[i], G[j]
+        (lmi, lci), (lmj, lcj) = fi.leading(order), fj.leading(order)
+        L = mono_lcm(lmi, lmj)
+        mi = Poly(ctx, {mono_div(L, lmi): exact_div(1, lci)})
+        mj = Poly(ctx, {mono_div(L, lmj): exact_div(1, lcj)})
+        s = mi * fi - mj * fj
+        cert = [mi * a - mj * b for a, b in zip(certs[i], certs[j])]
+        s, cert = reduce_tracked(s, cert)
+        if not s.is_zero():
+            pairs += [(k, len(G)) for k in range(len(G))]
+            G.append(s)
+            certs.append(cert)
+    return G, certs

@@ -14,17 +14,19 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from dalg import (Context, GrevLex, IdealBasis, Poly, SeriesWitness,
-                  ansatz_search, arithmetic_dalg, buchberger, compose_dalg,
-                  ddfinite_to_dalg, diff_dalg,
-                  equation_to_ade, inv_dalg, poly_to_text, pseudo_divide,
-                  reduce, render, spec_to_ratfunc, total_derivative,
-                  unary_dalg, verify_series)
-from dalg.orders import default_order
-from dalg.poly import mono_div, mono_lcm
+from dalg import (Context, Poly, SeriesWitness, ansatz_search,
+                  arithmetic_dalg, compose_dalg, ddfinite_to_dalg, diff_dalg,
+                  equation_to_ade, inv_dalg, pseudo_divide, render,
+                  spec_to_ratfunc, unary_dalg, verify_series)
+from dalg.diffpoly import total_derivative
+from dalg.groebner import IdealBasis, buchberger
+from dalg.orders import GrevLex, default_order
+from dalg.poly import mono_div
+from dalg.render import poly_to_text
 
 from conftest import (certified_by_substitution, make_rng, mono_cmp,
-                      proportional, random_poly, weierstrass, z_degree)
+                      mono_lcm, proportional, random_poly, reduce,
+                      weierstrass, z_degree)
 from test_series import bernoulli_series
 
 # results shared with the certification criteria (8 and 9); populated in

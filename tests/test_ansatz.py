@@ -8,12 +8,12 @@ import pytest
 from dalg import ansatz
 from dalg import (Context, Poly, RatFunc, ansatz_search, derivative_closure,
                   equation_to_ade, implicit_higher_derivative, render,
-                  spec_to_ratfunc, try_exact_divide, unary_dalg)
+                  spec_to_ratfunc, unary_dalg)
 from dalg.cli import main as cli_main
 from dalg.ansatz import LinearSystem, enumerate_delta, solve_linear_ratfunc
 from dalg.context import DIFF
 from dalg.errors import AnsatzNotFoundError, ArgumentError
-from dalg.poly import poly_gcd
+from dalg.poly import poly_gcd, try_exact_divide
 
 from conftest import (certified_by_substitution, make_rng, proportional,
                       reference_derivative, same_ratfunc, weierstrass)

@@ -112,6 +112,14 @@ def test_parse_error_exit_2():
     assert r.returncode == 2
 
 
+def test_non_ascii_digit_exit_2(capsys):
+    # str.isdigit takes the superscript two, int() does not
+    argv = ["unary", "--ade", "diff(y(x),x) = y(x)^\u00b2", "--spec", "z = y"]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
 def test_search_exhaustion_exit_3():
     r = run_cli("ansatz", "--ade", WEIER, "--spec", "z = y1",
                 "--degree-de", "1", "--order-cap", "0")
@@ -200,6 +208,19 @@ def test_in_process_calls_do_not_share_arguments(capsys):
         argv = ["diff", "--ade", ade]
         assert cli_main(argv) == 0
         assert capsys.readouterr().out == run_cli(*argv).stdout
+
+
+@pytest.mark.parametrize("eq", ["diff({y}(x),x,x) = {y}(x)*diff({y}(x),x)",
+                                "diff({y}(x),x,x) = {y}(x)*diff({y}(x),x) + x"])
+def test_inverse_input_named_like_the_output(capsys, eq):
+    # x -> z, y -> x and y^(i) -> D_i are simultaneous, so an input
+    # already in z gives what the same input in y gives (with an x in
+    # the input, one binding at a time would send x -> z -> x)
+    outs = []
+    for y in ("y", "z"):
+        assert cli_main(["inverse", "--ade", eq.format(y=y)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_closed_stdout_exit_0():

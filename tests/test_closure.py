@@ -8,15 +8,17 @@ from fractions import Fraction
 
 import pytest
 
-from dalg import (Block, Context, GrevLex, Poly, SeriesWitness,
-                  arithmetic_dalg, build_system, compose_dalg,
-                  ddfinite_to_dalg, diff_dalg, eliminate, equation_to_ade,
-                  inv_dalg, poly_to_text, select_output, spec_to_ratfunc,
-                  unary_dalg, verify_series)
+from dalg import (Context, Poly, SeriesWitness, arithmetic_dalg,
+                  compose_dalg, ddfinite_to_dalg, diff_dalg, equation_to_ade,
+                  inv_dalg, spec_to_ratfunc, unary_dalg, verify_series)
 from dalg import closure, groebner
-from dalg.closure import prolong, saturation_factors
+from dalg.closure import (build_system, prolong, saturation_factors,
+                          select_output)
 from dalg.diffpoly import normalize_ade
 from dalg.errors import ArgumentError
+from dalg.groebner import eliminate
+from dalg.orders import Block, GrevLex
+from dalg.render import poly_to_text, render
 from dalg.series import TruncSeries
 
 from conftest import certified_by_substitution, proportional, weierstrass
@@ -374,6 +376,20 @@ def test_inverse_of_exponential_is_logarithm():
               - Poly.const(ctx, 1))
     assert proportional(res.ade.poly, expect)
     assert res.prolongations == 0
+
+
+def test_inverse_of_third_order_input():
+    # [DERIVED] y''' = y + 1 holds for y = e^x - 1, whose inverse is
+    # log(1+x); the substitution reaches y'' -> D_2 and y''' -> D_3
+    ctx = Context()
+    res = inv_dalg(equation_to_ade("diff(y(x),x,x,x) = y(x) + 1", ctx))
+    assert render(res.ade, "text") == (
+        "diff(z(x),x)^5*x + diff(z(x),x)^5 - 3*diff(z(x),x,x)^2"
+        " + diff(z(x),x,x,x)*diff(z(x),x) = 0")
+    log1p = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, 14)]
+    check_series(res.ade, SeriesWitness("z", log1p), 14)
+    log1p[5] += 1
+    assert verify_series(res.ade, SeriesWitness("z", log1p), 14) < 14 - res.ade.order
 
 
 def test_inverse_requires_positive_order():

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from dalg import (Context, Poly, RatFunc, equation_to_ade,
-                  implicit_higher_derivative, normalize_ade,
-                  rational_substitute, total_derivative)
+                  implicit_higher_derivative, normalize_ade)
+from dalg.diffpoly import rational_substitute, total_derivative
 from dalg.errors import ArgumentError, DivisionByZeroError
 
 from conftest import (make_rng, random_poly, reference_derivative,
@@ -73,6 +73,19 @@ def test_ratfunc_arithmetic():
     assert (one / xr) * xr == one
     assert xr + (-xr) == RatFunc(Poly(ctx))
     assert (one / xr + one / xr) == one / (xr * half)
+
+
+def test_ratfunc_equality_with_other_types():
+    ctx, y, (x, y0, y1, a) = setup_vars()
+    half = RatFunc(Poly.const(ctx, 1), Poly.const(ctx, 2))
+    xr = RatFunc(Poly.var(ctx, x))
+    assert half == Fraction(1, 2) and xr == Poly.var(ctx, x)
+    assert RatFunc(Poly.const(ctx, 3)) == 3
+    # anything else is unequal instead of an ArgumentError
+    assert not (xr == None)  # noqa: E711
+    assert xr != "a" and xr != [x]
+    with pytest.raises(TypeError):
+        hash(xr)
 
 
 def test_ratfunc_division_by_zero():

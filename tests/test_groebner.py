@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from dalg import (Block, Context, GBConfig, GrevLex, IdealBasis, Lex, Poly,
-                  buchberger, eliminate, reduce)
+from dalg import Context, GBConfig, Poly
 from dalg.errors import ArgumentError, ResourceCapError
-from dalg.groebner import buchberger_with_certificates, elimination_order
+from dalg.groebner import (IdealBasis, buchberger, eliminate,
+                           elimination_order)
+from dalg.orders import Block, GrevLex, Lex
 
-from conftest import make_rng, proportional, random_poly
+from conftest import (buchberger_with_certificates, make_rng, mono_divides,
+                      proportional, random_poly, reduce)
 
 
 def fresh_vars(n=4):
@@ -196,7 +198,6 @@ def test_reduce_is_normal_form():
     r = reduce(f, basis)
     # remainder has no term divisible by a leading monomial
     lms = [g.leading(order)[0] for g in basis.generators]
-    from dalg.poly import mono_divides
     for m in r.terms:
         assert not any(mono_divides(lm, m) for lm in lms)
     # f - r is in the ideal

@@ -1,6 +1,7 @@
 """Monomial order axioms and the block elimination property."""
 
-from dalg import Block, Context, GBConfig, GrevLex, Lex, Poly, default_order
+from dalg import Context, GBConfig, Poly
+from dalg.orders import Block, GrevLex, Lex, default_order
 from dalg.groebner import _Kernel
 from dalg.poly import mono_mul
 

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from dalg import (Context, Poly, equation_to_ade, parse_equation,
-                  parse_rational_spec, poly_to_text, render, spec_to_ratfunc)
+from dalg import Context, Poly, equation_to_ade, render, spec_to_ratfunc
 from dalg.errors import ParseError
+from dalg.parser import parse_equation, parse_rational_spec
+from dalg.render import poly_to_text
 
 from conftest import proportional, weierstrass
 
@@ -70,6 +71,14 @@ def test_parse_error_positions():
         parse_equation("diff(y(x)) = 1")
     with pytest.raises(ParseError):
         parse_equation("diff(y(x),x,t) = 1")
+
+
+def test_non_ascii_digits_are_parse_errors():
+    # str.isdigit takes these, int() does not: superscript two, Arabic-Indic three
+    for text, column in [("y' = y^\u00b2", 8), ("y' = y^\u0663", 8), ("y' = \u00b2", 6)]:
+        with pytest.raises(ParseError) as info:
+            parse_equation(text)
+        assert info.value.column == column
 
 
 def test_rational_spec():

@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from dalg import (Context, GrevLex, Poly, ansatz_search, buchberger,
-                  content_primitive, pseudo_divide, spec_to_ratfunc,
-                  try_exact_divide)
+from dalg import Context, Poly, ansatz_search, pseudo_divide, spec_to_ratfunc
 from dalg.errors import ArgumentError
-from dalg.poly import (exact_div, mono_degree, mono_div, mono_divides,
-                       mono_lcm, mono_mul, poly_gcd)
+from dalg.groebner import buchberger
+from dalg.orders import GrevLex
+from dalg.poly import (content_primitive, exact_div, mono_degree, mono_div,
+                       mono_mul, poly_gcd, try_exact_divide)
 
-from conftest import make_rng, random_poly, weierstrass
+from conftest import (make_rng, mono_divides, mono_lcm, random_poly,
+                      weierstrass)
 
 
 def setup_vars():
