@@ -12,9 +12,13 @@ constant, and the unknowns are never variables of the polynomial ring.  The
 system is solved exactly by a Bareiss fraction-free forward pass, where
 each row step divides exactly by the previous pivot instead of taking a
 gcd, and Cramer back-substitution, which writes every unknown i as N_i/d
-over the last pivot d.  The equation is d*z_lead + sum N_i*m_i, divided
-once by g = gcd(d, N_0, ..., N_k); no row and no unknown is reduced on the
-way.  A power of z that divides every term is then divided out: it is the
+over the last pivot d.  The solve runs on the Groebner kernel's packed
+monomials (:class:`dalg.groebner._Kernel`), with the field width taken
+from the Bareiss degree bound, the sum over the rows of each row's largest
+entry degree; only N and d are decoded back to :class:`Poly`.  The
+equation is d*z_lead + sum N_i*m_i, divided once by
+g = gcd(d, N_0, ..., N_k); no row and no unknown is reduced on the way.
+A power of z that divides every term is then divided out: it is the
 spurious branch z = 0 that a lead of degree exactly k brings when an
 equation of lower degree exists.
 
@@ -39,6 +43,8 @@ from .closure import _output_id
 from .context import DIFF
 from .diffpoly import RatFunc, normalize_ade
 from .errors import AnsatzNotFoundError, ArgumentError
+from .groebner import _Kernel
+from .orders import GrevLex
 from .poly import Poly, mono_div, over_lcm, poly_gcd, try_exact_divide
 
 _Q = 2 ** 31 - 1  # the prime of the miss certificate
@@ -105,28 +111,45 @@ def solve_linear_ratfunc(system: LinearSystem):
     unknown N_i/d with a polynomial N_i, found last pivot first by exact
     division by its own pivot; free unknowns get N_i = 0.  Returns the pair
     (N, d), left unreduced, or None as soon as a row reads 0 = nonzero
-    constant."""
+    constant.
+
+    The rows are encoded once into the Groebner kernel's packed monomials
+    under GrevLex, whose leading monomial carries the total degree, and only
+    N and d are decoded.  Every entry, pivot and numerator is a minor of
+    [A|b], of degree at most the sum over the rows of each row's largest
+    entry degree; the fields are sized for a product of two of them."""
     if not system.rows:
         raise ArgumentError("empty linear system")
     ncols = len(system.unknowns)
     ctx = system.rows[0][1].ctx
-    rows = [list(coeffs) + [const] for coeffs, const in system.rows]
+    entries = [[*coeffs, const] for coeffs, const in system.rows]
+    variables = set().union(*(p.variables() for row in entries for p in row))
+    bound = sum(max(p.total_degree() for p in row) for row in entries)
+    K = _Kernel(GrevLex(sorted(variables, key=lambda v: v.index)), bound, variables)
+    rows = [[K.sort(K.encode(p)) for p in row] for row in entries]
 
+    def divide(work, g):
+        q = K.quotient(work, g)
+        if q is None:
+            raise RuntimeError("internal error: Bareiss division is not exact")
+        return q
+
+    zero = ([], [])
     pivots: list = []           # (pivot row, column) in selection order
     free_cols = list(range(ncols))
-    prev = Poly.const(ctx, 1)   # the previous pivot; d once elimination ends
+    prev = ([0], [1])           # the previous pivot; d once elimination ends
     while True:
         # an unused row that is zero in every free column reads 0 = constant;
         # it stays so, so the system is inconsistent as soon as one appears
-        if any(not row[ncols].is_zero() and all(row[c].is_zero() for c in free_cols)
+        if any(row[ncols][0] and not any(row[c][0] for c in free_cols)
                for row in rows):
             return None
         best = None
         for ri, row in enumerate(rows):
             for ci in free_cols:
-                p = row[ci]
-                if not p.is_zero():
-                    cand = (p.total_degree(), p.num_terms(), ri, ci)
+                monos = row[ci][0]
+                if monos:
+                    cand = (K.degree(monos[0]), len(monos), ri, ci)
                     if best is None or cand < best:
                         best = cand
         if best is None:
@@ -134,20 +157,31 @@ def solve_linear_ratfunc(system: LinearSystem):
         _, _, ri, ci = best
         prow = rows.pop(ri)
         pivot = prow[ci]
-        rows = [[_exact_quotient(pivot * p - row[ci] * q, prev)
-                 for p, q in zip(row, prow)] for row in rows]
         free_cols.remove(ci)
+        # a pivoted column is zero in every unused row, so only the free
+        # columns and the constant change
+        for row in rows:
+            monos, coefs = row[ci]
+            factor = (monos, [-c for c in coefs])
+            for c in (*free_cols, ncols):
+                work = K.product(pivot, row[c])
+                row[c] = divide(K.product(factor, prow[c], work), prev)
+            row[ci] = zero
         pivots.append((prow, ci))
         prev = pivot
 
     nums: dict = {}
     for prow, ci in reversed(pivots):
-        acc = prow[ncols] * prev
+        work = K.product(prow[ncols], prev)
         for cj, n in nums.items():
-            if not prow[cj].is_zero():
-                acc = acc + prow[cj] * n
-        nums[ci] = _exact_quotient(-acc, prow[ci])
-    return [nums.get(ci, Poly(ctx)) for ci in range(ncols)], prev
+            K.product(prow[cj], n, work)
+        monos, coefs = divide(work, prow[ci])
+        nums[ci] = (monos, [-c for c in coefs])
+
+    def decode(p) -> Poly:
+        return Poly(ctx, dict(zip(map(K.decode, p[0]), p[1])))
+
+    return [decode(nums.get(ci, zero)) for ci in range(ncols)], decode(prev)
 
 
 def _exact_quotient(p: Poly, d: Poly) -> Poly:

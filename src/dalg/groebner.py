@@ -1,19 +1,27 @@
-"""Buchberger's algorithm with pair criteria and block elimination orders.
+"""Buchberger's algorithm with pair criteria and block elimination orders,
+on a kernel of packed monomials that also runs the ansatz's linear solve.
 
-The kernel works on primitive integer polynomials (an input enters as its
-primitive part, and the output keeps the kernel's integer coefficients) in
-which a monomial is one packed int.  Its fixed-width fields hold, from the most significant down,
-the order's rows (:meth:`~dalg.orders.MonomialOrder.rows`), the total
-degree, and one exponent per variable; so int comparison is the monomial
-order, a product is a sum, and a guard bit on top of every field makes
-divisibility one subtraction and turns any field overflow into a
-:class:`ResourceCapError`.  The normal form pops leading terms from a heap
+In the kernel a monomial is one packed int.  Its fixed-width fields hold,
+from the most significant down, the order's rows
+(:meth:`~dalg.orders.MonomialOrder.rows`), the total degree, and one
+exponent per variable; so int comparison is the monomial order, a product
+is a sum, and a guard bit on top of every field makes divisibility one
+subtraction and turns any field overflow into a
+:class:`ResourceCapError`.  The field width comes from a degree bound: the
+Groebner caps here, the Bareiss degree bound in
+:func:`dalg.ansatz.solve_linear_ratfunc`.  A polynomial is a list of
+packed monomials in descending order with their exact coefficients, and
+both the normal form and the exact quotient pop leading terms from a heap
 of the work polynomial's monomials (lazy deletion; Monagan & Pearce, JSC
-2011).  S-pairs are discarded by the Gebauer-Moeller criteria and selected
-by the sugar strategy: smallest sugar, then smallest lcm (Giovini, Mora,
-Niesi, Robbiano & Traverso, ISSAC 1991).  Hard caps on intermediate total
-degree and basis size turn runaway eliminations into a
-:class:`ResourceCapError` instead of unbounded growth.
+2011) and cancel them with one routine, :meth:`_Kernel.subtract`.
+
+Buchberger works on primitive integer polynomials (an input enters as its
+primitive part, and the output keeps the kernel's integer coefficients).
+S-pairs are discarded by the Gebauer-Moeller criteria and selected by the
+sugar strategy: smallest sugar, then smallest lcm (Giovini, Mora, Niesi,
+Robbiano & Traverso, ISSAC 1991).  Hard caps on intermediate total degree
+and basis size turn runaway eliminations into a :class:`ResourceCapError`
+instead of unbounded growth.
 
 This is the package's only Groebner engine; the independent references
 the tests check it against (a plain normal form and a certificate-tracking
@@ -29,7 +37,7 @@ from math import gcd
 from .context import same_context
 from .errors import ArgumentError, ResourceCapError
 from .orders import Block, GrevLex, MonomialOrder
-from .poly import Poly, content_primitive
+from .poly import Poly, content_primitive, exact_div
 
 
 @dataclass
@@ -51,20 +59,21 @@ class IdealBasis:
 class _Kernel:
     """Packed monomials of one computation and the operations on them.
 
-    A polynomial is a pair (monomials in descending order, integer
+    A polynomial is a pair (monomials in descending order, exact
     coefficients), so the leading term is at index 0.  Fields are
-    ``bits + 1`` wide, with ``2**bits`` above twice the degree cap: every
+    ``bits + 1`` wide, with ``2**bits`` above twice ``max_degree``: every
     field value is at most the monomial's total degree, so the lcm or the
-    product of two monomials under the cap always fits, and a guard bit
-    is set exactly when a total degree reaches ``2**bits``.
+    product of two monomials of degree at most ``max_degree`` always fits,
+    and a guard bit is set exactly when a total degree reaches
+    ``2**bits``.
     """
 
-    def __init__(self, order: MonomialOrder, config: GBConfig, variables):
-        self.config = config
+    def __init__(self, order: MonomialOrder, max_degree: int, variables):
+        self.max_degree = max_degree
         rows = order.rows()
         vars_ = list(dict.fromkeys(v for row in rows for v in row))
         vars_ += sorted(set(variables) - set(vars_), key=lambda v: v.index)
-        bits = (2 * max(config.max_degree, 1)).bit_length()
+        bits = (2 * max(max_degree, 1)).bit_length()
         width = bits + 1
         n, fields = len(vars_), len(vars_) + 1 + len(rows)
         self.mask = (1 << bits) - 1
@@ -82,16 +91,22 @@ class _Kernel:
 
     def degree_error(self):
         return ResourceCapError(
-            f"intermediate degree exceeded cap {self.config.max_degree}")
+            f"intermediate degree exceeded cap {self.max_degree}")
 
     def encode(self, p: Poly) -> dict:
-        """Packed monomial -> integer coefficient of p's primitive part."""
+        """Packed monomial -> coefficient of p."""
         unit, out = self.unit, {}
-        for mono, c in content_primitive(p)[1].terms.items():
+        for mono, c in p.terms.items():
             if sum(e for _, e in mono) > self.mask:
                 raise self.degree_error()
             out[sum(e * unit[idx] for idx, e in mono)] = c
         return out
+
+    @staticmethod
+    def sort(terms: dict):
+        """Packed terms as a polynomial, monomials descending."""
+        monos = sorted(terms, reverse=True)
+        return monos, [terms[m] for m in monos]
 
     def decode(self, m) -> tuple:
         mask = self.mask
@@ -113,14 +128,6 @@ class _Kernel:
             out += (ea if ea > eb else eb) * unit
         return out
 
-    def check_caps(self, poly, n_items):
-        if n_items > self.config.max_basis:
-            raise ResourceCapError(
-                f"basis/pair count exceeded cap {self.config.max_basis}"
-            )
-        if poly and max(self.degree(m) for m in poly[0]) > self.config.max_degree:
-            raise self.degree_error()
-
     def subtract(self, work: dict, heap: list, poly, shift, mult):
         """work -= mult * x^shift * (poly minus its leading term); monomials
         new to work go on the heap."""
@@ -140,6 +147,48 @@ class _Kernel:
                     work[m] = c
                 else:
                     del work[m]
+
+    def product(self, f, g, work=None) -> dict:
+        """work + f*g as packed terms (a new dict when work is None), where
+        a product of monomials is their sum; a coefficient may cancel to 0
+        and stay in the dict."""
+        if work is None:
+            work = {}
+        if (max(map(self.degree, f[0]), default=0)
+                + max(map(self.degree, g[0]), default=0) > self.mask):
+            raise self.degree_error()
+        get = work.get
+        g_terms = list(zip(*g))
+        for mf, cf in zip(*f):
+            for mg, cg in g_terms:
+                m = mf + mg
+                work[m] = get(m, 0) + cf * cg
+        return work
+
+    def quotient(self, work: dict, g):
+        """The exact quotient of the packed terms ``work`` (the dict is
+        consumed) by the polynomial g, or None when g does not divide them:
+        the remainder's leading monomial is popped from a heap and, when
+        g's leading monomial divides it, cancelled by one :meth:`subtract`
+        (exact rational coefficients)."""
+        G = self.guard
+        lm, lc = g[0][0], g[1][0]
+        heap = [-m for m in work]
+        heapify(heap)
+        out_m, out_c = [], []
+        while heap:
+            m = -heappop(heap)
+            c = work.pop(m, 0)
+            if not c:  # cancelled after it was pushed
+                continue
+            if ((m | G) - lm) & G != G:
+                return None
+            t, q = m - lm, exact_div(c, lc)
+            out_m.append(t)
+            out_c.append(q)
+            # every new monomial is below m, so m is never pushed again
+            self.subtract(work, heap, g, t, q)
+        return out_m, out_c
 
     def spoly(self, f, g, L):
         """The S-polynomial of f and g, whose lcm is L, as (work, heap)."""
@@ -207,7 +256,15 @@ def buchberger(gens, order: MonomialOrder, config: GBConfig | None = None) -> Id
         raise ArgumentError("empty generator list")
     ctx = same_context(*gens)
     config = config or GBConfig()
-    K = _Kernel(order, config, set().union(*(g.variables() for g in gens)))
+    K = _Kernel(order, config.max_degree, set().union(*(g.variables() for g in gens)))
+
+    def check_caps(f, n_items):
+        if n_items > config.max_basis:
+            raise ResourceCapError(
+                f"basis/pair count exceeded cap {config.max_basis}"
+            )
+        if f and max(K.degree(m) for m in f[0]) > config.max_degree:
+            raise K.degree_error()
 
     G: list = []      # (monomials descending, coefficients)
     lms: list = []
@@ -245,25 +302,26 @@ def buchberger(gens, order: MonomialOrder, config: GBConfig | None = None) -> Id
         sugar.append(s)
         return kept
 
-    inputs = sorted((K.encode(p) for p in gens if not p.is_zero()), key=max)
+    inputs = sorted((K.encode(content_primitive(p)[1]) for p in gens
+                     if not p.is_zero()), key=max)
     for terms in inputs:
         s = max(K.degree(m) for m in terms)
         f = K.normal_form(terms, G, lms)
         if f:
-            K.check_caps(f, len(G) + len(pairs))
+            check_caps(f, len(G) + len(pairs))
             pairs = update(f, s)
     if not G:
         raise ArgumentError("all generators are zero")
 
     while pairs:
-        K.check_caps(None, len(G) + len(pairs))
+        check_caps(None, len(G) + len(pairs))
         pair = min(pairs)
         pairs.discard(pair)
         s, L, i, j = pair
         work, heap = K.spoly(G[i], G[j], L)
         f = K.normal_form(work, G, lms, heap)
         if f:
-            K.check_caps(f, len(G))
+            check_caps(f, len(G))
             pairs = update(f, s)
 
     # minimalize

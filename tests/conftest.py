@@ -1,9 +1,11 @@
 """Shared helpers for the test suite: proportionality matching, random
 polynomial generation, the standard Weierstrass fixture, certification
 of a closure output by substitution, the per-term reference for the
-derivative modulo the inputs, and the independent Groebner references (a
+derivative modulo the inputs, the independent Groebner references (a
 plain normal form and a certificate-tracking Buchberger on tuple
-monomials) that the kernel in dalg.groebner is checked against."""
+monomials) that the kernel in dalg.groebner is checked against, and the
+Bareiss solve on Poly arithmetic that the ansatz's packed solve is checked
+against."""
 
 import os
 import random
@@ -16,7 +18,7 @@ from dalg.context import same_context
 from dalg.diffpoly import rational_substitute, total_derivative
 from dalg.groebner import IdealBasis
 from dalg.orders import MonomialOrder
-from dalg.poly import Mono, exact_div, mono_div
+from dalg.poly import Mono, exact_div, mono_div, try_exact_divide
 
 # pytest puts src/ on sys.path (pyproject.toml); the CLI tests start
 # `python -m dalg.cli` in a child process, which needs it on PYTHONPATH
@@ -237,3 +239,57 @@ def buchberger_with_certificates(gens, order: MonomialOrder):
             G.append(s)
             certs.append(cert)
     return G, certs
+
+
+# -- the reference linear solve -----------------------------------------------
+
+
+def reference_solve_linear(system):
+    """Bareiss forward pass and Cramer back-substitution on Poly arithmetic,
+    with the pivot rule of dalg.ansatz.solve_linear_ratfunc: the lowest
+    (total degree, terms, row, column) among the unused rows and columns.
+    Every column of every unused row is updated, pivoted ones included.
+    Returns (N, d) or None for an inconsistent system."""
+    ncols = len(system.unknowns)
+    ctx = system.rows[0][1].ctx
+    rows = [list(coeffs) + [const] for coeffs, const in system.rows]
+
+    def exact(p, d):
+        q = try_exact_divide(p, d)
+        assert q is not None, "Bareiss division is not exact"
+        return q
+
+    pivots = []
+    free_cols = list(range(ncols))
+    prev = Poly.const(ctx, 1)
+    while True:
+        if any(not row[ncols].is_zero() and all(row[c].is_zero() for c in free_cols)
+               for row in rows):
+            return None
+        best = None
+        for ri, row in enumerate(rows):
+            for ci in free_cols:
+                p = row[ci]
+                if not p.is_zero():
+                    cand = (p.total_degree(), p.num_terms(), ri, ci)
+                    if best is None or cand < best:
+                        best = cand
+        if best is None:
+            break
+        _, _, ri, ci = best
+        prow = rows.pop(ri)
+        pivot = prow[ci]
+        rows = [[exact(pivot * p - row[ci] * q, prev) for p, q in zip(row, prow)]
+                for row in rows]
+        free_cols.remove(ci)
+        pivots.append((prow, ci))
+        prev = pivot
+
+    nums = {}
+    for prow, ci in reversed(pivots):
+        acc = prow[ncols] * prev
+        for cj, n in nums.items():
+            if not prow[cj].is_zero():
+                acc = acc + prow[cj] * n
+        nums[ci] = exact(-acc, prow[ci])
+    return [nums.get(ci, Poly(ctx)) for ci in range(ncols)], prev

@@ -16,7 +16,8 @@ from dalg.errors import AnsatzNotFoundError, ArgumentError
 from dalg.poly import poly_gcd, try_exact_divide
 
 from conftest import (certified_by_substitution, make_rng, proportional,
-                      reference_derivative, same_ratfunc, weierstrass)
+                      random_poly, reference_derivative, reference_solve_linear,
+                      same_ratfunc, weierstrass)
 
 
 def test_enumerate_delta_order_and_counts():
@@ -204,6 +205,77 @@ def test_solve_linear_constant_pivots():
     _assert_solves(rows, sol)
     nums, d = sol
     assert [Fraction(n.constant_value()) / d.constant_value() for n in nums] == want
+
+
+def _random_system(ctx, vs, rng):
+    """1-5 rows by 1-4 unknowns over Q[x, a], entries of degree <= 3 (about
+    a third of them zero); a system of two or more rows may get a last row
+    that is a rational combination of the first two, keeping or breaking
+    consistency."""
+    nrows, ncols = rng.randint(1, 5), rng.randint(1, 4)
+
+    def entry():
+        if rng.random() < 0.3:
+            return Poly(ctx)
+        return random_poly(ctx, vs, rng, max_terms=3, max_deg=3)
+
+    rows = [([entry() for _ in range(ncols)], entry()) for _ in range(nrows)]
+    kind = rng.choice(["generic", "dependent", "inconsistent"])
+    if kind != "generic" and nrows >= 2:
+        u, w = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(1, 3)
+        (c0, b0), (c1, b1) = rows[0], rows[1]
+        const = b0 * u + b1 * w
+        if kind == "inconsistent":
+            const = const + Poly.const(ctx, 1)
+        rows[-1] = ([p * u + q * w for p, q in zip(c0, c1)], const)
+    return LinearSystem([ctx.param(f"c{i}") for i in range(ncols)], rows)
+
+
+def _typed_terms(p):
+    return {m: (type(c), c) for m, c in p.terms.items()}
+
+
+def test_solve_linear_matches_poly_reference():
+    # the packed solve and the Poly Bareiss of tests/conftest.py pick the
+    # same pivots, so they agree term for term, and on None
+    ctx = Context()
+    vs = [ctx.indep, ctx.param("a")]
+    rng = make_rng(13)
+    seen = {"none": 0, "free": 0, "solved": 0}
+    for _ in range(40):
+        system = _random_system(ctx, vs, rng)
+        want = reference_solve_linear(system)
+        got = solve_linear_ratfunc(system)
+        if want is None:
+            assert got is None
+            seen["none"] += 1
+            continue
+        assert got is not None
+        _assert_solves(system.rows, got)
+        assert [_typed_terms(n) for n in got[0]] == [_typed_terms(n) for n in want[0]]
+        assert _typed_terms(got[1]) == _typed_terms(want[1])
+        seen["free" if any(n.is_zero() for n in got[0]) else "solved"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_solve_linear_width_from_the_system():
+    # entries of degree 25 make minors of degree 75, above the Groebner
+    # degree cap of 60, and products of two minors of degree 150: the
+    # packed fields are sized from the system, not from GBConfig
+    ctx = Context()
+    cs = [ctx.param(f"c{i}") for i in range(3)]
+    x = Poly.var(ctx, ctx.indep)
+    a = Poly.var(ctx, ctx.param("a"))
+    lead = [[2, 1, 1], [1, 3, 1], [1, 1, 4]]
+
+    def entry(i, j):
+        return (x ** 25).scale(lead[i][j]) + a * x ** (i + j) + Poly.const(ctx, i - j)
+
+    rows = [([entry(i, j) for j in range(3)], a * x ** i + Poly.const(ctx, 1))
+            for i in range(3)]
+    sol = solve_linear_ratfunc(LinearSystem(cs, rows))
+    _assert_solves(rows, sol)
+    assert sol[1].total_degree() == 75
 
 
 def test_ansatz_recovers_exponential():

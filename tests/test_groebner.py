@@ -8,9 +8,10 @@ import sympy
 
 from dalg import Context, GBConfig, Poly
 from dalg.errors import ArgumentError, ResourceCapError
-from dalg.groebner import (IdealBasis, buchberger, eliminate,
+from dalg.groebner import (IdealBasis, _Kernel, buchberger, eliminate,
                            elimination_order)
 from dalg.orders import Block, GrevLex, Lex
+from dalg.poly import try_exact_divide
 
 from conftest import (buchberger_with_certificates, make_rng, mono_divides,
                       proportional, random_poly, reduce)
@@ -283,3 +284,40 @@ def test_elimination_order_blocks():
     order = elimination_order(ctx, {u}, {a, ctx.indep})
     # u dominates any keep-only monomial
     assert order.key(((u.index, 1),)) > order.key(((a.index, 9),))
+
+
+def test_kernel_product_and_exact_quotient():
+    # after decode, the packed product is Poly.__mul__ and the packed exact
+    # quotient is try_exact_divide, down to a divisor whose leading
+    # coefficient is a Fraction or negative; a divisor that does not divide
+    # is reported as None, never as a quotient
+    ctx, vs = fresh_vars(4)
+    rng = make_rng(17)
+    K = _Kernel(GrevLex(vs), 12, vs)
+
+    def packed(p):
+        return K.sort(K.encode(p))
+
+    def unpacked(p):
+        return Poly(ctx, dict(zip(map(K.decode, p[0]), p[1])))
+
+    leads = [Fraction(-3, 4), Fraction(5, 2), -2, -1, 1, 3]
+    misses = 0
+    for trial in range(60):
+        f = random_poly(ctx, vs, rng, max_terms=4, max_deg=3)
+        g = random_poly(ctx, vs, rng, max_terms=3, max_deg=2 if trial % 4 else 0)
+        if g.is_zero():
+            continue
+        g = g.scale(Fraction(leads[trial % len(leads)]) / packed(g)[1][0])
+        assert unpacked(K.sort(K.product(packed(f), packed(g)))) == f * g
+        h = f * g
+        if trial % 3 == 0:
+            h = h + random_poly(ctx, vs, rng, max_terms=2, max_deg=3)
+        want = try_exact_divide(h, g)
+        got = K.quotient(K.encode(h), packed(g))
+        if want is None:
+            assert got is None
+            misses += 1
+        else:
+            assert unpacked(got) == want
+    assert misses > 0

@@ -77,7 +77,7 @@ def test_key_agrees_with_packed_kernel():
     orders = [Lex(vs), GrevLex(vs), Block(GrevLex([y1, a]), Lex([y0, x])),
               Block(Block(Lex([y1]), GrevLex([x, y0])), GrevLex([a]))]
     for order in orders:
-        kernel = _Kernel(order, GBConfig(), vs)
+        kernel = _Kernel(order, GBConfig().max_degree, vs)
 
         def packed(mono):
             (m,) = kernel.encode(Poly(ctx, {mono: 1}))

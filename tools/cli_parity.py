@@ -1,0 +1,102 @@
+"""Record, or compare, what the ``dalg`` command line prints for the
+benchmark's argvs.
+
+    python tools/cli_parity.py <checkout> <out.json>
+    python tools/cli_parity.py --compare a.json b.json
+
+The first form runs every distinct argv of the ``elim`` and ``ansatz``
+workloads and of ``cli-mix`` seeds 1-10 (hard set included), taken from this
+repository's ``perfbench/cases.py``, in-process through the checkout's
+``dalg.cli.main(argv + ["--format", "json"])``, and writes for each argv the
+exit code and the sha256 of stdout and of stderr.  An exception that escapes
+``main`` is recorded as exit code 1 with its type and message as stderr.
+The process runs under PYTHONHASHSEED=0, as the benchmark's workers do.
+
+The second form lists the argvs whose records differ, or that only one file
+has, and exits 1 if there are any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CLI_MIX_SEEDS = range(1, 11)
+
+
+def distinct_argvs():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from cases import ansatz_cases, cli_mix_cases, elim_cases
+
+    cases = elim_cases() + ansatz_cases()
+    for seed in CLI_MIX_SEEDS:
+        cases += cli_mix_cases(seed)
+    return list(dict.fromkeys(tuple(case.argv) for case in cases))
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def record(checkout: Path, out: Path) -> int:
+    argvs = distinct_argvs()
+    sys.path.insert(0, str(checkout.resolve() / "src"))
+    from dalg.cli import main
+
+    results = []
+    for argv in argvs:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main([*argv, "--format", "json"])
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # recorded, so that a crash is compared too
+                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+                code = 1
+        results.append({"argv": list(argv), "exit": code,
+                        "stdout": sha256(stdout.getvalue()),
+                        "stderr": sha256(stderr.getvalue())})
+    out.write_text(json.dumps(results, indent=1) + "\n", encoding="utf-8")
+    n_ansatz = sum(argv[0] == "ansatz" for argv in argvs)
+    print(f"{len(argvs)} distinct argvs ({n_ansatz} ansatz) -> {out}")
+    return 0
+
+
+def compare(a: Path, b: Path) -> int:
+    def load(path):
+        return {tuple(r["argv"]): r for r in json.loads(path.read_text(encoding="utf-8"))}
+
+    left, right = load(a), load(b)
+    differ = [argv for argv in dict.fromkeys([*left, *right])
+              if left.get(argv) != right.get(argv)]
+    for argv in differ:
+        print(" ".join(argv))
+    print(f"{len(differ)} of {len(set(left) | set(right))} argvs differ")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--compare", action="store_true",
+                        help="compare two record files instead of recording")
+    parser.add_argument("first", type=Path, help="checkout, or the first record file")
+    parser.add_argument("second", type=Path, help="output file, or the second record file")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(args.first, args.second)
+    return record(args.first, args.second)
+
+
+if __name__ == "__main__":
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        os.execve(sys.executable, [sys.executable, *sys.argv],
+                  {**os.environ, "PYTHONHASHSEED": "0"})
+    sys.exit(main())
