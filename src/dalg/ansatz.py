@@ -184,14 +184,6 @@ def solve_linear_ratfunc(system: LinearSystem):
     return [decode(nums.get(ci, zero)) for ci in range(ncols)], decode(prev)
 
 
-def _exact_quotient(p: Poly, d: Poly) -> Poly:
-    """p / d, where d is known to divide p."""
-    q = try_exact_divide(p, d)
-    if q is None:
-        raise RuntimeError("internal error: Bareiss division is not exact")
-    return q
-
-
 def assemble_and_solve(ades, leading, earlier, closure_vals, value_cache: dict,
                        z_name: str = "z"):
     """Try the ansatz with the given leading monomial (coefficient one) and
@@ -285,7 +277,10 @@ def assemble_and_solve(ades, leading, earlier, closure_vals, value_cache: dict,
     equation = z_poly(leading) * d
     for m, n in zip(unknowns, sol):
         equation = equation + z_poly(m) * n
-    equation = _exact_quotient(equation, g)
+    equation = try_exact_divide(equation, g)
+    if equation is None:
+        raise RuntimeError("internal error: gcd(d, N_0, ..., N_k) does not "
+                           "divide the equation")
     # divide out z^e, the branch z = 0 (see the module docstring); a
     # monomial equation would be left without z and stays
     z0 = ctx.diff_var(z_id, 0).index

@@ -8,12 +8,17 @@ integral and a ``Fraction`` only when it is not, so integer-dominated work
 runs on plain ``int`` arithmetic; :func:`exact_div` is the one coefficient
 quotient.  All values are immutable after construction and all operations
 are pure.
+
+:func:`poly_gcd` is the heuristic gcd GCDHEU, which maps the gcd to one
+integer gcd through evaluation at large integers and certifies its answer
+by exact division, with primitive pseudo-remainder sequences as the
+fallback when six evaluation points fail.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .context import Var, same_context
 from .errors import ArgumentError
@@ -301,9 +306,27 @@ def primitive_part(f: Poly) -> Poly:
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Greatest common divisor, primitive with positive leading coefficient.
 
-    Primitive pseudo-remainder sequences, recursing one variable at a time;
-    the gcd of two zero polynomials is zero and the gcd with a nonzero
-    constant is one.
+    The gcd of two zero polynomials is zero, and the gcd with a nonzero
+    constant or with a polynomial sharing no variable is one.  Otherwise
+    the heuristic gcd GCDHEU (Char, Geddes & Gonnet 1989) runs on the
+    primitive parts f and g:
+
+    * a variable v they share goes to an integer xi >= 2*min(|f|, |g|) + 2,
+      |.| the largest absolute coefficient;
+    * the gcd gamma of the two images, a polynomial in one variable fewer,
+      comes from the same step, down to an integer gcd.  It is the whole
+      gcd of the images, integer content included, since that content
+      carries the factors in the variables already evaluated;
+    * the symmetric xi-adic expansion of gamma, its digits in
+      (-xi/2, xi/2] taken as the coefficients of the powers of v, has a
+      primitive part h.  If h divides f and g exactly, h is their gcd
+      (Geddes, Czapor & Labahn, Algorithms for Computer Algebra, Thm 7.7);
+      otherwise xi grows to xi*73794*xi^(1/4)/27011 and the step repeats.
+
+    After six failed points at one level the heuristic gives up, and
+    primitive pseudo-remainder sequences (PRS), recursing one variable at a
+    time, compute the gcd instead.  Both give the gcd itself, so the result
+    does not depend on which ran.
     """
     same_context(f, g)
     if f.is_zero():
@@ -317,6 +340,9 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     shared = f.variables() & g.variables()
     if not shared:
         return Poly.const(f.ctx, 1)
+    h = _heuristic_gcd(f, g)
+    if h is not None:
+        return h
     v = min(shared, key=lambda w: (min(f.degree(w), g.degree(w)), w.index))
 
     def cont_pp(p):
@@ -344,6 +370,72 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
             r = cont_pp(primitive_part(r))[1]
         a, b = b, r
     return primitive_part(c * a)
+
+
+def _heuristic_gcd(f: Poly, g: Poly):
+    """gcd(f, g) over the integers, integer content included, for nonzero
+    f and g with integer coefficients, by the GCDHEU step described in
+    :func:`poly_gcd`; None when six evaluation points fail at some level."""
+    ctx = f.ctx
+    cf, cg = gcd(*f.terms.values()), gcd(*g.terms.values())
+    content = gcd(cf, cg)
+    shared = {i for m in f.terms for i, _ in m} & {i for m in g.terms for i, _ in m}
+    if not shared:
+        # primitive parts with no common variable are coprime
+        return Poly.const(ctx, content)
+    f = Poly(ctx, {m: c // cf for m, c in f.terms.items()})
+    g = Poly(ctx, {m: c // cg for m, c in g.terms.items()})
+    v = ctx.var_by_index(min(shared))
+    xi = 2 * min(max(map(abs, f.terms.values())), max(map(abs, g.terms.values()))) + 2
+    for _ in range(6):
+        fv, gv = _evaluate(f, v, xi), _evaluate(g, v, xi)
+        # a zero image (xi a root of a coefficient too large for the
+        # bound) would make gamma the other image, which the theorem
+        # does not cover
+        if not (fv.is_zero() or gv.is_zero()):
+            gamma = _heuristic_gcd(fv, gv)
+            if gamma is None:
+                return None
+            h = primitive_part(_interpolate(gamma, v, xi))
+            if try_exact_divide(f, h) is not None and try_exact_divide(g, h) is not None:
+                return h.scale(content)
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _evaluate(p: Poly, v: Var, xi: int) -> Poly:
+    """p with v replaced by the integer xi."""
+    out: dict = {}
+    powers = {0: 1}
+    for mono, c in p.terms.items():
+        e = 0
+        for i, (idx, k) in enumerate(mono):
+            if idx == v.index:
+                e, mono = k, mono[:i] + mono[i + 1:]
+                break
+        if e not in powers:
+            powers[e] = xi ** e
+        out[mono] = out.get(mono, 0) + c * powers[e]
+    return Poly(p.ctx, out)
+
+
+def _interpolate(gamma: Poly, v: Var, xi: int) -> Poly:
+    """The polynomial in v whose coefficients are the symmetric xi-adic
+    digits of gamma's: the inverse of :func:`_evaluate` on polynomials
+    whose coefficients lie in (-xi/2, xi/2]."""
+    out: dict = {}
+    half = xi // 2
+    for mono, c in gamma.terms.items():
+        e = 0
+        while c:
+            c, digit = divmod(c, xi)
+            if digit > half:
+                digit -= xi
+                c += 1
+            if digit:
+                out[mono_mul(mono, mono_from_var(v, e))] = digit
+            e += 1
+    return Poly(gamma.ctx, out)
 
 
 def try_exact_divide(f: Poly, g: Poly):

@@ -3,18 +3,19 @@ polynomial generation, the standard Weierstrass fixture, certification
 of a closure output by substitution, the per-term reference for the
 derivative modulo the inputs, the independent Groebner references (a
 plain normal form and a certificate-tracking Buchberger on tuple
-monomials) that the kernel in dalg.groebner is checked against, and the
+monomials) that the kernel in dalg.groebner is checked against, the
 Bareiss solve on Poly arithmetic that the ansatz's packed solve is checked
-against."""
+against, and a truncated power series solution to check rational values
+of derivatives on without any polynomial gcd."""
 
 import os
 import random
 from fractions import Fraction
 from pathlib import Path
 
-from dalg import (ADE, Context, Poly, RatFunc, derivative_closure,
+from dalg import (ADE, Context, Poly, RatFunc, TruncSeries, derivative_closure,
                   equation_to_ade, pseudo_divide)
-from dalg.context import same_context
+from dalg.context import INDEP, same_context
 from dalg.diffpoly import rational_substitute, total_derivative
 from dalg.groebner import IdealBasis
 from dalg.orders import MonomialOrder
@@ -293,3 +294,43 @@ def reference_solve_linear(system):
                 acc = acc + prow[cj] * n
         nums[ci] = exact(-acc, prow[ci])
     return [nums.get(ci, Poly(ctx)) for ci in range(ncols)], prev
+
+
+# -- the truncated-series oracle ----------------------------------------------
+
+
+def at_series(p, coeffs, prec):
+    """p with x replaced by the series x and each y^(i) of its one
+    dependent by the i-th derivative of the series with Taylor coefficients
+    coeffs, to precision at most prec (a derivative loses one term)."""
+    derivs = [TruncSeries(coeffs)]
+    total = TruncSeries.const(0, prec)
+    for mono, c in p.terms.items():
+        term = TruncSeries.const(c, prec)
+        for idx, e in mono:
+            var = p.ctx.var_by_index(idx)
+            if var.kind == INDEP:
+                s = TruncSeries.x(prec)
+            else:
+                while len(derivs) <= var.order:
+                    derivs.append(derivs[-1].derivative())
+                s = derivs[var.order]
+            term = term * s ** e
+        total = total + term
+    return total
+
+
+def series_solution(ade, init, T):
+    """The first T Taylor coefficients of the power series solution of a
+    parameter-free ADE of order n with initial coefficients init (those of
+    x^0, ..., x^n).  Coefficient m > n first occurs in the residual's
+    coefficient at x^(m-n), linearly, with factor S(0)*m!/(m-n)! for the
+    separant S; two evaluations of that coefficient solve for it."""
+    coeffs = [Fraction(c) for c in init]
+    n = ade.order
+    while len(coeffs) < T:
+        m = len(coeffs)
+        r0, r1 = (at_series(ade.poly, coeffs + [a], m - n + 1).coeffs[m - n]
+                  for a in (0, 1))
+        coeffs.append(r0 / (r0 - r1))
+    return coeffs

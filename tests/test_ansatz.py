@@ -1,6 +1,7 @@
 """Degree-bounded search: monomial enumeration, the exact linear solver, and
 recovery of known equations."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,10 @@ from dalg.context import DIFF
 from dalg.errors import AnsatzNotFoundError, ArgumentError
 from dalg.poly import poly_gcd, try_exact_divide
 
-from conftest import (certified_by_substitution, make_rng, proportional,
-                      random_poly, reference_derivative, reference_solve_linear,
-                      same_ratfunc, weierstrass)
+from conftest import (at_series, certified_by_substitution, make_rng,
+                      proportional, random_poly, reference_derivative,
+                      reference_solve_linear, same_ratfunc, series_solution,
+                      weierstrass)
 
 
 def test_enumerate_delta_order_and_counts():
@@ -63,6 +65,25 @@ def test_derivative_closure_matches_reference(ade_text, spec):
     ade = equation_to_ade(ade_text, ctx)
     _, R = spec_to_ratfunc(spec, ctx, ["y"])
     _assert_matches_reference(derivative_closure(R, [ade], 3), [ade])
+
+
+def test_derivative_closure_riccati_to_order_4():
+    # each order reduces its numerator against a power of x+y; r = 4 did
+    # not finish under the primitive-PRS gcd.  z^(k) is checked on the
+    # series solution through y(0) = 1/2, which takes no gcd
+    ctx = Context()
+    ade = equation_to_ade("diff(y(x),x) = y(x)^2 + x", ctx)
+    _, R = spec_to_ratfunc("z = y^2/(x+y)", ctx, ["y"])
+    vals = derivative_closure(R, [ade], 4)
+    T = 12
+    ys = series_solution(ade, [Fraction(1, 2)], T)
+    z = at_series(R.num, ys, T) / at_series(R.den, ys, T)
+    x_plus_y = Poly.var(ctx, ctx.indep) + Poly.var(ctx, ctx.diff_var(ade.dep, 0))
+    for k, v in enumerate(vals):
+        assert v.den == x_plus_y ** (k + 1)
+        residual = at_series(v.num, ys, T) - z * at_series(v.den, ys, T)
+        assert residual.precision >= T - 4 and residual.valuation() == math.inf
+        z = z.derivative()
 
 
 def test_derivative_closure_matches_reference_for_two_inputs():
@@ -176,15 +197,16 @@ def test_solve_linear_underdetermined_free_unknown():
 
 
 def test_exact_quotient_by_constant():
-    # a Bareiss division by a constant pivot other than +-1 stays exact:
-    # int where the quotient is integral, Fraction where it is not
+    # the equation's division by a constant gcd(d, N_0, ..., N_k) other
+    # than +-1 stays exact: int where the quotient is integral, Fraction
+    # where it is not
     ctx = Context()
     x = Poly.var(ctx, ctx.indep)
     one = Poly.const(ctx, 1)
-    q = ansatz._exact_quotient(x.scale(6) + one.scale(3), Poly.const(ctx, 3))
+    q = try_exact_divide(x.scale(6) + one.scale(3), Poly.const(ctx, 3))
     assert q == x.scale(2) + one
     assert all(type(c) is int for c in q.terms.values())
-    q = ansatz._exact_quotient(x.scale(4) + one, Poly.const(ctx, Fraction(2, 3)))
+    q = try_exact_divide(x.scale(4) + one, Poly.const(ctx, Fraction(2, 3)))
     assert q.terms == {((ctx.indep.index, 1),): 6, (): Fraction(3, 2)}
 
 

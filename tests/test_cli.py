@@ -8,17 +8,18 @@ import sys
 
 import pytest
 
-from dalg import Context, equation_to_ade
+from dalg import Context, equation_to_ade, spec_to_ratfunc
 from dalg.cli import main as cli_main
 
+from conftest import certified_by_substitution
 from test_acceptance import EQ_MATHIEU
 
 WEIER = "diff(y1(x),x)^2 = 4*y1(x)^3 - g2*y1(x) - g3"
 
 
-def run_cli(*args, infile=None):
+def run_cli(*args, infile=None, timeout=300):
     cmd = [sys.executable, "-m", "dalg.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=timeout)
 
 
 def test_unary_text():
@@ -92,6 +93,21 @@ def test_ansatz_subcommand():
                 "--spec", "z = y^2", "--degree-de", "1")
     assert r.returncode == 0
     assert r.stdout.strip() == "diff(z(x),x) - 2*z(x) = 0"
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_ansatz_riccati_order_cap_4(k):
+    # the closure to order 4 reduces against (x+y)^5; under the
+    # primitive-PRS gcd this search never returned
+    ade_text, spec = "diff(y(x),x) = y(x)^2 + x", "z = y^2/(x+y)"
+    r = run_cli("ansatz", "--ade", ade_text, "--spec", spec,
+                "--degree-de", str(k), "--order-cap", "4", timeout=60)
+    assert r.returncode == 0
+    ctx = Context()
+    ade = equation_to_ade(ade_text, ctx)
+    _, R = spec_to_ratfunc(spec, ctx, ["y"])
+    out = equation_to_ade(r.stdout.strip(), ctx, dep="z")
+    assert certified_by_substitution(out, ade, R)
 
 
 def test_input_file_and_out(tmp_path):

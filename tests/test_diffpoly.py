@@ -1,6 +1,7 @@
 """The differential layer: total derivation, rational functions, equation
 normalization, and implicit higher derivatives."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,8 @@ from dalg import (Context, Poly, RatFunc, equation_to_ade,
 from dalg.diffpoly import rational_substitute, total_derivative
 from dalg.errors import ArgumentError, DivisionByZeroError
 
-from conftest import (make_rng, random_poly, reference_derivative,
-                      same_ratfunc, weierstrass)
+from conftest import (at_series, make_rng, random_poly, reference_derivative,
+                      same_ratfunc, series_solution, weierstrass)
 
 
 def setup_vars():
@@ -186,3 +187,19 @@ def test_implicit_higher_derivative_matches_reference():
     for t in range(1, 4):
         ref = reference_derivative(ref, [ade])
         assert same_ratfunc(implicit_higher_derivative(ade, t), ref)
+
+
+def test_implicit_higher_derivative_of_quadratic_leader():
+    # y^(5) for an input quadratic in y'': the reductions did not finish in
+    # 40 s under the primitive-PRS gcd.  Checked on the series solution
+    # through y(0) = 0, y'(0) = 1/3, y''(0) = 1 (a root of y''^2 = 1 there),
+    # which takes no gcd
+    ctx = Context()
+    ade = equation_to_ade(
+        "diff(y(x),x,x)^2 + y(x)*diff(y(x),x,x) = x*diff(y(x),x)^3 + 1", ctx)
+    v = implicit_higher_derivative(ade, 3)
+    T = 14
+    ys = series_solution(ade, [0, Fraction(1, 3), Fraction(1, 2)], T)
+    y5 = at_series(Poly.var(ctx, ctx.diff_var(ade.dep, 5)), ys, T)
+    residual = at_series(v.num, ys, T) - y5 * at_series(v.den, ys, T)
+    assert residual.precision >= T - 5 and residual.valuation() == math.inf

@@ -4,13 +4,15 @@ content normalization, exact division, and gcd."""
 from fractions import Fraction
 
 import pytest
+import sympy
 
+import dalg.poly
 from dalg import Context, Poly, ansatz_search, pseudo_divide, spec_to_ratfunc
 from dalg.errors import ArgumentError
 from dalg.groebner import buchberger
 from dalg.orders import GrevLex
 from dalg.poly import (content_primitive, exact_div, mono_degree, mono_div,
-                       mono_mul, poly_gcd, try_exact_divide)
+                       mono_mul, poly_gcd, primitive_part, try_exact_divide)
 
 from conftest import (make_rng, mono_divides, mono_lcm, random_poly,
                       weierstrass)
@@ -177,6 +179,67 @@ def test_poly_gcd_random():
         assert try_exact_divide(c * f, d) is not None
         assert try_exact_divide(c * g, d) is not None
         assert try_exact_divide(d, content_primitive(c)[1]) is not None
+
+
+def _gcd_pairs(ctx, xs):
+    """Pairs (c*f, c*g) in x, y, y' and a parameter whose gcd is c times
+    gcd(f, g): c a bare variable, a power of a linear form or y'*(x+y),
+    with int and with Fraction coefficients."""
+    x, y0, y1, a = (Poly.var(ctx, v) for v in xs)
+    # the integer content of an image carries y'*(x+y): an evaluation
+    # that drops it finds only part of the gcd
+    shared = y1 * (x + y0)
+    pairs = [(shared * (x * y1 + y0 ** 2 + 3), shared.scale(2) * (x + y0) ** 3)]
+    rng = make_rng(47)
+    for i in range(16):
+        linear = sum((v.scale(rng.randint(-3, 3)) for v in (x, y0, y1, a)),
+                     Poly.const(ctx, rng.randint(-2, 2)))
+        for c in (Poly.var(ctx, rng.choice(xs)), linear ** rng.randint(2, 4), shared):
+            f = random_poly(ctx, xs, rng, max_terms=4, max_deg=3)
+            g = random_poly(ctx, xs, rng, max_terms=4, max_deg=3)
+            if f.is_zero() or g.is_zero():
+                continue
+            if i % 2:
+                f, g = primitive_part(f), primitive_part(g)
+            pairs.append((c * f, c * g))
+    return pairs
+
+
+def _sympy_gcd(f, g, xs):
+    """sympy's gcd of f and g in the variables xs, made primitive with a
+    positive lead."""
+    syms = sympy.symbols(f"s0:{len(xs)}")
+    place = {v.index: i for i, v in enumerate(xs)}
+
+    def to_sympy(p):
+        terms = {}
+        for mono, c in p.terms.items():
+            exps = [0] * len(xs)
+            for idx, e in mono:
+                exps[place[idx]] = e
+            terms[tuple(exps)] = sympy.Rational(c.numerator, c.denominator)
+        return sympy.Poly.from_dict(terms, *syms, domain="QQ")
+
+    h = to_sympy(f).gcd(to_sympy(g))
+    return primitive_part(Poly(f.ctx, {
+        tuple(sorted((xs[i].index, e) for i, e in enumerate(exps) if e)):
+            Fraction(int(c.p), int(c.q))
+        for exps, c in h.terms()}))
+
+
+def test_poly_gcd_matches_sympy_and_prs(monkeypatch):
+    # [DERIVED] the heuristic gcd, sympy.gcd and the primitive PRS agree
+    # term for term on the canonical (primitive, positive lead) gcd
+    ctx, xs = setup_vars()
+    pairs = _gcd_pairs(ctx, xs)
+    ours = [poly_gcd(f, g) for f, g in pairs]
+    theirs = [_sympy_gcd(f, g, xs) for f, g in pairs]
+    monkeypatch.setattr(dalg.poly, "_heuristic_gcd", lambda f, g: None)
+    prs = [poly_gcd(f, g) for f, g in pairs]
+    assert ours == theirs
+    assert ours == prs
+    x, y0, y1 = (Poly.var(ctx, v) for v in xs[:3])
+    assert ours[0] == primitive_part(y1 * (x + y0))
 
 
 def test_float_coefficients_rejected():
