@@ -3,19 +3,30 @@
 Five operations (rational maps of one or several functions, composition,
 derivation and the D-finite to D-algebraic conversion) share one pipeline
 and each declares only its inputs, its saturation factors and its order
-bound.  The pipeline couples the inputs to a new dependent variable z in a
-triangular system, prolongs it, inverts each distinct saturation factor
-(the initials and separants, which cut out degenerate solution branches)
-with a Rabinowitsch variable of its own, eliminates every non-z derivative
-variable with a block Groebner order whose eliminated block is led by the
-Rabinowitsch variables, and selects, among the generators of
-the reduced basis that involve z, the one of lowest (order, total degree,
-term count) as the output equation.  Its order is at most the bound, but
-it need not be the least order in the elimination ideal: an element of
-lower order can exist without being a basis generator.  While no such
-generator within the bound appears, the system is prolonged once more, up
-to RETRY_CAP times.  The functional inverse alone is written down
+bound (n for R(f), n_1 + ... + n_N for R(f_1, ..., f_N), n + k for f(g),
+the orders added for the D-finite conversion).  The pipeline couples the
+inputs to a new dependent variable z in a triangular system, prolongs it to
+the bound, inverts each distinct saturation factor with a Rabinowitsch
+variable of its own, eliminates every non-z derivative variable once with a
+block Groebner order whose eliminated block those variables lead, and
+selects, among the generators of the reduced basis that involve z, the one
+of lowest (order, total degree, term count).  It need not be the least
+order in the elimination ideal: an element of lower order can exist without
+being a basis generator.  The functional inverse alone is written down
 explicitly, with no elimination at all.
+
+One elimination is enough.  (1) The system keeps z only up to the bound,
+so no generator exceeds it.  (2) There, z, ..., z^(bound) are rational
+functions of x and of the inputs' bound non-leading derivatives (for f(g):
+g, ..., g^(k-1) and f(g), ..., f^(n-1)(g)), which stay algebraically
+independent over Q(params) on each component of the saturated ideal.  So
+the bound + 2 elements x, z, ..., z^(bound) satisfy a nonzero polynomial
+there, which involves z since x is transcendental, and a power of the
+product of these polynomials over the components lies in the saturated
+ideal, unless that is the unit ideal.  (3) The unit ideal stays the unit
+ideal under more prolongation; it means that a saturation factor (an
+initial, a separant, the map's denominator, or g') vanishes on the inputs'
+generic solution.
 
 One variable per factor gives the same elimination ideal as one variable
 for their product: both adjoin the inverse of every factor, so both
@@ -35,36 +46,28 @@ from .errors import ArgumentError, EliminationFailedError
 from .groebner import GBConfig, eliminate
 from .poly import Poly, content_primitive
 
-RETRY_CAP = 3  # extra prolongation rounds before giving up
 SAT_NAME = "_sat"  # reserved prefix of the saturation variables _sat0, _sat1, ...
 
 
 @dataclass
 class TriangularSystem:
-    """A prolonged system ready for elimination; ``prolongations`` is the
-    largest number of total derivatives taken of any input, and
-    ``sat_vars`` are the saturation variables, which lead the eliminated
-    block."""
+    """A prolonged system ready for elimination; ``sat_vars`` are the
+    saturation variables, which lead the eliminated block."""
 
     polys: list
     elim_vars: set
     keep_vars: set
-    prolongations: int
     sat_vars: list
 
 
 @dataclass
 class ClosureResult:
-    """Selected output equation plus the full set of keep-only generators.
-
-    ``prolongations`` is the largest number of total derivatives taken of
-    any input in the system that produced the output: the bound plus the
-    retries, plus j for the j-th derivative; 0 when nothing was eliminated.
-    """
+    """The selected output equation ``ade`` plus ``generators``, the
+    keep-only generators of the reduced basis that involve the output (one
+    polynomial, the output's, when nothing was eliminated)."""
 
     ade: ADE
     generators: list
-    prolongations: int
 
 
 def prolong(p: Poly, s: int) -> list:
@@ -78,9 +81,10 @@ def prolong(p: Poly, s: int) -> list:
 def saturation_factors(factors) -> list:
     """The distinct non-constant factors, primitive-normalized.
 
-    The factors are the initials and separants of the triangular system;
-    inverting them discards the degenerate solution branches they cut out,
-    matching the triangular-set (saturation ideal) reading of the system.
+    The factors are the initials and separants of the triangular system,
+    the map's denominator and, for composition, g'; inverting them discards
+    the degenerate solution branches they cut out, matching the
+    triangular-set (saturation ideal) reading of the system.
     """
     seen = []
     for f in factors:
@@ -115,51 +119,38 @@ def build_system(inputs, z_id: int, s: int, saturate=(),
                 elim.add(v)
             else:
                 keep.add(v)
-    return TriangularSystem(polys, elim, keep, s + max(leads), sat_vars)
-
-
-def _involves(g: Poly, z_id: int) -> bool:
-    return any(v.kind == DIFF and v.indet == z_id for v in g.variables())
+    return TriangularSystem(polys, elim, keep, sat_vars)
 
 
 def select_output(generators, z_id: int) -> ADE:
-    """The generator involving z of minimal (order, total degree, term
-    count), as an ADE."""
+    """Among generators that involve z, the one of minimal (order, total
+    degree, term count), as an ADE."""
     from .render import poly_to_text
-
-    candidates = [g for g in generators if _involves(g, z_id)]
-    if not candidates:
-        raise EliminationFailedError("no generator involves the output variable")
 
     def sel_key(g):
         z_order = max(v.order for v in g.variables()
                       if v.kind == DIFF and v.indet == z_id)
         return (z_order, g.total_degree(), g.num_terms(), poly_to_text(g))
 
-    best = min(candidates, key=sel_key)
+    best = min(generators, key=sel_key)
     return normalize_ade(best, dep=z_id)
 
 
 def _close(inputs, z_id: int, bound: int, factors, config, leads=None) -> ClosureResult:
     """The pipeline: prolong the inputs bound (+ lead) times, saturate by
-    the factors, eliminate, select; retry with one more prolongation until
-    a generator involving z of order <= bound appears."""
-    sat = saturation_factors(factors)
-    last = "no keep-only generator found"
-    for extra in range(RETRY_CAP + 1):
-        system = build_system(inputs, z_id, bound + extra, sat, leads)
-        gens = [g for g in eliminate(system.polys, system.elim_vars,
-                                     system.keep_vars, config,
-                                     first=system.sat_vars)
-                if _involves(g, z_id)]
-        if gens:
-            ade = select_output(gens, z_id)
-            if ade.order <= bound:
-                return ClosureResult(ade, gens, system.prolongations)
-            last = f"lowest output order {ade.order} exceeds the bound {bound}"
-    raise EliminationFailedError(
-        f"elimination failed after {RETRY_CAP} extra prolongations: {last}"
-    )
+    the factors, eliminate once, and select among the generators that
+    involve z."""
+    system = build_system(inputs, z_id, bound, saturation_factors(factors), leads)
+    gens = [g for g in eliminate(system.polys, system.elim_vars,
+                                 system.keep_vars, config,
+                                 first=system.sat_vars)
+            if any(v.kind == DIFF and v.indet == z_id for v in g.variables())]
+    if not gens:
+        raise EliminationFailedError(
+            "no keep-only generator involves the output: a saturation factor "
+            "(an initial, a separant, the map's denominator, or g' for "
+            "compose) vanishes on the inputs' generic solution")
+    return ClosureResult(select_output(gens, z_id), gens)
 
 
 def _output_id(ctx, z_name: str, inputs) -> int:
@@ -188,7 +179,7 @@ def _rational(ades, R: RatFunc, z_name, config) -> ClosureResult:
     defining = z * R.den - R.num
     if not any(v.kind == DIFF for v in R.variables()):
         # no dependent occurs: z = R(x) needs no elimination
-        return ClosureResult(normalize_ade(defining, dep=z_id), [defining], 0)
+        return ClosureResult(normalize_ade(defining, dep=z_id), [defining])
     factors = [R.den]
     for a in ades:
         factors.extend([a.initial, a.separant])
@@ -269,7 +260,8 @@ def diff_dalg(ade: ADE, j: int = 1, z_name: str = "z",
 def inv_dalg(ade: ADE, z_name: str = "z") -> ClosureResult:
     """Equation of order n for the functional inverse, written down
     explicitly (no elimination): substitute x -> z, y -> x, and
-    y^(i) -> D_i with D_1 = 1/z', D_{i+1} = D_i' / z'."""
+    y^(i) -> D_i with D_1 = 1/z', D_{i+1} = D_i' / z'.  P = a(x, y)*y'^d,
+    constant off its initial, leaves no z' and raises ArgumentError."""
     ctx = ade.ctx
     n = ade.order
     if n < 1:
@@ -287,8 +279,12 @@ def inv_dalg(ade: ADE, z_name: str = "z") -> ClosureResult:
         if i < n:
             d = d.derivative() / z1
     result = rational_substitute(RatFunc(ade.poly), bindings)
+    if not any(v.kind == DIFF and v.indet == z_id and v.order
+               for v in result.num.variables()):
+        raise ArgumentError("the input's generic solutions are constant, "
+                            "so they have no functional inverse")
     out = normalize_ade(result.num, dep=z_id)
-    return ClosureResult(out, [out.poly], 0)
+    return ClosureResult(out, [out.poly])
 
 
 def ddfinite_to_dalg(main: ADE, coeff_odes, config: GBConfig | None = None) -> ClosureResult:

@@ -18,29 +18,27 @@ from fractions import Fraction
 
 from .context import DIFF, INDEP, Var, same_context
 from .errors import ArgumentError, DivisionByZeroError
-from .poly import (Poly, content_primitive, exact_div, poly_gcd,
-                   substitute_fractions, try_exact_divide)
+from .poly import (Poly, content_primitive, exact_div, mono_from_var, mono_mul,
+                   poly_gcd, substitute_fractions, try_exact_divide)
 
 
 def total_derivative(f: Poly) -> Poly:
     """Total derivation: D(x)=1, D(param)=0, D(y_j^(k)) = y_j^(k+1)."""
     ctx = f.ctx
-    out = Poly(ctx)
+    out: dict = {}
     for mono, c in f.terms.items():
         for i, (idx, e) in enumerate(mono):
             var = ctx.var_by_index(idx)
-            if var.kind == INDEP:
-                dv = Poly.const(ctx, 1)
-            elif var.kind == DIFF:
-                dv = Poly.var(ctx, ctx.diff_var(var.indet, var.order + 1))
-            else:
+            if var.kind not in (INDEP, DIFF):
                 continue
             if e > 1:
                 rest = mono[:i] + ((idx, e - 1),) + mono[i + 1:]
             else:
                 rest = mono[:i] + mono[i + 1:]
-            out = out + dv * Poly(ctx, {rest: c * e})
-    return out
+            if var.kind == DIFF:
+                rest = mono_mul(rest, mono_from_var(ctx.diff_var(var.indet, var.order + 1)))
+            out[rest] = out.get(rest, 0) + c * e
+    return Poly(ctx, out)
 
 
 class RatFunc:

@@ -27,7 +27,7 @@ class DivisionByZeroError(DalgError, ZeroDivisionError):
 
 
 class EliminationFailedError(DalgError):
-    """No keep-only generator was found within the prolongation retry cap."""
+    """No keep-only generator involves the output."""
 
 
 class ResourceCapError(DalgError):

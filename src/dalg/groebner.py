@@ -359,8 +359,8 @@ def eliminate(gens, elim_vars, keep_vars, config: GBConfig | None = None,
               first=()):
     """Keep-only generators of the reduced Groebner basis under a block order.
 
-    Returns every reduced-basis element whose variables lie in keep_vars;
-    the list may be empty, which signals the caller's prolongation retry.
+    Returns every reduced-basis element whose variables lie in keep_vars:
+    [1] for the unit ideal, and [] when the elimination ideal is zero.
     ``first`` lists eliminated variables to rank above all the others.
     """
     ctx = same_context(*gens)

@@ -1,5 +1,6 @@
 """End-to-end command line checks, including the documented exit codes:
-0 success, 2 parse error, 3 search exhaustion, 4 resource cap, 64 usage."""
+0 success, 2 parse error, 3 elimination failure or search exhaustion,
+4 resource cap, 64 usage."""
 
 import json
 import os
@@ -237,6 +238,24 @@ def test_inverse_input_named_like_the_output(capsys, eq):
         assert cli_main(["inverse", "--ade", eq.format(y=y)]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("eq", ["x*y' = 0", "(x+y)*y'^2 = 0", "y' = 0"])
+def test_inverse_of_constant_solutions_exit_64(capsys, eq):
+    # off the initial these inputs leave only y' = 0, which has no inverse;
+    # no equation (such as z = 0 for x*y' = 0) is printed
+    assert cli_main(["inverse", "--ade", eq]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the input's generic solutions are constant, "
+                            "so they have no functional inverse\n")
+
+
+def test_inverse_of_logarithm(capsys):
+    # [DERIVED] x*y' = 1 holds for y = log(x) + c, whose inverse e^(x - c)
+    # satisfies z' = z
+    assert cli_main(["inverse", "--ade", "x*y' - 1 = 0"]) == 0
+    assert capsys.readouterr().out == "diff(z(x),x) - z(x) = 0\n"
 
 
 def test_closed_stdout_exit_0():

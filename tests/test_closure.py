@@ -3,6 +3,7 @@
 The exponential family gives outputs that can be derived by hand and
 verified against truncated series solutions."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -12,10 +13,11 @@ from dalg import (Context, Poly, SeriesWitness, arithmetic_dalg,
                   compose_dalg, ddfinite_to_dalg, diff_dalg, equation_to_ade,
                   inv_dalg, spec_to_ratfunc, unary_dalg, verify_series)
 from dalg import closure, groebner
+from dalg.cli import main as cli_main
 from dalg.closure import (build_system, prolong, saturation_factors,
                           select_output)
 from dalg.diffpoly import normalize_ade
-from dalg.errors import ArgumentError
+from dalg.errors import ArgumentError, EliminationFailedError
 from dalg.groebner import eliminate
 from dalg.orders import Block, GrevLex
 from dalg.render import poly_to_text, render
@@ -44,7 +46,22 @@ def check_series(ade, witness, T=12):
     assert val >= T - ade.order, f"residual valuation {val}"
 
 
-def test_prolong_and_build_system_counts(monkeypatch):
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The (gens, elim_vars, keep_vars) of every elimination the closure
+    operations run."""
+    calls = []
+    real = closure.eliminate
+
+    def spy(gens, elim_vars, keep_vars, *args, **kwargs):
+        calls.append((gens, elim_vars, keep_vars))
+        return real(gens, elim_vars, keep_vars, *args, **kwargs)
+
+    monkeypatch.setattr(closure, "eliminate", spy)
+    return calls
+
+
+def test_prolong_and_build_system_counts(monkeypatch, eliminations):
     ctx = Context()
     ade = exp_ade(ctx)
     assert len(prolong(ade.poly, 3)) == 4
@@ -54,7 +71,7 @@ def test_prolong_and_build_system_counts(monkeypatch):
     system = build_system([ade.poly, defining], z, 1)
     # two inputs, each prolonged once
     assert len(system.polys) == 4
-    assert system.prolongations == 1
+    assert system.polys == [*prolong(ade.poly, 1), *prolong(defining, 1)]
     # keeps z, z'; eliminates y, y', y'' (x does not occur here)
     keep_names = {repr(v) for v in system.keep_vars}
     assert keep_names == {"z", "z^(1)"}
@@ -69,9 +86,12 @@ def test_prolong_and_build_system_counts(monkeypatch):
     assert len(sd.polys) == 4 + 2
     assert {repr(v) for v in sd.keep_vars} == {"z", "z^(1)"}
     assert len(sd.elim_vars) == 5  # y, y^(1), ..., y^(4)
-    assert sd.prolongations == 3
-    # diff_dalg reports n + j prolongations
-    assert diff_dalg(exp_ade(Context()), 2).prolongations == 3
+    assert sd.polys[:4] == prolong(ade.poly, 3)
+    # diff_dalg eliminates once, on the input prolonged n + j = 3 times,
+    # which reaches y^(4)
+    diff_dalg(exp_ade(Context()), 2)
+    ((_, elim_vars, _),) = eliminations
+    assert sorted(v.order for v in elim_vars) == [0, 1, 2, 3, 4]
 
     # saturation: one polynomial and one eliminated variable per distinct
     # non-constant factor; constants and rational multiples add nothing
@@ -103,6 +123,92 @@ def test_prolong_and_build_system_counts(monkeypatch):
     high = sat.sat_vars + sorted(system.elim_vars, key=ctx.rank_key)
     low = sorted(sat.keep_vars, key=ctx.rank_key)
     assert order.rows() == Block(GrevLex(high), GrevLex(low)).rows()
+
+
+def _n(rng):
+    return rng.choice((-1, 1)) * rng.randint(1, 3)
+
+
+def _first_order(rng, y):
+    a, b = _n(rng), _n(rng)
+    return rng.choice([f"diff({y}(x),x) = {a}*{y}(x) + {b}",
+                       f"diff({y}(x),x) = {y}(x)^2 + {a}",
+                       f"diff({y}(x),x) = {a}*{y}(x)^2 + {b}*{y}(x)"])
+
+
+def _unary_problem(rng, ctx):
+    ade = equation_to_ade(_first_order(rng, "y"), ctx)
+    a, b = _n(rng), _n(rng)
+    spec = rng.choice([f"z = {a}*y + {b}*x", f"z = y^2 + {a}*x", f"z = 1/(y + {a})",
+                       f"z = x*y + {a}"])
+    zname, R = spec_to_ratfunc(spec, ctx, ["y"])
+    return unary_dalg(ade, R, z_name=zname), ade.order, ([ade], R)
+
+
+def _arith_problem(rng, ctx):
+    a1 = equation_to_ade(_first_order(rng, "y1"), ctx)
+    a2 = equation_to_ade(f"diff(y2(x),x) = {_n(rng)}*y2(x) + {_n(rng)}", ctx)
+    spec = rng.choice(["z = y1 + y2", "z = y1*y2", f"z = y1 + {_n(rng)}*y2", "z = y1/y2"])
+    zname, R = spec_to_ratfunc(spec, ctx, ["y1", "y2"])
+    return arithmetic_dalg([a1, a2], R, z_name=zname), a1.order + a2.order, ([a1, a2], R)
+
+
+def _compose_problem(rng, ctx):
+    outer = equation_to_ade(_first_order(rng, "y1"), ctx)
+    inner = equation_to_ade(rng.choice([f"diff(y2(x),x) = {_n(rng)}",
+                                        f"diff(y2(x),x) = {_n(rng)}*y2(x) + {_n(rng)}"]),
+                            ctx)
+    return compose_dalg(outer, inner), outer.order + inner.order, None
+
+
+def _diff_problem(rng, ctx):
+    ade = equation_to_ade(rng.choice([
+        _first_order(rng, "y"),
+        f"diff(y(x),x,x) + {_n(rng)}*diff(y(x),x) + {_n(rng)}*y(x) = 0"]), ctx)
+    return diff_dalg(ade, rng.randint(1, 2)), ade.order, None
+
+
+def _ddfinite_problem(rng, ctx):
+    main = equation_to_ade(f"diff(y(x),x) - ({_n(rng)} + C(x))*y(x) = 0", ctx,
+                           extra_deps=["C"])
+    coeff = equation_to_ade(f"diff(C(x),x) - {_n(rng)}*C(x) = 0", ctx)
+    return ddfinite_to_dalg(main, [coeff]), main.order + coeff.order, None
+
+
+def test_one_elimination_per_operation(eliminations):
+    # the inputs are prolonged to the order bound and eliminated once: the
+    # output stays within the bound, and no operation eliminates twice
+    rng = random.Random(15)
+    problems = [_unary_problem, _arith_problem, _compose_problem, _diff_problem,
+                _ddfinite_problem] * 5
+    rng.shuffle(problems)
+    for problem in problems:
+        eliminations.clear()
+        res, bound, certify = problem(rng, Context())
+        assert len(eliminations) == 1
+        assert res.ade.order <= bound
+        if certify is not None:
+            assert certified_by_substitution(res.ade, *certify)
+
+
+def test_inconsistent_compose_fails_after_one_elimination(eliminations, capsys):
+    # u'^2 = 0 forces g' = 0, a saturation factor of the composition, so the
+    # saturated ideal is the unit ideal and more prolongation cannot help
+    outer_text, inner_text = "diff(y(x),x,x) + y(x) = 0", "u'^2 = 0"
+    ctx = Context()
+    outer = equation_to_ade(outer_text, ctx)
+    inner = equation_to_ade(inner_text, ctx)
+    with pytest.raises(EliminationFailedError, match="saturation factor"):
+        compose_dalg(outer, inner)
+    assert len(eliminations) == 1
+    assert cli_main(["compose", "--ade", outer_text, "--ade", inner_text]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "computation failed: no keep-only generator involves the output: a "
+        "saturation factor (an initial, a separant, the map's denominator, or "
+        "g' for compose) vanishes on the inputs' generic solution\n")
+    assert len(eliminations) == 2
 
 
 def _weierstrass_shift_ratio(ctx):
@@ -258,14 +364,15 @@ def test_unary_identity_returns_input():
     assert proportional(res.ade.poly, expect)
 
 
-def test_unary_degenerate_rational_in_x():
-    # no derivatives in the map: the defining equation itself comes back
+def test_unary_degenerate_rational_in_x(eliminations):
+    # no derivatives in the map: the defining equation itself comes back,
+    # with no elimination
     ctx = Context()
     ade = exp_ade(ctx)
     zname, R = spec_to_ratfunc("z = x^2/(1+x)", ctx, ["y"])
     res = unary_dalg(ade, R, z_name=zname)
     assert res.ade.order == 0
-    assert res.prolongations == 0
+    assert eliminations == []
     z = ctx.indet_id("z")
     z0 = Poly.var(ctx, ctx.diff_var(z, 0))
     x = Poly.var(ctx, ctx.indep)
@@ -366,8 +473,9 @@ def test_diff_of_exponential():
         diff_dalg(ade, 0)
 
 
-def test_inverse_of_exponential_is_logarithm():
-    # [DERIVED] the inverse of e^x satisfies x*z' = 1
+def test_inverse_of_exponential_is_logarithm(eliminations):
+    # [DERIVED] the inverse of e^x satisfies x*z' = 1, written down with no
+    # elimination
     ctx = Context()
     ade = exp_ade(ctx)
     res = inv_dalg(ade)
@@ -375,7 +483,7 @@ def test_inverse_of_exponential_is_logarithm():
     expect = (Poly.var(ctx, ctx.indep) * Poly.var(ctx, ctx.diff_var(z, 1))
               - Poly.const(ctx, 1))
     assert proportional(res.ade.poly, expect)
-    assert res.prolongations == 0
+    assert eliminations == []
 
 
 def test_inverse_of_third_order_input():
@@ -399,6 +507,15 @@ def test_inverse_requires_positive_order():
     ade = normalize_ade(Poly.var(ctx, y0, 2) - Poly.var(ctx, ctx.indep), dep=y)
     with pytest.raises(ArgumentError):
         inv_dalg(ade)
+
+
+@pytest.mark.parametrize("eq", ["x*y' = 0", "(x+y)*y'^2 = 0", "y' = 0"])
+def test_inverse_rejects_constant_solutions(eq):
+    # P = a(x, y)*y'^d: off the initial a every solution has y' = 0, and
+    # y' -> 1/z' leaves no derivative of z in the numerator
+    ctx = Context()
+    with pytest.raises(ArgumentError, match="solutions are constant"):
+        inv_dalg(equation_to_ade(eq, ctx))
 
 
 def test_ddfinite_cosine_coefficient():

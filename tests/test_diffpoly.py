@@ -8,6 +8,7 @@ import pytest
 
 from dalg import (Context, Poly, RatFunc, equation_to_ade,
                   implicit_higher_derivative, normalize_ade)
+from dalg.context import DIFF
 from dalg.diffpoly import rational_substitute, total_derivative
 from dalg.errors import ArgumentError, DivisionByZeroError
 
@@ -41,6 +42,30 @@ def test_derivation_leibniz_linearity_random():
         assert total_derivative(f + g) == total_derivative(f) + total_derivative(g)
         assert total_derivative(f * g) == (total_derivative(f) * g
                                            + f * total_derivative(g))
+
+
+def test_derivation_is_the_chain_rule_sum():
+    # D(f) = sum over the variables v of df/dv * D(v), with D(x) = 1,
+    # D(a) = 0 and D(y^(k)) = y^(k+1); the last draw has over 200 terms
+    ctx = Context()
+    y, u = ctx.indeterminate("y"), ctx.indeterminate("u")
+    vs = [ctx.indep, ctx.param("a"), *(ctx.diff_var(d, k) for d in (y, u) for k in range(3))]
+    rng = make_rng(15)
+    draws = [random_poly(ctx, vs, rng, max_terms=12, max_deg=4) for _ in range(30)]
+    big = Poly(ctx)
+    while big.num_terms() <= 200:
+        big = big + random_poly(ctx, vs, rng, max_terms=40, max_deg=6)
+    for f in [*draws, big]:
+        expect = Poly(ctx)
+        for v in f.variables():
+            if v == ctx.indep:
+                dv = Poly.const(ctx, 1)
+            elif v.kind == DIFF:
+                dv = Poly.var(ctx, ctx.diff_var(v.indet, v.order + 1))
+            else:
+                continue
+            expect = expect + f.partial_derivative(v) * dv
+        assert total_derivative(f) == expect
 
 
 def test_derivation_hand_example():

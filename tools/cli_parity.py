@@ -1,15 +1,17 @@
 """Record, or compare, what the ``dalg`` command line prints for the
-benchmark's argvs.
+benchmark's argvs and for a fixed list of error paths.
 
     python tools/cli_parity.py <checkout> <out.json>
     python tools/cli_parity.py --compare a.json b.json
 
 The first form runs every distinct argv of the ``elim`` and ``ansatz``
 workloads and of ``cli-mix`` seeds 1-10 (hard set included), taken from this
-repository's ``perfbench/cases.py``, in-process through the checkout's
-``dalg.cli.main(argv + ["--format", "json"])``, and writes for each argv the
-exit code and the sha256 of stdout and of stderr.  An exception that escapes
-``main`` is recorded as exit code 1 with its type and message as stderr.
+repository's ``perfbench/cases.py``, then the fixed error-path argvs of
+``ERROR_ARGVS`` (none of the benchmark's argvs fails), in-process through
+the checkout's ``dalg.cli.main(argv + ["--format", "json"])``, and writes
+for each argv the exit code and the sha256 of stdout and of stderr.  An
+exception that escapes ``main`` is recorded as exit code 1 with its type
+and message as stderr.
 The process runs under PYTHONHASHSEED=0, as the benchmark's workers do.
 
 The second form lists the argvs whose records differ, or that only one file
@@ -30,6 +32,50 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CLI_MIX_SEEDS = range(1, 11)
 
+WEIER = "diff(y1(x),x)^2 = 4*y1(x)^3 - g2*y1(x) - g3"
+ERROR_ARGVS = [
+    # exit 2: parse errors
+    ("unary", "--ade", "diff(y(x),x = y(x)", "--spec", "z = y"),
+    ("unary", "--spec", "z = y"),
+    ("unary", "--ade", "diff(y(x),x) = y(x)^\u00b2", "--spec", "z = y"),
+    # exit 3: search exhaustion, and compositions whose inner function has
+    # g' = 0 on its generic solution
+    ("ansatz", "--ade", WEIER, "--spec", "z = y1", "--degree-de", "1", "--order-cap", "0"),
+    ("compose", "--ade", "diff(y(x),x,x) + y(x) = 0", "--ade", "u' = 0"),
+    ("compose", "--ade", "diff(y(x),x,x) + y(x) = 0", "--ade", "u'^2 = 0"),
+    # exit 4: resource cap
+    ("unary", "--ade", WEIER, "--spec", "z = y1/(x+y1)", "--max-degree", "6"),
+    # exit 64: usage errors
+    (),
+    ("unknown-command",),
+    ("unary", "--ade", "y'=y", "--format", "yaml"),
+    ("diff", "--ade", "y'=y", "--j", "0"),
+    ("ansatz", "--ade", "y'=y", "--spec", "z = y", "--degree-de", "0"),
+    ("ansatz", "--ade", "y'=y", "--spec", "z = y", "--order-cap", "-1"),
+    ("diff", "--ade", "diff(y(x),x) = y(x)", "--max-degree", "-3"),
+    ("unary", "--ade", "y'=y", "--spec", "z = y", "--max-basis", "0"),
+    ("inverse", "--ade", "diff(y(x),x) = y(x)", "--max-degree", "5"),
+    ("ansatz", "--ade", "diff(y(x),x) = y(x)", "--spec", "z = y^2", "--max-basis", "100"),
+    ("compose", "--ade", "diff(y(x),x) = y(x)", "--ade", "diff(y(x),x) = 2"),
+    ("ansatz", "--ade", "diff(y(x),x) = y(x)", "--ade", "diff(y(x),x) = 2*y(x)",
+     "--spec", "z = y", "--degree-de", "1"),
+    ("diff", "--ade", "diff(z(x),x) = z(x)^2"),
+    ("unary", "--ade", "diff(y(x),x) = y(x)", "--spec", "y = y^2"),
+    ("arith", "--ade", "diff(y1(x),x) = y1(x)", "--ade", "diff(y2(x),x) = 2*y2(x)",
+     "--spec", "y1 = y1*y2"),
+    ("compose", "--ade", "diff(y(x),x) = y(x)", "--ade", "diff(z(x),x) = 2"),
+    ("ansatz", "--ade", "diff(y(x),x) = y(x)", "--spec", "y = y^2", "--degree-de", "2"),
+    ("unary", "--spec", "z = y^2", "--in", "no-such-dir/equations.txt"),
+    ("unary", "--spec", "z = y^2", "--ade", "diff(y(x),x) = y(x)",
+     "--out", "no-such-dir/out.txt"),
+    # inputs whose generic solutions are constant have no inverse (exit 64);
+    # the last one has an inverse
+    ("inverse", "--ade", "y' = 0"),
+    ("inverse", "--ade", "x*y' = 0"),
+    ("inverse", "--ade", "(x+y)*y'^2 = 0"),
+    ("inverse", "--ade", "x*y' - 1 = 0"),
+]
+
 
 def distinct_argvs():
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -38,7 +84,7 @@ def distinct_argvs():
     cases = elim_cases() + ansatz_cases()
     for seed in CLI_MIX_SEEDS:
         cases += cli_mix_cases(seed)
-    return list(dict.fromkeys(tuple(case.argv) for case in cases))
+    return list(dict.fromkeys([*(tuple(case.argv) for case in cases), *ERROR_ARGVS]))
 
 
 def sha256(text: str) -> str:
@@ -65,8 +111,9 @@ def record(checkout: Path, out: Path) -> int:
                         "stdout": sha256(stdout.getvalue()),
                         "stderr": sha256(stderr.getvalue())})
     out.write_text(json.dumps(results, indent=1) + "\n", encoding="utf-8")
-    n_ansatz = sum(argv[0] == "ansatz" for argv in argvs)
-    print(f"{len(argvs)} distinct argvs ({n_ansatz} ansatz) -> {out}")
+    n_ansatz = sum(argv[:1] == ("ansatz",) for argv in argvs)
+    print(f"{len(argvs)} distinct argvs ({n_ansatz} ansatz, {len(ERROR_ARGVS)} error "
+          f"paths) -> {out}")
     return 0
 
 
