@@ -24,14 +24,14 @@ equation of lower degree exists.
 
 Most candidates fail, so a failure is proven before the exact pass: every
 entry of the system is evaluated at a fixed point modulo the prime
-q = 2^31 - 1, each variable (x, a parameter or another function's
-derivative) at a power of 7.  Full column rank of [A|b] there means that
-some maximal minor is nonzero at the point, hence a nonzero polynomial
-(Schwartz, J. ACM 1980), so the exact system is inconsistent and its
-exact pass is skipped.  The test declines only when an entry's coefficient
-has a denominator divisible by q or there are fewer rows than columns; a
-declined or rank-short candidate takes the exact pass, so the equation
-found is the same either way.
+q = 2^31 - 1, each variable (x or a parameter) at a power of 7.  Full
+column rank of [A|b] there means that some maximal minor is nonzero at
+the point, hence a nonzero polynomial (Schwartz, J. ACM 1980), so the
+exact system is inconsistent and its exact pass is skipped.  The test
+declines only when an entry's coefficient has a denominator divisible by
+q or there are fewer rows than columns; a declined or rank-short
+candidate takes the exact pass, so the equation found is the same either
+way.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .closure import _output_id
+from .closure import _check_inputs, _output_id
 from .context import DIFF
 from .diffpoly import RatFunc, normalize_ade
 from .errors import AnsatzNotFoundError, ArgumentError
@@ -71,20 +71,11 @@ def derivative_closure(R: RatFunc, ades, r: int) -> list:
     """z, z', ..., z^(r) as rational functions of x, parameters, and the
     first n_j derivatives of each input dependent.  Each value is the
     previous one's :meth:`RatFunc.derivative`, which replaces every input's
-    y_j^(n_j+1) by its linear prolongation in one polynomial step.  So R
-    may involve y_j only up to y_j^(n_j), and an input may involve another
-    input's dependent only below that input's order."""
+    y_j^(n_j+1) by its linear prolongation in one polynomial step, so the
+    inputs and R must be of the class that
+    :func:`dalg.closure._check_inputs` checks."""
     ades = list(ades)
-    orders = {a.dep: a.order for a in ades}
-    for v in R.variables():
-        if v.kind == DIFF and v.order > orders.get(v.indet, v.order):
-            raise ArgumentError(f"{v!r} is above the order of its input equation")
-    for a in ades:
-        for v in a.poly.variables():
-            if (v.kind == DIFF and v.indet != a.dep
-                    and v.order >= orders.get(v.indet, v.order + 1)):
-                raise ArgumentError(f"the equation of {a.dep_name} involves "
-                                    f"{v!r}, not below the order of its own")
+    _check_inputs(ades, R)
     vals = [R]
     for _ in range(r):
         vals.append(vals[-1].derivative(ades))
@@ -333,10 +324,6 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
     if k < 1:
         raise ArgumentError("degree bound must be at least 1")
     ades = list(ades)
-    if not ades:
-        raise ArgumentError("ansatz needs at least one input equation")
-    if len({a.dep for a in ades}) != len(ades):
-        raise ArgumentError("input equations must have distinct dependents")
     _output_id(R.num.ctx, z_name, ades)
     if order_cap is None:
         order_cap = sum(a.order for a in ades) + 1

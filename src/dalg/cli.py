@@ -88,8 +88,9 @@ def _build_parser() -> _ArgumentParser:
     common(sub.add_parser("inverse", help="equation for the functional inverse "
                                            "(explicit, no elimination)"), caps=False)
     common(sub.add_parser("ddfinite",
-                          help="main linear equation first, then one equation "
-                               "per coefficient function"))
+                          help="equation in the main function alone: main "
+                               "equation first, then one equation per "
+                               "coefficient function"))
     p = sub.add_parser("ansatz", help="degree-bounded search for R(x, f1, ..., fN) "
                                       "(no elimination)")
     common(p, spec=True, caps=False)
@@ -122,14 +123,16 @@ def _file_error(verb, path, exc) -> ArgumentError:
     return ArgumentError(f"cannot {verb} {path}: {reason}")
 
 
-def _parse_all(texts, ctx, extra_deps=()):
+def _parse_all(texts, ctx):
+    """Lower every equation with the applied names of all equations as
+    dependents, so a coupled input may name another's dependent bare
+    (``y1' = y1*y2``).  The names register in input order, so the first
+    equation's rank highest."""
     nodes = [parse_equation(t) for t in texts]
-    # register every applied name before lowering so shared parameters and
-    # dependents resolve consistently across equations
-    for node in nodes:
-        for name in applied_names(node):
-            ctx.indeterminate(name)
-    return [equation_to_ade(node, ctx, extra_deps=extra_deps) for node in nodes]
+    names = list(dict.fromkeys(n for node in nodes for n in applied_names(node)))
+    for name in names:
+        ctx.indeterminate(name)
+    return [equation_to_ade(node, ctx, extra_deps=names) for node in nodes]
 
 
 def _spec(args, ctx, dep_names):
@@ -140,14 +143,12 @@ def _spec(args, ctx, dep_names):
 
 def run(args) -> str:
     ctx = Context()
-    texts = _read_equations(args)
+    ades = _parse_all(_read_equations(args), ctx)
     if args.command == "inverse":
-        if len(texts) != 1:
+        if len(ades) != 1:
             raise ParseError("inverse takes exactly one equation")
-        (ade,) = _parse_all(texts, ctx)
-        return render(inv_dalg(ade).ade, args.format)
+        return render(inv_dalg(ades[0]).ade, args.format)
     if args.command == "ansatz":
-        ades = _parse_all(texts, ctx)
         z_name, ratmap = _spec(args, ctx, [a.dep_name for a in ades])
         return render(ansatz_search(ades, ratmap, k=args.degree_de,
                                     order_cap=args.order_cap, z_name=z_name),
@@ -155,32 +156,20 @@ def run(args) -> str:
 
     config = GBConfig(max_degree=args.max_degree, max_basis=args.max_basis)
     if args.command == "ddfinite":
-        if len(texts) < 2:
+        if len(ades) < 2:
             raise ParseError("ddfinite needs the main equation plus at least "
                              "one coefficient equation")
-        # Lower the main equation first, as the library callers do: its
-        # dependent then ranks above the coefficients, and its eliminated
-        # high derivatives above theirs in the elimination order (the
-        # other way round, Mathieu takes about four times as long).
-        coeff_nodes = [parse_equation(t) for t in texts[1:]]
-        coeff_names = [n for node in coeff_nodes for n in applied_names(node)]
-        main = equation_to_ade(texts[0], ctx, extra_deps=coeff_names)
-        coeffs = [equation_to_ade(node, ctx) for node in coeff_nodes]
-        result = ddfinite_to_dalg(main, coeffs, config=config).ade
+        result = ddfinite_to_dalg(ades[0], ades[1:], config=config).ade
     elif args.command == "compose":
-        ades = _parse_all(texts, ctx)
         if len(ades) != 2:
             raise ParseError("compose needs exactly two equations (outer, inner)")
         result = compose_dalg(ades[0], ades[1], config=config).ade
     elif args.command == "diff":
-        if len(texts) != 1:
+        if len(ades) != 1:
             raise ParseError("diff takes exactly one equation")
-        (ade,) = _parse_all(texts, ctx)
-        result = diff_dalg(ade, args.j, config=config).ade
+        result = diff_dalg(ades[0], args.j, config=config).ade
     else:
-        ades = _parse_all(texts, ctx)
-        dep_names = [a.dep_name for a in ades]
-        z_name, ratmap = _spec(args, ctx, dep_names)
+        z_name, ratmap = _spec(args, ctx, [a.dep_name for a in ades])
         if args.command == "unary":
             if len(ades) != 1:
                 raise ParseError("unary takes exactly one equation")

@@ -3,24 +3,30 @@
 Five operations (rational maps of one or several functions, composition,
 derivation and the D-finite to D-algebraic conversion) share one pipeline
 and each declares only its inputs, its saturation factors and its order
-bound (n for R(f), n_1 + ... + n_N for R(f_1, ..., f_N), n + k for f(g),
-the orders added for the D-finite conversion).  The pipeline couples the
-inputs to a new dependent variable z in a triangular system, prolongs it to
-the bound, inverts each distinct saturation factor with a Rabinowitsch
-variable of its own, eliminates every non-z derivative variable once with a
-block Groebner order whose eliminated block those variables lead, and
-selects, among the generators of the reduced basis that involve z, the one
-of lowest (order, total degree, term count).  It need not be the least
-order in the elimination ideal: an element of lower order can exist without
-being a basis generator.  The functional inverse alone is written down
-explicitly, with no elimination at all.
+bound (n for R(f), n_1 + ... + n_N for R(f_1, ..., f_N) and for the
+D-finite conversion, which is R = y with z the main dependent itself, n + k
+for f(g)).  The pipeline couples the inputs to a new dependent variable z
+in a triangular system, prolongs it to the bound, inverts each distinct
+saturation factor with a Rabinowitsch variable of its own, eliminates every
+non-z derivative variable once with a block Groebner order whose eliminated
+block those variables lead, and selects, among the generators of the
+reduced basis that involve z, the one of lowest (order, total degree, term
+count).  It need not be the least order in the elimination ideal: an
+element of lower order can exist without being a basis generator.  The
+functional inverse alone is written down explicitly, with no elimination at
+all.  Every operation checks its inputs against one class,
+:func:`_check_inputs`; composition checks its outer and inner equations as
+two systems.
 
 One elimination is enough.  (1) The system keeps z only up to the bound,
-so no generator exceeds it.  (2) There, z, ..., z^(bound) are rational
-functions of x and of the inputs' bound non-leading derivatives (for f(g):
-g, ..., g^(k-1) and f(g), ..., f^(n-1)(g)), which stay algebraically
-independent over Q(params) on each component of the saturated ideal.  So
-the bound + 2 elements x, z, ..., z^(bound) satisfy a nonzero polynomial
+so no generator exceeds it.  (2) There, z, ..., z^(bound) are algebraic
+over the field generated by x and the inputs' bound non-leading
+derivatives (for f(g): g, ..., g^(k-1) and f(g), ..., f^(n-1)(g)) over
+Q(params), on each component of the saturated ideal: each leader is
+algebraic over them, and each prolongation of an input is linear in its
+new leader, whose coefficient is the separant.  An input names another's
+y_k only below n_k, so its prolongation names y_k only up to y_k^(n_k).
+So the bound + 2 elements x, z, ..., z^(bound) satisfy a nonzero polynomial
 there, which involves z since x is transcendental, and a power of the
 product of these polynomials over the components lies in the saturated
 ideal, unless that is the unit ideal.  (3) The unit ideal stays the unit
@@ -162,17 +168,48 @@ def _output_id(ctx, z_name: str, inputs) -> int:
     return z_id
 
 
+def _check_inputs(ades, R=None) -> None:
+    """Raise ArgumentError unless the inputs are in the class of every
+    operation: at least one equation, distinct dependents y_j of orders
+    n_j, each function an equation names an input's dependent, another
+    input's y_k only below n_k, and R naming y_j only up to y_j^(n_j)."""
+    if not ades:
+        raise ArgumentError("need at least one input equation")
+    orders = {a.dep: a.order for a in ades}
+    if len(orders) != len(ades):
+        raise ArgumentError("input equations must have distinct dependents")
+    same_context(*[a.poly for a in ades], *([R.num] if R is not None else []))
+    # (where, its variables, its own dependent, 1 when y_k^(n_k) itself may occur)
+    named = [(f"the equation of {a.dep_name}", a.poly.variables(), a.dep, 0)
+             for a in ades]
+    named += [("the rational map", R.variables(), None, 1)] if R is not None else []
+    for where, variables, own, reach in named:
+        for v in sorted(variables, key=lambda v: v.index):
+            if v.kind != DIFF or v.indet == own:
+                continue
+            if v.indet not in orders:
+                raise ArgumentError(f"{where} involves {v.name}(x), which is "
+                                    f"not an input's dependent")
+            if v.order >= orders[v.indet] + reach:
+                side = "above" if reach else "not below"
+                raise ArgumentError(f"{where} involves {v!r}, {side} the order of its own")
+
+
+def _coupled(ades, z_id: int, config, extra=(), factors=()) -> ClosureResult:
+    """Close the inputs, plus the extra polynomials, at the order sum
+    n_1 + ... + n_N, saturated by the factors and by each input's initial
+    and separant."""
+    factors = list(factors)
+    for a in ades:
+        factors.extend([a.initial, a.separant])
+    return _close([a.poly for a in ades] + list(extra), z_id,
+                  sum(a.order for a in ades), factors, config)
+
+
 def _rational(ades, R: RatFunc, z_name, config) -> ClosureResult:
     """R(x, f_1, ..., f_N) through z*den(R) - num(R), saturated by den(R)
     and the initials and separants of the inputs."""
-    same_context(*[a.poly for a in ades], R.num)
-    allowed = {(a.dep, 0) for a in ades}
-    for v in R.variables():
-        if v.kind == DIFF and (v.indet, v.order) not in allowed:
-            raise ArgumentError(
-                f"the rational map may only involve x, parameters, and the "
-                f"undifferentiated dependents; found {v!r}"
-            )
+    _check_inputs(ades, R)
     ctx = ades[0].ctx
     z_id = _output_id(ctx, z_name, ades)
     z = Poly.var(ctx, ctx.diff_var(z_id, 0))
@@ -180,11 +217,7 @@ def _rational(ades, R: RatFunc, z_name, config) -> ClosureResult:
     if not any(v.kind == DIFF for v in R.variables()):
         # no dependent occurs: z = R(x) needs no elimination
         return ClosureResult(normalize_ade(defining, dep=z_id), [defining])
-    factors = [R.den]
-    for a in ades:
-        factors.extend([a.initial, a.separant])
-    return _close([a.poly for a in ades] + [defining], z_id,
-                  sum(a.order for a in ades), factors, config)
+    return _coupled(ades, z_id, config, [defining], [R.den])
 
 
 def unary_dalg(ade: ADE, R: RatFunc, z_name: str = "z",
@@ -201,8 +234,6 @@ def arithmetic_dalg(ades, R: RatFunc, z_name: str = "z",
     R(x, f_1(x), ..., f_N(x))."""
     if len(ades) < 2:
         raise ArgumentError("arithmetic operation needs at least two equations")
-    if len({a.dep for a in ades}) != len(ades):
-        raise ArgumentError("input equations must have distinct dependents")
     return _rational(ades, R, z_name, config)
 
 
@@ -218,6 +249,8 @@ def compose_dalg(outer: ADE, inner: ADE, z_name: str = "z",
     same_context(outer.poly, inner.poly)
     if outer.dep == inner.dep:
         raise ArgumentError("outer and inner equations must use distinct dependents")
+    _check_inputs([outer])
+    _check_inputs([inner])
     ctx = outer.ctx
     n, k = outer.order, inner.order
     z_id = _output_id(ctx, z_name, [outer, inner])
@@ -249,6 +282,7 @@ def diff_dalg(ade: ADE, j: int = 1, z_name: str = "z",
     further than the link z - y^(j), so both reach the same orders."""
     if j < 1:
         raise ArgumentError("derivative count must be positive")
+    _check_inputs([ade])
     ctx = ade.ctx
     z_id = _output_id(ctx, z_name, [ade])
     link = (Poly.var(ctx, ctx.diff_var(z_id, 0))
@@ -262,6 +296,7 @@ def inv_dalg(ade: ADE, z_name: str = "z") -> ClosureResult:
     explicitly (no elimination): substitute x -> z, y -> x, and
     y^(i) -> D_i with D_1 = 1/z', D_{i+1} = D_i' / z'.  P = a(x, y)*y'^d,
     constant off its initial, leaves no z' and raises ArgumentError."""
+    _check_inputs([ade])
     ctx = ade.ctx
     n = ade.order
     if n < 1:
@@ -288,30 +323,11 @@ def inv_dalg(ade: ADE, z_name: str = "z") -> ClosureResult:
 
 
 def ddfinite_to_dalg(main: ADE, coeff_odes, config: GBConfig | None = None) -> ClosureResult:
-    """Convert a linear equation whose coefficients satisfy linear equations
-    of their own into a polynomial equation in the main dependent alone."""
-    same_context(main.poly, *[c.poly for c in coeff_odes])
-    deps = {main.dep}
-    for c in coeff_odes:
-        if c.dep in deps:
-            raise ArgumentError("coefficient dependents must be distinct")
-        deps.add(c.dep)
-        if not _is_linear_in(c.poly, c.dep):
-            raise ArgumentError(f"coefficient equation for {c.dep_name} is not linear")
-    if not _is_linear_in(main.poly, main.dep):
-        raise ArgumentError("main equation is not linear in its dependent")
-    inputs = [main.poly] + [c.poly for c in coeff_odes]
-    factors = [main.initial, main.separant]
-    for c in coeff_odes:
-        factors.extend([c.initial, c.separant])
-    return _close(inputs, main.dep, main.order + sum(c.order for c in coeff_odes),
-                  factors, config)
-
-
-def _is_linear_in(p: Poly, dep: int) -> bool:
-    for mono in p.terms:
-        deg = sum(e for idx, e in mono
-                  if (v := p.ctx.var_by_index(idx)).kind == DIFF and v.indet == dep)
-        if deg > 1:
-            return False
-    return True
+    """Equation in the main dependent alone for the coupled system of the
+    main equation and one equation per coefficient function: the
+    elimination of :func:`arithmetic_dalg` with z = y, on the main
+    dependent itself.  Linear equations with D-finite coefficients are
+    the classical case; any input of the common class is accepted."""
+    ades = [main, *coeff_odes]
+    _check_inputs(ades)
+    return _coupled(ades, main.dep, config)

@@ -61,7 +61,7 @@ def z_degree(p, z_id):
 
 def certified_by_substitution(out, ades, R):
     """True when the equation out vanishes on z = R(y_1, ..., y_N) for the
-    input equations (one ADE or a list, with distinct dependents).
+    input equations (one ADE or a list, of the common input class).
 
     The closure-value denominators are cleared by hand and the substituted
     equation must pseudo-reduce to zero by each input in turn; plain
@@ -86,9 +86,10 @@ def certified_by_substitution(out, ades, R):
             e = expo[idx]
             term = term * v.num ** e * v.den ** (caps[idx] - e)
         total = total + term
-    # pseudo-reduce by each input equation (each involves only its own
-    # dependent): zero means membership in the ideal they generate over the
-    # localized coefficient ring
+    # pseudo-reduce by each input equation in turn: an input names another's
+    # dependent only below that one's order, so no step raises a leader
+    # already reduced; zero means membership in the ideal they generate
+    # over the localized coefficient ring
     for ade in ades:
         while total.degree(ade.leader) >= ade.leader_degree:
             _, total, _ = pseudo_divide(total, ade.poly, ade.leader)

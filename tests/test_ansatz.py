@@ -501,8 +501,8 @@ def test_miss_certificate_exhausts_hard_search(monkeypatch):
     "diff(y(x),x) = y(x)/2147483647 + 1",
     # an initial, y, that is not constant at the point
     "y(x)*diff(y(x),x) = x",
-    # an input in another function, w, which stays in the entries
-    "diff(y(x),x) = w(x)*y(x)",
+    # a parameter, a, which stays in the entries
+    "diff(y(x),x) = a*y(x)",
 ])
 def test_miss_certificate_applies_where_it_used_to_fall_back(monkeypatch, ade_text):
     # the certificate reads the exact system's own rows, so it fires on these

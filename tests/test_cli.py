@@ -202,6 +202,58 @@ def test_output_named_like_an_input_exit_64(capsys, argv):
     assert "is the dependent of an input" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["unary", "--ade", "y' = w(x)*y", "--spec", "z = y^2"],
+    ["arith", "--ade", "y1' = w(x)*y1", "--ade", "y2' = y2", "--spec", "z = y1 + y2"],
+    ["compose", "--ade", "y' = w(x)*y", "--ade", "u' = 1"],
+    ["diff", "--ade", "y' = w(x)*y"],
+    ["inverse", "--ade", "y' = w(x)*y"],
+    ["ddfinite", "--ade", "y'' + C*y", "--ade", "C' = w(x)*C"],
+    ["ansatz", "--ade", "y' = w(x)*y", "--spec", "z = y^2", "--degree-de", "1"],
+])
+def test_free_function_exit_64(capsys, argv):
+    # w has no equation of its own, so no operation can eliminate it or, for
+    # inverse, move it from x to z; the error names it
+    assert cli_main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "involves w(x), which is not an input's dependent" in captured.err
+
+
+@pytest.mark.parametrize("outer, inner", [
+    ("diff(y1(x),x) = y1(x)*y2(x)", "y2' = 1"),
+    ("y1' = y1", "diff(y2(x),x) = y1(x)"),
+])
+def test_compose_cross_reference_exit_64(capsys, outer, inner):
+    # the outer equation holds at g(x) and the inner one at x, so they are
+    # two separate systems and neither may name the other's dependent
+    assert cli_main(["compose", "--ade", outer, "--ade", inner]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not an input's dependent" in captured.err
+
+
+def test_coupled_inputs_in_prime_notation(capsys):
+    # y2 is applied only in the second equation; the first may still name
+    # it bare, as it may any input's dependent
+    argv = ["--ade", "y1'=y1*y2", "--ade", "y2'=y1+x", "--spec", "z = y1"]
+    expected = "z(x)^3 + z(x)^2*x + diff(z(x),x)^2 - diff(z(x),x,x)*z(x) = 0\n"
+    assert cli_main(["arith", *argv]) == 0
+    assert capsys.readouterr().out == expected
+    assert cli_main(["ansatz", *argv, "--degree-de", "3"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_ddfinite_is_arith_with_z_equal_y(capsys):
+    # criterion 6: the conversion prints the elimination of z = y, in y
+    argv = ["--ade", "diff(y(x),x,x) + (a - 2*q*C)*y(x)",
+            "--ade", "diff(C(x),x,x) + 4*C(x)"]
+    assert cli_main(["ddfinite", *argv]) == 0
+    ddfinite = capsys.readouterr().out
+    assert cli_main(["arith", *argv, "--spec", "z = y"]) == 0
+    assert capsys.readouterr().out.replace("z(x)", "y(x)") == ddfinite
+
+
 def test_file_errors_exit_64(tmp_path, capsys):
     bad = tmp_path / "latin1.txt"
     bad.write_bytes("diff(y(x),x) = y(x)  # \xe9\n".encode("latin-1"))

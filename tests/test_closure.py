@@ -9,9 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from dalg import (Context, Poly, SeriesWitness, arithmetic_dalg,
-                  compose_dalg, ddfinite_to_dalg, diff_dalg, equation_to_ade,
-                  inv_dalg, spec_to_ratfunc, unary_dalg, verify_series)
+from dalg import (Context, Poly, RatFunc, SeriesWitness, ansatz_search,
+                  arithmetic_dalg, compose_dalg, ddfinite_to_dalg, diff_dalg,
+                  equation_to_ade, inv_dalg, spec_to_ratfunc, unary_dalg,
+                  verify_series)
 from dalg import closure, groebner
 from dalg.cli import main as cli_main
 from dalg.closure import (build_system, prolong, saturation_factors,
@@ -23,7 +24,8 @@ from dalg.orders import Block, GrevLex
 from dalg.render import poly_to_text, render
 from dalg.series import TruncSeries
 
-from conftest import certified_by_substitution, proportional, weierstrass
+from conftest import (at_series, certified_by_substitution, proportional,
+                      series_solution, weierstrass)
 
 
 def exp_ade(ctx, name="y", rate=1):
@@ -379,15 +381,21 @@ def test_unary_degenerate_rational_in_x(eliminations):
     assert proportional(res.ade.poly, z0 * x + z0 - x * x)
 
 
-def test_unary_rejects_derivatives_in_map():
+def test_unary_map_may_name_derivatives_up_to_the_order():
+    # y*y'' is above y' = y's order in both engines; y*y' is not, and both
+    # engines find z' = 2z for it
     ctx = Context()
     ade = exp_ade(ctx)
-    y = ctx.indet_id("y")
-    R_bad = spec_to_ratfunc("z = y", ctx, ["y"])[1]
-    from dalg import RatFunc
-    R_bad = R_bad * RatFunc(Poly.var(ctx, ctx.diff_var(y, 1)))
-    with pytest.raises(ArgumentError):
-        unary_dalg(ade, R_bad)
+    y = [RatFunc(Poly.var(ctx, ctx.diff_var(ade.dep, i))) for i in range(3)]
+    with pytest.raises(ArgumentError, match="above the order of its own"):
+        unary_dalg(ade, y[0] * y[2])
+    with pytest.raises(ArgumentError, match="above the order of its own"):
+        ansatz_search([ade], y[0] * y[2], k=1)
+    res = unary_dalg(ade, y[0] * y[1])
+    assert render(res.ade, "text") == "diff(z(x),x) - 2*z(x) = 0"
+    assert certified_by_substitution(res.ade, ade, y[0] * y[1])
+    found = ansatz_search([ade], y[0] * y[1], k=1)
+    assert render(found, "text") == render(res.ade, "text")
 
 
 def test_arithmetic_product_of_exponentials():
@@ -428,6 +436,11 @@ def test_arithmetic_validates_inputs():
         arithmetic_dalg([a1], spec_to_ratfunc("z = y1", ctx, ["y1"])[1])
     with pytest.raises(ArgumentError):
         arithmetic_dalg([a1, a1], spec_to_ratfunc("z = y1^2", ctx, ["y1"])[1])
+    # y1' = y2' + y1 names y2 at y2's own order, as the ansatz rejects too
+    b1 = equation_to_ade("diff(y1(x),x) = diff(y2(x),x) + y1(x)", ctx, dep="y1")
+    b2 = equation_to_ade("diff(y2(x),x) = y1(x)", ctx)
+    with pytest.raises(ArgumentError, match="not below the order of its own"):
+        arithmetic_dalg([b1, b2], spec_to_ratfunc("z = y1", ctx, ["y1", "y2"])[1])
 
 
 def test_compose_double_exponential():
@@ -545,9 +558,58 @@ def test_ddfinite_cosine_coefficient():
     check_series(res.ade, SeriesWitness("y", w), T)
 
 
-def test_ddfinite_rejects_nonlinear():
+@pytest.mark.parametrize("main_text, coeff_text, order", [
+    # main nonlinear in y
+    ("diff(y(x),x) = C(x)*y(x)^2", "diff(C(x),x) = C(x)", 2),
+    # D-algebraic coefficients: a Riccati C and a Weierstrass C
+    ("diff(y(x),x,x) + C(x)*y(x)", "diff(C(x),x) = C(x)^2 + x", 3),
+    ("diff(y(x),x,x) + C(x)*y(x)",
+     "diff(C(x),x)^2 = 4*C(x)^3 - g2*C(x) - g3", 3),
+    ("diff(y(x),x) = C(x)*y(x)^2 + 1", "diff(C(x),x) = C(x)^2 + x", 2),
+], ids=["nonlinear-main", "riccati-coefficient", "weierstrass-coefficient",
+        "riccati-main"])
+def test_ddfinite_beyond_linear_returns_certified_equation(main_text, coeff_text,
+                                                           order):
+    # the conversion is the coupled elimination with z = y, so it takes any
+    # input of the common class, not only linear ones
     ctx = Context()
-    C = equation_to_ade("diff(C(x),x) = C(x)", ctx)
-    main = equation_to_ade("diff(y(x),x) = C(x)*y(x)^2", ctx, extra_deps=["C"])
-    with pytest.raises(ArgumentError):
-        ddfinite_to_dalg(main, [C])
+    C = equation_to_ade(coeff_text, ctx)
+    main = equation_to_ade(main_text, ctx, extra_deps=["C"])
+    res = ddfinite_to_dalg(main, [C])
+    assert res.ade.dep == main.dep and res.ade.order == order
+    y = RatFunc(Poly.var(ctx, ctx.diff_var(main.dep, 0)))
+    assert certified_by_substitution(res.ade, [main, C], y)
+
+
+def test_ddfinite_riccati_coefficient_series():
+    # y'' + C*y = 0 with C' = C^2 + x: the output is C = -y''/y substituted
+    # into the Riccati equation; the coupled system's power series solution
+    # with y(0) = 1, y'(0) = 1, C(0) = 1 solves it, and is the output's own
+    # series solution for the same initial coefficients
+    ctx = Context()
+    C = equation_to_ade("diff(C(x),x) = C(x)^2 + x", ctx)
+    main = equation_to_ade("diff(y(x),x,x) + C(x)*y(x)", ctx, extra_deps=["C"])
+    out = ddfinite_to_dalg(main, [C]).ade
+    T = 12
+    c, y = [Fraction(1)], [Fraction(1), Fraction(1)]
+    for m in range(T):
+        c.append((sum(c[i] * c[m - i] for i in range(m + 1)) + (m == 1)) / (m + 1))
+        y.append(-sum(c[i] * y[m - i] for i in range(m + 1)) / ((m + 2) * (m + 1)))
+    y = y[:T]
+    assert all(r == 0 for r in at_series(out.poly, y, T - out.order).coeffs)
+    assert series_solution(out, y[:out.order + 1], T) == y
+
+
+@pytest.mark.parametrize("spec", ["z = y1", "z = y2"])
+def test_coupled_first_order_system(spec):
+    # y1' = y1*y2 names y2 below its order, and y2' = y1 + x names y1: the
+    # elimination and the ansatz at k = 3 find the same equation
+    ctx = Context()
+    a1 = equation_to_ade("diff(y1(x),x) = y1(x)*y2(x)", ctx)
+    a2 = equation_to_ade("diff(y2(x),x) = y1(x) + x", ctx)
+    zname, R = spec_to_ratfunc(spec, ctx, ["y1", "y2"])
+    res = arithmetic_dalg([a1, a2], R, z_name=zname)
+    assert res.ade.order == 2
+    assert certified_by_substitution(res.ade, [a1, a2], R)
+    found = ansatz_search([a1, a2], R, k=3, z_name=zname)
+    assert render(found, "text") == render(res.ade, "text")

@@ -6,9 +6,10 @@ benchmark's argvs and for a fixed list of error paths.
 
 The first form runs every distinct argv of the ``elim`` and ``ansatz``
 workloads and of ``cli-mix`` seeds 1-10 (hard set included), taken from this
-repository's ``perfbench/cases.py``, then the fixed error-path argvs of
-``ERROR_ARGVS`` (none of the benchmark's argvs fails), in-process through
-the checkout's ``dalg.cli.main(argv + ["--format", "json"])``, and writes
+repository's ``perfbench/cases.py``, then the fixed argvs of ``ERROR_ARGVS``
+(error paths, since none of the benchmark's argvs fails, and inputs at the
+edge of the input class), in-process through the checkout's
+``dalg.cli.main(argv + ["--format", "json"])``, and writes
 for each argv the exit code and the sha256 of stdout and of stderr.  An
 exception that escapes ``main`` is recorded as exit code 1 with its type
 and message as stderr.
@@ -74,6 +75,17 @@ ERROR_ARGVS = [
     ("inverse", "--ade", "x*y' = 0"),
     ("inverse", "--ade", "(x+y)*y'^2 = 0"),
     ("inverse", "--ade", "x*y' - 1 = 0"),
+    # the input class: a function with no equation of its own (w), and a
+    # compose side naming the other side's dependent, exit 64; a nonlinear
+    # ddfinite input and coupled inputs in prime notation, exit 0
+    ("unary", "--ade", "y' = w(x)*y", "--spec", "z = y^2"),
+    ("diff", "--ade", "y' = w(x)*y"),
+    ("inverse", "--ade", "y' = w(x)*y"),
+    ("ansatz", "--ade", "y' = w(x)*y", "--spec", "z = y^2", "--degree-de", "1"),
+    ("compose", "--ade", "diff(y1(x),x) = y1(x)*y2(x)", "--ade", "y2' = 1"),
+    ("compose", "--ade", "y1' = y1", "--ade", "diff(y2(x),x) = y1(x)"),
+    ("ddfinite", "--ade", "y' = C*y^2", "--ade", "C' = C"),
+    ("arith", "--ade", "y1'=y1*y2", "--ade", "y2'=y1+x", "--spec", "z = y1"),
 ]
 
 
