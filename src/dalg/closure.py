@@ -1,32 +1,61 @@
 """Closure operations for differentially algebraic functions.
 
 Five operations (rational maps of one or several functions, composition,
-derivation and the D-finite to D-algebraic conversion) share one pipeline
-and each declares only its inputs, its saturation factors and its order
-bound (n for R(f), n_1 + ... + n_N for R(f_1, ..., f_N) and for the
-D-finite conversion, which is R = y with z the main dependent itself, n + k
-for f(g)).  The pipeline couples the inputs to a new dependent variable z
-in a triangular system, prolongs it to the bound, inverts each distinct
-saturation factor with a Rabinowitsch variable of its own, eliminates every
-non-z derivative variable once with a block Groebner order whose eliminated
-block those variables lead, and selects, among the generators of the
-reduced basis that involve z, the one of lowest (order, total degree, term
-count).  It need not be the least order in the elimination ideal: an
-element of lower order can exist without being a basis generator.  The
-functional inverse alone is written down explicitly, with no elimination at
-all.  Every operation checks its inputs against one class,
-:func:`_check_inputs`; composition checks its outer and inner equations as
-two systems.
+derivation and the D-finite to D-algebraic conversion) share one pipeline.
+Each declares only its inputs, a link polynomial that ties the output z to
+them, and its extra saturation factors; the order bound is the order sum of
+the inputs.  For R(f_1, ..., f_N) the link is z*den(R) - num(R) and the
+bound n_1 + ... + n_N.  The j-th derivative is the map R = y^(j), written
+through the inputs' derivation when j > n.  For f(g), with f of order n and
+g of order k, the inputs are n chain-rule equations v_i' = v_{i+1}*g' of
+order one (g' is u', or its value through g's equation when k = 0), f evaluated at (u, v) as an equation of order zero in v_n, and
+g's own equation, the link is z - v_0 and the bound n + k.  The D-finite
+conversion takes the main equation itself as the link, with z the main
+dependent and the coefficient equations as the inputs.
+
+The pipeline keeps the inputs as they are, prolongs the link to the bound
+under the inputs' coupled derivation (:meth:`RatFunc.derivative`, which
+replaces each input's y_j^(n_j+1) by its value, so no link names any
+y_j above y_j^(n_j)), inverts each distinct saturation factor with a
+Rabinowitsch variable of its own, eliminates every non-z derivative
+variable once with a block Groebner order whose eliminated block those
+variables lead, and selects, among the generators of the reduced basis
+that involve z, the one of lowest (order, total degree, term count).  It
+need not be the least order in the elimination ideal: an element of lower
+order can exist without being a basis generator.  The functional inverse
+alone is written down explicitly, with no elimination at all.  Every
+operation checks its inputs against one class, :func:`_check_inputs`;
+composition checks its outer and inner equations as two systems.
+
+Substituting is prolonging.  Prolong every input P_j, and the link, to the
+bound instead: each prolongation D^t(P_j) = S_j*y_j^(n_j+t) + T is linear
+in its new leader, with the separant S_j as its coefficient, and every
+separant is a saturation factor.  So in the ring where the factors are
+inverted, the prolonged inputs generate the same ideal as the P_j together
+with y_j^(n_j+t) - V_jt, where V_jt is the value of y_j^(n_j+t) under the
+coupled derivation d.  That derivation maps each P_j to zero, so
+substituting the values commutes with derivation: the t-th derivative of
+the link, substituted, is d^t of the link, and the numerator of d applied
+to the previous link differs from it by a unit and a multiple of that
+link.  Replacing the generator y_j^(n_j+t) - V_jt by the substitution
+leaves the intersection of the ideal with the ring without y_j^(n_j+t)
+unchanged, and a prolongation whose leader occurs nowhere else (the main
+equation's above the bound, in the D-finite conversion) drops out the same
+way.  So both systems have the same elimination ideal
+I : (h_1 ... h_m)^oo, whose reduced basis is unique: the output is the
+same polynomial either way, and the inputs' higher derivatives never reach
+the Groebner basis (Rosenfeld's lemma, as used by Boulier, Lazard,
+Ollivier & Petitot, ISSAC 1995).
 
 One elimination is enough.  (1) The system keeps z only up to the bound,
 so no generator exceeds it.  (2) There, z, ..., z^(bound) are algebraic
 over the field generated by x and the inputs' bound non-leading
 derivatives (for f(g): g, ..., g^(k-1) and f(g), ..., f^(n-1)(g)) over
 Q(params), on each component of the saturated ideal: each leader is
-algebraic over them, and each prolongation of an input is linear in its
-new leader, whose coefficient is the separant.  An input names another's
-y_k only below n_k, so its prolongation names y_k only up to y_k^(n_k).
-So the bound + 2 elements x, z, ..., z^(bound) satisfy a nonzero polynomial
+algebraic over them, and each higher derivative is a rational function of
+the leaders and those derivatives.  An input names another's y_k only
+below n_k, so its derivative names y_k only up to y_k^(n_k).  So the
+bound + 2 elements x, z, ..., z^(bound) satisfy a nonzero polynomial
 there, which involves z since x is transcendental, and a power of the
 product of these polynomials over the components lies in the saturated
 ideal, unless that is the unit ideal.  (3) The unit ideal stays the unit
@@ -46,19 +75,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .context import DIFF, same_context
-from .diffpoly import (ADE, RatFunc, normalize_ade, rational_substitute,
-                       total_derivative)
+from .diffpoly import (ADE, RatFunc, implicit_higher_derivative, normalize_ade,
+                       rational_substitute)
 from .errors import ArgumentError, EliminationFailedError
 from .groebner import GBConfig, eliminate
 from .poly import Poly, content_primitive
 
 SAT_NAME = "_sat"  # reserved prefix of the saturation variables _sat0, _sat1, ...
+VANISHING_FACTOR = ("no keep-only generator involves the output: a saturation "
+                    "factor (an initial, a separant, the map's denominator, or "
+                    "g' for compose) vanishes on the inputs' generic solution")
 
 
 @dataclass
 class TriangularSystem:
-    """A prolonged system ready for elimination; ``sat_vars`` are the
-    saturation variables, which lead the eliminated block."""
+    """The system one closure operation eliminates from; ``sat_vars`` are
+    the saturation variables, which lead the eliminated block."""
 
     polys: list
     elim_vars: set
@@ -76,21 +108,13 @@ class ClosureResult:
     generators: list
 
 
-def prolong(p: Poly, s: int) -> list:
-    """p together with its first s total derivatives."""
-    out = [p]
-    for _ in range(s):
-        out.append(total_derivative(out[-1]))
-    return out
-
-
 def saturation_factors(factors) -> list:
     """The distinct non-constant factors, primitive-normalized.
 
-    The factors are the initials and separants of the triangular system,
-    the map's denominator and, for composition, g'; inverting them discards
-    the degenerate solution branches they cut out, matching the
-    triangular-set (saturation ideal) reading of the system.
+    The factors are the initials and separants of the inputs, the map's
+    denominator and, for composition, g'; inverting them discards the
+    degenerate solution branches they cut out, matching the triangular-set
+    (saturation ideal) reading of the system.
     """
     seen = []
     for f in factors:
@@ -102,18 +126,20 @@ def saturation_factors(factors) -> list:
     return seen
 
 
-def build_system(inputs, z_id: int, s: int, saturate=(),
-                 leads=None) -> TriangularSystem:
-    """Prolong input i s + leads[i] times (every lead defaults to 0) and
-    partition the variables: derivatives of z up to order s (and x,
-    parameters) are kept, everything else is eliminated.  Each saturation
-    factor h_i is inverted by adjoining w_i*h_i - 1 (un-prolonged) with an
-    eliminated fresh variable w_i, named _sat<i>."""
-    leads = leads or [0] * len(inputs)
-    polys = []
-    for p, lead in zip(inputs, leads):
-        polys.extend(prolong(p, s + lead))
-    ctx = inputs[0].ctx
+def build_system(ades, link: Poly, z_id: int, s: int, saturate=()) -> TriangularSystem:
+    """The input equations as they are, then the link and its first s
+    derivatives under the inputs' coupled derivation (each step the
+    numerator of :meth:`RatFunc.derivative`), and w_i*h_i - 1 for each
+    saturation factor h_i, with an eliminated fresh variable w_i named
+    _sat<i>.  Derivatives of z (and x, parameters) are kept, every other
+    derivative is eliminated.  One pass of the derivation replaces every
+    input's y_j^(n_j+1) when each input's derivative names no other
+    input's y_k^(n_k+1), or only those of inputs after it."""
+    links = [link]
+    for _ in range(s):
+        links.append(RatFunc(links[-1]).derivative(ades).num)
+    polys = [a.poly for a in ades] + links
+    ctx = link.ctx
     sat_vars = [ctx.diff_var(ctx.indeterminate(f"{SAT_NAME}{i}"), 0)
                 for i in range(len(saturate))]
     for w, h in zip(sat_vars, saturate):
@@ -121,41 +147,43 @@ def build_system(inputs, z_id: int, s: int, saturate=(),
     elim, keep = set(), set()
     for p in polys:
         for v in p.variables():
-            if v.kind == DIFF and (v.indet != z_id or v.order > s):
-                elim.add(v)
-            else:
-                keep.add(v)
+            (elim if v.kind == DIFF and v.indet != z_id else keep).add(v)
     return TriangularSystem(polys, elim, keep, sat_vars)
 
 
 def select_output(generators, z_id: int) -> ADE:
     """Among generators that involve z, the one of minimal (order, total
-    degree, term count), as an ADE."""
+    degree, term count), as an ADE; a tie goes to the least rendered
+    text."""
     from .render import poly_to_text
 
-    def sel_key(g):
+    def rank(g):
         z_order = max(v.order for v in g.variables()
                       if v.kind == DIFF and v.indet == z_id)
-        return (z_order, g.total_degree(), g.num_terms(), poly_to_text(g))
+        return (z_order, g.total_degree(), g.num_terms())
 
-    best = min(generators, key=sel_key)
+    ranked = [(rank(g), g) for g in generators]
+    low = min(r for r, _ in ranked)
+    best = min((g for r, g in ranked if r == low), key=poly_to_text)
     return normalize_ade(best, dep=z_id)
 
 
-def _close(inputs, z_id: int, bound: int, factors, config, leads=None) -> ClosureResult:
-    """The pipeline: prolong the inputs bound (+ lead) times, saturate by
-    the factors, eliminate once, and select among the generators that
+def _close(ades, link: Poly, z_id: int, config, factors=()) -> ClosureResult:
+    """The pipeline: prolong the link to the order sum n_1 + ... + n_N of
+    the inputs, saturate by the factors and by each input's initial and
+    separant, eliminate once, and select among the generators that
     involve z."""
-    system = build_system(inputs, z_id, bound, saturation_factors(factors), leads)
+    factors = list(factors)
+    for a in ades:
+        factors.extend([a.initial, a.separant])
+    system = build_system(ades, link, z_id, sum(a.order for a in ades),
+                          saturation_factors(factors))
     gens = [g for g in eliminate(system.polys, system.elim_vars,
                                  system.keep_vars, config,
                                  first=system.sat_vars)
             if any(v.kind == DIFF and v.indet == z_id for v in g.variables())]
     if not gens:
-        raise EliminationFailedError(
-            "no keep-only generator involves the output: a saturation factor "
-            "(an initial, a separant, the map's denominator, or g' for "
-            "compose) vanishes on the inputs' generic solution")
+        raise EliminationFailedError(VANISHING_FACTOR)
     return ClosureResult(select_output(gens, z_id), gens)
 
 
@@ -195,29 +223,18 @@ def _check_inputs(ades, R=None) -> None:
                 raise ArgumentError(f"{where} involves {v!r}, {side} the order of its own")
 
 
-def _coupled(ades, z_id: int, config, extra=(), factors=()) -> ClosureResult:
-    """Close the inputs, plus the extra polynomials, at the order sum
-    n_1 + ... + n_N, saturated by the factors and by each input's initial
-    and separant."""
-    factors = list(factors)
-    for a in ades:
-        factors.extend([a.initial, a.separant])
-    return _close([a.poly for a in ades] + list(extra), z_id,
-                  sum(a.order for a in ades), factors, config)
-
-
 def _rational(ades, R: RatFunc, z_name, config) -> ClosureResult:
-    """R(x, f_1, ..., f_N) through z*den(R) - num(R), saturated by den(R)
-    and the initials and separants of the inputs."""
+    """R(x, f_1, ..., f_N) through the link z*den(R) - num(R), saturated by
+    den(R) and the initials and separants of the inputs."""
     _check_inputs(ades, R)
     ctx = ades[0].ctx
     z_id = _output_id(ctx, z_name, ades)
     z = Poly.var(ctx, ctx.diff_var(z_id, 0))
-    defining = z * R.den - R.num
+    link = z * R.den - R.num
     if not any(v.kind == DIFF for v in R.variables()):
         # no dependent occurs: z = R(x) needs no elimination
-        return ClosureResult(normalize_ade(defining, dep=z_id), [defining])
-    return _coupled(ades, z_id, config, [defining], [R.den])
+        return ClosureResult(normalize_ade(link, dep=z_id), [link])
+    return _close(ades, link, z_id, config, [R.den])
 
 
 def unary_dalg(ade: ADE, R: RatFunc, z_name: str = "z",
@@ -243,8 +260,14 @@ def compose_dalg(outer: ADE, inner: ADE, z_name: str = "z",
     outer equation (order n) and g the inner one (order k).
 
     Encoding: u carries g through the inner equation, v_i carries
-    f^(i) composed with g; the outer equation is evaluated at (u, v), and
-    the chain rule supplies v_i' = v_{i+1} * u'.
+    f^(i) composed with g; the chain rule supplies v_i' = v_{i+1} * g' for
+    i < n, and the outer equation evaluated at (u, v) is an equation of
+    order zero in v_n.  Here g' is u' or, when the inner equation has
+    order zero, the value of u' through it, so no chain equation names u
+    at or above the inner order.  The inputs come in the order chain,
+    outer, inner: the derivative of v_{n-1}' - v_n*g' names v_n', which
+    the outer equation then replaces, and every u^(k+1) that the chain and
+    the outer equation's derivatives name is replaced by the inner one.
     """
     same_context(outer.poly, inner.poly)
     if outer.dep == inner.dep:
@@ -252,43 +275,37 @@ def compose_dalg(outer: ADE, inner: ADE, z_name: str = "z",
     _check_inputs([outer])
     _check_inputs([inner])
     ctx = outer.ctx
-    n, k = outer.order, inner.order
+    n = outer.order
     z_id = _output_id(ctx, z_name, [outer, inner])
     v_ids = [ctx.indeterminate(f"_v{i}") for i in range(n + 1)]
-    u0 = Poly.var(ctx, ctx.diff_var(inner.dep, 0))
-    u1 = Poly.var(ctx, ctx.diff_var(inner.dep, 1))
+    v = [Poly.var(ctx, ctx.diff_var(v_id, 0)) for v_id in v_ids]
+    g1 = (implicit_higher_derivative(inner, 1) if inner.order == 0
+          else RatFunc(Poly.var(ctx, ctx.diff_var(inner.dep, 1))))
+    if g1.num.is_zero():
+        # g is constant: its inverted g' makes the saturated ideal the unit one
+        raise EliminationFailedError(VANISHING_FACTOR)
 
-    bindings = {ctx.indep: u0}
+    bindings = {ctx.indep: Poly.var(ctx, ctx.diff_var(inner.dep, 0))}
     for i in range(n + 1):
-        bindings[ctx.diff_var(outer.dep, i)] = Poly.var(ctx, ctx.diff_var(v_ids[i], 0))
-    evaluated = outer.poly.substitute(bindings)
-
-    chain = [
-        Poly.var(ctx, ctx.diff_var(v_ids[i], 1))
-        - Poly.var(ctx, ctx.diff_var(v_ids[i + 1], 0)) * u1
-        for i in range(n)
-    ]
+        bindings[ctx.diff_var(outer.dep, i)] = v[i]
+    chain = [normalize_ade(Poly.var(ctx, ctx.diff_var(v_ids[i], 1)) * g1.den
+                           - v[i + 1] * g1.num, dep=v_ids[i])
+             for i in range(n)]
+    evaluated = normalize_ade(outer.poly.substitute(bindings), dep=v_ids[n])
     z = Poly.var(ctx, ctx.diff_var(z_id, 0))
-    inputs = [evaluated] + chain + [inner.poly, z - Poly.var(ctx, ctx.diff_var(v_ids[0], 0))]
-    factors = [outer.initial.substitute(bindings), outer.separant.substitute(bindings),
-               u1, inner.initial, inner.separant]
-    return _close(inputs, z_id, n + k, factors, config)
+    return _close([*chain, evaluated, inner], z - v[0], z_id, config, [g1.num])
 
 
 def diff_dalg(ade: ADE, j: int = 1, z_name: str = "z",
               config: GBConfig | None = None) -> ClosureResult:
     """Equation satisfied by the j-th derivative of every solution of the
-    input equation; output order <= n.  The input is prolonged j times
-    further than the link z - y^(j), so both reach the same orders."""
+    input equation; output order <= n: the rational map y^(j), written
+    through the input's derivation in y, ..., y^(n) when j > n."""
     if j < 1:
         raise ArgumentError("derivative count must be positive")
-    _check_inputs([ade])
-    ctx = ade.ctx
-    z_id = _output_id(ctx, z_name, [ade])
-    link = (Poly.var(ctx, ctx.diff_var(z_id, 0))
-            - Poly.var(ctx, ctx.diff_var(ade.dep, j)))
-    return _close([ade.poly, link], z_id, ade.order,
-                  [ade.initial, ade.separant], config, leads=(j, 0))
+    value = (implicit_higher_derivative(ade, j - ade.order) if j > ade.order
+             else RatFunc(Poly.var(ade.ctx, ade.ctx.diff_var(ade.dep, j))))
+    return _rational([ade], value, z_name, config)
 
 
 def inv_dalg(ade: ADE, z_name: str = "z") -> ClosureResult:
@@ -324,10 +341,11 @@ def inv_dalg(ade: ADE, z_name: str = "z") -> ClosureResult:
 
 def ddfinite_to_dalg(main: ADE, coeff_odes, config: GBConfig | None = None) -> ClosureResult:
     """Equation in the main dependent alone for the coupled system of the
-    main equation and one equation per coefficient function: the
-    elimination of :func:`arithmetic_dalg` with z = y, on the main
-    dependent itself.  Linear equations with D-finite coefficients are
-    the classical case; any input of the common class is accepted."""
-    ades = [main, *coeff_odes]
-    _check_inputs(ades)
-    return _coupled(ades, main.dep, config)
+    main equation and one equation per coefficient function: the main
+    equation is the link, with z = y the main dependent itself, prolonged
+    to the order sum of the coefficient equations, which are the inputs.
+    Linear equations with D-finite coefficients are the classical case; any
+    input of the common class is accepted."""
+    _check_inputs([main, *coeff_odes])
+    return _close(list(coeff_odes), main.poly, main.dep, config,
+                  [main.initial, main.separant])

@@ -135,8 +135,11 @@ class RatFunc:
     def derivative(self, ades=()) -> "RatFunc":
         """Total derivative by the quotient rule, reduced once.  Where the
         numerator holds y^(n+1) of an input P = 0 of order n, the linear
-        D(P) = S*y^(n+1) + rest replaces it by -rest/S (for the inputs
-        that ``derivative_closure`` accepts)."""
+        D(P) = S*y^(n+1) + rest replaces it by -rest/S, input by input in
+        one pass.  That leaves no y_j^(n_j+1) when no input's rest names
+        the y_k^(n_k+1) of an input before it: for the inputs that
+        ``derivative_closure`` accepts, whose rests name no y_k^(n_k+1)
+        at all, and for the coupled system of a composition."""
         num = total_derivative(self.num) * self.den - self.num * total_derivative(self.den)
         den = self.den * self.den
         for ade in ades:

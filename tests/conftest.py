@@ -5,8 +5,9 @@ derivative modulo the inputs, the independent Groebner references (a
 plain normal form and a certificate-tracking Buchberger on tuple
 monomials) that the kernel in dalg.groebner is checked against, the
 Bareiss solve on Poly arithmetic that the ansatz's packed solve is checked
-against, and a truncated power series solution to check rational values
-of derivatives on without any polynomial gcd."""
+against, the prolonged elimination that the closure operations are
+checked against, and a truncated power series solution to check rational
+values of derivatives on without any polynomial gcd."""
 
 import os
 import random
@@ -15,9 +16,10 @@ from pathlib import Path
 
 from dalg import (ADE, Context, Poly, RatFunc, TruncSeries, derivative_closure,
                   equation_to_ade, pseudo_divide)
-from dalg.context import INDEP, same_context
+from dalg.closure import SAT_NAME, saturation_factors
+from dalg.context import DIFF, INDEP, same_context
 from dalg.diffpoly import rational_substitute, total_derivative
-from dalg.groebner import IdealBasis
+from dalg.groebner import IdealBasis, eliminate
 from dalg.orders import MonomialOrder
 from dalg.poly import Mono, exact_div, mono_div, try_exact_divide
 
@@ -298,6 +300,89 @@ def reference_solve_linear(system):
 
 
 # -- the truncated-series oracle ----------------------------------------------
+
+
+# -- the prolonged closure pipeline ----------------------------------------
+
+
+def prolong(p, s):
+    """p together with its first s total derivatives."""
+    out = [p]
+    for _ in range(s):
+        out.append(total_derivative(out[-1]))
+    return out
+
+
+def prolonged_generators(inputs, z_id, s, factors, leads=None):
+    """The keep-only generators that involve z when input i is prolonged
+    s + leads[i] times (every lead defaults to 0), each saturation factor
+    h_i is inverted by w_i*h_i - 1, and every derivative other than z up
+    to order s is eliminated once."""
+    leads = leads or [0] * len(inputs)
+    polys = [q for p, lead in zip(inputs, leads) for q in prolong(p, s + lead)]
+    ctx = inputs[0].ctx
+    saturate = saturation_factors(factors)
+    sat_vars = [ctx.diff_var(ctx.indeterminate(f"{SAT_NAME}{i}"), 0)
+                for i in range(len(saturate))]
+    polys += [Poly.var(ctx, w) * h - Poly.const(ctx, 1) for w, h in zip(sat_vars, saturate)]
+    elim, keep = set(), set()
+    for p in polys:
+        for v in p.variables():
+            (elim if v.kind == DIFF and (v.indet != z_id or v.order > s) else keep).add(v)
+    return [g for g in eliminate(polys, elim, keep, first=sat_vars)
+            if any(v.kind == DIFF and v.indet == z_id for v in g.variables())]
+
+
+def _inputs_factors(ades):
+    return [a.poly for a in ades], [h for a in ades for h in (a.initial, a.separant)]
+
+
+def prolonged_rational(ades, R, z_name="z"):
+    """R(x, f_1, ..., f_N): the inputs and z*den(R) - num(R), prolonged to
+    the order sum."""
+    ctx = R.ctx
+    z = Poly.var(ctx, ctx.diff_var(ctx.indeterminate(z_name), 0))
+    polys, factors = _inputs_factors(ades)
+    return prolonged_generators(polys + [z * R.den - R.num], ctx.indet_id(z_name),
+                                sum(a.order for a in ades), [R.den] + factors)
+
+
+def prolonged_diff(ade, j, z_name="z"):
+    """The j-th derivative: the input runs j prolongations ahead of the
+    link z - y^(j), which is prolonged n times."""
+    ctx = ade.ctx
+    z_id = ctx.indeterminate(z_name)
+    link = (Poly.var(ctx, ctx.diff_var(z_id, 0))
+            - Poly.var(ctx, ctx.diff_var(ade.dep, j)))
+    polys, factors = _inputs_factors([ade])
+    return prolonged_generators(polys + [link], z_id, ade.order, factors, leads=(j, 0))
+
+
+def prolonged_compose(outer, inner, z_name="z"):
+    """f(g): the outer equation at (u, v), the chain rule v_i' = v_{i+1}*u',
+    the inner equation and z - v_0, prolonged n + k times."""
+    ctx = outer.ctx
+    n, k = outer.order, inner.order
+    z_id = ctx.indeterminate(z_name)
+    v = [Poly.var(ctx, ctx.diff_var(ctx.indeterminate(f"_v{i}"), 0)) for i in range(n + 1)]
+    u1 = Poly.var(ctx, ctx.diff_var(inner.dep, 1))
+    bindings = {ctx.indep: Poly.var(ctx, ctx.diff_var(inner.dep, 0))}
+    for i in range(n + 1):
+        bindings[ctx.diff_var(outer.dep, i)] = v[i]
+    chain = [total_derivative(v[i]) - v[i + 1] * u1 for i in range(n)]
+    z = Poly.var(ctx, ctx.diff_var(z_id, 0))
+    inputs = [outer.poly.substitute(bindings), *chain, inner.poly, z - v[0]]
+    factors = [outer.initial.substitute(bindings), outer.separant.substitute(bindings),
+               u1, inner.initial, inner.separant]
+    return prolonged_generators(inputs, z_id, n + k, factors)
+
+
+def prolonged_ddfinite(main, coeff_odes):
+    """The main equation and the coefficient equations, prolonged to the
+    order sum, with z = y the main dependent."""
+    ades = [main, *coeff_odes]
+    polys, factors = _inputs_factors(ades)
+    return prolonged_generators(polys, main.dep, sum(a.order for a in ades), factors)
 
 
 def at_series(p, coeffs, prec):

@@ -15,8 +15,7 @@ from dalg import (Context, Poly, RatFunc, SeriesWitness, ansatz_search,
                   verify_series)
 from dalg import closure, groebner
 from dalg.cli import main as cli_main
-from dalg.closure import (build_system, prolong, saturation_factors,
-                          select_output)
+from dalg.closure import build_system, saturation_factors, select_output
 from dalg.diffpoly import normalize_ade
 from dalg.errors import ArgumentError, EliminationFailedError
 from dalg.groebner import eliminate
@@ -24,8 +23,9 @@ from dalg.orders import Block, GrevLex
 from dalg.render import poly_to_text, render
 from dalg.series import TruncSeries
 
-from conftest import (at_series, certified_by_substitution, proportional,
-                      series_solution, weierstrass)
+from conftest import (at_series, certified_by_substitution, prolonged_compose,
+                      prolonged_ddfinite, prolonged_diff, prolonged_rational,
+                      proportional, series_solution, weierstrass)
 
 
 def exp_ade(ctx, name="y", rate=1):
@@ -66,49 +66,46 @@ def eliminations(monkeypatch):
 def test_prolong_and_build_system_counts(monkeypatch, eliminations):
     ctx = Context()
     ade = exp_ade(ctx)
-    assert len(prolong(ade.poly, 3)) == 4
+    y = ctx.indet_id("y")
     z = ctx.indeterminate("z")
     defining = (Poly.var(ctx, ctx.diff_var(z, 0))
-                - Poly.var(ctx, ctx.diff_var(ctx.indet_id("y"), 0), 2))
-    system = build_system([ade.poly, defining], z, 1)
-    # two inputs, each prolonged once
-    assert len(system.polys) == 4
-    assert system.polys == [*prolong(ade.poly, 1), *prolong(defining, 1)]
-    # keeps z, z'; eliminates y, y', y'' (x does not occur here)
+                - Poly.var(ctx, ctx.diff_var(y, 0), 2))
+    system = build_system([ade], defining, z, 1)
+    # the input as it is, and the link prolonged once: z' - 2*y*y' names
+    # the leader y' and nothing above it
+    y0, y1 = (Poly.var(ctx, ctx.diff_var(y, i)) for i in (0, 1))
+    z1 = Poly.var(ctx, ctx.diff_var(z, 1))
+    assert system.polys == [ade.poly, defining, z1 - (y0 * y1).scale(2)]
+    # keeps z, z'; eliminates y, y' and no higher derivative (x does not
+    # occur here)
     keep_names = {repr(v) for v in system.keep_vars}
     assert keep_names == {"z", "z^(1)"}
-    assert len(system.elim_vars) == 3
-    s0 = build_system([ade.poly, defining], z, 0)
-    assert len(s0.polys) == 2
-    # the diff shape: the input runs j = 2 prolongations ahead of the link
-    # z - y^(2), so at s = 1 both reach y^(4)
-    link = (Poly.var(ctx, ctx.diff_var(z, 0))
-            - Poly.var(ctx, ctx.diff_var(ctx.indet_id("y"), 2)))
-    sd = build_system([ade.poly, link], z, 1, leads=(2, 0))
-    assert len(sd.polys) == 4 + 2
-    assert {repr(v) for v in sd.keep_vars} == {"z", "z^(1)"}
-    assert len(sd.elim_vars) == 5  # y, y^(1), ..., y^(4)
-    assert sd.polys[:4] == prolong(ade.poly, 3)
-    # diff_dalg eliminates once, on the input prolonged n + j = 3 times,
-    # which reaches y^(4)
+    assert sorted(v.order for v in system.elim_vars) == [0, 1]
+    s0 = build_system([ade], defining, z, 0)
+    assert s0.polys == [ade.poly, defining]
+    # z - y'^3 differentiates to z' - 3*y'^2*y'', and y'' = y' comes from
+    # the input
+    cubed = Poly.var(ctx, ctx.diff_var(z, 0)) - Poly.var(ctx, ctx.diff_var(y, 1), 3)
+    (_, _, top) = build_system([ade], cubed, z, 1).polys
+    assert top == z1 - (y1 ** 3).scale(3)
+    # diff_dalg with j = 2 on y' = y eliminates y and y' only: the link
+    # z - y'' is z - y', and its derivative z' - y'' is z' - y'
     diff_dalg(exp_ade(Context()), 2)
     ((_, elim_vars, _),) = eliminations
-    assert sorted(v.order for v in elim_vars) == [0, 1, 2, 3, 4]
+    assert sorted(v.order for v in elim_vars) == [0, 1]
 
     # saturation: one polynomial and one eliminated variable per distinct
     # non-constant factor; constants and rational multiples add nothing
-    y0 = Poly.var(ctx, ctx.diff_var(ctx.indet_id("y"), 0))
-    y1 = Poly.var(ctx, ctx.diff_var(ctx.indet_id("y"), 1))
     shift = y0 + Poly.var(ctx, ctx.indep)
     assert saturation_factors([Poly.const(ctx, 3), Poly(ctx)]) == []
     factors = saturation_factors([shift, Poly.const(ctx, 3), y1,
                                   shift.scale(Fraction(-2, 3)), y1.scale(5)])
     assert len(factors) == 2
-    sat = build_system([ade.poly, defining], z, 1, factors)
+    sat = build_system([ade], defining, z, 1, factors)
     assert len(sat.polys) == len(system.polys) + 2
     assert len(sat.sat_vars) == 2
     assert sat.elim_vars == system.elim_vars | set(sat.sat_vars)
-    assert build_system([ade.poly, defining], z, 1, []).sat_vars == []
+    assert build_system([ade], defining, z, 1, []).sat_vars == []
     # the saturation variables lead the high block of the order eliminate
     # builds; the other eliminated variables and the keep block keep their
     # canonical rank
@@ -144,7 +141,8 @@ def _unary_problem(rng, ctx):
     spec = rng.choice([f"z = {a}*y + {b}*x", f"z = y^2 + {a}*x", f"z = 1/(y + {a})",
                        f"z = x*y + {a}"])
     zname, R = spec_to_ratfunc(spec, ctx, ["y"])
-    return unary_dalg(ade, R, z_name=zname), ade.order, ([ade], R)
+    return (unary_dalg(ade, R, z_name=zname), ade.order, ([ade], R),
+            lambda: prolonged_rational([ade], R, zname))
 
 
 def _arith_problem(rng, ctx):
@@ -152,7 +150,8 @@ def _arith_problem(rng, ctx):
     a2 = equation_to_ade(f"diff(y2(x),x) = {_n(rng)}*y2(x) + {_n(rng)}", ctx)
     spec = rng.choice(["z = y1 + y2", "z = y1*y2", f"z = y1 + {_n(rng)}*y2", "z = y1/y2"])
     zname, R = spec_to_ratfunc(spec, ctx, ["y1", "y2"])
-    return arithmetic_dalg([a1, a2], R, z_name=zname), a1.order + a2.order, ([a1, a2], R)
+    return (arithmetic_dalg([a1, a2], R, z_name=zname), a1.order + a2.order,
+            ([a1, a2], R), lambda: prolonged_rational([a1, a2], R, zname))
 
 
 def _compose_problem(rng, ctx):
@@ -160,37 +159,95 @@ def _compose_problem(rng, ctx):
     inner = equation_to_ade(rng.choice([f"diff(y2(x),x) = {_n(rng)}",
                                         f"diff(y2(x),x) = {_n(rng)}*y2(x) + {_n(rng)}"]),
                             ctx)
-    return compose_dalg(outer, inner), outer.order + inner.order, None
+    return (compose_dalg(outer, inner), outer.order + inner.order, None,
+            lambda: prolonged_compose(outer, inner))
 
 
 def _diff_problem(rng, ctx):
     ade = equation_to_ade(rng.choice([
         _first_order(rng, "y"),
         f"diff(y(x),x,x) + {_n(rng)}*diff(y(x),x) + {_n(rng)}*y(x) = 0"]), ctx)
-    return diff_dalg(ade, rng.randint(1, 2)), ade.order, None
+    j = rng.randint(1, 2)
+    return diff_dalg(ade, j), ade.order, None, lambda: prolonged_diff(ade, j)
 
 
 def _ddfinite_problem(rng, ctx):
     main = equation_to_ade(f"diff(y(x),x) - ({_n(rng)} + C(x))*y(x) = 0", ctx,
                            extra_deps=["C"])
     coeff = equation_to_ade(f"diff(C(x),x) - {_n(rng)}*C(x) = 0", ctx)
-    return ddfinite_to_dalg(main, [coeff]), main.order + coeff.order, None
+    return (ddfinite_to_dalg(main, [coeff]), main.order + coeff.order, None,
+            lambda: prolonged_ddfinite(main, [coeff]))
 
 
-def test_one_elimination_per_operation(eliminations):
-    # the inputs are prolonged to the order bound and eliminated once: the
-    # output stays within the bound, and no operation eliminates twice
+def _seeded_problems():
     rng = random.Random(15)
     problems = [_unary_problem, _arith_problem, _compose_problem, _diff_problem,
                 _ddfinite_problem] * 5
     rng.shuffle(problems)
     for problem in problems:
-        eliminations.clear()
-        res, bound, certify = problem(rng, Context())
+        yield problem(rng, Context())
+
+
+def test_one_elimination_per_operation(eliminations):
+    # the link is prolonged to the order bound and eliminated once: the
+    # output stays within the bound, and no operation eliminates twice
+    for res, bound, certify, _ in _seeded_problems():
         assert len(eliminations) == 1
+        eliminations.clear()
         assert res.ade.order <= bound
         if certify is not None:
             assert certified_by_substitution(res.ade, *certify)
+
+
+def _criteria_1_to_6(ctx):
+    wp = weierstrass(ctx, "y1")
+    zname, R = spec_to_ratfunc("z = y1/(x+y1)", ctx, ["y1"])
+    yield unary_dalg(wp, R, z_name=zname), lambda: prolonged_rational([wp], R, zname)
+    a1 = equation_to_ade("x*diff(y1(x),x) - (t*x + 1)*y1(x)", ctx)
+    a2 = equation_to_ade("diff(y2(x),x) - y2(x) - 1", ctx)
+    zname, R2 = spec_to_ratfunc("z = y1/y2", ctx, ["y1", "y2"])
+    yield (arithmetic_dalg([a1, a2], R2, z_name=zname),
+           lambda: prolonged_rational([a1, a2], R2, zname))
+    inner = equation_to_ade("diff(y2(x),x) = 2", ctx)
+    yield compose_dalg(wp, inner), lambda: prolonged_compose(wp, inner)
+    for j in (1, 2):
+        yield diff_dalg(wp, j), lambda j=j: prolonged_diff(wp, j)
+    main = equation_to_ade("diff(y(x),x,x) + (a - 2*q*C)*y(x)", ctx, extra_deps=["C"])
+    coeff = equation_to_ade("diff(C(x),x,x) + 4*C(x)", ctx)
+    yield ddfinite_to_dalg(main, [coeff]), lambda: prolonged_ddfinite(main, [coeff])
+
+
+def _coupled_three_inputs(ctx):
+    # y2'' occurs only through y1'' = y1'*y2 + y1*y2' at bound 3: each input
+    # must be substituted with the others' values, not with its own alone
+    ades = [equation_to_ade(t, ctx, extra_deps=["y1", "y2", "y3"])
+            for t in ("y1' = y1*y2", "y2' = y1 + x", "y3' = y3")]
+    zname, R = spec_to_ratfunc("z = y1+y3", ctx, ["y1", "y2", "y3"])
+    yield arithmetic_dalg(ades, R, z_name=zname), lambda: prolonged_rational(ades, R, zname)
+
+
+def _algebraic_inner(ctx):
+    # an inner equation of order zero: the chain rule names g' = u', which
+    # only the inner equation's value of u' ties to u (the last one's has
+    # the denominator 2*x)
+    for outer_text, inner_text in (("y' = y", "u^2 - x = 0"),
+                                   ("y'' + y = 0", "u^2 - x = 0"),
+                                   ("y' = y^2", "x*u^2 - 1 = 0")):
+        outer = equation_to_ade(outer_text, ctx, extra_deps=["y"])
+        inner = equation_to_ade(inner_text, ctx, dep="u", extra_deps=["u"])
+        yield compose_dalg(outer, inner), lambda o=outer, i=inner: prolonged_compose(o, i)
+
+
+def test_generators_match_the_prolonged_reference():
+    # substituting the inputs' higher derivatives leaves the elimination
+    # ideal, so the reduced basis, as it was with every input prolonged
+    cases = [(res, ref) for res, _, _, ref in _seeded_problems()]
+    cases += [*_criteria_1_to_6(Context()), *_coupled_three_inputs(Context()),
+              *_algebraic_inner(Context())]
+    assert len(cases) == 25 + 6 + 1 + 3
+    for res, reference in cases:
+        assert sorted(map(poly_to_text, res.generators)) == \
+            sorted(map(poly_to_text, reference()))
 
 
 def test_inconsistent_compose_fails_after_one_elimination(eliminations, capsys):
@@ -211,6 +268,19 @@ def test_inconsistent_compose_fails_after_one_elimination(eliminations, capsys):
         "saturation factor (an initial, a separant, the map's denominator, or "
         "g' for compose) vanishes on the inputs' generic solution\n")
     assert len(eliminations) == 2
+
+
+def test_compose_with_algebraic_inner():
+    # f = exp composed with g = sqrt(x): z' = z/(2*sqrt(x)), so 4*x*z'^2 = z^2;
+    # a constant algebraic g has g' = 0 and fails as u' = 0 does
+    ctx = Context()
+    outer = equation_to_ade("y' = y", ctx, extra_deps=["y"])
+    inner = equation_to_ade("u^2 - x = 0", ctx, dep="u", extra_deps=["u"])
+    res = compose_dalg(outer, inner)
+    assert poly_to_text(res.ade.poly) == "4*diff(z(x),x)^2*x - z(x)^2"
+    const = equation_to_ade("u - 1 = 0", ctx, dep="u", extra_deps=["u"])
+    with pytest.raises(EliminationFailedError, match="saturation factor"):
+        compose_dalg(outer, const)
 
 
 def _weierstrass_shift_ratio(ctx):
@@ -249,13 +319,13 @@ def test_per_factor_saturation_matches_product(monkeypatch, run):
     monkeypatch.setattr(closure, "build_system", spy)
     ctx = Context()
     run(ctx)
-    inputs, z_id, s, factors, leads = calls[0]
+    ades, link, z_id, s, factors = calls[0]
     assert len(factors) >= 2
-    per_factor = real(inputs, z_id, s, factors, leads)
+    per_factor = real(ades, link, z_id, s, factors)
     new = eliminate(per_factor.polys, per_factor.elim_vars,
                     per_factor.keep_vars, first=per_factor.sat_vars)
 
-    plain = real(inputs, z_id, s, leads=leads)
+    plain = real(ades, link, z_id, s)
     w = ctx.diff_var(ctx.indeterminate("_w"), 0)
     product = factors[0]
     for h in factors[1:]:
@@ -302,6 +372,13 @@ def test_select_output_order_before_degree():
     a = z1 * z0 + z0
     b = z1 + z0
     assert select_output([a, b], z).poly == b
+    # then the term count, and the least rendered text last, in any input
+    # order
+    c = z1 + z0 + Poly.const(ctx, 1)
+    d = z1 - z0
+    assert poly_to_text(b) < poly_to_text(d)
+    for gens in ([c, d, b], [d, c, b], [b, d, c]):
+        assert select_output(gens, z).poly == b
 
 
 def test_unary_weierstrass_square_over_shift():

@@ -7,8 +7,9 @@ benchmark's argvs and for a fixed list of error paths.
 The first form runs every distinct argv of the ``elim`` and ``ansatz``
 workloads and of ``cli-mix`` seeds 1-10 (hard set included), taken from this
 repository's ``perfbench/cases.py``, then the fixed argvs of ``ERROR_ARGVS``
-(error paths, since none of the benchmark's argvs fails, and inputs at the
-edge of the input class), in-process through the checkout's
+(error paths, since none of the benchmark's argvs fails, inputs at the
+edge of the input class, and eliminations that reach far past an input's
+order), in-process through the checkout's
 ``dalg.cli.main(argv + ["--format", "json"])``, and writes
 for each argv the exit code and the sha256 of stdout and of stderr.  An
 exception that escapes ``main`` is recorded as exit code 1 with its type
@@ -86,6 +87,16 @@ ERROR_ARGVS = [
     ("compose", "--ade", "y1' = y1", "--ade", "diff(y2(x),x) = y1(x)"),
     ("ddfinite", "--ade", "y' = C*y^2", "--ade", "C' = C"),
     ("arith", "--ade", "y1'=y1*y2", "--ade", "y2'=y1+x", "--spec", "z = y1"),
+    # eliminations that reach far past an input's order: coupled three-input
+    # maps (y2'' occurs only through y1'' at bound 3), a third derivative of
+    # a first-order input, a second-order inner and two coefficient functions
+    ("arith", "--ade", "y1'=y1*y2", "--ade", "y2'=y1+x", "--ade", "y3'=y3",
+     "--spec", "z = y1+y3"),
+    ("arith", "--ade", "y1'=y2^2", "--ade", "y2'=y1*y2+x", "--ade", "y3'=2*y3",
+     "--spec", "z = y1*y3"),
+    ("diff", "--ade", "y' = y^2 + x", "--j", "3"),
+    ("compose", "--ade", "y' = y", "--ade", "u'' + u = 0"),
+    ("ddfinite", "--ade", "y'' + C*y' + D*y = 0", "--ade", "C' = C", "--ade", "D' = 2*D"),
 ]
 
 
