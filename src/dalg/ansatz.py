@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import lcm
 
 from .closure import _check_inputs, _output_id
 from .context import DIFF
@@ -232,9 +233,15 @@ def assemble_and_solve(ades, leading, earlier, closure_vals, value_cache: dict,
             row = rows.setdefault(tuple(y_part), [{} for _ in cols])
             row[j][tuple(rest)] = coeff
 
+    # each row times the lcm of its denominators, so that the solve runs
+    # on integers
     sys_rows = []
     for y_mono in sorted(rows):
-        row = [Poly(ctx, terms) for terms in rows[y_mono]]
+        entries = rows[y_mono]
+        den = lcm(*(c.denominator for terms in entries for c in terms.values()))
+        if den != 1:
+            entries = [{m: c * den for m, c in terms.items()} for terms in entries]
+        row = [Poly(ctx, terms) for terms in entries]
         sys_rows.append((row[:-1], row[-1]))
 
     system = LinearSystem(unknowns, sys_rows)

@@ -57,18 +57,21 @@ class RatFunc:
             raise DivisionByZeroError("zero denominator")
         if num.is_zero():
             den = Poly.const(num.ctx, 1)
+        elif den.is_constant():
+            c_den = den.constant_value()
+            if c_den != 1:
+                num, den = num.scale(exact_div(1, c_den)), Poly.const(num.ctx, 1)
         else:
-            if not den.is_constant():
-                quo = try_exact_divide(num, den)
-                if quo is not None:
-                    num, den = quo, Poly.const(num.ctx, 1)
-                else:
-                    g = poly_gcd(num, den)
-                    if not g.is_constant():
-                        num = try_exact_divide(num, g)
-                        den = try_exact_divide(den, g)
-            c_den, den = content_primitive(den)
-            num = num.scale(exact_div(1, c_den))
+            quo = try_exact_divide(num, den)
+            if quo is not None:
+                num, den = quo, Poly.const(num.ctx, 1)
+            else:
+                g = poly_gcd(num, den)
+                if not g.is_constant():
+                    num = try_exact_divide(num, g)
+                    den = try_exact_divide(den, g)
+                c_den, den = content_primitive(den)
+                num = num.scale(exact_div(1, c_den))
         self.num = num
         self.den = den
         self.ctx = num.ctx

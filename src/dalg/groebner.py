@@ -19,9 +19,16 @@ Buchberger works on primitive integer polynomials (an input enters as its
 primitive part, and the output keeps the kernel's integer coefficients).
 S-pairs are discarded by the Gebauer-Moeller criteria and selected by the
 sugar strategy: smallest sugar, then smallest lcm (Giovini, Mora, Niesi,
-Robbiano & Traverso, ISSAC 1991).  Hard caps on intermediate total degree
-and basis size turn runaway eliminations into a :class:`ResourceCapError`
-instead of unbounded growth.
+Robbiano & Traverso, ISSAC 1991).  The pair loop only top-reduces an
+S-polynomial: the first irreducible term ends its normal form, which
+fixes the leading monomial that the pair criteria and the divisor search
+read, and leaves the tail as it stands.  One finish then
+minimalises the basis and fully reduces the elements asked for:
+:func:`buchberger` all of them, :func:`eliminate` only those whose leading
+monomial is free of the eliminated variables, which under the block order
+are its whole output and are reduced only by each other.  Hard caps on
+intermediate total degree and basis size turn runaway eliminations into a
+:class:`ResourceCapError` instead of unbounded growth.
 
 This is the package's only Groebner engine; the independent references
 the tests check it against (a plain normal form and a certificate-tracking
@@ -198,11 +205,13 @@ class _Kernel:
         self.subtract(work, heap, g, L - g[0][0], f[1][0] // d)
         return work, heap
 
-    def normal_form(self, work: dict, basis, lms, heap=None):
-        """Full fraction-free normal form of the packed terms ``work`` (the
-        dict is consumed; ``heap`` holds its negated monomials, if the
-        caller has them) by the basis: a primitive polynomial with positive
-        leading coefficient, or None for zero."""
+    def normal_form(self, work: dict, basis, lms, heap=None, top=False):
+        """Fraction-free normal form of the packed terms ``work`` (the dict
+        is consumed; ``heap`` holds its negated monomials, if the caller has
+        them) by the basis: a primitive polynomial with positive leading
+        coefficient, or None for zero.  With ``top`` only the leading term
+        is reduced: the first irreducible term ends the reduction and the
+        rest of work is the remainder's tail, as it stands."""
         G = self.guard
         if heap is None:
             heap = [-m for m in work]
@@ -218,6 +227,12 @@ class _Kernel:
                 if (mg - b) & G == G:
                     break
             else:
+                if top:
+                    # every monomial left in work is below m; the rescales
+                    # so far are already in it
+                    tail = sorted(work, reverse=True)
+                    out_m, out_c, scales = [m, *tail], [c, *map(work.get, tail)], []
+                    break
                 out_m.append(m)
                 out_c.append(c)
                 stamps.append(len(scales))
@@ -246,11 +261,14 @@ class _Kernel:
         return out_m, out_c
 
 
-def buchberger(gens, order: MonomialOrder, config: GBConfig | None = None) -> IdealBasis:
+def buchberger(gens, order: MonomialOrder, config: GBConfig | None = None,
+               keep_vars=None) -> IdealBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
     Deterministic for fixed inputs and order.  The unit ideal yields the
-    basis {1}.
+    basis {1}.  With ``keep_vars``, the last block of a block order, only
+    the reduced-basis elements in those variables are finished and
+    returned: the basis of the elimination ideal, [] when it is zero.
     """
     if not gens:
         raise ArgumentError("empty generator list")
@@ -319,30 +337,31 @@ def buchberger(gens, order: MonomialOrder, config: GBConfig | None = None) -> Id
         pairs.discard(pair)
         s, L, i, j = pair
         work, heap = K.spoly(G[i], G[j], L)
-        f = K.normal_form(work, G, lms, heap)
+        f = K.normal_form(work, G, lms, heap, top=True)
         if f:
             check_caps(f, len(G))
             pairs = update(f, s)
 
-    # minimalize
-    minimal_idx = []
+    # minimalise, keeping only the elements whose leading monomials are in
+    # keep_vars (all of them without keep_vars), and fully reduce each kept
+    # element by the others.  The block order ranks every monomial outside
+    # keep_vars above all monomials in them, so a kept element is wholly in
+    # keep_vars, and no dropped element can divide any of its terms.
+    drop = 0    # the packed exponent fields of the variables not kept
+    if keep_vars is not None:
+        keep_idx = {v.index for v in keep_vars}
+        drop = sum(K.mask << shift for idx, shift, _ in K.fields
+                   if idx not in keep_idx)
+    kept, klms = [], []
     for i in sorted(range(len(G)), key=lms.__getitem__):
-        if all(not K.divides(lms[j], lms[i]) for j in minimal_idx):
-            minimal_idx.append(i)
-    Gmin = [G[i] for i in minimal_idx]
-    lmin = [lms[i] for i in minimal_idx]
-
-    # interreduce
-    reduced = []
-    for i, (monos, coefs) in enumerate(Gmin):
-        r = K.normal_form(dict(zip(monos, coefs)), Gmin[:i] + Gmin[i + 1:],
-                          lmin[:i] + lmin[i + 1:])
-        if r:
-            reduced.append(r)
-    reduced.sort(key=lambda r: r[0][0])
-
-    out = [Poly(ctx, dict(zip(map(K.decode, r[0]), r[1])))
-           for r in reduced]
+        if not lms[i] & drop and all(not K.divides(b, lms[i]) for b in klms):
+            kept.append(G[i])
+            klms.append(lms[i])
+    out = []
+    for i, (monos, coefs) in enumerate(kept):
+        r = K.normal_form(dict(zip(monos, coefs)), kept[:i] + kept[i + 1:],
+                          klms[:i] + klms[i + 1:])
+        out.append(Poly(ctx, dict(zip(map(K.decode, r[0]), r[1]))))
     return IdealBasis(out, order)
 
 
@@ -359,7 +378,8 @@ def eliminate(gens, elim_vars, keep_vars, config: GBConfig | None = None,
               first=()):
     """Keep-only generators of the reduced Groebner basis under a block order.
 
-    Returns every reduced-basis element whose variables lie in keep_vars:
+    Returns every reduced-basis element whose variables lie in keep_vars,
+    the only ones that :func:`buchberger` finishes:
     [1] for the unit ideal, and [] when the elimination ideal is zero.
     ``first`` lists eliminated variables to rank above all the others.
     """
@@ -374,5 +394,4 @@ def eliminate(gens, elim_vars, keep_vars, config: GBConfig | None = None,
         missing = seen - elim_vars - keep_vars
         raise ArgumentError(f"variables not covered by the partition: {missing}")
     order = elimination_order(ctx, elim_vars, keep_vars, first)
-    basis = buchberger(gens, order, config)
-    return [g for g in basis.generators if g.variables() <= keep_vars]
+    return buchberger(gens, order, config, keep_vars).generators

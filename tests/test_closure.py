@@ -111,9 +111,9 @@ def test_prolong_and_build_system_counts(monkeypatch, eliminations):
     # canonical rank
     orders = []
 
-    def spy(gens, order, config=None):
+    def spy(gens, order, config=None, keep_vars=None):
         orders.append(order)
-        return real(gens, order, config)
+        return real(gens, order, config, keep_vars)
 
     real = groebner.buchberger
     monkeypatch.setattr(groebner, "buchberger", spy)

@@ -223,6 +223,39 @@ def test_unit_ideal():
     assert [g for g in basis.generators] == [one]
 
 
+def test_eliminate_is_the_keep_only_part_of_buchberger():
+    # eliminate finishes only the minimal elements whose leading monomials
+    # are free of the eliminated variables; they are the keep-only elements
+    # of the full reduced basis, term for term and in the same order (some
+    # of these draws leave kept elements whose tails the pair loop did not
+    # reduce)
+    rng = make_rng(5)
+    nontrivial = 0
+    for trial in range(30):
+        ctx, vs = fresh_vars(4 + trial % 3)
+        n_elim = 1 + trial % 3
+        shuffled = rng.sample(vs, len(vs))
+        elim, keep = set(shuffled[:n_elim]), set(shuffled[n_elim:])
+        first = rng.sample(shuffled[:n_elim], rng.randint(0, n_elim))
+        gens = []
+        while len(gens) < n_elim + 2:
+            p = random_poly(ctx, vs, rng, max_terms=4, max_deg=3)
+            if not p.is_zero():
+                gens.append(p)
+        full = buchberger(gens, elimination_order(ctx, elim, keep, first))
+        expect = [g for g in full.generators if g.variables() <= keep]
+        assert eliminate(gens, elim, keep, first=first) == expect, f"trial {trial}"
+        nontrivial += any(not g.is_constant() for g in expect)
+    assert nontrivial >= 10
+    # the unit ideal keeps [1]; an ideal that meets the keep block only in
+    # zero keeps nothing
+    ctx, (u, v, a, x) = fresh_vars(4)
+    U, V, A = (Poly.var(ctx, w) for w in (u, v, a))
+    one = Poly.const(ctx, 1)
+    assert eliminate([U * A - one, U], {u}, {a, x}) == [one]
+    assert eliminate([U * V - A, V - U * U], {u, v}, {a, x}) == []
+
+
 def test_elimination_hand_example():
     # [DERIVED] eliminating u from {u^2 - a, u^3 - b} leaves a^3 - b^2
     ctx = Context()
