@@ -22,7 +22,11 @@ variable once with a block Groebner order whose eliminated block those
 variables lead, and selects, among the generators of the reduced basis
 that involve z, the one of lowest (order, total degree, term count).  It
 need not be the least order in the elimination ideal: an element of lower
-order can exist without being a basis generator.  The functional inverse
+order can exist without being a basis generator.  A generator that already
+solves for an eliminated variable with a constant coefficient (an explicit
+input y' = f, the link z - y1 - y2 or z - v_0) costs Buchberger nothing:
+:func:`~dalg.groebner.eliminate` substitutes that variable away first,
+which leaves the reduced basis unchanged.  The functional inverse
 alone is written down explicitly, with no elimination at all.  Every
 operation checks its inputs against one class, :func:`_check_inputs`;
 composition checks its outer and inner equations as two systems.

@@ -30,6 +30,23 @@ are its whole output and are reduced only by each other.  Hard caps on
 intermediate total degree and basis size turn runaway eliminations into a
 :class:`ResourceCapError` instead of unbounded growth.
 
+Before the order is built, :func:`eliminate` substitutes away every
+eliminated variable v that a generator g = c*v + r solves for, with c a
+nonzero constant and v not in r: v = -r/c goes into the other generators
+and g is dropped, until no generator qualifies (a saturation variable
+qualifies once its factor has become a constant).  This cannot change the
+output.  Write I for the ideal of the generators, X for all variables and
+K for the kept ones.  k[X]/(g) is isomorphic to k[X without v] by
+v -> -r/c; the isomorphism maps I onto the ideal of the substituted
+generators (a constant multiple c^e of each, which keeps them integral,
+generates the same ideal) and fixes k[K], so the intersection of I with
+k[K] is unchanged.  The keep-only elements of a reduced basis under the
+block order are the reduced basis of that intersection under the keep
+block's order, which is unique (the elimination theorem, Cox, Little &
+O'Shea, *Ideals, Varieties, and Algorithms*, ch. 3).  So :func:`eliminate`
+returns the same list, term for term and in the same order, from a
+smaller system.
+
 This is the package's only Groebner engine; the independent references
 the tests check it against (a plain normal form and a certificate-tracking
 Buchberger) live in ``tests/conftest.py``.
@@ -136,24 +153,23 @@ class _Kernel:
         return out
 
     def subtract(self, work: dict, heap: list, poly, shift, mult):
-        """work -= mult * x^shift * (poly minus its leading term); monomials
-        new to work go on the heap."""
+        """work -= mult * x^shift * (poly minus its leading term).  Only a
+        monomial new to work is checked for overflow and goes on the heap;
+        a coefficient that cancels stays in work as 0 (its heap entry is
+        still there, and the pop skips it)."""
         G = self.guard
         monos, coefs = poly
+        get = work.get
         for k in range(1, len(monos)):
             m = monos[k] + shift
-            if m & G:
-                raise self.degree_error()
-            c = work.get(m)
+            c = get(m)
             if c is None:
+                if m & G:
+                    raise self.degree_error()
                 work[m] = -coefs[k] * mult
                 heappush(heap, -m)
             else:
-                c -= coefs[k] * mult
-                if c:
-                    work[m] = c
-                else:
-                    del work[m]
+                work[m] = c - coefs[k] * mult
 
     def product(self, f, g, work=None) -> dict:
         """work + f*g as packed terms (a new dict when work is None), where
@@ -230,7 +246,7 @@ class _Kernel:
                 if top:
                     # every monomial left in work is below m; the rescales
                     # so far are already in it
-                    tail = sorted(work, reverse=True)
+                    tail = sorted((t for t, ct in work.items() if ct), reverse=True)
                     out_m, out_c, scales = [m, *tail], [c, *map(work.get, tail)], []
                     break
                 out_m.append(m)
@@ -374,6 +390,55 @@ def elimination_order(ctx, elim_vars, keep_vars, first=()) -> MonomialOrder:
     return Block(GrevLex(high), GrevLex(low))
 
 
+def _solved_variable(g: Poly, elim_idx: dict):
+    """(v, c) for a term c*v of g with v eliminated and c a nonzero
+    constant, v occurring in no other term of g; the largest such v in
+    canonical rank, or None."""
+    count: dict = {}
+    for mono in g.terms:
+        for idx, _ in mono:
+            count[idx] = count.get(idx, 0) + 1
+    found = [(elim_idx[mono[0][0]], c) for mono, c in g.terms.items()
+             if len(mono) == 1 and mono[0][1] == 1 and mono[0][0] in elim_idx
+             and count[mono[0][0]] == 1]
+    return min(found, key=lambda vc: g.ctx.rank_key(vc[0]), default=None)
+
+
+def _substitute_solved(gens, elim_vars):
+    """Substitute away, one after another, the eliminated variables that a
+    generator solves for with a constant coefficient: for g = c*v + r, put
+    v = -r/c into the other generators and drop g.  With g's sign chosen
+    so that c > 0, a generator h of degree e in v becomes c^e * h(-r/c):
+    the substitution v = -r into the sum of its terms h_k*v^k rescaled by
+    c^(e-k), so integer coefficients stay integers.  Returns the nonzero generators left and the variables
+    substituted."""
+    gens = [g for g in gens if not g.is_zero()]
+    elim_idx = {v.index: v for v in elim_vars}
+    solved = set()
+    while True:
+        for k, g in enumerate(gens):
+            if (hit := _solved_variable(g, elim_idx)) is not None:
+                break
+        else:
+            return gens, solved
+        v, c = hit
+        del elim_idx[v.index]
+        solved.add(v)
+        lead, sign, c = ((v.index, 1),), (-1 if c > 0 else 1), abs(c)
+        value = Poly(g.ctx, {m: sign * cm for m, cm in g.terms.items() if m != lead})
+        rest = []
+        for h in gens[:k] + gens[k + 1:]:
+            if h.has_var(v):
+                if c != 1:
+                    e = h.degree(v)
+                    h = Poly(h.ctx, {m: cm * c ** (e - dict(m).get(v.index, 0))
+                                     for m, cm in h.terms.items()})
+                h = h.substitute({v: value})
+            if not h.is_zero():
+                rest.append(h)
+        gens = rest
+
+
 def eliminate(gens, elim_vars, keep_vars, config: GBConfig | None = None,
               first=()):
     """Keep-only generators of the reduced Groebner basis under a block order.
@@ -382,7 +447,12 @@ def eliminate(gens, elim_vars, keep_vars, config: GBConfig | None = None,
     the only ones that :func:`buchberger` finishes:
     [1] for the unit ideal, and [] when the elimination ideal is zero.
     ``first`` lists eliminated variables to rank above all the others.
+    Every eliminated variable that a generator solves for with a constant
+    coefficient is substituted away first (:func:`_substitute_solved`),
+    which changes neither the elimination ideal nor its reduced basis.
     """
+    if not gens:
+        raise ArgumentError("empty generator list")
     ctx = same_context(*gens)
     elim_vars, keep_vars = set(elim_vars), set(keep_vars)
     if elim_vars & keep_vars:
@@ -393,5 +463,11 @@ def eliminate(gens, elim_vars, keep_vars, config: GBConfig | None = None,
     if not seen <= elim_vars | keep_vars:
         missing = seen - elim_vars - keep_vars
         raise ArgumentError(f"variables not covered by the partition: {missing}")
-    order = elimination_order(ctx, elim_vars, keep_vars, first)
+    if all(g.is_zero() for g in gens):
+        raise ArgumentError("all generators are zero")
+    gens, solved = _substitute_solved(gens, elim_vars)
+    if not gens:
+        return []
+    order = elimination_order(ctx, elim_vars - solved, keep_vars,
+                              [v for v in first if v not in solved])
     return buchberger(gens, order, config, keep_vars).generators

@@ -186,14 +186,14 @@ class Poly:
     def __pow__(self, exp: int) -> "Poly":
         if exp < 0:
             raise ArgumentError("exponent must be non-negative")
-        result = Poly.const(self.ctx, 1)
-        base = self
+        result, base = None, self
         while exp:
             if exp & 1:
-                result = result * base
-            base = base * base if exp > 1 else base
+                result = base if result is None else result * base
             exp >>= 1
-        return result
+            if exp:
+                base = base * base
+        return Poly.const(self.ctx, 1) if result is None else result
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.ctx is other.ctx and self.terms == other.terms
@@ -489,23 +489,39 @@ def substitute_fractions(p: Poly, fractions: dict):
 
     Returns (numerator, denominator) with the denominator the lcm of the
     terms' denominators (:func:`over_lcm`), one common denominator for the
-    whole sum instead of a reduction per term.  Each power of a bound
-    variable is computed once."""
+    whole sum instead of a reduction per term; when every den is 1 it is 1
+    and no lcm is taken.  The terms are grouped by their bound part, so each
+    product of powers is formed once, and each power of a bound variable
+    is computed once."""
     ctx = p.ctx
+    groups: dict = {}   # bound part of a monomial -> {free part: coefficient}
+    for mono, c in p.terms.items():
+        bound = free = ()
+        for t in mono:
+            if t[0] in fractions:
+                bound += (t,)
+            else:
+                free += (t,)
+        groups.setdefault(bound, {})[free] = c
+    one = Poly.const(ctx, 1)
+    unit = all(d.terms == one.terms for _, d in fractions.values())
     powers: dict = {}
     pairs = []
-    for mono, c in p.terms.items():
-        num = Poly(ctx, {tuple(t for t in mono if t[0] not in fractions): c})
-        den = Poly.const(ctx, 1)
-        for idx, e in mono:
-            if idx in fractions:
-                if (idx, e) not in powers:
-                    n, d = fractions[idx]
-                    powers[idx, e] = n ** e, d ** e
-                n, d = powers[idx, e]
-                num, den = num * n, den * d
+    for bound, free in groups.items():
+        num, den = Poly(ctx, free), one
+        for idx, e in bound:
+            if (idx, e) not in powers:
+                n, d = fractions[idx]
+                powers[idx, e] = n ** e, d ** e
+            n, d = powers[idx, e]
+            num = num * n
+            if not unit:
+                den = den * d
         pairs.append((num, den))
-    nums, common = over_lcm(ctx, pairs)
+    if unit:
+        nums, common = [num for num, _ in pairs], one
+    else:
+        nums, common = over_lcm(ctx, pairs)
     total: dict = {}
     for part in nums:
         for mono, c in part.terms.items():

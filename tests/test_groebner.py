@@ -8,8 +8,8 @@ import sympy
 
 from dalg import Context, GBConfig, Poly
 from dalg.errors import ArgumentError, ResourceCapError
-from dalg.groebner import (IdealBasis, _Kernel, buchberger, eliminate,
-                           elimination_order)
+from dalg.groebner import (IdealBasis, _Kernel, _substitute_solved, buchberger,
+                           eliminate, elimination_order)
 from dalg.orders import Block, GrevLex, Lex
 from dalg.poly import try_exact_divide
 
@@ -254,6 +254,88 @@ def test_eliminate_is_the_keep_only_part_of_buchberger():
     one = Poly.const(ctx, 1)
     assert eliminate([U * A - one, U], {u}, {a, x}) == [one]
     assert eliminate([U * V - A, V - U * U], {u, v}, {a, x}) == []
+
+
+def test_eliminate_substitutes_solved_variables():
+    # planted generators c*v + r with v eliminated, c a nonzero constant and
+    # v not in r: eliminate substitutes v = -r/c before Buchberger runs,
+    # which leaves the elimination ideal and its reduced basis unchanged, so
+    # it returns the keep-only elements of the full reduced basis of the
+    # unsubstituted system, term for term and in the same order
+    rng = make_rng(19)
+    ctx, vs = fresh_vars(6)
+    one = Poly.const(ctx, 1)
+
+    def var(v):
+        return Poly.var(ctx, v)
+
+    def draw(over, terms=3):
+        return random_poly(ctx, over, rng, max_terms=terms, max_deg=2)
+
+    def check(gens, elim, keep, first=(), planted=()):
+        full = buchberger(gens, elimination_order(ctx, elim, keep, first))
+        expect = [g for g in full.generators if g.variables() <= keep]
+        assert eliminate(gens, elim, keep, first=first) == expect
+        assert set(planted) <= _substitute_solved(gens, elim)[1]
+        return expect
+
+    nontrivial = 0
+    for trial in range(24):
+        kind = trial % 4
+        shuffled = rng.sample(vs, len(vs))
+        n_elim = 3 if kind == 2 else 2 + trial // 4 % 2
+        elim, keep = shuffled[:n_elim], shuffled[n_elim:]
+        v, u = elim[0], elim[1]
+        c = rng.choice([1, -1, 2, -3, Fraction(2, 3)])
+        if kind == 0:
+            # unit and non-unit constant coefficients
+            gens = [var(v).scale(c) + draw(keep), draw(vs), draw(vs)]
+            planted = [v]
+        elif kind == 1:
+            # a chain: substituting v makes u's coefficient the constant c
+            x = keep[0]
+            gens = [var(v) - var(x) - one.scale(c),
+                    (var(v) - var(x)) * var(u) + draw([v, *keep]),
+                    draw([u, *keep])]
+            planted = [v, u]
+        elif kind == 2:
+            # a saturation variable w (led by first) whose factor v - x
+            # becomes the constant c
+            x, w = keep[0], elim[-1]
+            gens = [var(w) * (var(v) - var(x)) - one,
+                    var(v).scale(2) - var(x).scale(2) - one.scale(2 * c),
+                    draw([v, u, *keep]), draw([u, *keep])]
+            check(gens, set(elim), set(keep), first=[w], planted=[v, w])
+            continue
+        else:
+            # v, then u, substituted into the remaining draws
+            gens = [var(v) - draw(keep), var(u).scale(c) - draw([v, *keep]),
+                    draw(vs, 4), draw(vs)]
+            planted = [v, u]
+        expect = check(gens, set(elim), set(keep), planted=planted)
+        nontrivial += any(not g.is_constant() for g in expect)
+    assert nontrivial >= 6
+    # a system that substitution consumes entirely: the zero elimination
+    # ideal; and one that collapses to a nonzero constant: the unit ideal
+    y, y1, y2, x = vs[0], vs[1], vs[2], vs[-1]
+    r = var(x) * var(x) - one.scale(3)
+    consumed = [var(y) - r, var(y1).scale(3) - var(y) * var(x) + one]
+    assert check(consumed, {y, y1}, {y2, x}, planted=[y, y1]) == []
+    collapsed = [var(y) - r, var(y) - r - one.scale(5), var(y1) * var(y2) - var(x)]
+    assert check(collapsed, {y, y1}, {y2, x}, planted=[y]) == [one]
+
+
+def test_eliminate_edge_inputs():
+    ctx, (u, v, a, x) = fresh_vars(4)
+    U, V, A = (Poly.var(ctx, w) for w in (u, v, a))
+    with pytest.raises(ArgumentError, match="empty generator list"):
+        eliminate([], {u}, {a})
+    with pytest.raises(ArgumentError, match="all generators are zero"):
+        eliminate([Poly(ctx), Poly(ctx)], {u}, {a})
+    # v = a*x, then u = v + 1: nothing is left, and the elimination ideal
+    # is zero
+    assert eliminate([V - A * Poly.var(ctx, x), U - V - Poly.const(ctx, 1)],
+                     {u, v}, {a, x}) == []
 
 
 def test_elimination_hand_example():

@@ -12,7 +12,8 @@ from dalg.errors import ArgumentError
 from dalg.groebner import buchberger
 from dalg.orders import GrevLex
 from dalg.poly import (content_primitive, exact_div, mono_degree, mono_div,
-                       mono_mul, poly_gcd, primitive_part, try_exact_divide)
+                       mono_mul, poly_gcd, primitive_part, substitute_fractions,
+                       try_exact_divide)
 
 from conftest import (make_rng, mono_divides, mono_lcm, random_poly,
                       weierstrass)
@@ -102,6 +103,30 @@ def test_substitute():
     expect = (Poly.var(ctx, x, 2) + Poly.var(ctx, x).scale(3)
               + Poly.const(ctx, 1))
     assert q == expect
+
+
+def test_substitute_fractions_unit_path_matches_general_path():
+    # with every denominator 1, substitute_fractions sums the products of
+    # the grouped terms and takes no lcm; the same values over a constant
+    # or a polynomial denominator (n*c over c, n*h over h) go through
+    # over_lcm, which must give the same quotient
+    ctx, xs = setup_vars()
+    rng = make_rng(91)
+    one = Poly.const(ctx, 1)
+    for _ in range(60):
+        p = random_poly(ctx, xs, rng)
+        values = {v.index: random_poly(ctx, xs, rng, max_terms=3, max_deg=2)
+                  for v in rng.sample(xs, rng.randint(1, 3))}
+        num, den = substitute_fractions(p, {i: (n, one) for i, n in values.items()})
+        assert den == one and _canonical(num)
+        assert _ref(num) == _ref_substitute(_ref(p), {i: _ref(n) for i, n in values.items()})
+        c = Poly.const(ctx, rng.choice([2, -3, Fraction(1, 2)]))
+        assert substitute_fractions(p, {i: (n * c, c) for i, n in values.items()}) == (num, one)
+        h = random_poly(ctx, xs, rng, max_terms=2, max_deg=2) + Poly.var(ctx, xs[0])
+        if h.is_zero():
+            continue
+        general, common = substitute_fractions(p, {i: (n * h, h) for i, n in values.items()})
+        assert general == num * common
 
 
 def test_pseudo_divide_identity_random():

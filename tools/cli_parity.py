@@ -8,8 +8,9 @@ The first form runs every distinct argv of the ``elim`` and ``ansatz``
 workloads and of ``cli-mix`` seeds 1-10 (hard set included), taken from this
 repository's ``perfbench/cases.py``, then the fixed argvs of ``ERROR_ARGVS``
 (error paths, since none of the benchmark's argvs fails, inputs at the
-edge of the input class, and eliminations that reach far past an input's
-order), in-process through the checkout's
+edge of the input class, eliminations that reach far past an input's
+order, and eliminations whose solved variables are substituted away
+before Buchberger runs), in-process through the checkout's
 ``dalg.cli.main(argv + ["--format", "json"])``, and writes
 for each argv the exit code and the sha256 of stdout and of stderr.  An
 exception that escapes ``main`` is recorded as exit code 1 with its type
@@ -98,6 +99,12 @@ ERROR_ARGVS = [
     ("diff", "--ade", "y' = y^2 + x", "--j", "3"),
     ("compose", "--ade", "y' = y", "--ade", "u'' + u = 0"),
     ("ddfinite", "--ade", "y'' + C*y' + D*y = 0", "--ade", "C' = C", "--ade", "D' = 2*D"),
+    # eliminations that substitute solved variables away before Buchberger:
+    # every eliminated variable, a non-unit constant coefficient, and the
+    # link z - y' of a derivative
+    ("unary", "--ade", "y' = y^2 + x", "--spec", "z = y + x"),
+    ("arith", "--ade", "y1' = y1^2 + 1", "--ade", "y2' = y2^2 - 1", "--spec", "z = 2*y1 - 3*y2"),
+    ("diff", "--ade", "y'' + y = 0", "--j", "1"),
 ]
 
 
