@@ -22,16 +22,35 @@ A power of z that divides every term is then divided out: it is the
 spurious branch z = 0 that a lead of degree exactly k brings when an
 equation of lower degree exists.
 
-Most candidates fail, so a failure is proven before the exact pass: every
-entry of the system is evaluated at a fixed point modulo the prime
-q = 2^31 - 1, each variable (x or a parameter) at a power of 7.  Full
-column rank of [A|b] there means that some maximal minor is nonzero at
-the point, hence a nonzero polynomial (Schwartz, J. ACM 1980), so the
-exact system is inconsistent and its exact pass is skipped.  The test
-declines only when an entry's coefficient has a denominator divisible by
-q or there are fewer rows than columns; a declined or rank-short
-candidate takes the exact pass, so the equation found is the same either
-way.
+Most candidates fail, so failures are proven before the exact pass, by
+one certificate per derivative order r.  With L the lcm of the
+denominators of z, ..., z^(r), the slot of a monomial m = prod
+(z^(i))^(e_i) of degree |m| <= k gets the column
+L^(k-|m|) * prod (num_i*L/den_i)^(e_i), and the constant slot L^k: every
+slot's value times L^k.  Each base element (L and the num_i*L/den_i) and
+each input is scaled to integer coefficients and mapped to F_q[Y],
+q = 2^31 - 1, where Y are the input dependents' derivatives and x and each
+parameter go to a power of 7.  The columns are built in enumeration order,
+only when the search reaches them, reduced by the inputs' images after
+every product, and kept in an incremental echelon form.  A candidate's
+exact columns are the slot values times its own common denominator c,
+pseudo-reduced, and L^k/c is the same polynomial for all of them, so a
+linear relation among them is one among these columns too.  So when the
+columns of the constant and of m_0, ..., m_i are linearly independent at
+the point, some maximal minor is nonzero there, hence a nonzero
+polynomial (Schwartz, J. ACM 1980), and the candidate with lead m_i is
+inconsistent: it is skipped.  At the first dependency every later
+candidate of the order takes the exact pass.  An initial whose image
+depends on Y is not inverted: each column carries its exponent of that
+initial, and the columns are lifted to a common exponent, which again
+multiplies all of them by one nonzero polynomial.  The image of a column
+is that of the exact reduced column because a reduced form modulo the
+inputs is unique once their initials are units, which holds over the
+field of fractions of the non-leaders when no initial vanishes mod q.
+If one does, the certificate works mod q = 2^31 - 19 instead, and if it
+vanishes there too, every candidate takes the exact pass.  So the
+equation found is the same either way.  z^(r) itself is derived only when
+the search reaches order r.
 """
 
 from __future__ import annotations
@@ -48,7 +67,8 @@ from .groebner import _Kernel
 from .orders import GrevLex
 from .poly import Poly, mono_div, over_lcm, poly_gcd, try_exact_divide
 
-_Q = 2 ** 31 - 1  # the prime of the miss certificate
+_PRIMES = (2 ** 31 - 1, 2 ** 31 - 19)  # the miss certificate's prime, then its fallback
+_BITS = 15      # exponent bits of a packed monomial in the miss certificate
 
 
 def enumerate_delta(k: int, r: int) -> list:
@@ -189,8 +209,8 @@ def assemble_and_solve(ades, leading, earlier, closure_vals, value_cache: dict,
     leader degree over all columns, multiplies every column by the input's
     initial and cancels each column's own top coefficient, which is
     pseudo-division of sum c_i*col_i term for term.  Each monomial in the
-    input dependents then gives one row.  A system the miss certificate
-    proves inconsistent skips the exact pass."""
+    input dependents then gives one row.  :func:`ansatz_search` calls it
+    only for candidates that the miss certificate leaves unproven."""
     unknowns = [(0,) * len(leading)] + earlier
     ctx = ades[0].ctx
 
@@ -244,10 +264,7 @@ def assemble_and_solve(ades, leading, earlier, closure_vals, value_cache: dict,
         row = [Poly(ctx, terms) for terms in entries]
         sys_rows.append((row[:-1], row[-1]))
 
-    system = LinearSystem(unknowns, sys_rows)
-    if _certified_miss(system):
-        return None
-    solution = solve_linear_ratfunc(system)
+    solution = solve_linear_ratfunc(LinearSystem(unknowns, sys_rows))
     if solution is None:
         return None
     sol, d = solution
@@ -289,45 +306,219 @@ def assemble_and_solve(ades, leading, earlier, closure_vals, value_cache: dict,
     return normalize_ade(equation, dep=z_id)
 
 
-def _certified_miss(system: LinearSystem) -> bool:
-    """True when [A|b] has full column rank at the point mod _Q, which
-    proves the system inconsistent (see the module docstring).  Rows are
-    evaluated and eliminated one at a time until the rank is full."""
-    ncols = len(system.unknowns) + 1
-    if len(system.rows) < ncols:
-        return False
-    basis: dict = {}    # pivot column -> row scaled to 1 there
-    for coeffs, const in system.rows:
-        row = []
-        for p in (*coeffs, const):
-            v = 0
-            for mono, c in p.terms.items():
-                if c.denominator % _Q == 0:
-                    return False
-                t = c.numerator * pow(c.denominator, -1, _Q)
-                for idx, e in mono:
-                    t *= pow(7, (5 + idx) * e, _Q)
-                v += t
-            row.append(v % _Q)
-        # a basis row is zero at every pivot chosen before its own, so one
-        # pass in insertion order clears every pivot
-        for piv, b in basis.items():
-            c = row[piv]
+class _Declined(Exception):
+    """The miss certificate cannot be used: an input's initial vanishes
+    mod q, or a packed exponent outgrows its field."""
+
+
+class _PointImage:
+    """The image in F_q[Y] of polynomials in x, the parameters and Y, the
+    input dependents' derivatives: x and each parameter go to the point
+    7^(5+index) mod q, and the inputs' images reduce.  A monomial in Y is
+    one packed int, one field of _BITS bits and a guard bit per variable;
+    an element is a dict monomial -> nonzero residue."""
+
+    def __init__(self, ades, q: int):
+        # Y is y_j^(i) for i <= n_j, all that the input class lets the
+        # inputs, the map and its derivative values hold
+        ctx = ades[0].ctx
+        ys = [ctx.diff_var(a.dep, i).index for a in ades for i in range(a.order + 1)]
+        self.q, self.mask = q, (1 << _BITS) - 1
+        self.shift = {idx: i * (_BITS + 1) for i, idx in enumerate(ys)}
+        self.guard = sum(1 << (s + _BITS) for s in self.shift.values())
+        self.point: dict = {}
+        # per input: (leader shift, leader degree d, minus the terms below
+        # u^d, the initial, None once the input is made monic)
+        self.inputs = []
+        for a in ades:
+            image = self.encode(a.poly)
+            s, d = self.shift[a.leader.index], a.leader_degree
+            initial = {m - (d << s): c for m, c in image.items() if m >> s & self.mask == d}
+            tail = {m: q - c for m, c in image.items() if m >> s & self.mask != d}
+            if not initial:
+                raise _Declined
+            if len(initial) == 1 and 0 in initial:
+                inv = pow(initial[0], -1, q)
+                tail, initial = {m: c * inv % q for m, c in tail.items()}, None
+            self.inputs.append((s, d, tail, initial))
+
+    def encode(self, p: Poly) -> dict:
+        """The image of p scaled to integer coefficients."""
+        q, shift, point = self.q, self.shift, self.point
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        out: dict = {}
+        for mono, c in p.terms.items():
+            m, t = 0, c.numerator * (den // c.denominator)
+            for idx, e in mono:
+                s = shift.get(idx)
+                if s is not None:
+                    if e > self.mask:
+                        raise _Declined
+                    m += e << s
+                else:
+                    v = point.get((idx, e))
+                    if v is None:
+                        v = point[idx, e] = pow(7, (5 + idx) * e, q)
+                    t *= v
+            out[m] = (out.get(m, 0) + t) % q
+        return {m: c for m, c in out.items() if c}
+
+    def mul(self, f: dict, g: dict) -> dict:
+        out: dict = {}
+        get = out.get
+        g_terms = list(g.items())
+        for mf, cf in f.items():
+            for mg, cg in g_terms:
+                m = mf + mg
+                out[m] = get(m, 0) + cf * cg
+        if any(m & self.guard for m in out):
+            raise _Declined
+        q = self.q
+        return {m: r for m, c in out.items() if (r := c % q)}
+
+    def add(self, f: dict, g: dict) -> dict:
+        out, q = dict(f), self.q
+        for m, c in g.items():
+            r = (out.get(m, 0) + c) % q
+            if r:
+                out[m] = r
+            else:
+                out.pop(m, None)
+        return out
+
+    def reduce(self, f: dict, exps: list) -> dict:
+        """f pseudo-reduced by each input in turn, below degree d in its
+        leader u: the top u-degree part h*u^top of f is replaced by
+        h*u^(top-d) times minus the terms below u^d, after the rest is
+        multiplied by the initial (exps[j] counts those multiplications)."""
+        mask = self.mask
+        for j, (s, d, tail, initial) in enumerate(self.inputs):
+            while (top := max((m >> s & mask for m in f), default=0)) >= d:
+                hi, rest, cut = {}, {}, d << s
+                for m, c in f.items():
+                    if m >> s & mask == top:
+                        hi[m - cut] = c
+                    else:
+                        rest[m] = c
+                if initial is not None:
+                    rest = self.mul(rest, initial)
+                    exps[j] += 1
+                f = self.add(rest, self.mul(hi, tail))
+        return f
+
+    def initial_power(self, exps) -> dict:
+        out = {0: 1}
+        for (_, _, _, initial), e in zip(self.inputs, exps):
+            for _ in range(e):
+                out = self.mul(out, initial)
+        return out
+
+
+def _point_image(ades):
+    """The miss certificate's image at the first of _PRIMES where no
+    input's initial vanishes, or None."""
+    for q in _PRIMES:
+        try:
+            return _PointImage(ades, q)
+        except _Declined:
+            pass
+    return None
+
+
+def _independent_prefixes(img, vals, k: int, monos: list):
+    """Yield, for each monomial m_i of ``monos`` in turn, whether the
+    columns of the constant slot and of m_0, ..., m_i are linearly
+    independent in the image ``img`` (a :class:`_PointImage`, or None when
+    the certificate declines), which proves the candidate with lead m_i a
+    miss (see the module docstring).  Column i is built only when answer i
+    is asked for.  After the first dependency every answer is False, as is
+    every answer when the certificate declines."""
+    nums, L = over_lcm(vals[0].ctx, [(v.num, v.den) for v in vals])
+
+    def element(f: dict, exps=None):
+        """f reduced, with its exponent of each initial."""
+        exps = list(exps or [0] * len(img.inputs))
+        return img.reduce(f, exps), exps
+
+    def times(a, b):
+        exps = [x + y for x, y in zip(a[1], b[1])]
+        if len(a[0]) == 1 and 0 in a[0]:
+            a, b = b, a
+        if len(b[0]) == 1 and 0 in b[0]:
+            # a reduced element times a constant stays reduced
+            c = b[0][0]
+            return {m: v * c % img.q for m, v in a[0].items()}, exps
+        return element(img.mul(a[0], b[0]), exps)
+
+    basis: list = []    # (pivot, vector scaled to 1 there), zero at earlier pivots
+
+    def independent(v: dict) -> bool:
+        """Reduce v by the basis; if it stays nonzero, add it."""
+        q = img.q
+        for piv, b in basis:
+            c = v.get(piv)
             if c:
-                row = [(r - c * w) % _Q for r, w in zip(row, b)]
-        piv = next((i for i, r in enumerate(row) if r), None)
-        if piv is not None:
-            inv = pow(row[piv], -1, _Q)
-            basis[piv] = [r * inv % _Q for r in row]
-            if len(basis) == ncols:
-                return True
-    return False
+                for m, w in b.items():
+                    r = (v.get(m, 0) - c * w) % q
+                    if r:
+                        v[m] = r
+                    else:
+                        v.pop(m, None)
+        if not v:
+            return False
+        piv = next(iter(v))
+        inv = pow(v[piv], -1, q)
+        basis.append((piv, {m: c * inv % q for m, c in v.items()}))
+        return True
+
+    # the exponents of the initials that every column is lifted to
+    common = [0] * len(img.inputs) if img else []
+
+    def insert(col) -> bool:
+        f, exps = col
+        top = [max(a, b) for a, b in zip(common, exps)]
+        if top != common:
+            # lift the basis: each initial is nonzero and free of the
+            # leaders, so the lifted vectors stay reduced and independent
+            lift = img.initial_power([t - c for t, c in zip(top, common)])
+            lifted = [img.mul(b, lift) for _, b in basis]
+            basis.clear()
+            common[:] = top
+            for v in lifted:
+                independent(v)
+        if exps != common:
+            f = img.mul(f, img.initial_power([c - e for c, e in zip(common, exps)]))
+        return independent(dict(f))
+
+    alive = img is not None
+    try:
+        if alive:
+            base = [element(img.encode(n)) for n in nums]
+            powers = [element({0: 1})]      # L^0, ..., L^k
+            L_img = element(img.encode(L))
+            for _ in range(k):
+                powers.append(times(powers[-1], L_img))
+            prods = {(0,) * len(vals): powers[0]}
+            alive = insert(powers[k])
+        for m in monos:
+            if alive:
+                i = next(j for j, e in enumerate(m) if e)
+                prod = prods[m] = times(prods[(*m[:i], m[i] - 1, *m[i + 1:])], base[i])
+                deg = sum(m)
+                alive = insert(prod if deg == k else times(powers[k - deg], prod))
+            yield alive
+    except _Declined:
+        pass
+    while True:
+        yield False
 
 
 def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z"):
     """Search leading monomials of degree k in enumeration order, raising the
     derivative order of the ansatz from 0 up to the cap, and return the first
-    equation found."""
+    equation found.  z^(r) is derived on reaching order r, and each
+    candidate that the order's miss certificate does not prove a miss takes
+    the exact pass."""
     if k < 1:
         raise ArgumentError("degree bound must be at least 1")
     ades = list(ades)
@@ -335,14 +526,17 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
     if order_cap is None:
         order_cap = sum(a.order for a in ades) + 1
     value_cache: dict = {}
-    closure_vals = derivative_closure(R, ades, order_cap)
+    vals = derivative_closure(R, ades, 0)
+    img = _point_image(ades)
     for r in range(order_cap + 1):
+        if r:
+            vals.append(derivative_closure(vals[-1], ades, 1)[1])
         monos = enumerate_delta(k, r)
-        for i, leading in enumerate(monos):
-            if sum(leading) == k:
-                found = assemble_and_solve(ades, leading, monos[:i],
-                                           closure_vals[: r + 1], value_cache,
-                                           z_name=z_name)
+        independent = _independent_prefixes(img, vals, k, monos)
+        for i, (leading, miss) in enumerate(zip(monos, independent)):
+            if sum(leading) == k and not miss:
+                found = assemble_and_solve(ades, leading, monos[:i], vals,
+                                           value_cache, z_name=z_name)
                 if found is not None:
                     return found
     raise AnsatzNotFoundError(k, order_cap)

@@ -469,6 +469,9 @@ def over_lcm(ctx, pairs):
     common = Poly.const(ctx, 1)
     nums: list = []
     for num, den in pairs:
+        if den.terms == common.terms:
+            nums.append(num)
+            continue
         q = try_exact_divide(common, den)
         if q is not None:
             nums.append(num * q)

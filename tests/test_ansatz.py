@@ -443,22 +443,23 @@ def _run_search(ade_text, spec, k):
 
 
 def _trace_candidates(monkeypatch, certificate):
-    """Patch the search so every candidate logs (certificate fired, result);
-    certificate maps the real verdict to the one the search acts on."""
-    real_cert, real_solve = ansatz._certified_miss, ansatz.assemble_and_solve
-    log, fired = [], []
+    """Patch the search so every exact pass logs (certificate fired on its
+    candidate, result); certificate maps each real answer of the per-order
+    certificate to the one the search acts on."""
+    real_cert, real_solve = ansatz._independent_prefixes, ansatz.assemble_and_solve
+    log, last = [], [False]
 
     def cert(*args):
-        fired.append(real_cert(*args))
-        return certificate(fired[-1])
+        for fired in real_cert(*args):
+            last[0] = fired
+            yield certificate(fired)
 
     def solve(*args, **kwargs):
-        fired.clear()
         out = real_solve(*args, **kwargs)
-        log.append((bool(fired and fired[0]), out))
+        log.append((last[0], out))
         return out
 
-    monkeypatch.setattr(ansatz, "_certified_miss", cert)
+    monkeypatch.setattr(ansatz, "_independent_prefixes", cert)
     monkeypatch.setattr(ansatz, "assemble_and_solve", solve)
     return log
 
@@ -485,13 +486,19 @@ def test_miss_certificate_fires_only_on_inconsistent_candidates(monkeypatch):
         assert not fired or out is None
 
 
-def test_miss_certificate_exhausts_hard_search(monkeypatch):
-    # every candidate of this exhausting search is certified, so the exact
-    # solver never runs (the exact search takes over a second)
-    def no_exact_pass(system):
+def _no_exact_pass(monkeypatch):
+    def fail(*args, **kwargs):
         raise AssertionError("exact pass ran")
 
-    monkeypatch.setattr(ansatz, "solve_linear_ratfunc", no_exact_pass)
+    monkeypatch.setattr(ansatz, "assemble_and_solve", fail)
+    monkeypatch.setattr(ansatz, "solve_linear_ratfunc", fail)
+
+
+def test_miss_certificate_exhausts_hard_search(monkeypatch):
+    # every candidate of this exhausting search is certified, so neither the
+    # exact assembly nor the exact solver runs (the exact search takes over
+    # a second)
+    _no_exact_pass(monkeypatch)
     with pytest.raises(AnsatzNotFoundError):
         _run_search("wp", "z = y^2/(x+y)", 3)
 
@@ -516,29 +523,92 @@ def test_miss_certificate_applies_where_it_used_to_fall_back(monkeypatch, ade_te
     assert render(found, "text") == render(unchecked, "text")
 
 
-def _system(entries, unknowns=2):
-    """A LinearSystem over Q[x] from rows of (coefficient, x-exponent)
-    pairs, one pair per column and the constant last."""
+def _answers(ade_text, spec, r, k):
+    """The per-order certificate's answers for every monomial of order r."""
     ctx = Context()
-    x = ctx.indep
-    rows = [[Poly.const(ctx, c) * Poly.var(ctx, x, e) for c, e in row]
-            for row in entries]
-    return LinearSystem([(i,) for i in range(unknowns)],
-                        [(row[:-1], row[-1]) for row in rows])
+    ade = equation_to_ade(ade_text, ctx)
+    _, R = spec_to_ratfunc(spec, ctx, ["y"])
+    monos = enumerate_delta(k, r)
+    answers = ansatz._independent_prefixes(
+        ansatz._point_image([ade]), derivative_closure(R, [ade], r), k, monos)
+    return [next(answers) for _ in monos]
 
 
 def test_certified_miss_is_a_rank_test():
-    # c0 + x*c1 = 1, c0 - c1 = x, x*c0 + c1 = 0: [A|b] has rank 3
-    inconsistent = [[(1, 0), (1, 1), (-1, 0)], [(1, 0), (-1, 0), (-1, 1)],
-                    [(1, 1), (1, 0), (0, 0)]]
-    assert ansatz._certified_miss(_system(inconsistent))
-    # the third row is the sum of the first two: c0 = 1, c1 = 0 solves it
-    consistent = [[(1, 0), (1, 1), (-1, 0)], [(1, 0), (-1, 1), (-1, 0)],
-                  [(2, 0), (0, 0), (-2, 0)]]
-    assert not ansatz._certified_miss(_system(consistent))
-    # two rows cannot give three columns full rank
-    assert not ansatz._certified_miss(_system(inconsistent[:2]))
-    # an entry with no residue mod q declines rather than raises
-    declined = [[(Fraction(1, 2 ** 31 - 1), 0), *inconsistent[0][1:]],
-                *inconsistent[1:]]
-    assert not ansatz._certified_miss(_system(declined))
+    # y' = y, z = y at order 1: the columns are 1, z = y and z' = y.  1 and
+    # y are independent, so z + c = 0 is inconsistent; z' - z = 0 holds, so
+    # z' is dependent, and so is every later column of the order
+    assert _answers("diff(y(x),x) = y(x)", "z = y", 1, 1) == [True, False]
+    assert _answers("diff(y(x),x) = y(x)", "z = y", 1, 2) == [True, False, False,
+                                                              False, False]
+    # under y*y' = x the column of z' = 2*y*y' reduces to 2*x*y with one
+    # factor of the initial y, so 1 and z = y^2 are lifted to y and y^3:
+    # z' - 2*x = 0 holds, and the lifted column 2*x*y is dependent
+    assert _answers("y(x)*diff(y(x),x) = x", "z = y^2", 1, 1) == [True, False]
+    # with z = y the column z^2 = y^2 comes after z' = x and is lifted to
+    # y^3, independent of y, y^2 and x; z*z' = y*(x/y) = x is dependent
+    assert _answers("y(x)*diff(y(x),x) = x", "z = y", 1, 2) == [True, True, True,
+                                                               False, False]
+    # z = x^2 has one row, the monomial 1 in y, which cannot give the two
+    # columns 1 and z full rank
+    assert _answers("diff(y(x),x) = y(x)", "z = x^2", 0, 2) == [False, False]
+    # an initial that vanishes mod 2^31 - 1 moves the certificate to the
+    # second prime; one that vanishes mod both declines it
+    q1, q2 = ansatz._PRIMES
+    assert _answers(f"diff(y(x),x) = y(x)/{q1}", "z = y", 0, 1) == [True]
+    assert _answers(f"diff(y(x),x) = y(x)/{q1 * q2}", "z = y", 0, 1) == [False]
+
+
+def _coupled(spec, k):
+    ctx = Context()
+    a1 = equation_to_ade("diff(y1(x),x) = y1(x)*y2(x)", ctx, dep="y1")
+    a2 = equation_to_ade("diff(y2(x),x) = y1(x) + x", ctx, dep="y2")
+    zname, R = spec_to_ratfunc(spec, ctx, ["y1", "y2"])
+    return ansatz_search([a1, a2], R, k=k, z_name=zname)
+
+
+def test_certificate_on_coupled_inputs(monkeypatch):
+    # the columns reduce by both inputs; the certificate fires, only on
+    # candidates without exact solution, and leaves the equation as it is
+    found = _coupled("z = y1", 3)
+    log = _trace_candidates(monkeypatch, lambda fired: False)
+    unchecked = _coupled("z = y1", 3)
+    assert any(fired for fired, _ in log)
+    assert all(out is None for fired, out in log if fired)
+    assert render(found, "text") == render(unchecked, "text")
+    assert found.order == 2
+
+
+def test_exhausting_coupled_search_runs_no_exact_pass(monkeypatch):
+    _no_exact_pass(monkeypatch)
+    with pytest.raises(AnsatzNotFoundError):
+        _coupled("z = y1+y2", 2)
+
+
+@pytest.mark.parametrize("search", [
+    ("diff(y(x),x) = y(x)", "z = x^2", 1),
+    ("diff(y(x),x) = y(x)", "z = y", 1),
+    ("wp", "z = y/(x+y)", 2),
+    ("diff(y(x),x) = y(x)^2 + x", "z = y^2/(x+y)", 4),
+    ("coupled", "z = y1", 3),
+])
+def test_search_derives_only_the_orders_it_reaches(monkeypatch, search):
+    # z^(r) is derived when the search reaches order r, so a search that
+    # finds its equation at order r (a lead of r + 1 exponents) takes r
+    # derivatives
+    calls, orders = [], []
+    real_derivative, real_solve = RatFunc.derivative, ansatz.assemble_and_solve
+
+    def derivative(self, ades=()):
+        calls.append(1)
+        return real_derivative(self, ades)
+
+    def solve(ades, leading, *args, **kwargs):
+        orders.append(len(leading) - 1)
+        return real_solve(ades, leading, *args, **kwargs)
+
+    monkeypatch.setattr(RatFunc, "derivative", derivative)
+    monkeypatch.setattr(ansatz, "assemble_and_solve", solve)
+    ade_text, spec, k = search
+    found = _coupled(spec, k) if ade_text == "coupled" else _run_search(ade_text, spec, k)
+    assert len(calls) == orders[-1] == found.order

@@ -10,7 +10,7 @@ from dalg import Context, GBConfig, Poly
 from dalg.errors import ArgumentError, ResourceCapError
 from dalg.groebner import (IdealBasis, _Kernel, _substitute_solved, buchberger,
                            eliminate, elimination_order)
-from dalg.orders import Block, GrevLex, Lex
+from dalg.orders import Block, GrevLex, Lex, MonomialOrder
 from dalg.poly import try_exact_divide
 
 from conftest import (buchberger_with_certificates, make_rng, mono_divides,
@@ -221,6 +221,66 @@ def test_unit_ideal():
     one = Poly.const(ctx, 1)
     basis = buchberger([Poly.var(ctx, vs[0]), one], GrevLex(vs))
     assert [g for g in basis.generators] == [one]
+
+
+def test_one_generator_skips_the_kernel(monkeypatch):
+    # one nonzero generator is its own reduced basis: buchberger returns it
+    # without building a kernel, term for term, in the same order and with
+    # the same coefficient types as the kernel path, reached here by
+    # listing the generator twice; under GrevLex, Lex and block orders,
+    # with keep_vars that keep it or drop it, and with the same degree cap
+    import dalg.groebner as groebner
+    kernels = []
+    real_kernel = groebner._Kernel
+
+    def counting_kernel(*args):
+        kernels.append(args)
+        return real_kernel(*args)
+
+    monkeypatch.setattr(groebner, "_Kernel", counting_kernel)
+    rng = make_rng(37)
+
+    def typed(basis):
+        return [[(m, type(c), c) for m, c in g.terms.items()] for g in basis.generators]
+
+    kept = dropped = 0
+    for trial in range(36):
+        ctx, vs = fresh_vars(4)
+        shuffled = rng.sample(vs, len(vs))
+        order = (GrevLex(shuffled), Lex(shuffled),
+                 elimination_order(ctx, shuffled[:2], shuffled[2:]))[trial % 3]
+        keep = set(shuffled[2:]) if trial % 6 == 5 else None
+        # every other generator under keep_vars lies in the kept variables
+        over = shuffled[2:] if trial % 12 == 11 else vs
+        g = random_poly(ctx, over, rng, max_terms=5, max_deg=4)
+        if g.is_zero():
+            continue
+        del kernels[:]
+        single = buchberger([Poly(ctx), g], order, keep_vars=keep)
+        assert not kernels
+        full = buchberger([g, g], order, keep_vars=keep)
+        assert kernels
+        assert typed(single) == typed(full), f"trial {trial}"
+        if keep is not None:
+            kept += bool(single.generators)
+            dropped += not single.generators
+        cap = GBConfig(max_degree=g.total_degree() - 1)
+        for gens in ([g], [g, g]):
+            with pytest.raises(ResourceCapError, match=f"exceeded cap {cap.max_degree}$"):
+                buchberger(gens, order, cap)
+    assert kept and dropped
+    # an order whose key ties two monomials of the generator leaves the tie
+    # to the kernel
+    ctx, vs = fresh_vars(2)
+    tie = MonomialOrder([vs])
+    g = Poly.var(ctx, vs[0]) - Poly.var(ctx, vs[1])
+    del kernels[:]
+    assert typed(buchberger([g], tie)) == typed(buchberger([g, g], tie))
+    assert kernels
+    # a nonzero constant is the unit ideal
+    ctx, vs = fresh_vars(2)
+    assert buchberger([Poly.const(ctx, Fraction(-2, 3))], GrevLex(vs)).generators == [
+        Poly.const(ctx, 1)]
 
 
 def test_eliminate_is_the_keep_only_part_of_buchberger():

@@ -9,8 +9,10 @@ workloads and of ``cli-mix`` seeds 1-10 (hard set included), taken from this
 repository's ``perfbench/cases.py``, then the fixed argvs of ``ERROR_ARGVS``
 (error paths, since none of the benchmark's argvs fails, inputs at the
 edge of the input class, eliminations that reach far past an input's
-order, and eliminations whose solved variables are substituted away
-before Buchberger runs), in-process through the checkout's
+order, eliminations whose solved variables are substituted away
+before Buchberger runs, and ansatz searches whose miss certificate meets
+an initial in y, a denominator q, a parameter or coupled inputs),
+in-process through the checkout's
 ``dalg.cli.main(argv + ["--format", "json"])``, and writes
 for each argv the exit code and the sha256 of stdout and of stderr.  An
 exception that escapes ``main`` is recorded as exit code 1 with its type
@@ -105,6 +107,16 @@ ERROR_ARGVS = [
     ("unary", "--ade", "y' = y^2 + x", "--spec", "z = y + x"),
     ("arith", "--ade", "y1' = y1^2 + 1", "--ade", "y2' = y2^2 - 1", "--spec", "z = 2*y1 - 3*y2"),
     ("diff", "--ade", "y'' + y = 0", "--j", "1"),
+    # ansatz searches whose miss certificate meets an initial that depends
+    # on y, a coefficient denominator q = 2^31 - 1, a parameter, and coupled
+    # inputs (a hit at order 2 and an exhausting search)
+    ("ansatz", "--ade", "y*y' = x", "--spec", "z = y/(x+y)", "--degree-de", "2"),
+    ("ansatz", "--ade", "y' = y/2147483647 + 1", "--spec", "z = y/(x+y)", "--degree-de", "2"),
+    ("ansatz", "--ade", "y' = a*y", "--spec", "z = y/(x+y)", "--degree-de", "2"),
+    ("ansatz", "--ade", "y1'=y1*y2", "--ade", "y2'=y1+x", "--spec", "z = y1", "--degree-de", "3"),
+    ("ansatz", "--ade", "y1'=y1*y2", "--ade", "y2'=y1+x", "--spec", "z = y1+y2",
+     "--degree-de", "2"),
+    ("ansatz", "--ade", "y*y' = x", "--spec", "z = y^2/(x+y)", "--degree-de", "3"),
 ]
 
 
