@@ -48,8 +48,10 @@ is that of the exact reduced column because a reduced form modulo the
 inputs is unique once their initials are units, which holds over the
 field of fractions of the non-leaders when no initial vanishes mod q.
 If one does, the certificate works mod q = 2^31 - 19 instead, and if it
-vanishes there too, every candidate takes the exact pass.  So the
-equation found is the same either way.  z^(r) itself is derived only when
+vanishes there too, every candidate takes the exact pass.  Order 0 needs
+no certificate when the map names input dependents only below their
+orders (:func:`_transcendental`).  So the equation found is the same
+either way.  z^(r) itself is derived only when
 the search reaches order r.
 """
 
@@ -513,12 +515,25 @@ def _independent_prefixes(img, vals, k: int, monos: list):
         yield False
 
 
+def _transcendental(R: RatFunc, ades) -> bool:
+    """Whether R names some input dependents and only below their orders,
+    which proves z^k, the one candidate of order 0, a miss: those
+    derivatives are algebraically independent modulo the inputs, each of
+    which is algebraic in its own leader over them, and Q(x, parameters) is
+    algebraically closed in the rational functions of them, so z = R
+    satisfies no nonzero polynomial over it."""
+    orders = {a.dep: a.order for a in ades}
+    named = [v for v in R.variables() if v.kind == DIFF]
+    return bool(named) and all(v.order < orders[v.indet] for v in named)
+
+
 def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z"):
     """Search leading monomials of degree k in enumeration order, raising the
     derivative order of the ansatz from 0 up to the cap, and return the first
     equation found.  z^(r) is derived on reaching order r, and each
     candidate that the order's miss certificate does not prove a miss takes
-    the exact pass."""
+    the exact pass; order 0 is skipped when :func:`_transcendental` proves
+    its one candidate a miss."""
     if k < 1:
         raise ArgumentError("degree bound must be at least 1")
     ades = list(ades)
@@ -531,6 +546,8 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
     for r in range(order_cap + 1):
         if r:
             vals.append(derivative_closure(vals[-1], ades, 1)[1])
+        elif _transcendental(R, ades):
+            continue
         monos = enumerate_delta(k, r)
         independent = _independent_prefixes(img, vals, k, monos)
         for i, (leading, miss) in enumerate(zip(monos, independent)):

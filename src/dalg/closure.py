@@ -16,10 +16,9 @@ dependent and the coefficient equations as the inputs.
 The pipeline keeps the inputs as they are, prolongs the link to the bound
 under the inputs' coupled derivation (:meth:`RatFunc.derivative`, which
 replaces each input's y_j^(n_j+1) by its value, so no link names any
-y_j above y_j^(n_j)), inverts each distinct saturation factor with a
-Rabinowitsch variable of its own, eliminates every non-z derivative
-variable once with a block Groebner order whose eliminated block those
-variables lead, and selects, among the generators of the reduced basis
+y_j above y_j^(n_j)), eliminates every non-z derivative variable once
+from the saturation of the system by its factors, with a block Groebner
+order, and selects, among the generators of the reduced basis
 that involve z, the one of lowest (order, total degree, term count).  It
 need not be the least order in the elimination ideal: an element of lower
 order can exist without being a basis generator.  A generator that already
@@ -67,11 +66,16 @@ ideal under more prolongation; it means that a saturation factor (an
 initial, a separant, the map's denominator, or g') vanishes on the inputs'
 generic solution.
 
-One variable per factor gives the same elimination ideal as one variable
-for their product: both adjoin the inverse of every factor, so both
-eliminate to I : (h_1 ... h_m)^oo (the Rabinowitsch trick).  Its reduced
-basis, and so the output, is the same either way; the short relations
-w_i*h_i - 1 only make the Groebner basis far cheaper to reach.
+The saturation is :func:`~dalg.groebner.eliminate`'s: it takes the
+factors (initials, separants, the map's denominator, g') as they are and
+returns the reduced basis of the elimination ideal of I : (h_1 ... h_m)^oo.
+A factor that it certifies as a non-zero-divisor modulo I (I + (h) of
+codimension above the number of generators, which Macaulay's unmixedness
+theorem turns into a proof) leaves I unchanged and is dropped; each other
+factor gets a Rabinowitsch variable of its own.  Certified or not, the
+basis, and so the output, is the one that inverting every factor gives.
+On the benchmark's systems it keeps only the factors of criteria 2 and 3,
+where saturation changes the output.
 """
 
 from __future__ import annotations
@@ -83,9 +87,7 @@ from .diffpoly import (ADE, RatFunc, implicit_higher_derivative, normalize_ade,
                        rational_substitute)
 from .errors import ArgumentError, EliminationFailedError
 from .groebner import GBConfig, eliminate
-from .poly import Poly, content_primitive
-
-SAT_NAME = "_sat"  # reserved prefix of the saturation variables _sat0, _sat1, ...
+from .poly import Poly
 VANISHING_FACTOR = ("no keep-only generator involves the output: a saturation "
                     "factor (an initial, a separant, the map's denominator, or "
                     "g' for compose) vanishes on the inputs' generic solution")
@@ -93,13 +95,11 @@ VANISHING_FACTOR = ("no keep-only generator involves the output: a saturation "
 
 @dataclass
 class TriangularSystem:
-    """The system one closure operation eliminates from; ``sat_vars`` are
-    the saturation variables, which lead the eliminated block."""
+    """The system one closure operation eliminates from."""
 
     polys: list
     elim_vars: set
     keep_vars: set
-    sat_vars: list
 
 
 @dataclass
@@ -112,47 +112,23 @@ class ClosureResult:
     generators: list
 
 
-def saturation_factors(factors) -> list:
-    """The distinct non-constant factors, primitive-normalized.
-
-    The factors are the initials and separants of the inputs, the map's
-    denominator and, for composition, g'; inverting them discards the
-    degenerate solution branches they cut out, matching the triangular-set
-    (saturation ideal) reading of the system.
-    """
-    seen = []
-    for f in factors:
-        if f.is_zero() or f.is_constant():
-            continue
-        f = content_primitive(f)[1]
-        if not any(f == g for g in seen):
-            seen.append(f)
-    return seen
-
-
-def build_system(ades, link: Poly, z_id: int, s: int, saturate=()) -> TriangularSystem:
+def build_system(ades, link: Poly, z_id: int, s: int) -> TriangularSystem:
     """The input equations as they are, then the link and its first s
     derivatives under the inputs' coupled derivation (each step the
-    numerator of :meth:`RatFunc.derivative`), and w_i*h_i - 1 for each
-    saturation factor h_i, with an eliminated fresh variable w_i named
-    _sat<i>.  Derivatives of z (and x, parameters) are kept, every other
-    derivative is eliminated.  One pass of the derivation replaces every
-    input's y_j^(n_j+1) when each input's derivative names no other
-    input's y_k^(n_k+1), or only those of inputs after it."""
+    numerator of :meth:`RatFunc.derivative`).  Derivatives of z (and x,
+    parameters) are kept, every other derivative is eliminated.  One pass
+    of the derivation replaces every input's y_j^(n_j+1) when each input's
+    derivative names no other input's y_k^(n_k+1), or only those of inputs
+    after it."""
     links = [link]
     for _ in range(s):
         links.append(RatFunc(links[-1]).derivative(ades).num)
     polys = [a.poly for a in ades] + links
-    ctx = link.ctx
-    sat_vars = [ctx.diff_var(ctx.indeterminate(f"{SAT_NAME}{i}"), 0)
-                for i in range(len(saturate))]
-    for w, h in zip(sat_vars, saturate):
-        polys.append(Poly.var(ctx, w) * h - Poly.const(ctx, 1))
     elim, keep = set(), set()
     for p in polys:
         for v in p.variables():
             (elim if v.kind == DIFF and v.indet != z_id else keep).add(v)
-    return TriangularSystem(polys, elim, keep, sat_vars)
+    return TriangularSystem(polys, elim, keep)
 
 
 def select_output(generators, z_id: int) -> ADE:
@@ -180,11 +156,9 @@ def _close(ades, link: Poly, z_id: int, config, factors=()) -> ClosureResult:
     factors = list(factors)
     for a in ades:
         factors.extend([a.initial, a.separant])
-    system = build_system(ades, link, z_id, sum(a.order for a in ades),
-                          saturation_factors(factors))
+    system = build_system(ades, link, z_id, sum(a.order for a in ades))
     gens = [g for g in eliminate(system.polys, system.elim_vars,
-                                 system.keep_vars, config,
-                                 first=system.sat_vars)
+                                 system.keep_vars, config, saturate=factors)
             if any(v.kind == DIFF and v.indet == z_id for v in g.variables())]
     if not gens:
         raise EliminationFailedError(VANISHING_FACTOR)

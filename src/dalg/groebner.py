@@ -33,19 +33,43 @@ intermediate total degree and basis size turn runaway eliminations into a
 Before the order is built, :func:`eliminate` substitutes away every
 eliminated variable v that a generator g = c*v + r solves for, with c a
 nonzero constant and v not in r: v = -r/c goes into the other generators
-and g is dropped, until no generator qualifies (a saturation variable
-qualifies once its factor has become a constant).  This cannot change the
-output.  Write I for the ideal of the generators, X for all variables and
-K for the kept ones.  k[X]/(g) is isomorphic to k[X without v] by
-v -> -r/c; the isomorphism maps I onto the ideal of the substituted
-generators (a constant multiple c^e of each, which keeps them integral,
-generates the same ideal) and fixes k[K], so the intersection of I with
-k[K] is unchanged.  The keep-only elements of a reduced basis under the
-block order are the reduced basis of that intersection under the keep
-block's order, which is unique (the elimination theorem, Cox, Little &
-O'Shea, *Ideals, Varieties, and Algorithms*, ch. 3).  So :func:`eliminate`
-returns the same list, term for term and in the same order, from a
-smaller system.
+and into the saturation factors, and g is dropped, until no generator
+qualifies.  This cannot change the output.  Write I for the ideal of the
+generators, X for all variables and K for the kept ones.  k[X]/(g) is
+isomorphic to k[X without v] by v -> -r/c; the isomorphism maps I onto
+the ideal of the substituted generators (a constant multiple c^e of
+each, which keeps them integral, generates the same ideal) and fixes
+k[K], so the intersection of I with k[K] is unchanged.  The keep-only
+elements of a reduced basis under the block order are the reduced basis
+of that intersection under the keep block's order, which is unique (the
+elimination theorem, Cox, Little & O'Shea, *Ideals, Varieties, and
+Algorithms*, ch. 3).  So :func:`eliminate` returns the same list, term
+for term and in the same order, from a smaller system.  The isomorphism
+maps each factor h to its substituted form, so the saturation I : h^oo
+goes along with it.
+
+:func:`eliminate` saturates by the factors itself: it returns the basis
+of the elimination ideal of I : (h_1 ... h_k)^oo.  A factor h that is a
+non-zero-divisor modulo I leaves I unchanged, and saturating by a product
+is saturating by each factor in turn, so only the other factors get a
+Rabinowitsch variable w_i, ranked above every other eliminated variable,
+and the generator w_i*h_i - 1.  The certificate: with m the number of
+generators left after substitution, h is a non-zero-divisor when
+I + (h) has codimension above m.  For if h lies in an associated prime Q
+of I, then either every minimal prime of I inside Q has height m, so that
+I localized at Q is generated by as many elements as its height, hence
+unmixed (Macaulay's unmixedness theorem; Matsumura, *Commutative Ring
+Theory*, Thm 17.6), and Q is one of those minimal primes; or one of them,
+P, has height below m, and a prime minimal over P + (h) inside Q has
+height at most ht P + 1 (Krull's principal ideal theorem, in the catenary
+ring of polynomials).  Either way a prime of height at most m contains
+I + (h).  The codimension is that of the ideal of leading monomials of a
+Groebner basis of I + (h), one GrevLex run per factor: the least number
+of variables that meet every leading monomial's support (Kredel &
+Weispfenning, JSC 1988), infinite for the unit ideal.  A cap hit in a
+certificate run keeps every factor.  The reduced basis of the
+elimination ideal is unique, so the output is term for term the one that
+inverting every factor gives.
 
 This is the package's only Groebner engine; the independent references
 the tests check it against (a plain normal form and a certificate-tracking
@@ -56,12 +80,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 from .context import same_context
 from .errors import ArgumentError, ResourceCapError
 from .orders import Block, GrevLex, MonomialOrder
 from .poly import Poly, content_primitive, exact_div
+
+SAT_NAME = "_sat"  # reserved prefix of the Rabinowitsch variables _sat0, _sat1, ...
 
 
 @dataclass
@@ -128,6 +154,13 @@ class _Kernel:
                 raise self.degree_error()
             out[sum(e * unit[idx] for idx, e in mono)] = c
         return out
+
+    def integral(self, p: Poly) -> dict:
+        """Packed terms of p times the lcm of its coefficients'
+        denominators: the integer input that the normal form needs, which
+        leaves no content and fixes no sign."""
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        return self.encode(p if den == 1 else p.scale(den))
 
     @staticmethod
     def sort(terms: dict):
@@ -303,6 +336,41 @@ def buchberger(gens, order: MonomialOrder, config: GBConfig | None = None,
         if len({order.key(m) for m in g.terms}) == len(g.terms):
             return IdealBasis(_one_generator(g, order, config, keep_vars), order)
     K = _Kernel(order, config.max_degree, set().union(*(g.variables() for g in gens)))
+    G, lms = _pair_loop(K, [K.integral(p) for p in nonzero], config)
+    if not G:
+        raise ArgumentError("all generators are zero")
+
+    # minimalise, keeping only the elements whose leading monomials are in
+    # keep_vars (all of them without keep_vars), and fully reduce each kept
+    # element by the others.  The block order ranks every monomial outside
+    # keep_vars above all monomials in them, so a kept element is wholly in
+    # keep_vars, and no dropped element can divide any of its terms.
+    drop = 0    # the packed exponent fields of the variables not kept
+    if keep_vars is not None:
+        keep_idx = {v.index for v in keep_vars}
+        drop = sum(K.mask << shift for idx, shift, _ in K.fields
+                   if idx not in keep_idx)
+    kept, klms = [], []
+    for i in sorted(range(len(G)), key=lms.__getitem__):
+        if not lms[i] & drop and all(not K.divides(b, lms[i]) for b in klms):
+            kept.append(G[i])
+            klms.append(lms[i])
+    out = []
+    for i, (monos, coefs) in enumerate(kept):
+        r = K.normal_form(dict(zip(monos, coefs)), kept[:i] + kept[i + 1:],
+                          klms[:i] + klms[i + 1:])
+        out.append(Poly(ctx, dict(zip(map(K.decode, r[0]), r[1]))))
+    return IdealBasis(out, order)
+
+
+def _pair_loop(K: _Kernel, inputs, config: GBConfig):
+    """A Groebner basis of the packed inputs (dicts, consumed) as lists
+    (elements, leading monomials); the elements are not minimal, and only
+    their leading terms are reduced."""
+    G: list = []      # (monomials descending, coefficients)
+    lms: list = []
+    sugar: list = []
+    pairs: set = set()   # (sugar, lcm, i, j); the smallest is selected next
 
     def check_caps(f, n_items):
         if n_items > config.max_basis:
@@ -311,11 +379,6 @@ def buchberger(gens, order: MonomialOrder, config: GBConfig | None = None,
             )
         if f and max(K.degree(m) for m in f[0]) > config.max_degree:
             raise K.degree_error()
-
-    G: list = []      # (monomials descending, coefficients)
-    lms: list = []
-    sugar: list = []
-    pairs: set = set()   # (sugar, lcm, i, j); the smallest is selected next
 
     def update(f, s):
         """Gebauer-Moeller update of the pair set with the new element f of
@@ -348,15 +411,12 @@ def buchberger(gens, order: MonomialOrder, config: GBConfig | None = None,
         sugar.append(s)
         return kept
 
-    inputs = sorted((K.encode(content_primitive(p)[1]) for p in nonzero), key=max)
-    for terms in inputs:
+    for terms in sorted(inputs, key=max):
         s = max(K.degree(m) for m in terms)
         f = K.normal_form(terms, G, lms)
         if f:
             check_caps(f, len(G) + len(pairs))
             pairs = update(f, s)
-    if not G:
-        raise ArgumentError("all generators are zero")
 
     while pairs:
         check_caps(None, len(G) + len(pairs))
@@ -368,28 +428,7 @@ def buchberger(gens, order: MonomialOrder, config: GBConfig | None = None,
         if f:
             check_caps(f, len(G))
             pairs = update(f, s)
-
-    # minimalise, keeping only the elements whose leading monomials are in
-    # keep_vars (all of them without keep_vars), and fully reduce each kept
-    # element by the others.  The block order ranks every monomial outside
-    # keep_vars above all monomials in them, so a kept element is wholly in
-    # keep_vars, and no dropped element can divide any of its terms.
-    drop = 0    # the packed exponent fields of the variables not kept
-    if keep_vars is not None:
-        keep_idx = {v.index for v in keep_vars}
-        drop = sum(K.mask << shift for idx, shift, _ in K.fields
-                   if idx not in keep_idx)
-    kept, klms = [], []
-    for i in sorted(range(len(G)), key=lms.__getitem__):
-        if not lms[i] & drop and all(not K.divides(b, lms[i]) for b in klms):
-            kept.append(G[i])
-            klms.append(lms[i])
-    out = []
-    for i, (monos, coefs) in enumerate(kept):
-        r = K.normal_form(dict(zip(monos, coefs)), kept[:i] + kept[i + 1:],
-                          klms[:i] + klms[i + 1:])
-        out.append(Poly(ctx, dict(zip(map(K.decode, r[0]), r[1]))))
-    return IdealBasis(out, order)
+    return G, lms
 
 
 def _one_generator(g: Poly, order: MonomialOrder, config: GBConfig, keep_vars) -> list:
@@ -419,6 +458,18 @@ def elimination_order(ctx, elim_vars, keep_vars, first=()) -> MonomialOrder:
     return Block(GrevLex(high), GrevLex(low))
 
 
+def saturation_factors(factors) -> list:
+    """The distinct non-constant factors, primitive-normalized."""
+    seen = []
+    for f in factors:
+        if f.is_zero() or f.is_constant():
+            continue
+        f = content_primitive(f)[1]
+        if not any(f == g for g in seen):
+            seen.append(f)
+    return seen
+
+
 def _solved_variable(g: Poly, elim_idx: dict):
     """(v, c) for a term c*v of g with v eliminated and c a nonzero
     constant, v occurring in no other term of g; the largest such v in
@@ -433,14 +484,15 @@ def _solved_variable(g: Poly, elim_idx: dict):
     return min(found, key=lambda vc: g.ctx.rank_key(vc[0]), default=None)
 
 
-def _substitute_solved(gens, elim_vars):
+def _substitute_solved(gens, elim_vars, factors=()):
     """Substitute away, one after another, the eliminated variables that a
     generator solves for with a constant coefficient: for g = c*v + r, put
-    v = -r/c into the other generators and drop g.  With g's sign chosen
-    so that c > 0, a generator h of degree e in v becomes c^e * h(-r/c):
-    the substitution v = -r into the sum of its terms h_k*v^k rescaled by
-    c^(e-k), so integer coefficients stay integers.  Returns the nonzero generators left and the variables
-    substituted."""
+    v = -r/c into the other generators and into the factors, and drop g.
+    With g's sign chosen so that c > 0, a polynomial h of degree e in v
+    becomes c^e * h(-r/c): the substitution v = -r into the sum of its
+    terms h_k*v^k rescaled by c^(e-k), so integer coefficients stay
+    integers.  Returns the nonzero generators left, the factors and the
+    variables substituted."""
     gens = [g for g in gens if not g.is_zero()]
     elim_idx = {v.index: v for v in elim_vars}
     solved = set()
@@ -449,54 +501,121 @@ def _substitute_solved(gens, elim_vars):
             if (hit := _solved_variable(g, elim_idx)) is not None:
                 break
         else:
-            return gens, solved
+            return gens, factors, solved
         v, c = hit
         del elim_idx[v.index]
         solved.add(v)
         lead, sign, c = ((v.index, 1),), (-1 if c > 0 else 1), abs(c)
         value = Poly(g.ctx, {m: sign * cm for m, cm in g.terms.items() if m != lead})
-        rest = []
-        for h in gens[:k] + gens[k + 1:]:
-            if h.has_var(v):
-                if c != 1:
-                    e = h.degree(v)
-                    h = Poly(h.ctx, {m: cm * c ** (e - dict(m).get(v.index, 0))
-                                     for m, cm in h.terms.items()})
-                h = h.substitute({v: value})
-            if not h.is_zero():
-                rest.append(h)
-        gens = rest
+
+        def put(h):
+            if not h.has_var(v):
+                return h
+            if c != 1:
+                e = h.degree(v)
+                h = Poly(h.ctx, {m: cm * c ** (e - dict(m).get(v.index, 0))
+                                 for m, cm in h.terms.items()})
+            return h.substitute({v: value})
+
+        gens = [h for h in map(put, gens[:k] + gens[k + 1:]) if not h.is_zero()]
+        factors = [put(h) for h in factors]
+
+
+def _supports(K: _Kernel, lms) -> list:
+    """The variable supports of the packed monomials, as bit masks over the
+    kernel's fields; only the minimal ones, since a set of variables that
+    meets a support meets every superset of it."""
+    mask = K.mask
+    out = []
+    for s in sorted({sum(1 << k for k, (_, shift, _) in enumerate(K.fields)
+                         if m >> shift & mask) for m in lms}, key=int.bit_count):
+        if all(t & s != t for t in out):
+            out.append(s)
+    return out
+
+
+def _covered(supports, k: int) -> bool:
+    """Whether some k variables meet every support (bit masks); the empty
+    support of the monomial 1 is met by none.  Branches on the variables of
+    the smallest support not met yet."""
+    if not supports:
+        return True
+    if k == 0:
+        return False
+    s = supports[0]
+    while s:
+        b = s & -s
+        if _covered([t for t in supports if not t & b], k - 1):
+            return True
+        s ^= b
+    return False
+
+
+def _to_saturate(gens, factors, config: GBConfig) -> list:
+    """The factors that :func:`eliminate` saturates by: those it cannot
+    certify as non-zero-divisors modulo the ideal I of the m generators,
+    and all of them when a certificate run hits a cap.  h is certified when
+    I + (h) has codimension above m, read off the leading monomials of a
+    Groebner basis of I + (h) under GrevLex: the least number of variables
+    that meet every leading monomial's support."""
+    ctx = gens[0].ctx
+    X = sorted({ctx.var_by_index(idx) for p in gens + factors
+                for m in p.terms for idx, _ in m}, key=ctx.rank_key)
+    K = _Kernel(GrevLex(X), config.max_degree, X)
+    base = [K.integral(p) for p in gens]
+    kept = []
+    try:
+        for h in factors:
+            _, lms = _pair_loop(K, [*map(dict, base), K.encode(h)], config)
+            if _covered(_supports(K, lms), len(gens)):
+                kept.append(h)
+    except ResourceCapError:
+        return factors
+    return kept
 
 
 def eliminate(gens, elim_vars, keep_vars, config: GBConfig | None = None,
-              first=()):
-    """Keep-only generators of the reduced Groebner basis under a block order.
+              saturate=()):
+    """Keep-only generators of the reduced Groebner basis, under a block
+    order, of the elimination ideal of I : (h_1 ... h_k)^oo, with I the
+    ideal of gens and h_i the factors ``saturate``.
 
-    Returns every reduced-basis element whose variables lie in keep_vars,
-    the only ones that :func:`buchberger` finishes:
+    Returns every reduced-basis element whose variables lie in keep_vars:
     [1] for the unit ideal, and [] when the elimination ideal is zero.
-    ``first`` lists eliminated variables to rank above all the others.
     Every eliminated variable that a generator solves for with a constant
-    coefficient is substituted away first (:func:`_substitute_solved`),
-    which changes neither the elimination ideal nor its reduced basis.
+    coefficient is substituted away first, in the generators and the
+    factors (:func:`_substitute_solved`), which changes neither the
+    elimination ideal nor its reduced basis.  A factor that the
+    certificate of the module docstring proves a non-zero-divisor modulo
+    I is dropped (:func:`_to_saturate`); each other one gets a
+    Rabinowitsch variable w_i, eliminated above all others, and the
+    generator w_i*h_i - 1.
     """
     if not gens:
         raise ArgumentError("empty generator list")
-    ctx = same_context(*gens)
+    ctx = same_context(*gens, *saturate)
     elim_vars, keep_vars = set(elim_vars), set(keep_vars)
     if elim_vars & keep_vars:
         raise ArgumentError("eliminate and keep variable sets overlap")
-    if not set(first) <= elim_vars:
-        raise ArgumentError("leading variables must be eliminated")
-    seen = set().union(*(g.variables() for g in gens))
+    seen = set().union(*(g.variables() for g in [*gens, *saturate]))
     if not seen <= elim_vars | keep_vars:
         missing = seen - elim_vars - keep_vars
         raise ArgumentError(f"variables not covered by the partition: {missing}")
     if all(g.is_zero() for g in gens):
         raise ArgumentError("all generators are zero")
-    gens, solved = _substitute_solved(gens, elim_vars)
+    gens, factors, solved = _substitute_solved(gens, elim_vars, list(saturate))
+    if any(h.is_zero() for h in factors):
+        # a factor that vanishes modulo I (or was zero): I : 0^oo is the
+        # unit ideal
+        return [Poly.const(ctx, 1)]
     if not gens:
         return []
-    order = elimination_order(ctx, elim_vars - solved, keep_vars,
-                              [v for v in first if v not in solved])
+    factors = saturation_factors(factors)
+    if factors:
+        factors = _to_saturate(gens, factors, config or GBConfig())
+    ws = [ctx.diff_var(ctx.indeterminate(f"{SAT_NAME}{i}"), 0)
+          for i in range(len(factors))]
+    gens = gens + [Poly.var(ctx, w) * h - Poly.const(ctx, 1)
+                   for w, h in zip(ws, factors)]
+    order = elimination_order(ctx, (elim_vars - solved) | set(ws), keep_vars, ws)
     return buchberger(gens, order, config, keep_vars).generators

@@ -5,7 +5,8 @@ derivative modulo the inputs, the independent Groebner references (a
 plain normal form and a certificate-tracking Buchberger on tuple
 monomials) that the kernel in dalg.groebner is checked against, the
 Bareiss solve on Poly arithmetic that the ansatz's packed solve is checked
-against, the prolonged elimination that the closure operations are
+against, the Rabinowitsch saturation that eliminate's certificate is
+checked against, the prolonged elimination that the closure operations are
 checked against, and a truncated power series solution to check rational
 values of derivatives on without any polynomial gcd."""
 
@@ -16,10 +17,10 @@ from pathlib import Path
 
 from dalg import (ADE, Context, Poly, RatFunc, TruncSeries, derivative_closure,
                   equation_to_ade, pseudo_divide)
-from dalg.closure import SAT_NAME, saturation_factors
 from dalg.context import DIFF, INDEP, same_context
 from dalg.diffpoly import rational_substitute, total_derivative
-from dalg.groebner import IdealBasis, eliminate
+from dalg.groebner import (IdealBasis, _substitute_solved, buchberger,
+                           elimination_order, saturation_factors)
 from dalg.orders import MonomialOrder
 from dalg.poly import Mono, exact_div, mono_div, try_exact_divide
 
@@ -302,7 +303,27 @@ def reference_solve_linear(system):
 # -- the truncated-series oracle ----------------------------------------------
 
 
-# -- the prolonged closure pipeline ----------------------------------------
+# -- the Rabinowitsch saturation and the prolonged closure pipeline --------
+
+
+def rabinowitsch_eliminate(gens, elim_vars, keep_vars, factors, config=None):
+    """The keep-only generators of the reduced basis of the elimination
+    ideal of I : (h_1 ... h_m)^oo, with every distinct factor h_i inverted
+    by w_i*h_i - 1 and a fresh variable w_i eliminated above all others:
+    what dalg.groebner.eliminate(..., saturate=factors) returns, reached
+    with no certificate."""
+    ctx = gens[0].ctx
+    factors = saturation_factors(factors)
+    ws = [ctx.diff_var(ctx.indeterminate(f"_rab{i}"), 0) for i in range(len(factors))]
+    polys = list(gens) + [Poly.var(ctx, w) * h - Poly.const(ctx, 1)
+                          for w, h in zip(ws, factors)]
+    elim = set(elim_vars) | set(ws)
+    polys, _, solved = _substitute_solved(polys, elim)
+    if not polys:
+        return []
+    order = elimination_order(ctx, elim - solved, keep_vars,
+                              [w for w in ws if w not in solved])
+    return buchberger(polys, order, config, keep_vars).generators
 
 
 def prolong(p, s):
@@ -320,16 +341,11 @@ def prolonged_generators(inputs, z_id, s, factors, leads=None):
     to order s is eliminated once."""
     leads = leads or [0] * len(inputs)
     polys = [q for p, lead in zip(inputs, leads) for q in prolong(p, s + lead)]
-    ctx = inputs[0].ctx
-    saturate = saturation_factors(factors)
-    sat_vars = [ctx.diff_var(ctx.indeterminate(f"{SAT_NAME}{i}"), 0)
-                for i in range(len(saturate))]
-    polys += [Poly.var(ctx, w) * h - Poly.const(ctx, 1) for w, h in zip(sat_vars, saturate)]
     elim, keep = set(), set()
-    for p in polys:
+    for p in polys + factors:
         for v in p.variables():
             (elim if v.kind == DIFF and (v.indet != z_id or v.order > s) else keep).add(v)
-    return [g for g in eliminate(polys, elim, keep, first=sat_vars)
+    return [g for g in rabinowitsch_eliminate(polys, elim, keep, factors)
             if any(v.kind == DIFF and v.indet == z_id for v in g.variables())]
 
 

@@ -445,9 +445,11 @@ def _run_search(ade_text, spec, k):
 def _trace_candidates(monkeypatch, certificate):
     """Patch the search so every exact pass logs (certificate fired on its
     candidate, result); certificate maps each real answer of the per-order
-    certificate to the one the search acts on."""
+    certificate to the one the search acts on.  Order 0 goes through the
+    certificate too, as every order does when the map names a leader."""
     real_cert, real_solve = ansatz._independent_prefixes, ansatz.assemble_and_solve
     log, last = [], [False]
+    monkeypatch.setattr(ansatz, "_transcendental", lambda R, ades: False)
 
     def cert(*args):
         for fired in real_cert(*args):
@@ -484,6 +486,35 @@ def test_miss_certificate_fires_only_on_inconsistent_candidates(monkeypatch):
     assert all(fired for fired, _ in log[start:])
     for fired, out in log:
         assert not fired or out is None
+
+
+def test_order_zero_is_skipped_only_on_misses():
+    # the search skips order 0 where the map names input dependents below
+    # their orders only; the exact pass of z^k finds no solution there.  A
+    # map of a leader, or one free of the inputs, takes the order-0 pass
+    searches = [("wp", "z = y/(x+y)", 2), ("wp", "z = y^2/(x+y)", 3),
+                ("diff(y(x),x) = y(x)^2 + x", "z = y^2/(x+y)", 4),
+                ("y(x)*diff(y(x),x) = x", "z = y/(x+y)", 2)]
+    searches += [(a, s, 2) for _, a, s in _seeded_first_order_maps()]
+    for ade_text, spec, k in searches:
+        ctx = Context()
+        ade = weierstrass(ctx) if ade_text == "wp" else equation_to_ade(ade_text, ctx)
+        zname, R = spec_to_ratfunc(spec, ctx, ["y"])
+        assert ansatz._transcendental(R, [ade])
+        *earlier, lead = enumerate_delta(k, 0)
+        assert ansatz.assemble_and_solve([ade], lead, earlier, [R], {},
+                                         z_name=zname) is None
+    ctx = Context()
+    ade = equation_to_ade("diff(y(x),x) = y(x)", ctx)
+    y1 = RatFunc(Poly.var(ctx, ctx.diff_var(ade.dep, 1)))
+    assert not ansatz._transcendental(y1, [ade])
+    assert not ansatz._transcendental(RatFunc(Poly.var(ctx, ctx.indep)), [ade])
+    # y^2 = x has order 0, so y is its leader: z = y is found at order 0
+    ctx = Context()
+    ade = equation_to_ade("y(x)^2 - x = 0", ctx, dep="y", extra_deps=["y"])
+    zname, R = spec_to_ratfunc("z = y", ctx, ["y"])
+    assert not ansatz._transcendental(R, [ade])
+    assert render(ansatz_search([ade], R, k=2, z_name=zname), "text") == "z(x)^2 - x = 0"
 
 
 def _no_exact_pass(monkeypatch):

@@ -151,6 +151,15 @@ def test_resource_cap_exit_4():
     assert "resource cap" in r.stderr
 
 
+def test_basis_cap_exit_4(capsys):
+    # criterion 1 needs a basis of more than 10 elements, also with both
+    # saturation factors certified away
+    argv = ["unary", "--ade", WEIER, "--spec", "z = y1/(x+y1)"]
+    assert cli_main(argv + ["--max-basis", "10"]) == 4
+    assert "resource cap" in capsys.readouterr().err
+    assert cli_main(argv + ["--max-basis", "20"]) == 0
+
+
 def test_usage_exit_64():
     r = run_cli()
     assert r.returncode == 64

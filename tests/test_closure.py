@@ -6,6 +6,7 @@ verified against truncated series solutions."""
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,17 +16,18 @@ from dalg import (Context, Poly, RatFunc, SeriesWitness, ansatz_search,
                   verify_series)
 from dalg import closure, groebner
 from dalg.cli import main as cli_main
-from dalg.closure import build_system, saturation_factors, select_output
+from dalg.closure import build_system, select_output
 from dalg.diffpoly import normalize_ade
 from dalg.errors import ArgumentError, EliminationFailedError
-from dalg.groebner import eliminate
+from dalg.groebner import SAT_NAME, eliminate, saturation_factors
 from dalg.orders import Block, GrevLex
 from dalg.render import poly_to_text, render
 from dalg.series import TruncSeries
 
 from conftest import (at_series, certified_by_substitution, prolonged_compose,
                       prolonged_ddfinite, prolonged_diff, prolonged_rational,
-                      proportional, series_solution, weierstrass)
+                      proportional, rabinowitsch_eliminate, series_solution,
+                      weierstrass)
 
 
 def exp_ade(ctx, name="y", rate=1):
@@ -50,14 +52,14 @@ def check_series(ade, witness, T=12):
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """The (gens, elim_vars, keep_vars) of every elimination the closure
-    operations run."""
+    """The (gens, elim_vars, keep_vars, saturate) of every elimination the
+    closure operations run."""
     calls = []
     real = closure.eliminate
 
-    def spy(gens, elim_vars, keep_vars, *args, **kwargs):
-        calls.append((gens, elim_vars, keep_vars))
-        return real(gens, elim_vars, keep_vars, *args, **kwargs)
+    def spy(gens, elim_vars, keep_vars, *args, saturate=(), **kwargs):
+        calls.append((gens, elim_vars, keep_vars, saturate))
+        return real(gens, elim_vars, keep_vars, *args, saturate=saturate, **kwargs)
 
     monkeypatch.setattr(closure, "eliminate", spy)
     return calls
@@ -91,39 +93,51 @@ def test_prolong_and_build_system_counts(monkeypatch, eliminations):
     # diff_dalg with j = 2 on y' = y eliminates y and y' only: the link
     # z - y'' is z - y', and its derivative z' - y'' is z' - y'
     diff_dalg(exp_ade(Context()), 2)
-    ((_, elim_vars, _),) = eliminations
+    ((_, elim_vars, _, _),) = eliminations
     assert sorted(v.order for v in elim_vars) == [0, 1]
 
-    # saturation: one polynomial and one eliminated variable per distinct
-    # non-constant factor; constants and rational multiples add nothing
+    # saturation: eliminate adjoins one polynomial w*h - 1 and one
+    # eliminated variable w per distinct non-constant factor h that it
+    # cannot certify as a non-zero-divisor; constants and rational multiples
+    # add nothing
     shift = y0 + Poly.var(ctx, ctx.indep)
     assert saturation_factors([Poly.const(ctx, 3), Poly(ctx)]) == []
     factors = saturation_factors([shift, Poly.const(ctx, 3), y1,
                                   shift.scale(Fraction(-2, 3)), y1.scale(5)])
     assert len(factors) == 2
-    sat = build_system([ade], defining, z, 1, factors)
-    assert len(sat.polys) == len(system.polys) + 2
-    assert len(sat.sat_vars) == 2
-    assert sat.elim_vars == system.elim_vars | set(sat.sat_vars)
-    assert build_system([ade], defining, z, 1, []).sat_vars == []
-    # the saturation variables lead the high block of the order eliminate
-    # builds; the other eliminated variables and the keep block keep their
-    # canonical rank.  The input y' - y solves for y', which eliminate
-    # substitutes away before it builds the order, so y' is not in it
-    orders = []
+    calls = []
 
     def spy(gens, order, config=None, keep_vars=None):
-        orders.append(order)
+        calls.append((gens, order))
         return real(gens, order, config, keep_vars)
 
     real = groebner.buchberger
     monkeypatch.setattr(groebner, "buchberger", spy)
-    eliminate(sat.polys, sat.elim_vars, sat.keep_vars, first=sat.sat_vars)
-    (order,) = orders
-    high = sat.sat_vars + sorted(system.elim_vars - {ctx.diff_var(y, 1)},
-                                 key=ctx.rank_key)
-    low = sorted(sat.keep_vars, key=ctx.rank_key)
-    assert order.rows() == Block(GrevLex(high), GrevLex(low)).rows()
+    # the input y' - y solves for y', which eliminate substitutes away
+    # before it builds the order, in the factors too; the other eliminated
+    # variables and the keep block keep their canonical rank
+    keep = system.keep_vars | {ctx.indep}    # x occurs in the factor x + y
+    low = sorted(keep, key=ctx.rank_key)
+    plain = sorted(system.elim_vars - {ctx.diff_var(y, 1)}, key=ctx.rank_key)
+    eliminate(system.polys, system.elim_vars, keep, saturate=[])
+    # both factors, x + y and y' = y, are non-zero-divisors modulo
+    # (z - y^2, z' - 2*y^2), so certified eliminate adds nothing for them
+    eliminate(system.polys, system.elim_vars, keep, saturate=factors)
+    for gens, order in calls:
+        assert len(gens) == len(system.polys) - 1
+        assert order.rows() == Block(GrevLex(plain), GrevLex(low)).rows()
+    # where the certificate keeps the factors (zero divisors, or a cap hit
+    # in its runs), each gets its Rabinowitsch variable, and those
+    # variables lead the high block
+    del calls[:]
+    monkeypatch.setattr(groebner, "_to_saturate", lambda gens, hs, config: hs)
+    eliminate(system.polys, system.elim_vars, keep, saturate=factors)
+    ((gens, order),) = calls
+    sat_vars = [ctx.diff_var(ctx.indet_id(f"{SAT_NAME}{i}"), 0) for i in range(2)]
+    assert len(gens) == len(system.polys) - 1 + 2
+    assert set().union(*(g.variables() for g in gens)) == \
+        (system.elim_vars - {ctx.diff_var(y, 1)}) | keep | set(sat_vars)
+    assert order.rows() == Block(GrevLex(sat_vars + plain), GrevLex(low)).rows()
 
 
 def _n(rng):
@@ -307,35 +321,102 @@ def _bernoulli_ratio(ctx):
 
 @pytest.mark.parametrize("run", [_weierstrass_shift_ratio, _compose_doubling,
                                  _bernoulli_ratio])
-def test_per_factor_saturation_matches_product(monkeypatch, run):
+def test_per_factor_saturation_matches_product(eliminations, run):
     # I : (h_1 ... h_m)^oo is reached either with one Rabinowitsch variable
     # per factor or with one for the product, so the keep-only generators
-    # of the two reduced bases are the same polynomials
-    calls = []
-    real = closure.build_system
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(closure, "build_system", spy)
+    # of the two reduced bases are the same polynomials; so is certified
+    # eliminate's output
     ctx = Context()
     run(ctx)
-    ades, link, z_id, s, factors = calls[0]
+    ((polys, elim_vars, keep_vars, factors),) = eliminations
+    factors = saturation_factors(factors)
     assert len(factors) >= 2
-    per_factor = real(ades, link, z_id, s, factors)
-    new = eliminate(per_factor.polys, per_factor.elim_vars,
-                    per_factor.keep_vars, first=per_factor.sat_vars)
-
-    plain = real(ades, link, z_id, s)
+    new = rabinowitsch_eliminate(polys, elim_vars, keep_vars, factors)
     w = ctx.diff_var(ctx.indeterminate("_w"), 0)
     product = factors[0]
     for h in factors[1:]:
         product = product * h
-    old = eliminate(plain.polys + [Poly.var(ctx, w) * product - Poly.const(ctx, 1)],
-                    plain.elim_vars | {w}, per_factor.keep_vars)
+    old = eliminate(polys + [Poly.var(ctx, w) * product - Poly.const(ctx, 1)],
+                    elim_vars | {w}, keep_vars)
     assert new
     assert sorted(map(poly_to_text, new)) == sorted(map(poly_to_text, old))
+    assert eliminate(polys, elim_vars, keep_vars, saturate=factors) == new
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    """The (factors, factors kept) of every certificate eliminate runs."""
+    calls = []
+    real = groebner._to_saturate
+
+    def spy(gens, factors, config):
+        kept = real(gens, factors, config)
+        calls.append((factors, kept))
+        return kept
+
+    monkeypatch.setattr(groebner, "_to_saturate", spy)
+    return calls
+
+
+def test_certified_eliminate_matches_rabinowitsch_on_benchmark_systems(
+        monkeypatch, capsys, certificates):
+    # every system that the elim workload and cli-mix seed 1 eliminate from:
+    # eliminate, which saturates only by the factors it cannot certify,
+    # returns the basis of the reference that saturates by all of them
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from cases import cli_mix_cases, elim_cases
+
+    runs = []
+    real = closure.eliminate
+
+    def spy(gens, elim_vars, keep_vars, config=None, saturate=()):
+        out = real(gens, elim_vars, keep_vars, config, saturate=saturate)
+        runs.append((out, gens, elim_vars, keep_vars, config, saturate))
+        return out
+
+    monkeypatch.setattr(closure, "eliminate", spy)
+    for case in elim_cases() + cli_mix_cases(1):
+        if case.argv[0] not in ("ansatz", "inverse"):
+            assert cli_main(case.argv) == 0, case.id
+    capsys.readouterr()
+    assert len(runs) > 120
+    for out, gens, elim_vars, keep_vars, config, factors in runs:
+        assert out == rabinowitsch_eliminate(gens, elim_vars, keep_vars, factors, config)
+    certified = sum(len(factors) - len(kept) for factors, kept in certificates)
+    assert certified >= 50 and sum(len(kept) for _, kept in certificates) >= 3
+
+
+@pytest.mark.parametrize("run", [_bernoulli_ratio, _compose_doubling])
+def test_saturation_stays_where_it_changes_the_output(eliminations, certificates, run):
+    # criterion 2's factors and criterion 3's g' are zero divisors modulo
+    # their systems: the certificate keeps them, and leaving them out would
+    # change the elimination ideal's basis
+    run(Context())
+    ((polys, elim_vars, keep_vars, factors),) = eliminations
+    ((_, kept),) = certificates
+    assert kept
+    assert eliminate(polys, elim_vars, keep_vars) != \
+        eliminate(polys, elim_vars, keep_vars, saturate=factors)
+    # criterion 1's factors x + y and y' are both certified
+    _weierstrass_shift_ratio(Context())
+    assert certificates[-1][1] == []
+
+
+def test_numeric_weierstrass_ratio_is_certified():
+    # the ratio of the Weierstrass functions with invariants (2, 3) and
+    # (5, 7): no output in 120 s while every factor was saturated, a 196-term
+    # order-2 equation once all are certified away; one coefficient moved
+    # by one unit is no longer certified
+    ctx = Context()
+    a1 = equation_to_ade("diff(y1(x),x)^2 = 4*y1(x)^3 - 2*y1(x) - 3", ctx)
+    a2 = equation_to_ade("diff(y2(x),x)^2 = 4*y2(x)^3 - 5*y2(x) - 7", ctx)
+    zname, R = spec_to_ratfunc("z = y1/y2", ctx, ["y1", "y2"])
+    out = arithmetic_dalg([a1, a2], R, z_name=zname).ade
+    assert (out.order, out.poly.num_terms()) == (2, 196)
+    assert certified_by_substitution(out, [a1, a2], R)
+    mono = sorted(out.poly.terms)[len(out.poly.terms) // 2]
+    moved = normalize_ade(out.poly + Poly(ctx, {mono: 1}), dep=out.dep)
+    assert not certified_by_substitution(moved, [a1, a2], R)
 
 
 def test_unary_weierstrass_mobius_map():

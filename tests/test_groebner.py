@@ -6,15 +6,15 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from dalg import Context, GBConfig, Poly
+from dalg import Context, GBConfig, Poly, groebner
 from dalg.errors import ArgumentError, ResourceCapError
-from dalg.groebner import (IdealBasis, _Kernel, _substitute_solved, buchberger,
-                           eliminate, elimination_order)
+from dalg.groebner import (IdealBasis, _Kernel, _substitute_solved, _to_saturate,
+                           buchberger, eliminate, elimination_order)
 from dalg.orders import Block, GrevLex, Lex, MonomialOrder
 from dalg.poly import try_exact_divide
 
 from conftest import (buchberger_with_certificates, make_rng, mono_divides,
-                      proportional, random_poly, reduce)
+                      proportional, rabinowitsch_eliminate, random_poly, reduce)
 
 
 def fresh_vars(n=4):
@@ -286,9 +286,9 @@ def test_one_generator_skips_the_kernel(monkeypatch):
 def test_eliminate_is_the_keep_only_part_of_buchberger():
     # eliminate finishes only the minimal elements whose leading monomials
     # are free of the eliminated variables; they are the keep-only elements
-    # of the full reduced basis, term for term and in the same order (some
-    # of these draws leave kept elements whose tails the pair loop did not
-    # reduce)
+    # of the full reduced basis, term for term and in the same order, under
+    # any order of the eliminated block (some of these draws leave kept
+    # elements whose tails the pair loop did not reduce)
     rng = make_rng(5)
     nontrivial = 0
     for trial in range(30):
@@ -304,7 +304,7 @@ def test_eliminate_is_the_keep_only_part_of_buchberger():
                 gens.append(p)
         full = buchberger(gens, elimination_order(ctx, elim, keep, first))
         expect = [g for g in full.generators if g.variables() <= keep]
-        assert eliminate(gens, elim, keep, first=first) == expect, f"trial {trial}"
+        assert eliminate(gens, elim, keep) == expect, f"trial {trial}"
         nontrivial += any(not g.is_constant() for g in expect)
     assert nontrivial >= 10
     # the unit ideal keeps [1]; an ideal that meets the keep block only in
@@ -335,8 +335,8 @@ def test_eliminate_substitutes_solved_variables():
     def check(gens, elim, keep, first=(), planted=()):
         full = buchberger(gens, elimination_order(ctx, elim, keep, first))
         expect = [g for g in full.generators if g.variables() <= keep]
-        assert eliminate(gens, elim, keep, first=first) == expect
-        assert set(planted) <= _substitute_solved(gens, elim)[1]
+        assert eliminate(gens, elim, keep) == expect
+        assert set(planted) <= _substitute_solved(gens, elim)[2]
         return expect
 
     nontrivial = 0
@@ -360,12 +360,15 @@ def test_eliminate_substitutes_solved_variables():
             planted = [v, u]
         elif kind == 2:
             # a saturation variable w (led by first) whose factor v - x
-            # becomes the constant c
+            # becomes the constant c; given as a factor to saturate by, it
+            # is rewritten the same way and dropped
             x, w = keep[0], elim[-1]
-            gens = [var(w) * (var(v) - var(x)) - one,
-                    var(v).scale(2) - var(x).scale(2) - one.scale(2 * c),
+            rest = [var(v).scale(2) - var(x).scale(2) - one.scale(2 * c),
                     draw([v, u, *keep]), draw([u, *keep])]
-            check(gens, set(elim), set(keep), first=[w], planted=[v, w])
+            gens = [var(w) * (var(v) - var(x)) - one, *rest]
+            expect = check(gens, set(elim), set(keep), first=[w], planted=[v, w])
+            assert eliminate(rest, set(elim) - {w}, set(keep),
+                             saturate=[var(v) - var(x)]) == expect
             continue
         else:
             # v, then u, substituted into the remaining draws
@@ -398,6 +401,73 @@ def test_eliminate_edge_inputs():
                      {u, v}, {a, x}) == []
 
 
+def test_certified_eliminate_matches_rabinowitsch_on_random_systems(monkeypatch):
+    # eliminate drops a factor only where it certifies it as a
+    # non-zero-divisor modulo I, so it returns the Rabinowitsch reference's
+    # basis term for term: on generic draws, where a factor divides a
+    # generator (a zero divisor, unless it is a unit modulo I), and where
+    # I = (x*f, x*g, h) is not a complete intersection
+    rng = make_rng(23)
+    seen = {"certified": 0, "kept": 0, "saturation changes the output": 0}
+    real = groebner._to_saturate
+
+    def spy(gens, factors, config):
+        kept = real(gens, factors, config)
+        seen["certified"] += len(factors) - len(kept)
+        seen["kept"] += len(kept)
+        return kept
+
+    monkeypatch.setattr(groebner, "_to_saturate", spy)
+    for trial in range(36):
+        ctx, vs = fresh_vars(5)
+        shuffled = rng.sample(vs, len(vs))
+        elim, keep = set(shuffled[:2]), set(shuffled[2:])
+
+        def draw():
+            while (p := random_poly(ctx, vs, rng, max_terms=3, max_deg=2)).is_constant():
+                pass
+            return p
+
+        hs = [draw() for _ in range(1 + trial % 2)]
+        if trial % 3 == 0:
+            gens = [draw(), draw(), draw()]
+        elif trial % 3 == 1:
+            gens = [draw() * hs[0], draw(), draw()]
+        else:
+            x = Poly.var(ctx, shuffled[rng.randrange(5)])
+            gens = [x * draw(), x * draw(), draw()]
+        expect = rabinowitsch_eliminate(gens, elim, keep, hs)
+        assert eliminate(gens, elim, keep, saturate=hs) == expect, f"trial {trial}"
+        seen["saturation changes the output"] += eliminate(gens, elim, keep) != expect
+    assert min(seen.values()) >= 5, seen
+
+
+def test_certificate_refuses_a_zero_divisor_of_a_non_complete_intersection():
+    # I = (x^2, x*y) = (x) cap (x^2, y) is not a complete intersection, and
+    # y is a zero divisor on it: y*x is in I, x is not.  I + (y) has
+    # codimension 2, no more than the 2 generators, so y is not certified,
+    # and saturating by it leaves (x).  x - 1 is a unit modulo the radical
+    # (x), hence a non-zero-divisor, and I + (x - 1) is the unit ideal
+    # (codimension above any m): certified, though I is still no complete
+    # intersection
+    ctx, (u, v, x_, _) = fresh_vars(4)
+    x, y, one = Poly.var(ctx, u), Poly.var(ctx, v), Poly.const(ctx, 1)
+    gens = [x * x, x * y]
+    assert _to_saturate(gens, [y, x - one], GBConfig()) == [y]
+    assert eliminate(gens, set(), {u, v}, saturate=[y]) == [x]
+    assert eliminate(gens, set(), {u, v}, saturate=[x - one]) == [x * x, x * y]
+    for h in (y, x - one):
+        assert eliminate(gens, set(), {u, v}, saturate=[h]) == \
+            rabinowitsch_eliminate(gens, set(), {u, v}, [h])
+    # a factor that vanishes modulo I after substitution saturates to the
+    # unit ideal; a cap hit in a certificate run keeps every factor
+    w = Poly.var(ctx, x_)
+    assert eliminate([w - x, x * y], {x_}, {u, v}, saturate=[w - x]) == [one]
+    parabola, h = [x * x - y], y + one
+    assert _to_saturate(parabola, [h], GBConfig()) == []
+    assert _to_saturate(parabola, [h], GBConfig(max_degree=1)) == [h]
+
+
 def test_elimination_hand_example():
     # [DERIVED] eliminating u from {u^2 - a, u^3 - b} leaves a^3 - b^2
     ctx = Context()
@@ -422,9 +492,9 @@ def test_eliminate_validates_partition():
         eliminate(gens, {u, a}, {a})
     with pytest.raises(ArgumentError):
         eliminate(gens, {u}, set())
-    # only eliminated variables can lead the eliminated block
+    # the factors to saturate by are covered by the partition too
     with pytest.raises(ArgumentError):
-        eliminate(gens, {u}, {a}, first=[a])
+        eliminate(gens, {u}, {a}, saturate=[Poly.var(ctx, ctx.param("b"))])
 
 
 def test_certificates():

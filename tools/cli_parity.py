@@ -48,9 +48,11 @@ ERROR_ARGVS = [
     ("ansatz", "--ade", WEIER, "--spec", "z = y1", "--degree-de", "1", "--order-cap", "0"),
     ("compose", "--ade", "diff(y(x),x,x) + y(x) = 0", "--ade", "u' = 0"),
     ("compose", "--ade", "diff(y(x),x,x) + y(x) = 0", "--ade", "u'^2 = 0"),
-    # exit 4: resource caps, on degree and on basis size
+    # exit 4: resource caps, on degree and on basis size (a basis of 20
+    # suffices once both factors are certified, 10 does not)
     ("unary", "--ade", WEIER, "--spec", "z = y1/(x+y1)", "--max-degree", "6"),
     ("unary", "--ade", WEIER, "--spec", "z = y1/(x+y1)", "--max-basis", "20"),
+    ("unary", "--ade", WEIER, "--spec", "z = y1/(x+y1)", "--max-basis", "10"),
     # exit 64: usage errors
     (),
     ("unknown-command",),
