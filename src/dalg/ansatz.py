@@ -12,15 +12,15 @@ constant, and the unknowns are never variables of the polynomial ring.  The
 system is solved exactly by a Bareiss fraction-free forward pass, where
 each row step divides exactly by the previous pivot instead of taking a
 gcd, and Cramer back-substitution, which writes every unknown i as N_i/d
-over the last pivot d.  The solve runs on the Groebner kernel's packed
-monomials (:class:`dalg.groebner._Kernel`), with the field width taken
-from the Bareiss degree bound, the sum over the rows of each row's largest
-entry degree; only N and d are decoded back to :class:`Poly`.  The
-equation is d*z_lead + sum N_i*m_i, divided once by
-g = gcd(d, N_0, ..., N_k); no row and no unknown is reduced on the way.
-A power of z that divides every term is then divided out: it is the
-spurious branch z = 0 that a lead of degree exactly k brings when an
-equation of lower degree exists.
+over the last pivot d.  The equation is d*z_lead + sum N_i*m_i divided
+by g = gcd(d, N_0, ..., N_k); no row and no unknown is reduced on the
+way.  A power of z that divides every term is then divided out: it is
+the spurious branch z = 0 that a lead of degree exactly k brings when an
+equation of lower degree exists.  The whole exact pass, from the slot
+values through the rows and the solve to the division by g, runs on the
+Groebner kernel's packed monomials (:class:`dalg.groebner._Kernel`), one
+kernel per search (:class:`_Packing`); only the equation is decoded to
+:class:`Poly`.
 
 Most candidates fail, so failures are proven before the exact pass, by
 one certificate per derivative order r.  With L the lcm of the
@@ -64,13 +64,14 @@ from math import lcm
 from .closure import _check_inputs, _output_id
 from .context import DIFF
 from .diffpoly import RatFunc, normalize_ade
-from .errors import AnsatzNotFoundError, ArgumentError
+from .errors import AnsatzNotFoundError, ArgumentError, ResourceCapError
 from .groebner import _Kernel
 from .orders import GrevLex
-from .poly import Poly, mono_div, over_lcm, poly_gcd, try_exact_divide
+from .poly import Poly, mono_div, mono_mul, over_lcm, poly_gcd
 
 _PRIMES = (2 ** 31 - 1, 2 ** 31 - 19)  # the miss certificate's prime, then its fallback
 _BITS = 15      # exponent bits of a packed monomial in the miss certificate
+_ONE = ([0], [1])   # the packed polynomial 1 of any kernel
 
 
 def enumerate_delta(k: int, r: int) -> list:
@@ -107,10 +108,12 @@ def derivative_closure(R: RatFunc, ades, r: int) -> list:
 
 @dataclass
 class LinearSystem:
-    """Rows sum(coeffs[i] * C_i) + constant = 0 with polynomial entries."""
+    """Rows sum(coeffs[i] * C_i) + constant = 0 with polynomial entries:
+    Polys, or, with ``kernel``, that kernel's packed polynomials."""
 
     unknowns: list          # the slot monomials of z, in column order
-    rows: list              # list of (list[Poly], Poly)
+    rows: list              # list of (list of entries, entry)
+    kernel: _Kernel | None = None
 
 
 def solve_linear_ratfunc(system: LinearSystem):
@@ -124,25 +127,31 @@ def solve_linear_ratfunc(system: LinearSystem):
     taken at all.  With d the last pivot, Cramer's rule makes each pivoted
     unknown N_i/d with a polynomial N_i, found last pivot first by exact
     division by its own pivot; free unknowns get N_i = 0.  Returns the pair
-    (N, d), left unreduced, or None as soon as a row reads 0 = nonzero
-    constant.
+    (N, d), left unreduced, in the representation of the entries, or None
+    as soon as a row reads 0 = nonzero constant.
 
-    The rows are encoded once into the Groebner kernel's packed monomials
-    under GrevLex, whose leading monomial carries the total degree, and only
-    N and d are decoded.  Every entry, pivot and numerator is a minor of
-    [A|b], of degree at most the sum over the rows of each row's largest
-    entry degree; the fields are sized for a product of two of them."""
+    The loop runs on the Groebner kernel's packed monomials under a graded
+    order, whose leading monomial carries the total degree.  Every entry,
+    pivot and numerator is a minor of [A|b], of degree at most the sum over
+    the rows of each row's largest entry degree, and the fields must hold a
+    product of two of them: Poly rows are encoded into a kernel sized so
+    and N and d decoded, and packed rows raise :class:`ResourceCapError`
+    when a product outgrows their kernel's fields."""
     if not system.rows:
         raise ArgumentError("empty linear system")
     ncols = len(system.unknowns)
-    ctx = system.rows[0][1].ctx
-    entries = [[*coeffs, const] for coeffs, const in system.rows]
-    variables = set().union(*(p.variables() for row in entries for p in row))
-    bound = sum(max(p.total_degree() for p in row) for row in entries)
-    K = _Kernel(GrevLex(sorted(variables, key=lambda v: v.index)), bound, variables)
-    rows = [[K.sort(K.encode(p)) for p in row] for row in entries]
+    rows = [[*coeffs, const] for coeffs, const in system.rows]
+    K = system.kernel
+    if K is None:
+        ctx = rows[0][-1].ctx
+        variables = set().union(*(p.variables() for row in rows for p in row))
+        bound = sum(max(p.total_degree() for p in row) for row in rows)
+        K = _Kernel(GrevLex(sorted(variables, key=lambda v: v.index)), bound, variables)
+        rows = [[K.sort(K.encode(p)) for p in row] for row in rows]
 
     def divide(work, g):
+        if g == _ONE:   # the first step's previous pivot
+            return K.sort(work)
         q = K.quotient(work, g)
         if q is None:
             raise RuntimeError("internal error: Bareiss division is not exact")
@@ -151,7 +160,7 @@ def solve_linear_ratfunc(system: LinearSystem):
     zero = ([], [])
     pivots: list = []           # (pivot row, column) in selection order
     free_cols = list(range(ncols))
-    prev = ([0], [1])           # the previous pivot; d once elimination ends
+    prev = _ONE                 # the previous pivot; d once elimination ends
     while True:
         # an unused row that is zero in every free column reads 0 = constant;
         # it stays so, so the system is inconsistent as soon as one appears
@@ -191,94 +200,188 @@ def solve_linear_ratfunc(system: LinearSystem):
             K.product(prow[cj], n, work)
         monos, coefs = divide(work, prow[ci])
         nums[ci] = (monos, [-c for c in coefs])
+    sol = [nums.get(ci, zero) for ci in range(ncols)]
+    if system.kernel is not None:
+        return sol, prev
 
     def decode(p) -> Poly:
         return Poly(ctx, dict(zip(map(K.decode, p[0]), p[1])))
 
-    return [decode(nums.get(ci, zero)) for ci in range(ncols)], decode(prev)
+    return [decode(n) for n in sol], decode(prev)
 
 
-def assemble_and_solve(ades, leading, earlier, closure_vals, value_cache: dict,
+_START_DEGREE = 63  # the degree a search's fields hold before any widening
+
+
+class _Packing:
+    """One search's kernel and what the exact pass reads from it.
+
+    The kernel orders Y (the y_j^(i) with i <= n_j), the inputs' variables
+    and the map's by GrevLex on variable index.  Each closure value and
+    each slot value is encoded or built once, and each input's leader
+    field, degree, initial and polynomial once.  The fields start wide
+    enough for degree _START_DEGREE and :meth:`widen` doubles them when a
+    pass outgrows them, which a :class:`ResourceCapError` of the kernel
+    signals; the search takes no caps."""
+
+    def __init__(self, ades, R: RatFunc):
+        ctx = ades[0].ctx
+        self.ades = ades
+        self.ys = {ctx.diff_var(a.dep, i) for a in ades for i in range(a.order + 1)}
+        self.variables = self.ys.union(*(a.poly.variables() for a in ades),
+                                       R.variables())
+        self.build(_START_DEGREE)
+
+    def build(self, max_degree: int):
+        K = self.K = _Kernel(GrevLex(sorted(self.variables, key=lambda v: v.index)),
+                             max_degree, self.variables)
+        field = {idx: (shift, unit) for idx, shift, unit in K.fields}
+        self.closure: list = []     # (num, den) of z, z', ...
+        self.slots: dict = {}       # ((i, e), ...) -> (num, den) of prod (z^(i))^e
+        # per input: (leader shift, leader^d, d, initial, polynomial)
+        self.inputs = []
+        for a in self.ades:
+            shift, unit = field[a.leader.index]
+            d = a.leader_degree
+            self.inputs.append((shift, d * unit, d, self.encode(a.poly.coeff_in(a.leader, d)),
+                                self.encode(a.poly)))
+        self.yfields = [field[v.index] for v in self.ys]
+        self.ymask = sum(K.mask << shift for shift, _ in self.yfields)
+        self.ymonos: dict = {}      # Y fields of a monomial -> that Y monomial
+
+    def widen(self):
+        self.build(2 * self.K.max_degree + 1)
+
+    def encode(self, p: Poly):
+        return self.K.sort(self.K.encode(p))
+
+    def mul(self, f, g):
+        return self.K.sort(self.K.product(f, g))
+
+    def quotient(self, f, g):
+        return self.K.quotient(dict(zip(*f)), g)
+
+    def value(self, m, closure_vals):
+        """(numerator, denominator) of the slot value of the monomial m,
+        left unreduced, from the one of m with one factor fewer."""
+        key = tuple((i, e) for i, e in enumerate(m) if e)  # same for every r
+        v = self.slots.get(key)
+        if v is None:
+            if not key:
+                v = (_ONE, _ONE)
+            else:
+                i, e = key[-1]
+                num, den = self.value((*m[:i], e - 1), closure_vals)
+                while len(self.closure) <= i:
+                    c = closure_vals[len(self.closure)]
+                    self.closure.append((self.encode(c.num), self.encode(c.den)))
+                vnum, vden = self.closure[i]
+                v = (self.mul(num, vnum), self.mul(den, vden))
+            self.slots[key] = v
+        return v
+
+    def gcd(self, f, g):
+        return self.encode(poly_gcd(self.decode(f), self.decode(g)))
+
+    def reduce(self, cols):
+        """The columns pseudo-reduced by each input in lockstep (see
+        :func:`assemble_and_solve`); the leader's exponent is its field."""
+        K = self.K
+        mask = K.mask
+        for shift, cut, d, lc, poly in self.inputs:
+            while (top := max((m >> shift & mask for c in cols for m in c[0]),
+                              default=0)) >= d:
+                out = []
+                for monos, coefs in cols:
+                    work = K.product(lc, (monos, coefs))
+                    # the top part h*u^top, as -h*u^(top-d)
+                    hi = [(m - cut, -c) for m, c in zip(monos, coefs)
+                          if m >> shift & mask == top]
+                    if hi:
+                        K.product(tuple(map(list, zip(*hi))), poly, work)
+                    out.append(K.sort(work))
+                cols = out
+        return cols
+
+    def rows(self, cols) -> list:
+        """One row per monomial in Y, in the order of that monomial as a
+        tuple: a column's term lands in that row with the rest of its
+        monomial, and a row with a Fraction coefficient is scaled by the
+        lcm of its coefficients' denominators, so that the solve runs on
+        ints."""
+        K, ymask, ymonos = self.K, self.ymask, self.ymonos
+        mask = K.mask
+        rows: dict = {}
+        for j, (monos, coefs) in enumerate(cols):
+            for m, c in zip(monos, coefs):
+                yb = m & ymask
+                y = ymonos.get(yb)
+                if y is None:
+                    y = ymonos[yb] = sum((yb >> shift & mask) * unit
+                                         for shift, unit in self.yfields)
+                row = rows.get(yb)
+                if row is None:
+                    row = rows[yb] = [([], []) for _ in cols]
+                # m - y keeps the column's descending order within a row
+                row[j][0].append(m - y)
+                row[j][1].append(c)
+        out = []
+        for yb in sorted(rows, key=K.decode):
+            entries = rows[yb]
+            if any(type(c) is not int for _, coefs in entries for c in coefs):
+                den = lcm(*(c.denominator for _, coefs in entries for c in coefs))
+                entries = [(monos, [c.numerator * (den // c.denominator) for c in coefs])
+                           for monos, coefs in entries]
+            out.append((entries[:-1], entries[-1]))
+        return out
+
+    def decode(self, p, z_mono=()) -> Poly:
+        return Poly(self.ades[0].ctx, {mono_mul(self.K.decode(m), z_mono): c
+                                       for m, c in zip(*p)})
+
+
+def assemble_and_solve(ades, leading, earlier, closure_vals, packing=None,
                        z_name: str = "z"):
     """Try the ansatz with the given leading monomial (coefficient one) and
     unknowns on the earlier monomials plus a constant slot, all exponent
     tuples.  Returns the solved equation, or None when the linear system is
     inconsistent.
 
-    The columns are the constant slot's (the common denominator), the
-    earlier monomials' and last the lead's, the system's constant.  They
-    are pseudo-reduced by each input in lockstep: a step takes the largest
-    leader degree over all columns, multiplies every column by the input's
-    initial and cancels each column's own top coefficient, which is
-    pseudo-division of sum c_i*col_i term for term.  Each monomial in the
-    input dependents then gives one row.  :func:`ansatz_search` calls it
-    only for candidates that the miss certificate leaves unproven."""
+    The pass runs on the packed polynomials of ``packing``, the search's
+    :class:`_Packing` (a new one when None), and widens its fields and
+    starts over when they overflow.  The columns are the constant slot's
+    (the common denominator), the earlier monomials' and last the lead's,
+    the system's constant.  They are pseudo-reduced by each input in
+    lockstep: a step takes the largest leader degree over all columns,
+    multiplies every column by the input's initial and cancels each
+    column's own top coefficient, which is pseudo-division of
+    sum c_i*col_i term for term.  Each monomial in Y then gives one row,
+    and the rows go to :func:`solve_linear_ratfunc` packed.  Of the
+    equation d*z_lead + sum N_i*m_i, each part d and N_i is divided by
+    g = gcd(d, N_0, ..., N_k) on its own, since the z-monomials m_i are
+    distinct, and only the result is decoded.  :func:`ansatz_search`
+    calls it only for candidates that the miss certificate leaves
+    unproven."""
+    if packing is None:
+        packing = _Packing(ades, closure_vals[0])
+    while True:
+        try:
+            return _exact_pass(packing, leading, earlier, closure_vals, z_name)
+        except ResourceCapError:
+            packing.widen()
+
+
+def _exact_pass(P: _Packing, leading, earlier, closure_vals, z_name):
     unknowns = [(0,) * len(leading)] + earlier
-    ctx = ades[0].ctx
-
-    def value(m):
-        """(numerator, denominator) of the monomial's rational value; the
-        quotient is left unreduced to keep gcd work out of the hot path."""
-        key = tuple((i, e) for i, e in enumerate(m) if e)  # same for every r
-        v = value_cache.get(key)
-        if v is None:
-            num = Poly.const(ctx, 1)
-            den = Poly.const(ctx, 1)
-            for i, e in key:
-                num = num * closure_vals[i].num ** e
-                den = den * closure_vals[i].den ** e
-            v = value_cache[key] = (num, den)
-        return v
-
-    nums, common = over_lcm(ctx, [value(leading)] + [value(m) for m in earlier])
-    cols = [common, *nums[1:], nums[0]]
-    for ade in ades:
-        leader, d = ade.leader, ade.leader_degree
-        lc = ade.poly.coeff_in(leader, d)
-        while (top := max(c.degree(leader) for c in cols)) >= d:
-            shift = Poly.var(ctx, leader, top - d)
-            cols = [lc * c - c.coeff_in(leader, top) * shift * ade.poly for c in cols]
-    if all(c.is_zero() for c in cols):
+    nums, common = over_lcm([P.value(m, closure_vals) for m in [leading, *earlier]],
+                            _ONE, P)
+    cols = P.reduce([common, *nums[1:], nums[0]])
+    if not any(monos for monos, _ in cols):
         return None
-
-    # one row per monomial in the input dependents; a column's term lands
-    # in that row with the rest of its monomial
-    dep_ids = {a.dep for a in ades}
-    rows: dict = {}
-    for j, col in enumerate(cols):
-        for mono, coeff in col.terms.items():
-            y_part, rest = [], []
-            for idx, e in mono:
-                var = ctx.var_by_index(idx)
-                is_y = var.kind == DIFF and var.indet in dep_ids
-                (y_part if is_y else rest).append((idx, e))
-            row = rows.setdefault(tuple(y_part), [{} for _ in cols])
-            row[j][tuple(rest)] = coeff
-
-    # each row times the lcm of its denominators, so that the solve runs
-    # on integers
-    sys_rows = []
-    for y_mono in sorted(rows):
-        entries = rows[y_mono]
-        den = lcm(*(c.denominator for terms in entries for c in terms.values()))
-        if den != 1:
-            entries = [{m: c * den for m, c in terms.items()} for terms in entries]
-        row = [Poly(ctx, terms) for terms in entries]
-        sys_rows.append((row[:-1], row[-1]))
-
-    solution = solve_linear_ratfunc(LinearSystem(unknowns, sys_rows))
+    solution = solve_linear_ratfunc(LinearSystem(unknowns, P.rows(cols), P.K))
     if solution is None:
         return None
     sol, d = solution
-
-    z_id = ctx.indeterminate(z_name)
-
-    def z_poly(m) -> Poly:
-        p = Poly.const(ctx, 1)
-        for i, e in enumerate(m):
-            if e:
-                p = p * Poly.var(ctx, ctx.diff_var(z_id, i), e)
-        return p
 
     # d*z_lead + sum N_i*m_i over g = gcd(d, N_0, ..., N_k): for each prime
     # its exponent in d/g is the largest in any reduced denominator of
@@ -287,17 +390,20 @@ def assemble_and_solve(ades, leading, earlier, closure_vals, value_cache: dict,
     # monomials in z, so no factor of d/g divides it)
     g = d
     for n in sol:
-        if g.is_constant():
+        if g[0] == [0]:
             break
-        if try_exact_divide(n, g) is None:
-            g = poly_gcd(g, n)
-    equation = z_poly(leading) * d
-    for m, n in zip(unknowns, sol):
-        equation = equation + z_poly(m) * n
-    equation = try_exact_divide(equation, g)
-    if equation is None:
-        raise RuntimeError("internal error: gcd(d, N_0, ..., N_k) does not "
-                           "divide the equation")
+        if P.quotient(n, g) is None:
+            g = P.gcd(g, n)
+    ctx = closure_vals[0].ctx
+    z_id = ctx.indeterminate(z_name)
+    terms: dict = {}
+    for m, part in zip([leading, *unknowns], [d, *sol]):
+        z_mono = tuple((ctx.diff_var(z_id, i).index, e) for i, e in enumerate(m) if e)
+        if part[0]:
+            if g != _ONE:
+                part = P.quotient(part, g)
+            terms.update(P.decode(part, z_mono).terms)
+    equation = Poly(ctx, terms)
     # divide out z^e, the branch z = 0 (see the module docstring); a
     # monomial equation would be left without z and stays
     z0 = ctx.diff_var(z_id, 0).index
@@ -435,7 +541,7 @@ def _independent_prefixes(img, vals, k: int, monos: list):
     miss (see the module docstring).  Column i is built only when answer i
     is asked for.  After the first dependency every answer is False, as is
     every answer when the certificate declines."""
-    nums, L = over_lcm(vals[0].ctx, [(v.num, v.den) for v in vals])
+    nums, L = over_lcm([(v.num, v.den) for v in vals], Poly.const(vals[0].ctx, 1))
 
     def element(f: dict, exps=None):
         """f reduced, with its exponent of each initial."""
@@ -540,9 +646,9 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
     _output_id(R.num.ctx, z_name, ades)
     if order_cap is None:
         order_cap = sum(a.order for a in ades) + 1
-    value_cache: dict = {}
     vals = derivative_closure(R, ades, 0)
     img = _point_image(ades)
+    packing = None      # built at the first exact pass
     for r in range(order_cap + 1):
         if r:
             vals.append(derivative_closure(vals[-1], ades, 1)[1])
@@ -552,8 +658,9 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
         independent = _independent_prefixes(img, vals, k, monos)
         for i, (leading, miss) in enumerate(zip(monos, independent)):
             if sum(leading) == k and not miss:
+                packing = packing or _Packing(ades, R)
                 found = assemble_and_solve(ades, leading, monos[:i], vals,
-                                           value_cache, z_name=z_name)
+                                           packing, z_name=z_name)
                 if found is not None:
                     return found
     raise AnsatzNotFoundError(k, order_cap)

@@ -1,5 +1,5 @@
 """Buchberger's algorithm with pair criteria and block elimination orders,
-on a kernel of packed monomials that also runs the ansatz's linear solve.
+on a kernel of packed monomials that also runs the ansatz's exact pass.
 
 In the kernel a monomial is one packed int.  Its fixed-width fields hold,
 from the most significant down, the order's rows
@@ -8,8 +8,10 @@ exponent per variable; so int comparison is the monomial order, a product
 is a sum, and a guard bit on top of every field makes divisibility one
 subtraction and turns any field overflow into a
 :class:`ResourceCapError`.  The field width comes from a degree bound: the
-Groebner caps here, the Bareiss degree bound in
-:func:`dalg.ansatz.solve_linear_ratfunc`.  A polynomial is a list of
+Groebner caps here, the Bareiss degree bound for the Poly rows that
+:func:`dalg.ansatz.solve_linear_ratfunc` encodes itself, and for the
+ansatz's exact pass a bound that starts fixed and doubles whenever a pass
+outgrows it.  A polynomial is a list of
 packed monomials in descending order with their exact coefficients, and
 both the normal form and the exact quotient pop leading terms from a heap
 of the work polynomial's monomials (lazy deletion; Monagan & Pearce, JSC
@@ -164,8 +166,9 @@ class _Kernel:
 
     @staticmethod
     def sort(terms: dict):
-        """Packed terms as a polynomial, monomials descending."""
-        monos = sorted(terms, reverse=True)
+        """Packed terms as a polynomial, monomials descending; a term that
+        cancelled to 0 is dropped."""
+        monos = sorted((m for m, c in terms.items() if c), reverse=True)
         return monos, [terms[m] for m in monos]
 
     def decode(self, m) -> tuple:
@@ -210,11 +213,12 @@ class _Kernel:
     def product(self, f, g, work=None) -> dict:
         """work + f*g as packed terms (a new dict when work is None), where
         a product of monomials is their sum; a coefficient may cancel to 0
-        and stay in the dict."""
+        and stay in the dict.  The order must be graded: then the leading
+        monomials have the largest degrees, and their degree sum bounds
+        every field of the product, so it is the one overflow check."""
         if work is None:
             work = {}
-        if (max(map(self.degree, f[0]), default=0)
-                + max(map(self.degree, g[0]), default=0) > self.mask):
+        if f[0] and g[0] and self.degree(f[0][0]) + self.degree(g[0][0]) > self.mask:
             raise self.degree_error()
         get = work.get
         g_terms = list(zip(*g))
@@ -229,7 +233,10 @@ class _Kernel:
         consumed) by the polynomial g, or None when g does not divide them:
         the remainder's leading monomial is popped from a heap and, when
         g's leading monomial divides it, cancelled by one :meth:`subtract`
-        (exact rational coefficients)."""
+        (exact rational coefficients).  The order must be graded: then no
+        monomial of the work outgrows the dividend's degree, so a dividend
+        that fits the fields never overflows them, and None means that g
+        does not divide it."""
         G = self.guard
         lm, lc = g[0][0], g[1][0]
         heap = [-m for m in work]

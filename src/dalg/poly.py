@@ -463,26 +463,32 @@ def try_exact_divide(f: Poly, g: Poly):
     return q
 
 
-def over_lcm(ctx, pairs):
+def over_lcm(pairs, one, ring=None):
     """Bring (numerator, denominator) pairs over the lcm of the denominators;
-    returns the rescaled numerators and the lcm."""
-    common = Poly.const(ctx, 1)
-    nums: list = []
+    returns the rescaled numerators and the lcm, which starts at ``one``.
+    The lcm grows by trial division, and by a gcd only when neither of two
+    denominators divides the other.  The arithmetic is Poly's, or that of
+    ``ring``: its ``mul``, ``quotient`` (exact, else None) and ``gcd``, as
+    for the packed polynomials of the ansatz's exact pass."""
+    if ring is None:
+        mul, quotient, greatest = (lambda f, g: f * g), try_exact_divide, poly_gcd
+    else:
+        mul, quotient, greatest = ring.mul, ring.quotient, ring.gcd
+    common, nums = one, []
     for num, den in pairs:
-        if den.terms == common.terms:
+        if den == common:
             nums.append(num)
             continue
-        q = try_exact_divide(common, den)
+        q = quotient(common, den)
         if q is not None:
-            nums.append(num * q)
+            nums.append(mul(num, q))
             continue
-        q = try_exact_divide(den, common)
+        q = quotient(den, common)
         if q is None:
-            g = poly_gcd(common, den)
-            q = try_exact_divide(den, g)
-        nums = [n * q for n in nums]
-        common = common * q
-        nums.append(num * try_exact_divide(common, den))
+            q = quotient(den, greatest(common, den))
+        nums = [mul(n, q) for n in nums]
+        common = mul(common, q)
+        nums.append(mul(num, quotient(common, den)))
     return nums, common
 
 
@@ -524,7 +530,7 @@ def substitute_fractions(p: Poly, fractions: dict):
     if unit:
         nums, common = [num for num, _ in pairs], one
     else:
-        nums, common = over_lcm(ctx, pairs)
+        nums, common = over_lcm(pairs, one)
     total: dict = {}
     for part in nums:
         for mono, c in part.terms.items():

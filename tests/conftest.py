@@ -4,12 +4,13 @@ of a closure output by substitution, the per-term reference for the
 derivative modulo the inputs, the independent Groebner references (a
 plain normal form and a certificate-tracking Buchberger on tuple
 monomials) that the kernel in dalg.groebner is checked against, the
-Bareiss solve on Poly arithmetic that the ansatz's packed solve is checked
-against, the Rabinowitsch saturation that eliminate's certificate is
+Bareiss solve and the whole exact pass on Poly arithmetic that the
+ansatz's packed solve and pass are checked against, the Rabinowitsch saturation that eliminate's certificate is
 checked against, the prolonged elimination that the closure operations are
 checked against, and a truncated power series solution to check rational
 values of derivatives on without any polynomial gcd."""
 
+import math
 import os
 import random
 from fractions import Fraction
@@ -17,12 +18,14 @@ from pathlib import Path
 
 from dalg import (ADE, Context, Poly, RatFunc, TruncSeries, derivative_closure,
                   equation_to_ade, pseudo_divide)
+from dalg.ansatz import LinearSystem
 from dalg.context import DIFF, INDEP, same_context
-from dalg.diffpoly import rational_substitute, total_derivative
+from dalg.diffpoly import normalize_ade, rational_substitute, total_derivative
 from dalg.groebner import (IdealBasis, _substitute_solved, buchberger,
                            elimination_order, saturation_factors)
 from dalg.orders import MonomialOrder
-from dalg.poly import Mono, exact_div, mono_div, try_exact_divide
+from dalg.poly import (Mono, exact_div, mono_div, over_lcm, poly_gcd,
+                       try_exact_divide)
 
 # pytest puts src/ on sys.path (pyproject.toml); the CLI tests start
 # `python -m dalg.cli` in a child process, which needs it on PYTHONPATH
@@ -298,6 +301,99 @@ def reference_solve_linear(system):
                 acc = acc + prow[cj] * n
         nums[ci] = exact(-acc, prow[ci])
     return [nums.get(ci, Poly(ctx)) for ci in range(ncols)], prev
+
+
+def reference_assemble(ades, leading, earlier, closure_vals, value_cache: dict,
+                       z_name="z"):
+    """The ansatz's exact pass for one candidate on Poly arithmetic, with
+    :func:`reference_solve_linear` for the solve: what
+    dalg.ansatz.assemble_and_solve returns, term for term, or None.
+
+    The slot values' numerators go over the lcm of their denominators
+    (columns: the constant slot, the earlier monomials, last the lead);
+    the columns are pseudo-reduced by each input in lockstep; each
+    monomial in the input dependents gives one row, the rows sorted by
+    that monomial as a tuple and each scaled by the lcm of its
+    coefficients' denominators; and the solved equation
+    d*z_lead + sum N_i*m_i is divided by g = gcd(d, N_0, ..., N_k) and by
+    the largest power of z that divides every term."""
+    unknowns = [(0,) * len(leading)] + earlier
+    ctx = ades[0].ctx
+
+    def value(m):
+        key = tuple((i, e) for i, e in enumerate(m) if e)
+        v = value_cache.get(key)
+        if v is None:
+            num = Poly.const(ctx, 1)
+            den = Poly.const(ctx, 1)
+            for i, e in key:
+                num = num * closure_vals[i].num ** e
+                den = den * closure_vals[i].den ** e
+            v = value_cache[key] = (num, den)
+        return v
+
+    nums, common = over_lcm([value(leading)] + [value(m) for m in earlier],
+                            Poly.const(ctx, 1))
+    cols = [common, *nums[1:], nums[0]]
+    for ade in ades:
+        leader, d = ade.leader, ade.leader_degree
+        lc = ade.poly.coeff_in(leader, d)
+        while (top := max(c.degree(leader) for c in cols)) >= d:
+            shift = Poly.var(ctx, leader, top - d)
+            cols = [lc * c - c.coeff_in(leader, top) * shift * ade.poly for c in cols]
+    if all(c.is_zero() for c in cols):
+        return None
+
+    dep_ids = {a.dep for a in ades}
+    rows: dict = {}
+    for j, col in enumerate(cols):
+        for mono, coeff in col.terms.items():
+            y_part, rest = [], []
+            for idx, e in mono:
+                var = ctx.var_by_index(idx)
+                is_y = var.kind == DIFF and var.indet in dep_ids
+                (y_part if is_y else rest).append((idx, e))
+            row = rows.setdefault(tuple(y_part), [{} for _ in cols])
+            row[j][tuple(rest)] = coeff
+    sys_rows = []
+    for y_mono in sorted(rows):
+        entries = rows[y_mono]
+        den = math.lcm(*(c.denominator for terms in entries for c in terms.values()))
+        if den != 1:
+            entries = [{m: c * den for m, c in terms.items()} for terms in entries]
+        row = [Poly(ctx, terms) for terms in entries]
+        sys_rows.append((row[:-1], row[-1]))
+
+    solution = reference_solve_linear(LinearSystem(unknowns, sys_rows))
+    if solution is None:
+        return None
+    sol, d = solution
+    z_id = ctx.indeterminate(z_name)
+
+    def z_poly(m):
+        p = Poly.const(ctx, 1)
+        for i, e in enumerate(m):
+            if e:
+                p = p * Poly.var(ctx, ctx.diff_var(z_id, i), e)
+        return p
+
+    g = d
+    for n in sol:
+        if g.is_constant():
+            break
+        if try_exact_divide(n, g) is None:
+            g = poly_gcd(g, n)
+    equation = z_poly(leading) * d
+    for m, n in zip(unknowns, sol):
+        equation = equation + z_poly(m) * n
+    equation = try_exact_divide(equation, g)
+    assert equation is not None, "gcd(d, N_0, ..., N_k) does not divide the equation"
+    z0 = ctx.diff_var(z_id, 0).index
+    e = min(dict(mono).get(z0, 0) for mono in equation.terms)
+    if e and len(equation.terms) > 1:
+        equation = Poly(ctx, {mono_div(mono, ((z0, e),)): c
+                              for mono, c in equation.terms.items()})
+    return normalize_ade(equation, dep=z_id)
 
 
 # -- the truncated-series oracle ----------------------------------------------

@@ -3,9 +3,11 @@ recovery of known equations."""
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import conftest
 from dalg import ansatz
 from dalg import (Context, Poly, RatFunc, ansatz_search, derivative_closure,
                   equation_to_ade, implicit_higher_derivative, render,
@@ -17,9 +19,9 @@ from dalg.errors import AnsatzNotFoundError, ArgumentError
 from dalg.poly import poly_gcd, try_exact_divide
 
 from conftest import (at_series, certified_by_substitution, make_rng,
-                      proportional, random_poly, reference_derivative,
-                      reference_solve_linear, same_ratfunc, series_solution,
-                      weierstrass)
+                      proportional, random_poly, reference_assemble,
+                      reference_derivative, reference_solve_linear, same_ratfunc,
+                      series_solution, weierstrass)
 
 
 def test_enumerate_delta_order_and_counts():
@@ -502,7 +504,7 @@ def test_order_zero_is_skipped_only_on_misses():
         zname, R = spec_to_ratfunc(spec, ctx, ["y"])
         assert ansatz._transcendental(R, [ade])
         *earlier, lead = enumerate_delta(k, 0)
-        assert ansatz.assemble_and_solve([ade], lead, earlier, [R], {},
+        assert ansatz.assemble_and_solve([ade], lead, earlier, [R],
                                          z_name=zname) is None
     ctx = Context()
     ade = equation_to_ade("diff(y(x),x) = y(x)", ctx)
@@ -643,3 +645,99 @@ def test_search_derives_only_the_orders_it_reaches(monkeypatch, search):
     ade_text, spec, k = search
     found = _coupled(spec, k) if ade_text == "coupled" else _run_search(ade_text, spec, k)
     assert len(calls) == orders[-1] == found.order
+
+
+def _checked_against_reference(monkeypatch):
+    """Patch the search so every exact pass is compared with the Poly pass
+    of tests/conftest.py: the same linear system, row for row in the same
+    order and term for term, with integer entries, and the same equation
+    term for term and by coefficient type, or None on both sides.  Returns
+    the tally of hits and misses and the largest entry degree seen."""
+    real_pass, real_solve = ansatz.assemble_and_solve, ansatz.solve_linear_ratfunc
+    real_reference_solve = conftest.reference_solve_linear
+    seen = {"hit": 0, "none": 0, "degree": 0}
+    systems = {}
+
+    def rows(system, decode):
+        return [[_typed_terms(decode(p)) for p in [*coeffs, const]]
+                for coeffs, const in system.rows]
+
+    def solve(system):
+        K = system.kernel
+        entries = [p for coeffs, const in system.rows for p in [*coeffs, const]]
+        assert all(type(c) is int for _, coefs in entries for c in coefs)
+        seen["degree"] = max(seen["degree"], *(K.degree(m) for monos, _ in entries
+                                               for m in monos))
+        systems["packed"] = rows(system, lambda p: Poly(
+            systems["ctx"], dict(zip(map(K.decode, p[0]), p[1]))))
+        return real_solve(system)
+
+    def reference_solve(system):
+        systems["reference"] = rows(system, lambda p: p)
+        return real_reference_solve(system)
+
+    def exact_pass(ades, leading, earlier, vals, *args, z_name="z"):
+        systems.clear()
+        systems["ctx"] = ades[0].ctx
+        got = real_pass(ades, leading, earlier, vals, *args, z_name=z_name)
+        want = reference_assemble(ades, leading, earlier, vals, {}, z_name=z_name)
+        assert systems.get("packed") == systems.get("reference")
+        if want is None:
+            assert got is None
+        else:
+            assert got.dep == want.dep
+            assert _typed_terms(got.poly) == _typed_terms(want.poly)
+        seen["none" if want is None else "hit"] += 1
+        return got
+
+    monkeypatch.setattr(ansatz, "solve_linear_ratfunc", solve)
+    monkeypatch.setattr(conftest, "reference_solve_linear", reference_solve)
+    monkeypatch.setattr(ansatz, "assemble_and_solve", exact_pass)
+    return seen
+
+
+def test_packed_exact_pass_matches_poly_reference(monkeypatch, capsys):
+    # the ansatz workload (c7_k3 has free columns, so its output depends on
+    # which columns Bareiss pivots), cli-mix seed 1's ansatz rows, and
+    # searches whose exact pass meets an initial in y,
+    # a coefficient denominator q, a parameter, coupled inputs, a gcd strip
+    # that falls back to poly_gcd twice, two inputs with initials y1 and y2,
+    # and rows with Fraction coefficients before their lcm scaling
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from cases import ansatz_cases, cli_mix_cases
+
+    seen = _checked_against_reference(monkeypatch)
+    argvs = [case.argv for case in ansatz_cases() + cli_mix_cases(1)
+             if case.argv[0] == "ansatz"]
+    argvs += [["ansatz", "--ade", ade, "--spec", spec, "--degree-de", "2"]
+              for ade, spec in [("y*y' = x", "z = y/(x+y)"),
+                                ("y' = y/2147483647 + 1", "z = y/(x+y)"),
+                                ("y' = a*y", "z = y/(x+y)"),
+                                ("y' = a*y^2 + b*y", "z = 1/(y+a)"),
+                                ("y' = y^2 + x", "z = y/(2*x+2*y)")]]
+    argvs += [["ansatz", "--ade", "y1'=y1*y2", "--ade", "y2'=y1+x", "--spec", "z = y1",
+               "--degree-de", "3"],
+              ["ansatz", "--ade", "y1*y1' = x", "--ade", "y2*y2' = x",
+               "--spec", "z = y1*y2", "--degree-de", "2"]]
+    for argv in argvs:
+        assert cli_main(argv) in (0, 3), argv
+    capsys.readouterr()
+    assert seen["hit"] > 30 and seen["none"] > 0, seen
+
+
+def test_exact_pass_widens_its_fields(monkeypatch):
+    # x^30 in the input puts entries of degree 62 into the rows, past the
+    # Groebner degree cap of 60; with x^40 the minors outgrow the fields the
+    # pass starts with, and it widens them and starts over.  Both return
+    # the reference equation
+    widened = []
+    real_widen = ansatz._Packing.widen
+    monkeypatch.setattr(ansatz._Packing, "widen",
+                        lambda self: widened.append(1) or real_widen(self))
+    seen = _checked_against_reference(monkeypatch)
+    for e in (30, 40):
+        found = _run_search(f"diff(y(x),x) = x^{e}*y(x)^2 + x", "z = y/(x+y)", 3)
+        assert render(found, "text") == (f"z(x)^2*x^{e + 2} + z(x)^2*x + z(x)^2"
+                                         " - diff(z(x),x)*x - 2*z(x)*x - z(x) + x = 0")
+        assert bool(widened) == (e == 40)
+    assert seen["degree"] > 60 and seen["hit"] == 2

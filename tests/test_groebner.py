@@ -566,3 +566,34 @@ def test_kernel_product_and_exact_quotient():
         else:
             assert unpacked(got) == want
     assert misses > 0
+
+
+def test_kernel_product_overflow_boundary():
+    # under a graded order the leading monomials' degrees decide: a product
+    # whose degree reaches 2**bits overflows a field and raises, one of
+    # degree 2**bits - 1 fits, whatever the lower terms
+    ctx, vs = fresh_vars(3)
+    a, b, x = vs
+    K = _Kernel(GrevLex(vs), 7, vs)
+    top = K.mask + 1        # 2**bits
+
+    def packed(p):
+        return K.sort(K.encode(p))
+
+    def mono(e):
+        # a monomial of degree e over all three variables
+        return Poly.var(ctx, a, e // 3) * Poly.var(ctx, b, e // 3) * Poly.var(ctx, x, e - 2 * (e // 3))
+
+    f = packed(mono(top // 2) + Poly.var(ctx, x))
+    for g, fits in [(mono(top // 2 - 1) + Poly.const(ctx, 3), True),
+                    (mono(top // 2) - Poly.var(ctx, a, 2), False)]:
+        g = packed(g)
+        assert K.degree(f[0][0]) + K.degree(g[0][0]) == top - fits
+        if fits:
+            out = K.product(f, g)
+            assert max(map(K.degree, out)) == top - 1
+        else:
+            with pytest.raises(ResourceCapError):
+                K.product(f, g)
+    # an empty factor makes an empty product, with nothing to check
+    assert K.product(f, ([], [])) == {}

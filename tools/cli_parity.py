@@ -119,6 +119,13 @@ ERROR_ARGVS = [
     ("ansatz", "--ade", "y1'=y1*y2", "--ade", "y2'=y1+x", "--spec", "z = y1+y2",
      "--degree-de", "2"),
     ("ansatz", "--ade", "y*y' = x", "--spec", "z = y^2/(x+y)", "--degree-de", "3"),
+    # exact passes whose equation takes two gcds to strip, whose columns
+    # reduce by two inputs with initials y1 and y2, and whose rows carry
+    # Fraction coefficients until each is scaled by its lcm
+    ("ansatz", "--ade", "y' = a*y^2 + b*y", "--spec", "z = 1/(y+a)", "--degree-de", "2"),
+    ("ansatz", "--ade", "y1*y1' = x", "--ade", "y2*y2' = x", "--spec", "z = y1*y2",
+     "--degree-de", "2"),
+    ("ansatz", "--ade", "y' = y^2 + x", "--spec", "z = y/(2*x+2*y)", "--degree-de", "2"),
 ]
 
 
