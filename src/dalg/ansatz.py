@@ -220,9 +220,10 @@ class _Packing:
     and the map's by GrevLex on variable index.  Each closure value and
     each slot value is encoded or built once, and each input's leader
     field, degree, initial and polynomial once.  The fields start wide
-    enough for degree _START_DEGREE and :meth:`widen` doubles them when a
-    pass outgrows them, which a :class:`ResourceCapError` of the kernel
-    signals; the search takes no caps."""
+    enough for degree _START_DEGREE, or for the inputs' degree if that is
+    larger, and :meth:`widen` rebuilds them wider when a pass outgrows
+    them, which a :class:`ResourceCapError` of the kernel signals; the
+    search takes no caps."""
 
     def __init__(self, ades, R: RatFunc):
         ctx = ades[0].ctx
@@ -230,7 +231,7 @@ class _Packing:
         self.ys = {ctx.diff_var(a.dep, i) for a in ades for i in range(a.order + 1)}
         self.variables = self.ys.union(*(a.poly.variables() for a in ades),
                                        R.variables())
-        self.build(_START_DEGREE)
+        self.build(max(_START_DEGREE, *(a.poly.total_degree() for a in ades)))
 
     def build(self, max_degree: int):
         K = self.K = _Kernel(GrevLex(sorted(self.variables, key=lambda v: v.index)),
@@ -248,9 +249,20 @@ class _Packing:
         self.yfields = [field[v.index] for v in self.ys]
         self.ymask = sum(K.mask << shift for shift, _ in self.yfields)
         self.ymonos: dict = {}      # Y fields of a monomial -> that Y monomial
+        self.solving = None         # the rows while the solve runs on them
 
     def widen(self):
-        self.build(2 * self.K.max_degree + 1)
+        """Rebuild the kernel with wider fields.  When the solve outgrew
+        them, every minor is within the Bareiss bound of its rows (each
+        row's largest entry degree, summed), so one rebuild at that degree
+        suffices; an overflow before the rows exist doubles the degree."""
+        low = self.K.max_degree + 1
+        if self.solving is None:
+            self.build(2 * low - 1)
+        else:
+            self.build(max(low, sum(max(self.K.degree(monos[0])
+                                        for monos, _ in (*coeffs, const) if monos)
+                                    for coeffs, const in self.solving)))
 
     def encode(self, p: Poly):
         return self.K.sort(self.K.encode(p))
@@ -349,19 +361,19 @@ def assemble_and_solve(ades, leading, earlier, closure_vals, packing=None,
 
     The pass runs on the packed polynomials of ``packing``, the search's
     :class:`_Packing` (a new one when None), and widens its fields and
-    starts over when they overflow.  The columns are the constant slot's
-    (the common denominator), the earlier monomials' and last the lead's,
-    the system's constant.  They are pseudo-reduced by each input in
-    lockstep: a step takes the largest leader degree over all columns,
-    multiplies every column by the input's initial and cancels each
-    column's own top coefficient, which is pseudo-division of
-    sum c_i*col_i term for term.  Each monomial in Y then gives one row,
-    and the rows go to :func:`solve_linear_ratfunc` packed.  Of the
-    equation d*z_lead + sum N_i*m_i, each part d and N_i is divided by
-    g = gcd(d, N_0, ..., N_k) on its own, since the z-monomials m_i are
-    distinct, and only the result is decoded.  :func:`ansatz_search`
-    calls it only for candidates that the miss certificate leaves
-    unproven."""
+    starts over when they overflow (:meth:`_Packing.widen`).  The columns
+    are the constant slot's (the common denominator), the earlier
+    monomials' and last the lead's, the system's constant.  They are
+    pseudo-reduced by each input in lockstep: a step takes the largest
+    leader degree over all columns, multiplies every column by the input's
+    initial and cancels each column's own top coefficient, which is
+    pseudo-division of sum c_i*col_i term for term.  Each monomial in Y
+    then gives one row, and the rows go to :func:`solve_linear_ratfunc`
+    packed.  Of the equation d*z_lead + sum N_i*m_i, each part d and N_i
+    is divided by g = gcd(d, N_0, ..., N_k) on its own, since the
+    z-monomials m_i are distinct, and only the result is decoded.
+    :func:`ansatz_search` calls it only for candidates that the miss
+    certificate leaves unproven."""
     if packing is None:
         packing = _Packing(ades, closure_vals[0])
     while True:
@@ -378,7 +390,9 @@ def _exact_pass(P: _Packing, leading, earlier, closure_vals, z_name):
     cols = P.reduce([common, *nums[1:], nums[0]])
     if not any(monos for monos, _ in cols):
         return None
-    solution = solve_linear_ratfunc(LinearSystem(unknowns, P.rows(cols), P.K))
+    P.solving = rows = P.rows(cols)
+    solution = solve_linear_ratfunc(LinearSystem(unknowns, rows, P.K))
+    P.solving = None
     if solution is None:
         return None
     sol, d = solution

@@ -134,18 +134,23 @@ def build_system(ades, link: Poly, z_id: int, s: int) -> TriangularSystem:
 def select_output(generators, z_id: int) -> ADE:
     """Among generators that involve z, the one of minimal (order, total
     degree, term count), as an ADE; a tie goes to the least rendered
-    text."""
-    from .render import poly_to_text
+    text, which is rendered only when there is a tie."""
+    ctx = generators[0].ctx
+    z_order = {v.index: v.order for v in ctx.variables
+               if v.kind == DIFF and v.indet == z_id}
 
     def rank(g):
-        z_order = max(v.order for v in g.variables()
-                      if v.kind == DIFF and v.indet == z_id)
-        return (z_order, g.total_degree(), g.num_terms())
+        return (max(z_order.get(idx, -1) for mono in g.terms for idx, _ in mono),
+                g.total_degree(), g.num_terms())
 
     ranked = [(rank(g), g) for g in generators]
     low = min(r for r, _ in ranked)
-    best = min((g for r, g in ranked if r == low), key=poly_to_text)
-    return normalize_ade(best, dep=z_id)
+    tied = [g for r, g in ranked if r == low]
+    if len(tied) > 1:
+        from .render import poly_to_text
+
+        tied.sort(key=poly_to_text)
+    return normalize_ade(tied[0], dep=z_id)
 
 
 def _close(ades, link: Poly, z_id: int, config, factors=()) -> ClosureResult:

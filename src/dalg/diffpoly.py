@@ -143,13 +143,18 @@ class RatFunc:
         the y_k^(n_k+1) of an input before it: for the inputs that
         ``derivative_closure`` accepts, whose rests name no y_k^(n_k+1)
         at all, and for the coupled system of a composition."""
-        num = total_derivative(self.num) * self.den - self.num * total_derivative(self.den)
-        den = self.den * self.den
+        if self.den.terms == {(): 1}:   # the quotient rule's terms with D = 1
+            num, den = total_derivative(self.num), self.den
+        else:
+            num = total_derivative(self.num) * self.den - self.num * total_derivative(self.den)
+            den = self.den * self.den
         for ade in ades:
             top = self.ctx.diff_var(ade.dep, ade.order + 1)
             if num.has_var(top):
                 rest = total_derivative(ade.poly) - ade.separant * Poly.var(self.ctx, top)
-                num = num.coeff_in(top, 0) * ade.separant - num.coeff_in(top, 1) * rest
+                parts = num.as_univariate(top)
+                zero = Poly(self.ctx)
+                num = parts.get(0, zero) * ade.separant - parts.get(1, zero) * rest
                 den = den * ade.separant
         return RatFunc(num, den)
 
@@ -198,24 +203,29 @@ class ADE:
 
 def normalize_ade(lhs, rhs=None, dep=None, ctx=None) -> ADE:
     """Clear denominators of lhs = rhs, normalize to a primitive polynomial,
-    and compute order, leader, leader degree, initial, and separant."""
-    if isinstance(lhs, Poly) and ctx is None:
-        ctx = lhs.ctx
-    elif isinstance(lhs, RatFunc) and ctx is None:
-        ctx = lhs.ctx
-    lhs = RatFunc.of(lhs, ctx)
-    diff = lhs - RatFunc.of(rhs if rhs is not None else 0, ctx)
-    poly = diff.num
+    and compute order, leader, leader degree, initial, and separant.
+
+    A :class:`Poly` with no right side is the equation's polynomial as it
+    is; otherwise the numerator of the :class:`RatFunc` lhs - rhs is.
+    ``ctx`` is needed only when lhs is a number."""
+    if type(lhs) is Poly and rhs is None:
+        poly, ctx = lhs, lhs.ctx
+    else:
+        if isinstance(lhs, (Poly, RatFunc)) and ctx is None:
+            ctx = lhs.ctx
+        diff = RatFunc.of(lhs, ctx) - RatFunc.of(rhs if rhs is not None else 0, ctx)
+        poly = diff.num
     if poly.is_zero():
         raise ArgumentError("equation is identically zero")
+    diffs = [v for v in poly.variables() if v.kind == DIFF]
     if dep is None:
-        deps = sorted({v.indet for v in poly.variables() if v.kind == DIFF})
+        deps = sorted({v.indet for v in diffs})
         if len(deps) != 1:
             raise ArgumentError(
                 "dependent variable is ambiguous; pass dep explicitly"
             )
         dep = deps[0]
-    orders = [v.order for v in poly.variables() if v.kind == DIFF and v.indet == dep]
+    orders = [v.order for v in diffs if v.indet == dep]
     if not orders:
         raise ArgumentError("equation does not involve the dependent variable")
     n = max(orders)

@@ -59,8 +59,33 @@ class GrevLex(MonomialOrder):
     """
 
     def __init__(self, vars_desc):
-        vars_desc = list(vars_desc)
-        super().__init__(vars_desc[:j] for j in range(len(vars_desc), 0, -1))
+        # the rows are built only when asked for: the key needs only each
+        # variable's position, and the default order, rebuilt whenever a
+        # variable is registered, is mostly only keyed
+        self._vars = list(vars_desc)
+        self._position = {v.index: j for j, v in enumerate(self._vars)}
+        self._rows = None
+        self._cache = {}
+
+    def rows(self) -> list:
+        if self._rows is None:
+            self._rows = [self._vars[:j] for j in range(len(self._vars), 0, -1)]
+        return self._rows
+
+    def key(self, mono):
+        k = self._cache.get(mono)
+        if k is None:
+            exps = [0] * len(self._vars)
+            for idx, e in mono:
+                j = self._position.get(idx)
+                if j is not None:
+                    exps[j] += e
+            total, values = sum(exps), []
+            for e in reversed(exps):    # S_n, ..., S_1
+                values.append(total)
+                total -= e
+            k = self._cache[mono] = tuple(values)
+        return k
 
 
 class Block(MonomialOrder):

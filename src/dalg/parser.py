@@ -19,11 +19,10 @@ parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .diffpoly import RatFunc, normalize_ade
-from .errors import ArgumentError, ParseError
-from .poly import Poly
+from .errors import ArgumentError, DivisionByZeroError, ParseError
+from .poly import Poly, exact_div
 
 # -- AST ---------------------------------------------------------------------
 
@@ -241,60 +240,84 @@ def parse_rational_spec(text: str):
     if eq.rhs is None or not isinstance(eq.lhs, Name):
         raise ParseError("spec must have the form name = expression")
     for node in _walk(eq.rhs):
-        if isinstance(node, Applied) and node.order > 0:
+        if type(node) is Applied and node.order > 0:
             raise _err(text, node.pos, "derivatives are not allowed in a rational spec")
     return eq.lhs.name, eq.rhs
 
 
-def _walk(node):
-    yield node
-    for attr in ("operand", "left", "right", "lhs", "rhs"):
-        child = getattr(node, attr, None)
-        if isinstance(child, Node):
-            yield from _walk(child)
+def _walk(node) -> list:
+    """The nodes under ``node``, itself included, in pre-order: each node
+    before its children, left child before right."""
+    out, stack = [], [node]
+    while stack:
+        n = stack.pop()
+        out.append(n)
+        kind = type(n)
+        if kind is Bin:
+            stack.append(n.right)
+            stack.append(n.left)
+        elif kind is Neg:
+            stack.append(n.operand)
+        elif kind is Equation:
+            if n.rhs is not None:
+                stack.append(n.rhs)
+            stack.append(n.lhs)
+    return out
 
 
 def applied_names(node) -> list:
     """Names applied as name(x) or differentiated, in order of appearance."""
-    seen = []
-    for n in _walk(node):
-        if isinstance(n, Applied) and n.name not in seen:
-            seen.append(n.name)
-    return seen
+    return list(dict.fromkeys(n.name for n in _walk(node) if type(n) is Applied))
 
 
-def lower(node, ctx, deps=()) -> RatFunc:
-    """Convert an expression AST to an exact rational function.
+def lower(node, ctx, deps=()):
+    """Convert an expression AST to an exact polynomial, or to a rational
+    function where it divides by a non-constant.
 
+    Every node lowers to a :class:`Poly` until a ``/`` meets a divisor
+    that is not constant; that quotient, and every node above it, is a
+    :class:`RatFunc`.  A constant divisor scales, so its coefficients may
+    become Fractions.  The result is term for term the numerator and
+    denominator that lowering every node to a ``RatFunc`` gives, and the
+    leaves register their variables in the same order, left to right.
     ``deps`` lists names to treat as dependents even when they appear
     unapplied (used for coefficient functions of linear equations).
     """
     deps = set(deps)
+    indep = ctx.indep
 
-    def rec(n) -> RatFunc:
-        if isinstance(n, Num):
-            return RatFunc(Poly.const(ctx, n.value))
-        if isinstance(n, Name):
-            if n.name == ctx.indep.name:
-                return RatFunc(Poly.var(ctx, ctx.indep))
+    def rec(n):
+        kind = type(n)
+        if kind is Num:
+            return Poly.const(ctx, n.value)
+        if kind is Name:
+            if n.name == indep.name:
+                return Poly.var(ctx, indep)
             if n.name in deps:
-                return RatFunc(Poly.var(ctx, ctx.diff_var(ctx.indeterminate(n.name), 0)))
-            return RatFunc(Poly.var(ctx, ctx.param(n.name)))
-        if isinstance(n, Applied):
-            if n.arg and n.arg != ctx.indep.name:
+                return Poly.var(ctx, ctx.diff_var(ctx.indeterminate(n.name), 0))
+            return Poly.var(ctx, ctx.param(n.name))
+        if kind is Applied:
+            if n.arg and n.arg != indep.name:
                 raise ParseError(f"independent variable {n.arg!r} does not match "
-                                 f"{ctx.indep.name!r}")
+                                 f"{indep.name!r}")
             try:
                 dep = ctx.indeterminate(n.name)
             except ArgumentError as exc:
                 raise ParseError(str(exc)) from exc
-            return RatFunc(Poly.var(ctx, ctx.diff_var(dep, n.order)))
-        if isinstance(n, Neg):
+            return Poly.var(ctx, ctx.diff_var(dep, n.order))
+        if kind is Neg:
             return -rec(n.operand)
-        if isinstance(n, Bin):
+        if kind is Bin:
             if n.op == "^":
                 return rec(n.left) ** n.right.value
             left, right = rec(n.left), rec(n.right)
+            if n.op == "/" and type(left) is Poly and type(right) is Poly \
+                    and right.is_constant():
+                if right.is_zero():
+                    raise DivisionByZeroError("division by zero rational function")
+                return left.scale(exact_div(1, right.constant_value()))
+            if n.op == "/" or type(left) is not type(right):
+                left = RatFunc.of(left)
             if n.op == "+":
                 return left + right
             if n.op == "-":
@@ -310,23 +333,28 @@ def lower(node, ctx, deps=()) -> RatFunc:
 def equation_to_ade(text_or_node, ctx, dep=None, extra_deps=()):
     """Parse (if needed) and normalize an equation into an ADE.
 
-    The dependent defaults to the unique differentiated name.
+    The dependent defaults to the unique differentiated name.  When both
+    sides lower to polynomials, their difference goes to
+    :func:`~dalg.diffpoly.normalize_ade` as one polynomial; otherwise the
+    two sides go as they are.
     """
     node = parse_equation(text_or_node) if isinstance(text_or_node, str) else text_or_node
-    deps = set(applied_names(node)) | set(extra_deps)
+    applied = [n for n in _walk(node) if type(n) is Applied]
+    deps = {n.name for n in applied} | set(extra_deps)
     if dep is None:
-        differentiated = sorted({n.name for n in _walk(node)
-                                 if isinstance(n, Applied) and n.order > 0})
+        differentiated = sorted({n.name for n in applied if n.order > 0})
         if len(differentiated) != 1:
             raise ParseError("cannot infer the dependent variable; "
                              f"differentiated names: {differentiated}")
         dep = differentiated[0]
     lhs = lower(node.lhs, ctx, deps)
     rhs = lower(node.rhs, ctx, deps) if node.rhs is not None else None
+    if type(lhs) is Poly and (rhs is None or type(rhs) is Poly):
+        lhs, rhs = (lhs if rhs is None else lhs - rhs), None
     return normalize_ade(lhs, rhs, dep=ctx.indeterminate(dep))
 
 
 def spec_to_ratfunc(text: str, ctx, deps=()):
     """Parse a rational map spec against known dependent names."""
     z_name, node = parse_rational_spec(text)
-    return z_name, lower(node, ctx, deps)
+    return z_name, RatFunc.of(lower(node, ctx, deps))

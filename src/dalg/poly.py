@@ -294,7 +294,10 @@ def content_primitive(f: Poly):
     den = lcm(*(c.denominator for c in f.terms.values()))
     cleared = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
     g = gcd(*cleared.values())
-    if f.leading()[1] < 0:
+    # the leading coefficient's sign, found without the order when all
+    # coefficients share it
+    low, high = min(cleared.values()), max(cleared.values())
+    if high < 0 or (low < 0 and f.leading()[1] < 0):
         g = -g
     return exact_div(g, den), Poly(f.ctx, {m: c // g for m, c in cleared.items()})
 

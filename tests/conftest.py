@@ -7,8 +7,10 @@ monomials) that the kernel in dalg.groebner is checked against, the
 Bareiss solve and the whole exact pass on Poly arithmetic that the
 ansatz's packed solve and pass are checked against, the Rabinowitsch saturation that eliminate's certificate is
 checked against, the prolonged elimination that the closure operations are
-checked against, and a truncated power series solution to check rational
-values of derivatives on without any polynomial gcd."""
+checked against, a truncated power series solution to check rational
+values of derivatives on without any polynomial gcd, and the parser's
+lowering with a RatFunc at every node and its recursive tree walk, which
+the Poly lowering and the iterative walk are checked against."""
 
 import math
 import os
@@ -20,10 +22,12 @@ from dalg import (ADE, Context, Poly, RatFunc, TruncSeries, derivative_closure,
                   equation_to_ade, pseudo_divide)
 from dalg.ansatz import LinearSystem
 from dalg.context import DIFF, INDEP, same_context
+from dalg.errors import ArgumentError, ParseError
 from dalg.diffpoly import normalize_ade, rational_substitute, total_derivative
 from dalg.groebner import (IdealBasis, _substitute_solved, buchberger,
                            elimination_order, saturation_factors)
 from dalg.orders import MonomialOrder
+from dalg.parser import Applied, Bin, Name, Neg, Node, Num
 from dalg.poly import (Mono, exact_div, mono_div, over_lcm, poly_gcd,
                        try_exact_divide)
 
@@ -532,3 +536,53 @@ def series_solution(ade, init, T):
                   for a in (0, 1))
         coeffs.append(r0 / (r0 - r1))
     return coeffs
+
+
+# -- the parser's lowering with a RatFunc at every node ------------------------
+
+
+def reference_walk(node):
+    """The nodes under node in pre-order, by recursion over the children."""
+    yield node
+    for attr in ("operand", "left", "right", "lhs", "rhs"):
+        child = getattr(node, attr, None)
+        if isinstance(child, Node):
+            yield from reference_walk(child)
+
+
+def reference_lower(node, ctx, deps=()) -> RatFunc:
+    """An expression AST as a RatFunc, with a RatFunc at every node."""
+    deps = set(deps)
+
+    def rec(n) -> RatFunc:
+        if isinstance(n, Num):
+            return RatFunc(Poly.const(ctx, n.value))
+        if isinstance(n, Name):
+            if n.name == ctx.indep.name:
+                return RatFunc(Poly.var(ctx, ctx.indep))
+            if n.name in deps:
+                return RatFunc(Poly.var(ctx, ctx.diff_var(ctx.indeterminate(n.name), 0)))
+            return RatFunc(Poly.var(ctx, ctx.param(n.name)))
+        if isinstance(n, Applied):
+            if n.arg and n.arg != ctx.indep.name:
+                raise ParseError(f"independent variable {n.arg!r} does not match "
+                                 f"{ctx.indep.name!r}")
+            try:
+                dep = ctx.indeterminate(n.name)
+            except ArgumentError as exc:
+                raise ParseError(str(exc)) from exc
+            return RatFunc(Poly.var(ctx, ctx.diff_var(dep, n.order)))
+        if isinstance(n, Neg):
+            return -rec(n.operand)
+        if n.op == "^":
+            return rec(n.left) ** n.right.value
+        left, right = rec(n.left), rec(n.right)
+        if n.op == "+":
+            return left + right
+        if n.op == "-":
+            return left - right
+        if n.op == "*":
+            return left * right
+        return left / right
+
+    return rec(node)

@@ -741,3 +741,24 @@ def test_exact_pass_widens_its_fields(monkeypatch):
                                          " - diff(z(x),x)*x - 2*z(x)*x - z(x) + x = 0")
         assert bool(widened) == (e == 40)
     assert seen["degree"] > 60 and seen["hit"] == 2
+
+
+def test_exact_pass_rebuilds_once_at_the_bareiss_bound(monkeypatch):
+    # the minors of this search need degree above 255: doubling built the
+    # kernel at degree 63, 127, 255 and 511.  The first overflow is in the
+    # solve, so the pass now rebuilds once, at the rows' Bareiss bound.  An
+    # input of degree above the starting 63 gets fields that hold it at the
+    # first build.  Every exact pass still matches the reference
+    builds = []
+    real_build = ansatz._Packing.build
+    monkeypatch.setattr(ansatz._Packing, "build",
+                        lambda self, degree: builds.append(degree) or real_build(self, degree))
+    seen = _checked_against_reference(monkeypatch)
+    _run_search("diff(y(x),x) = x^26*y(x)^2 + x*y(x)", "z = y^2/(x+y)", 3)
+    assert len(builds) == 2 and builds[1] > 255, builds
+    builds.clear()
+    found = _run_search("diff(y(x),x) = x^130*y(x)^2 + x", "z = y/(x+y)", 3)
+    assert render(found, "text") == ("z(x)^2*x^132 + z(x)^2*x + z(x)^2"
+                                     " - diff(z(x),x)*x - 2*z(x)*x - z(x) + x = 0")
+    assert builds == [132]
+    assert seen["hit"] == 2 and seen["degree"] > 127

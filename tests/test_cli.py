@@ -2,14 +2,17 @@
 0 success, 2 parse error, 3 elimination failure or search exhaustion,
 4 resource cap, 64 usage."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from dalg import Context, equation_to_ade, spec_to_ratfunc
+from dalg import Context, equation_to_ade, render, spec_to_ratfunc
 from dalg.cli import main as cli_main
 
 from conftest import certified_by_substitution
@@ -338,3 +341,35 @@ def test_version():
     r = run_cli("--version")
     assert r.returncode == 0
     assert r.stdout.startswith("dalg ")
+
+
+def test_json_output_is_what_json_dumps_writes(capsys, monkeypatch):
+    # the direct JSON writer against json.dumps(doc, indent=2), byte for
+    # byte, on every output of the benchmark's elim, ansatz and cli-mix
+    # seed-1 argvs, on a non-ASCII parameter, and on a Fraction coefficient
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from cases import ansatz_cases, cli_mix_cases, elim_cases
+
+    argvs = [case.argv for case in elim_cases() + ansatz_cases() + cli_mix_cases(1)]
+    argvs.append(["unary", "--ade", "y' = \u03b1*y^2 + x", "--spec", "z = y/(x+y)"])
+    texts = []
+    for argv in argvs:
+        code = cli_main([*argv, "--format", "json"])
+        out = capsys.readouterr().out
+        assert code in (0, 3), argv
+        if code == 0:
+            texts.append(out.removesuffix("\n"))
+    ade = equation_to_ade("y'' = 2*y + 1", Context())
+    texts.append(render(dataclasses.replace(ade, poly=ade.poly.scale(Fraction(1, 2))), "json"))
+    factors = []
+    for text in texts:
+        assert json.dumps(json.loads(text), indent=2) == text
+        factors += [f for t in json.loads(text)["terms"] for f in t["monomial"]]
+    # a constant term, derivatives of order 0 and above, an x factor
+    # without "order", the escaped parameter and the Fraction
+    monomials = [t["monomial"] for text in texts for t in json.loads(text)["terms"]]
+    assert [] in monomials
+    assert {0, 1, 2} <= {f["order"] for f in factors if "order" in f}
+    assert any(f["var"] == "x" and "order" not in f for f in factors)
+    assert '"var": "\\u03b1"' in texts[-2] and "\u03b1" in {f["var"] for f in factors}
+    assert '"coeff": "1/2"' in texts[-1]

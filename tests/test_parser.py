@@ -1,15 +1,18 @@
 """Equation parsing, lowering, and canonical rendering round trips."""
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from dalg import Context, Poly, equation_to_ade, render, spec_to_ratfunc
-from dalg.errors import ParseError
-from dalg.parser import parse_equation, parse_rational_spec
+from dalg import Context, Poly, RatFunc, equation_to_ade, normalize_ade, render, spec_to_ratfunc
+from dalg.errors import DalgError, DivisionByZeroError, ParseError
+from dalg.parser import (Applied, _walk, applied_names, lower, parse_equation,
+                         parse_rational_spec)
 from dalg.render import poly_to_text
 
-from conftest import proportional, weierstrass
+from conftest import proportional, reference_lower, reference_walk, weierstrass
 
 
 def test_parse_maple_diff_and_primes_agree():
@@ -132,3 +135,100 @@ def test_json_render():
     orders = {f["order"] for t in doc["terms"] for f in t["monomial"]
               if "order" in f}
     assert orders == {0, 2}
+
+
+def _typed_terms(p):
+    return [(mono, type(c), c) for mono, c in p.terms.items()]
+
+
+def _outcome(fn):
+    """fn()'s result, or the type and message of the dalg error it raises."""
+    try:
+        return fn()
+    except DalgError as exc:
+        return type(exc), str(exc)
+
+
+LEAVES = ["0", "1", "2", "3", "x", "y", "a", "b", "y'", "diff(y(x),x)", "w(x)", "w"]
+
+
+def _random_expr(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(LEAVES)
+    kind = rng.randrange(7)
+    if kind == 0:
+        return f"-{_random_expr(rng, depth - 1)}"
+    if kind == 1:
+        return f"({_random_expr(rng, depth - 1)})^{rng.randrange(4)}"
+    left, right = _random_expr(rng, depth - 1), _random_expr(rng, depth - 1)
+    if rng.random() < 0.5:
+        left, right = f"({left})", f"({right})"
+    return f"{left}{'+-*//'[kind - 2]}{right}"   # '/' twice as often
+
+
+LOWERING_CASES = ["y/2 + x/3", "(y^2-1)/(y-1)", "1/(1/y)", "-(a/b)", "(y/x)^3", "0^0",
+                  "y/(1/2) - x/3*a", "(y^2-1)/(y-1) + x", "y/(x-x)", "y/0", "(1/y)/0",
+                  "w(x)/(y+1) - w/(2*b)"]
+
+
+def test_lowering_matches_ratfunc_at_every_node():
+    # the Poly lowering against tests/conftest.py's RatFunc at every node:
+    # the same num and den term for term (order and coefficient type
+    # included), the same variables registered in the same order, the same
+    # tree walk, and the same error; then the same equation through
+    # equation_to_ade, whose sides are subtracted as Polys when both are
+    rng = random.Random(23)
+    texts = LOWERING_CASES + [_random_expr(rng, rng.randint(1, 4)) for _ in range(400)]
+    kinds = set()
+    for text in texts:
+        node = parse_equation(text).lhs
+        assert [id(n) for n in _walk(node)] == [id(n) for n in reference_walk(node)], text
+        assert applied_names(node) == list(dict.fromkeys(
+            n.name for n in reference_walk(node) if isinstance(n, Applied))), text
+        ctx1, ctx2 = Context(), Context()
+        got = _outcome(lambda: lower(node, ctx1, ["y"]))
+        want = _outcome(lambda: reference_lower(node, ctx2, ["y"]))
+        assert ctx1.variables == ctx2.variables, text
+        if isinstance(want, tuple):
+            assert got == want, text
+            kinds.add(want[0])
+            continue
+        kinds.add(type(got))
+        got = RatFunc.of(got)
+        assert _typed_terms(got.num) == _typed_terms(want.num), text
+        assert _typed_terms(got.den) == _typed_terms(want.den), text
+    assert kinds >= {Poly, RatFunc, DivisionByZeroError}
+
+    for _ in range(200):
+        text = f"{_random_expr(rng, 3)} = {_random_expr(rng, 3)}"
+        node = parse_equation(text)
+        ctx1, ctx2 = Context(), Context()
+        got = _outcome(lambda: equation_to_ade(node, ctx1, dep="y", extra_deps=["y"]))
+        deps = {n.name for n in reference_walk(node) if isinstance(n, Applied)}
+
+        def reference():
+            lhs = reference_lower(node.lhs, ctx2, deps | {"y"})
+            rhs = reference_lower(node.rhs, ctx2, deps | {"y"})
+            return normalize_ade(lhs, rhs, dep=ctx2.indeterminate("y"))
+
+        want = _outcome(reference)
+        if isinstance(want, tuple):
+            assert got == want, text
+        else:
+            assert _typed_terms(got.poly) == _typed_terms(want.poly), text
+            assert (got.order, got.leader, got.leader_degree) == \
+                (want.order, want.leader, want.leader_degree), text
+
+
+def test_lowering_stays_polynomial_until_a_division_by_a_non_constant():
+    ctx = Context()
+    p = lower(parse_equation("y/2 + x/3").lhs, ctx, ["y"])
+    assert type(p) is Poly
+    assert sorted(p.terms.values()) == [Fraction(1, 3), Fraction(1, 2)]
+    q = lower(parse_equation("(y^2-1)/(y-1)").lhs, ctx, ["y"])
+    assert type(q) is RatFunc and q.den == Poly.const(ctx, 1)
+    assert lower(parse_equation("0^0").lhs, ctx) == Poly.const(ctx, 1)
+    with pytest.raises(DivisionByZeroError):
+        lower(parse_equation("y/0").lhs, ctx, ["y"])
+    with pytest.raises(DivisionByZeroError):
+        equation_to_ade("y' = y/0", Context())

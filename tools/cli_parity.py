@@ -11,9 +11,11 @@ repository's ``perfbench/cases.py``, then the fixed argvs of ``ERROR_ARGVS``
 edge of the input class, eliminations that reach far past an input's
 order, eliminations whose solved variables are substituted away
 before Buchberger runs, and ansatz searches whose miss certificate meets
-an initial in y, a denominator q, a parameter or coupled inputs),
-in-process through the checkout's
-``dalg.cli.main(argv + ["--format", "json"])``, and writes
+an initial in y, a denominator q, a parameter or coupled inputs, and
+inputs that the parser lowers through a quotient, with Fraction
+coefficients or a non-ASCII parameter name), in-process through the
+checkout's ``dalg.cli.main(argv + ["--format", "json"])`` (an argv that
+names its own ``--format`` runs as it is), and writes
 for each argv the exit code and the sha256 of stdout and of stderr.  An
 exception that escapes ``main`` is recorded as exit code 1 with its type
 and message as stderr.
@@ -126,6 +128,14 @@ ERROR_ARGVS = [
     ("ansatz", "--ade", "y1*y1' = x", "--ade", "y2*y2' = x", "--spec", "z = y1*y2",
      "--degree-de", "2"),
     ("ansatz", "--ade", "y' = y^2 + x", "--spec", "z = y/(2*x+2*y)", "--degree-de", "2"),
+    # what the parser lowers: a rational right side, Fraction coefficients,
+    # a spec whose quotient cancels, and a non-ASCII parameter, which JSON
+    # escapes, in text and in json
+    ("unary", "--ade", "y' = (y^2 - 1)/(y - 1)", "--spec", "z = y^2"),
+    ("unary", "--ade", "y' = y/2 + x/3", "--spec", "z = y^2"),
+    ("unary", "--ade", "y' = y^2 + x", "--spec", "z = (y^2-1)/(y-1)"),
+    ("unary", "--ade", "y' = \u03b1*y^2 + x", "--spec", "z = y/(x+y)", "--format", "text"),
+    ("unary", "--ade", "y' = \u03b1*y^2 + x", "--spec", "z = y/(x+y)"),
 ]
 
 
@@ -153,7 +163,7 @@ def record(checkout: Path, out: Path) -> int:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
-                code = main([*argv, "--format", "json"])
+                code = main([*argv] if "--format" in argv else [*argv, "--format", "json"])
             except SystemExit as exc:
                 code = exc.code
             except Exception as exc:  # recorded, so that a crash is compared too
