@@ -108,12 +108,12 @@ def derivative_closure(R: RatFunc, ades, r: int) -> list:
 
 @dataclass
 class LinearSystem:
-    """Rows sum(coeffs[i] * C_i) + constant = 0 with polynomial entries:
-    Polys, or, with ``kernel``, that kernel's packed polynomials."""
+    """Rows sum(coeffs[i] * C_i) + constant = 0 whose entries are packed
+    polynomials of ``kernel``."""
 
     unknowns: list          # the slot monomials of z, in column order
     rows: list              # list of (list of entries, entry)
-    kernel: _Kernel | None = None
+    kernel: _Kernel
 
 
 def solve_linear_ratfunc(system: LinearSystem):
@@ -127,27 +127,19 @@ def solve_linear_ratfunc(system: LinearSystem):
     taken at all.  With d the last pivot, Cramer's rule makes each pivoted
     unknown N_i/d with a polynomial N_i, found last pivot first by exact
     division by its own pivot; free unknowns get N_i = 0.  Returns the pair
-    (N, d), left unreduced, in the representation of the entries, or None
-    as soon as a row reads 0 = nonzero constant.
+    (N, d), left unreduced and packed, or None as soon as a row reads
+    0 = nonzero constant.
 
-    The loop runs on the Groebner kernel's packed monomials under a graded
-    order, whose leading monomial carries the total degree.  Every entry,
-    pivot and numerator is a minor of [A|b], of degree at most the sum over
-    the rows of each row's largest entry degree, and the fields must hold a
-    product of two of them: Poly rows are encoded into a kernel sized so
-    and N and d decoded, and packed rows raise :class:`ResourceCapError`
-    when a product outgrows their kernel's fields."""
+    The kernel's order must be graded, so that a leading monomial carries
+    the total degree.  Every entry, pivot and numerator is a minor of
+    [A|b], of degree at most the sum over the rows of each row's largest
+    entry degree, and the loop raises :class:`ResourceCapError` when a
+    product of two of them outgrows the kernel's fields."""
     if not system.rows:
         raise ArgumentError("empty linear system")
     ncols = len(system.unknowns)
     rows = [[*coeffs, const] for coeffs, const in system.rows]
     K = system.kernel
-    if K is None:
-        ctx = rows[0][-1].ctx
-        variables = set().union(*(p.variables() for row in rows for p in row))
-        bound = sum(max(p.total_degree() for p in row) for row in rows)
-        K = _Kernel(GrevLex(sorted(variables, key=lambda v: v.index)), bound, variables)
-        rows = [[K.sort(K.encode(p)) for p in row] for row in rows]
 
     def divide(work, g):
         if g == _ONE:   # the first step's previous pivot
@@ -200,14 +192,7 @@ def solve_linear_ratfunc(system: LinearSystem):
             K.product(prow[cj], n, work)
         monos, coefs = divide(work, prow[ci])
         nums[ci] = (monos, [-c for c in coefs])
-    sol = [nums.get(ci, zero) for ci in range(ncols)]
-    if system.kernel is not None:
-        return sol, prev
-
-    def decode(p) -> Poly:
-        return Poly(ctx, dict(zip(map(K.decode, p[0]), p[1])))
-
-    return [decode(n) for n in sol], decode(prev)
+    return [nums.get(ci, zero) for ci in range(ncols)], prev
 
 
 _START_DEGREE = 63  # the degree a search's fields hold before any widening
@@ -244,25 +229,25 @@ class _Packing:
         for a in self.ades:
             shift, unit = field[a.leader.index]
             d = a.leader_degree
-            self.inputs.append((shift, d * unit, d, self.encode(a.poly.coeff_in(a.leader, d)),
+            self.inputs.append((shift, d * unit, d, self.encode(a.initial),
                                 self.encode(a.poly)))
         self.yfields = [field[v.index] for v in self.ys]
         self.ymask = sum(K.mask << shift for shift, _ in self.yfields)
         self.ymonos: dict = {}      # Y fields of a monomial -> that Y monomial
-        self.solving = None         # the rows while the solve runs on them
 
-    def widen(self):
-        """Rebuild the kernel with wider fields.  When the solve outgrew
-        them, every minor is within the Bareiss bound of its rows (each
-        row's largest entry degree, summed), so one rebuild at that degree
-        suffices; an overflow before the rows exist doubles the degree."""
+    def widen(self, rows):
+        """Rebuild the kernel with wider fields.  When the solve of ``rows``
+        outgrew them, every minor is within the Bareiss bound of those rows
+        (each row's largest entry degree, summed), so one rebuild at that
+        degree suffices; an overflow before the rows exist (``rows`` None)
+        doubles the degree."""
         low = self.K.max_degree + 1
-        if self.solving is None:
+        if rows is None:
             self.build(2 * low - 1)
         else:
             self.build(max(low, sum(max(self.K.degree(monos[0])
                                         for monos, _ in (*coeffs, const) if monos)
-                                    for coeffs, const in self.solving)))
+                                    for coeffs, const in rows)))
 
     def encode(self, p: Poly):
         return self.K.sort(self.K.encode(p))
@@ -352,7 +337,7 @@ class _Packing:
                                        for m, c in zip(*p)})
 
 
-def assemble_and_solve(ades, leading, earlier, closure_vals, packing=None,
+def assemble_and_solve(packing: _Packing, leading, earlier, closure_vals,
                        z_name: str = "z"):
     """Try the ansatz with the given leading monomial (coefficient one) and
     unknowns on the earlier monomials plus a constant slot, all exponent
@@ -360,39 +345,34 @@ def assemble_and_solve(ades, leading, earlier, closure_vals, packing=None,
     inconsistent.
 
     The pass runs on the packed polynomials of ``packing``, the search's
-    :class:`_Packing` (a new one when None), and widens its fields and
-    starts over when they overflow (:meth:`_Packing.widen`).  The columns
-    are the constant slot's (the common denominator), the earlier
-    monomials' and last the lead's, the system's constant.  They are
-    pseudo-reduced by each input in lockstep: a step takes the largest
-    leader degree over all columns, multiplies every column by the input's
-    initial and cancels each column's own top coefficient, which is
-    pseudo-division of sum c_i*col_i term for term.  Each monomial in Y
-    then gives one row, and the rows go to :func:`solve_linear_ratfunc`
-    packed.  Of the equation d*z_lead + sum N_i*m_i, each part d and N_i
-    is divided by g = gcd(d, N_0, ..., N_k) on its own, since the
-    z-monomials m_i are distinct, and only the result is decoded.
-    :func:`ansatz_search` calls it only for candidates that the miss
-    certificate leaves unproven."""
-    if packing is None:
-        packing = _Packing(ades, closure_vals[0])
-    while True:
-        try:
-            return _exact_pass(packing, leading, earlier, closure_vals, z_name)
-        except ResourceCapError:
-            packing.widen()
-
-
-def _exact_pass(P: _Packing, leading, earlier, closure_vals, z_name):
+    :class:`_Packing`, and widens its fields and starts over when they
+    overflow (:meth:`_Packing.widen`).  The columns are the constant
+    slot's (the common denominator), the earlier monomials' and last the
+    lead's, the system's constant.  They are pseudo-reduced by each input
+    in lockstep: a step takes the largest leader degree over all columns,
+    multiplies every column by the input's initial and cancels each
+    column's own top coefficient, which is pseudo-division of
+    sum c_i*col_i term for term.  Each monomial in Y then gives one row,
+    and the rows go to :func:`solve_linear_ratfunc`.  Of the equation
+    d*z_lead + sum N_i*m_i, each part d and N_i is divided by
+    g = gcd(d, N_0, ..., N_k) on its own, since the z-monomials m_i are
+    distinct, and only the result is decoded.  :func:`ansatz_search`
+    calls it only for candidates that the miss certificate leaves
+    unproven."""
     unknowns = [(0,) * len(leading)] + earlier
-    nums, common = over_lcm([P.value(m, closure_vals) for m in [leading, *earlier]],
-                            _ONE, P)
-    cols = P.reduce([common, *nums[1:], nums[0]])
-    if not any(monos for monos, _ in cols):
-        return None
-    P.solving = rows = P.rows(cols)
-    solution = solve_linear_ratfunc(LinearSystem(unknowns, rows, P.K))
-    P.solving = None
+    while True:
+        rows = None     # the rows once built; an overflow after that is the solve's
+        try:
+            nums, common = over_lcm([packing.value(m, closure_vals)
+                                     for m in [leading, *earlier]], _ONE, packing)
+            cols = packing.reduce([common, *nums[1:], nums[0]])
+            if not any(monos for monos, _ in cols):
+                return None
+            rows = packing.rows(cols)
+            solution = solve_linear_ratfunc(LinearSystem(unknowns, rows, packing.K))
+            break
+        except ResourceCapError:
+            packing.widen(rows)
     if solution is None:
         return None
     sol, d = solution
@@ -406,8 +386,8 @@ def _exact_pass(P: _Packing, leading, earlier, closure_vals, z_name):
     for n in sol:
         if g[0] == [0]:
             break
-        if P.quotient(n, g) is None:
-            g = P.gcd(g, n)
+        if packing.quotient(n, g) is None:
+            g = packing.gcd(g, n)
     ctx = closure_vals[0].ctx
     z_id = ctx.indeterminate(z_name)
     terms: dict = {}
@@ -415,8 +395,8 @@ def _exact_pass(P: _Packing, leading, earlier, closure_vals, z_name):
         z_mono = tuple((ctx.diff_var(z_id, i).index, e) for i, e in enumerate(m) if e)
         if part[0]:
             if g != _ONE:
-                part = P.quotient(part, g)
-            terms.update(P.decode(part, z_mono).terms)
+                part = packing.quotient(part, g)
+            terms.update(packing.decode(part, z_mono).terms)
     equation = Poly(ctx, terms)
     # divide out z^e, the branch z = 0 (see the module docstring); a
     # monomial equation would be left without z and stays
@@ -673,8 +653,8 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
         for i, (leading, miss) in enumerate(zip(monos, independent)):
             if sum(leading) == k and not miss:
                 packing = packing or _Packing(ades, R)
-                found = assemble_and_solve(ades, leading, monos[:i], vals,
-                                           packing, z_name=z_name)
+                found = assemble_and_solve(packing, leading, monos[:i], vals,
+                                           z_name=z_name)
                 if found is not None:
                     return found
     raise AnsatzNotFoundError(k, order_cap)

@@ -216,7 +216,8 @@ def _rational(ades, R: RatFunc, z_name, config) -> ClosureResult:
     link = z * R.den - R.num
     if not any(v.kind == DIFF for v in R.variables()):
         # no dependent occurs: z = R(x) needs no elimination
-        return ClosureResult(normalize_ade(link, dep=z_id), [link])
+        ade = normalize_ade(link, dep=z_id)
+        return ClosureResult(ade, [ade.poly])
     return _close(ades, link, z_id, config, [R.den])
 
 

@@ -201,40 +201,22 @@ class ADE:
         return render(self, "text")
 
 
-def normalize_ade(lhs, rhs=None, dep=None, ctx=None) -> ADE:
-    """Clear denominators of lhs = rhs, normalize to a primitive polynomial,
-    and compute order, leader, leader degree, initial, and separant.
-
-    A :class:`Poly` with no right side is the equation's polynomial as it
-    is; otherwise the numerator of the :class:`RatFunc` lhs - rhs is.
-    ``ctx`` is needed only when lhs is a number."""
-    if type(lhs) is Poly and rhs is None:
-        poly, ctx = lhs, lhs.ctx
-    else:
-        if isinstance(lhs, (Poly, RatFunc)) and ctx is None:
-            ctx = lhs.ctx
-        diff = RatFunc.of(lhs, ctx) - RatFunc.of(rhs if rhs is not None else 0, ctx)
-        poly = diff.num
+def normalize_ade(poly: Poly, dep: int) -> ADE:
+    """Normalize the equation poly = 0 in the dependent ``dep`` (an
+    indeterminate id) to a primitive polynomial, and compute order, leader,
+    leader degree, initial, and separant."""
     if poly.is_zero():
         raise ArgumentError("equation is identically zero")
-    diffs = [v for v in poly.variables() if v.kind == DIFF]
-    if dep is None:
-        deps = sorted({v.indet for v in diffs})
-        if len(deps) != 1:
-            raise ArgumentError(
-                "dependent variable is ambiguous; pass dep explicitly"
-            )
-        dep = deps[0]
-    orders = [v.order for v in diffs if v.indet == dep]
+    orders = [v.order for v in poly.variables() if v.kind == DIFF and v.indet == dep]
     if not orders:
         raise ArgumentError("equation does not involve the dependent variable")
     n = max(orders)
-    leader = ctx.diff_var(dep, n)
+    leader = poly.ctx.diff_var(dep, n)
     poly = content_primitive(poly)[1]
     m = poly.degree(leader)
     initial = poly.coeff_in(leader, m)
     separant = poly.partial_derivative(leader)
-    return ADE(ctx, poly, dep, n, leader, m, initial, separant)
+    return ADE(poly.ctx, poly, dep, n, leader, m, initial, separant)
 
 
 def implicit_higher_derivative(ade: ADE, t: int) -> RatFunc:

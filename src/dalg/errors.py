@@ -14,10 +14,13 @@ class ArgumentError(DalgError, ValueError):
 
 
 class ParseError(DalgError):
-    """Syntax error in equation or spec text."""
+    """Syntax error in equation or spec text, or an input the command line
+    cannot take.  ``line`` and ``column`` (from 1) locate a syntax error
+    in its text; an error with no source position leaves them None."""
 
-    def __init__(self, message, line=1, column=0):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, message, line=None, column=None):
+        where = f" (line {line}, column {column})" if line is not None else ""
+        super().__init__(message + where)
         self.line = line
         self.column = column
 

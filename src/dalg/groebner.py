@@ -8,14 +8,15 @@ exponent per variable; so int comparison is the monomial order, a product
 is a sum, and a guard bit on top of every field makes divisibility one
 subtraction and turns any field overflow into a
 :class:`ResourceCapError`.  The field width comes from a degree bound: the
-Groebner caps here, the Bareiss degree bound for the Poly rows that
-:func:`dalg.ansatz.solve_linear_ratfunc` encodes itself, and for the
-ansatz's exact pass a bound that starts fixed and doubles whenever a pass
-outgrows it.  A polynomial is a list of
-packed monomials in descending order with their exact coefficients, and
-both the normal form and the exact quotient pop leading terms from a heap
-of the work polynomial's monomials (lazy deletion; Monagan & Pearce, JSC
-2011) and cancel them with one routine, :meth:`_Kernel.subtract`.
+Groebner caps here, and for the ansatz's exact pass a bound that starts at
+the larger of 63 and the inputs' degree.  An overflow in that pass's
+linear solve rebuilds the kernel once, at the rows' Bareiss bound; only
+an overflow before the rows exist doubles the bound.  A polynomial is a
+list of packed monomials in descending order with their exact
+coefficients, and both the normal form and the exact quotient pop leading
+terms from a heap of the work polynomial's monomials (lazy deletion;
+Monagan & Pearce, JSC 2011) and cancel them with one routine,
+:meth:`_Kernel.subtract`.
 
 Buchberger works on primitive integer polynomials (an input enters as its
 primitive part, and the output keeps the kernel's integer coefficients).

@@ -333,10 +333,9 @@ def lower(node, ctx, deps=()):
 def equation_to_ade(text_or_node, ctx, dep=None, extra_deps=()):
     """Parse (if needed) and normalize an equation into an ADE.
 
-    The dependent defaults to the unique differentiated name.  When both
-    sides lower to polynomials, their difference goes to
-    :func:`~dalg.diffpoly.normalize_ade` as one polynomial; otherwise the
-    two sides go as they are.
+    The dependent defaults to the unique differentiated name.  The
+    equation's polynomial is lhs - rhs, or the numerator of that
+    difference when either side lowers to a :class:`RatFunc`.
     """
     node = parse_equation(text_or_node) if isinstance(text_or_node, str) else text_or_node
     applied = [n for n in _walk(node) if type(n) is Applied]
@@ -348,10 +347,12 @@ def equation_to_ade(text_or_node, ctx, dep=None, extra_deps=()):
                              f"differentiated names: {differentiated}")
         dep = differentiated[0]
     lhs = lower(node.lhs, ctx, deps)
-    rhs = lower(node.rhs, ctx, deps) if node.rhs is not None else None
-    if type(lhs) is Poly and (rhs is None or type(rhs) is Poly):
-        lhs, rhs = (lhs if rhs is None else lhs - rhs), None
-    return normalize_ade(lhs, rhs, dep=ctx.indeterminate(dep))
+    rhs = lower(node.rhs, ctx, deps) if node.rhs is not None else Poly(ctx)
+    if type(lhs) is Poly and type(rhs) is Poly:
+        poly = lhs - rhs
+    else:
+        poly = (RatFunc.of(lhs) - RatFunc.of(rhs)).num
+    return normalize_ade(poly, dep=ctx.indeterminate(dep))
 
 
 def spec_to_ratfunc(text: str, ctx, deps=()):

@@ -5,12 +5,14 @@ derivative modulo the inputs, the independent Groebner references (a
 plain normal form and a certificate-tracking Buchberger on tuple
 monomials) that the kernel in dalg.groebner is checked against, the
 Bareiss solve and the whole exact pass on Poly arithmetic that the
-ansatz's packed solve and pass are checked against, the Rabinowitsch saturation that eliminate's certificate is
-checked against, the prolonged elimination that the closure operations are
-checked against, a truncated power series solution to check rational
-values of derivatives on without any polynomial gcd, and the parser's
-lowering with a RatFunc at every node and its recursive tree walk, which
-the Poly lowering and the iterative walk are checked against."""
+ansatz's packed solve and pass are checked against, with an encoder that
+runs the packed solve on Poly rows, the Rabinowitsch saturation that
+eliminate's certificate is checked against, the prolonged elimination
+that the closure operations are checked against, a truncated power
+series solution to check rational values of derivatives on without any
+polynomial gcd, and the parser's lowering with a RatFunc at every node
+and its recursive tree walk, which the Poly lowering and the iterative
+walk are checked against."""
 
 import math
 import os
@@ -20,13 +22,13 @@ from pathlib import Path
 
 from dalg import (ADE, Context, Poly, RatFunc, TruncSeries, derivative_closure,
                   equation_to_ade, pseudo_divide)
-from dalg.ansatz import LinearSystem
+from dalg.ansatz import LinearSystem, solve_linear_ratfunc
 from dalg.context import DIFF, INDEP, same_context
 from dalg.errors import ArgumentError, ParseError
 from dalg.diffpoly import normalize_ade, rational_substitute, total_derivative
-from dalg.groebner import (IdealBasis, _substitute_solved, buchberger,
+from dalg.groebner import (IdealBasis, _Kernel, _substitute_solved, buchberger,
                            elimination_order, saturation_factors)
-from dalg.orders import MonomialOrder
+from dalg.orders import GrevLex, MonomialOrder
 from dalg.parser import Applied, Bin, Name, Neg, Node, Num
 from dalg.poly import (Mono, exact_div, mono_div, over_lcm, poly_gcd,
                        try_exact_divide)
@@ -256,15 +258,42 @@ def buchberger_with_certificates(gens, order: MonomialOrder):
 # -- the reference linear solve -----------------------------------------------
 
 
-def reference_solve_linear(system):
+def solve_poly_rows(unknowns, rows):
+    """dalg.ansatz.solve_linear_ratfunc on rows (list of entries, entry)
+    of Polys: the rows are encoded into a kernel whose fields hold a
+    product of two minors, sized by the Bareiss bound (each row's largest
+    entry degree, summed), and N and d are decoded.  Returns (N, d) or
+    None, as :func:`reference_solve_linear` does."""
+    variables = set().union(*(p.variables() for coeffs, const in rows
+                              for p in [*coeffs, const]))
+    bound = sum(max(p.total_degree() for p in [*coeffs, const]) for coeffs, const in rows)
+    K = _Kernel(GrevLex(sorted(variables, key=lambda v: v.index)), bound, variables)
+
+    def encode(p):
+        return K.sort(K.encode(p))
+
+    packed = [([encode(p) for p in coeffs], encode(const)) for coeffs, const in rows]
+    solution = solve_linear_ratfunc(LinearSystem(unknowns, packed, K))
+    if solution is None:
+        return None
+    ctx = rows[0][1].ctx
+
+    def decode(p):
+        return Poly(ctx, dict(zip(map(K.decode, p[0]), p[1])))
+
+    nums, d = solution
+    return [decode(n) for n in nums], decode(d)
+
+
+def reference_solve_linear(unknowns, rows):
     """Bareiss forward pass and Cramer back-substitution on Poly arithmetic,
     with the pivot rule of dalg.ansatz.solve_linear_ratfunc: the lowest
     (total degree, terms, row, column) among the unused rows and columns.
     Every column of every unused row is updated, pivoted ones included.
     Returns (N, d) or None for an inconsistent system."""
-    ncols = len(system.unknowns)
-    ctx = system.rows[0][1].ctx
-    rows = [list(coeffs) + [const] for coeffs, const in system.rows]
+    ncols = len(unknowns)
+    ctx = rows[0][1].ctx
+    rows = [list(coeffs) + [const] for coeffs, const in rows]
 
     def exact(p, d):
         q = try_exact_divide(p, d)
@@ -368,7 +397,7 @@ def reference_assemble(ades, leading, earlier, closure_vals, value_cache: dict,
         row = [Poly(ctx, terms) for terms in entries]
         sys_rows.append((row[:-1], row[-1]))
 
-    solution = reference_solve_linear(LinearSystem(unknowns, sys_rows))
+    solution = reference_solve_linear(unknowns, sys_rows)
     if solution is None:
         return None
     sol, d = solution

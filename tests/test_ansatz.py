@@ -13,7 +13,7 @@ from dalg import (Context, Poly, RatFunc, ansatz_search, derivative_closure,
                   equation_to_ade, implicit_higher_derivative, render,
                   spec_to_ratfunc, unary_dalg)
 from dalg.cli import main as cli_main
-from dalg.ansatz import LinearSystem, enumerate_delta, solve_linear_ratfunc
+from dalg.ansatz import enumerate_delta
 from dalg.context import DIFF
 from dalg.errors import AnsatzNotFoundError, ArgumentError
 from dalg.poly import poly_gcd, try_exact_divide
@@ -21,7 +21,7 @@ from dalg.poly import poly_gcd, try_exact_divide
 from conftest import (at_series, certified_by_substitution, make_rng,
                       proportional, random_poly, reference_assemble,
                       reference_derivative, reference_solve_linear, same_ratfunc,
-                      series_solution, weierstrass)
+                      series_solution, solve_poly_rows, weierstrass)
 
 
 def test_enumerate_delta_order_and_counts():
@@ -141,7 +141,7 @@ def test_solve_linear_unique():
     one = Poly.const(ctx, 1)
     rows = [([one, Poly(ctx)], Poly.const(ctx, 2)),
             ([Poly(ctx), one], -x)]
-    sol = solve_linear_ratfunc(LinearSystem([a, b], rows))
+    sol = solve_poly_rows([a, b], rows)
     _assert_solves(rows, sol)
     (n0, n1), d = sol
     assert n0 == d.scale(-2) and n1 == x * d
@@ -152,15 +152,14 @@ def test_solve_linear_inconsistent_and_free():
     a = ctx.param("c0")
     one = Poly.const(ctx, 1)
     # 0*C0 + 1 = 0 has no solution
-    assert solve_linear_ratfunc(
-        LinearSystem([a], [([Poly(ctx)], one)])) is None
+    assert solve_poly_rows([a], [([Poly(ctx)], one)]) is None
     # a free unknown gets a zero numerator
     rows = [([Poly(ctx)], Poly(ctx))]
-    sol = solve_linear_ratfunc(LinearSystem([a], rows))
+    sol = solve_poly_rows([a], rows)
     _assert_solves(rows, sol)
     assert sol[0][0].is_zero()
     with pytest.raises(ArgumentError):
-        solve_linear_ratfunc(LinearSystem([a], []))
+        solve_poly_rows([a], [])
 
 
 def test_solve_linear_polynomial_pivots():
@@ -175,14 +174,14 @@ def test_solve_linear_polynomial_pivots():
     rows = [([x, a, x + a], Poly.const(ctx, 1)),
             ([zero, x + a, a * x], x),
             ([a, x, x * a + Poly.const(ctx, 1)], a)]
-    sol = solve_linear_ratfunc(LinearSystem(cs, rows))
+    sol = solve_poly_rows(cs, rows)
     _assert_solves(rows, sol)
     nums, d = sol
     assert all(try_exact_divide(n, d) is None for n in nums)
     # a third row x*row0 + row1 with a different constant contradicts them
     combo = [x * p + q for p, q in zip(rows[0][0], rows[1][0])]
     bad = rows[:2] + [(combo, Poly(ctx))]
-    assert solve_linear_ratfunc(LinearSystem(cs, bad)) is None
+    assert solve_poly_rows(cs, bad) is None
 
 
 def test_solve_linear_underdetermined_free_unknown():
@@ -193,7 +192,7 @@ def test_solve_linear_underdetermined_free_unknown():
     a = Poly.var(ctx, ctx.param("a"))
     rows = [([x, a, x * a], Poly.const(ctx, 1)),
             ([a, x * x, a + x], x)]
-    sol = solve_linear_ratfunc(LinearSystem(cs, rows))
+    sol = solve_poly_rows(cs, rows)
     _assert_solves(rows, sol)
     assert sum(n.is_zero() for n in sol[0]) == 1
 
@@ -225,7 +224,7 @@ def test_solve_linear_constant_pivots():
     want = [1, Fraction(-1, 2), Fraction(2, 3)]
     rows = [([const(a) for a in row], const(-sum(a * w for a, w in zip(row, want))))
             for row in matrix]
-    sol = solve_linear_ratfunc(LinearSystem(cs, rows))
+    sol = solve_poly_rows(cs, rows)
     _assert_solves(rows, sol)
     nums, d = sol
     assert [Fraction(n.constant_value()) / d.constant_value() for n in nums] == want
@@ -252,7 +251,7 @@ def _random_system(ctx, vs, rng):
         if kind == "inconsistent":
             const = const + Poly.const(ctx, 1)
         rows[-1] = ([p * u + q * w for p, q in zip(c0, c1)], const)
-    return LinearSystem([ctx.param(f"c{i}") for i in range(ncols)], rows)
+    return [ctx.param(f"c{i}") for i in range(ncols)], rows
 
 
 def _typed_terms(p):
@@ -267,15 +266,15 @@ def test_solve_linear_matches_poly_reference():
     rng = make_rng(13)
     seen = {"none": 0, "free": 0, "solved": 0}
     for _ in range(40):
-        system = _random_system(ctx, vs, rng)
-        want = reference_solve_linear(system)
-        got = solve_linear_ratfunc(system)
+        unknowns, rows = _random_system(ctx, vs, rng)
+        want = reference_solve_linear(unknowns, rows)
+        got = solve_poly_rows(unknowns, rows)
         if want is None:
             assert got is None
             seen["none"] += 1
             continue
         assert got is not None
-        _assert_solves(system.rows, got)
+        _assert_solves(rows, got)
         assert [_typed_terms(n) for n in got[0]] == [_typed_terms(n) for n in want[0]]
         assert _typed_terms(got[1]) == _typed_terms(want[1])
         seen["free" if any(n.is_zero() for n in got[0]) else "solved"] += 1
@@ -285,7 +284,7 @@ def test_solve_linear_matches_poly_reference():
 def test_solve_linear_width_from_the_system():
     # entries of degree 25 make minors of degree 75, above the Groebner
     # degree cap of 60, and products of two minors of degree 150: the
-    # packed fields are sized from the system, not from GBConfig
+    # encoder sizes the packed fields from the system, not from GBConfig
     ctx = Context()
     cs = [ctx.param(f"c{i}") for i in range(3)]
     x = Poly.var(ctx, ctx.indep)
@@ -297,7 +296,7 @@ def test_solve_linear_width_from_the_system():
 
     rows = [([entry(i, j) for j in range(3)], a * x ** i + Poly.const(ctx, 1))
             for i in range(3)]
-    sol = solve_linear_ratfunc(LinearSystem(cs, rows))
+    sol = solve_poly_rows(cs, rows)
     _assert_solves(rows, sol)
     assert sol[1].total_degree() == 75
 
@@ -504,7 +503,7 @@ def test_order_zero_is_skipped_only_on_misses():
         zname, R = spec_to_ratfunc(spec, ctx, ["y"])
         assert ansatz._transcendental(R, [ade])
         *earlier, lead = enumerate_delta(k, 0)
-        assert ansatz.assemble_and_solve([ade], lead, earlier, [R],
+        assert ansatz.assemble_and_solve(ansatz._Packing([ade], R), lead, earlier, [R],
                                          z_name=zname) is None
     ctx = Context()
     ade = equation_to_ade("diff(y(x),x) = y(x)", ctx)
@@ -636,9 +635,9 @@ def test_search_derives_only_the_orders_it_reaches(monkeypatch, search):
         calls.append(1)
         return real_derivative(self, ades)
 
-    def solve(ades, leading, *args, **kwargs):
+    def solve(packing, leading, *args, **kwargs):
         orders.append(len(leading) - 1)
-        return real_solve(ades, leading, *args, **kwargs)
+        return real_solve(packing, leading, *args, **kwargs)
 
     monkeypatch.setattr(RatFunc, "derivative", derivative)
     monkeypatch.setattr(ansatz, "assemble_and_solve", solve)
@@ -658,9 +657,9 @@ def _checked_against_reference(monkeypatch):
     seen = {"hit": 0, "none": 0, "degree": 0}
     systems = {}
 
-    def rows(system, decode):
+    def typed_rows(rows, decode):
         return [[_typed_terms(decode(p)) for p in [*coeffs, const]]
-                for coeffs, const in system.rows]
+                for coeffs, const in rows]
 
     def solve(system):
         K = system.kernel
@@ -668,19 +667,19 @@ def _checked_against_reference(monkeypatch):
         assert all(type(c) is int for _, coefs in entries for c in coefs)
         seen["degree"] = max(seen["degree"], *(K.degree(m) for monos, _ in entries
                                                for m in monos))
-        systems["packed"] = rows(system, lambda p: Poly(
+        systems["packed"] = typed_rows(system.rows, lambda p: Poly(
             systems["ctx"], dict(zip(map(K.decode, p[0]), p[1]))))
         return real_solve(system)
 
-    def reference_solve(system):
-        systems["reference"] = rows(system, lambda p: p)
-        return real_reference_solve(system)
+    def reference_solve(unknowns, rows):
+        systems["reference"] = typed_rows(rows, lambda p: p)
+        return real_reference_solve(unknowns, rows)
 
-    def exact_pass(ades, leading, earlier, vals, *args, z_name="z"):
+    def exact_pass(packing, leading, earlier, vals, z_name="z"):
         systems.clear()
-        systems["ctx"] = ades[0].ctx
-        got = real_pass(ades, leading, earlier, vals, *args, z_name=z_name)
-        want = reference_assemble(ades, leading, earlier, vals, {}, z_name=z_name)
+        systems["ctx"] = packing.ades[0].ctx
+        got = real_pass(packing, leading, earlier, vals, z_name=z_name)
+        want = reference_assemble(packing.ades, leading, earlier, vals, {}, z_name=z_name)
         assert systems.get("packed") == systems.get("reference")
         if want is None:
             assert got is None
@@ -733,7 +732,7 @@ def test_exact_pass_widens_its_fields(monkeypatch):
     widened = []
     real_widen = ansatz._Packing.widen
     monkeypatch.setattr(ansatz._Packing, "widen",
-                        lambda self: widened.append(1) or real_widen(self))
+                        lambda self, rows: widened.append(1) or real_widen(self, rows))
     seen = _checked_against_reference(monkeypatch)
     for e in (30, 40):
         found = _run_search(f"diff(y(x),x) = x^{e}*y(x)^2 + x", "z = y/(x+y)", 3)
@@ -741,6 +740,23 @@ def test_exact_pass_widens_its_fields(monkeypatch):
                                          " - diff(z(x),x)*x - 2*z(x)*x - z(x) + x = 0")
         assert bool(widened) == (e == 40)
     assert seen["degree"] > 60 and seen["hit"] == 2
+
+
+def test_exact_pass_doubles_its_fields_before_the_rows_exist(monkeypatch):
+    # x^61 in the input: the fields start at degree 63, and a slot value or
+    # a reduction step outgrows them before there are rows to bound the
+    # minors, so the pass doubles the degree and starts over; it still
+    # returns the reference equation
+    widened = []
+    real_widen = ansatz._Packing.widen
+    monkeypatch.setattr(ansatz._Packing, "widen", lambda self, rows: widened.append(
+        (self.K.max_degree, rows)) or real_widen(self, rows))
+    seen = _checked_against_reference(monkeypatch)
+    found = _run_search("diff(y(x),x) = x^61*y(x)^2 + x", "z = y/(x+y)", 3)
+    assert render(found, "text") == ("z(x)^2*x^63 + z(x)^2*x + z(x)^2"
+                                     " - diff(z(x),x)*x - 2*z(x)*x - z(x) + x = 0")
+    assert widened == [(63, None)]
+    assert seen["hit"] == 1
 
 
 def test_exact_pass_rebuilds_once_at_the_bareiss_bound(monkeypatch):

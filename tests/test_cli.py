@@ -132,6 +132,30 @@ def test_parse_error_exit_2():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["inverse", "--ade", "y' = y", "--ade", "w' = w"], "inverse takes exactly one equation"),
+    (["ddfinite", "--ade", "y'' + y = 0"],
+     "ddfinite needs the main equation plus at least one coefficient equation"),
+    (["compose", "--ade", "y' = y"], "compose needs exactly two equations (outer, inner)"),
+    (["diff", "--ade", "y' = y", "--ade", "w' = w"], "diff takes exactly one equation"),
+    (["unary", "--ade", "y' = y", "--ade", "w' = w", "--spec", "z = y"],
+     "unary takes exactly one equation"),
+    (["arith", "--ade", "y' = y", "--spec", "z = y"], "arith needs at least two equations"),
+    (["unary", "--ade", "y' = y"], "this operation needs --spec, e.g. --spec 'z=y/(x+y)'"),
+    (["arith", "--ade", "y' = y", "--ade", "w' = w"],
+     "this operation needs --spec, e.g. --spec 'z=y/(x+y)'"),
+    (["ansatz", "--ade", "y' = y"], "this operation needs --spec, e.g. --spec 'z=y/(x+y)'"),
+    (["unary", "--spec", "z = y"], "no input equations (use --ade or --in)"),
+    (["unary", "--ade", "y' = y )", "--spec", "z = y"],
+     "unexpected trailing input ')' (line 1, column 8)"),
+])
+def test_input_count_and_spec_errors_exit_2(capsys, argv, message):
+    # these parse errors have no source position, and print none; a syntax
+    # error prints its own
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
 def test_non_ascii_digit_exit_2(capsys):
     # str.isdigit takes the superscript two, int() does not
     argv = ["unary", "--ade", "diff(y(x),x) = y(x)^\u00b2", "--spec", "z = y"]

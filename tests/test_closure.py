@@ -541,6 +541,19 @@ def test_unary_degenerate_rational_in_x(eliminations):
     assert proportional(res.ade.poly, z0 * x + z0 - x * x)
 
 
+def test_map_free_generators_are_the_output_polynomial():
+    # with no dependent in the map, generators holds the output's own
+    # polynomial, as after an elimination, not the raw link
+    # z*den - num = -1/2*x^2 + z + 3
+    ctx = Context()
+    ade = exp_ade(ctx)
+    zname, R = spec_to_ratfunc("z = x^2/2 - 3", ctx, ["y"])
+    res = unary_dalg(ade, R, z_name=zname)
+    assert render(res.ade, "text") == "x^2 - 2*z(x) - 6 = 0"
+    assert res.generators == [res.ade.poly]
+    assert all(type(c) is int for c in res.generators[0].terms.values())
+
+
 def test_unary_map_may_name_derivatives_up_to_the_order():
     # y*y'' is above y' = y's order in both engines; y*y' is not, and both
     # engines find z' = 2z for it

@@ -162,9 +162,11 @@ def test_normalize_ade_clears_denominators():
     y0, y1 = ctx.diff_var(y, 0), ctx.diff_var(y, 1)
     lhs = RatFunc(Poly.var(ctx, y1), Poly.var(ctx, ctx.indep))
     rhs = RatFunc(Poly.var(ctx, y0))
-    ade = normalize_ade(lhs, rhs, dep=y)
-    # y'/x = y clears and normalizes to x*y - y'
-    assert ade.poly == Poly.var(ctx, ctx.indep) * Poly.var(ctx, y0) - Poly.var(ctx, y1)
+    ade = normalize_ade((lhs - rhs).num, dep=y)
+    # y'/x = y clears and normalizes to x*y - y', also from the text
+    want = Poly.var(ctx, ctx.indep) * Poly.var(ctx, y0) - Poly.var(ctx, y1)
+    assert ade.poly == want
+    assert equation_to_ade("diff(y(x),x)/x = y(x)", ctx).poly == want
 
 
 def test_normalize_ade_errors():

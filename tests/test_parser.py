@@ -76,6 +76,32 @@ def test_parse_error_positions():
         parse_equation("diff(y(x),x,t) = 1")
 
 
+def test_parse_error_prints_a_position_only_when_it_has_one():
+    # a syntax error points at its column, counted from 1; an error with no
+    # source position says nothing of one
+    with pytest.raises(ParseError) as info:
+        parse_equation("y' = y )")
+    assert str(info.value) == "unexpected trailing input ')' (line 1, column 8)"
+    assert (info.value.line, info.value.column) == (1, 8)
+    with pytest.raises(ParseError) as info:
+        equation_to_ade("diff(y(x),x) = diff(w(x),x)", Context())
+    assert str(info.value) == ("cannot infer the dependent variable; "
+                               "differentiated names: ['w', 'y']")
+    assert (info.value.line, info.value.column) == (None, None)
+
+
+def test_primes_after_an_applied_name():
+    # y(x)' and y(x)'' are derivatives, as diff(y(x),x) and diff(y(x),x,x) are
+    for text, same in [("y(x)' = y(x)", "diff(y(x),x) = y(x)"),
+                       ("y(x)'' + y(x)", "diff(y(x),x,x) + y(x)")]:
+        node = parse_equation(text)
+        assert [(n.name, n.arg, n.order) for n in _walk(node) if type(n) is Applied] == \
+            [(n.name, n.arg, n.order) for n in _walk(parse_equation(same))
+             if type(n) is Applied]
+        assert render(equation_to_ade(text, Context()), "text") == \
+            render(equation_to_ade(same, Context()), "text")
+
+
 def test_non_ascii_digits_are_parse_errors():
     # str.isdigit takes these, int() does not: superscript two, Arabic-Indic three
     for text, column in [("y' = y^\u00b2", 8), ("y' = y^\u0663", 8), ("y' = \u00b2", 6)]:
@@ -209,7 +235,7 @@ def test_lowering_matches_ratfunc_at_every_node():
         def reference():
             lhs = reference_lower(node.lhs, ctx2, deps | {"y"})
             rhs = reference_lower(node.rhs, ctx2, deps | {"y"})
-            return normalize_ade(lhs, rhs, dep=ctx2.indeterminate("y"))
+            return normalize_ade((lhs - rhs).num, dep=ctx2.indeterminate("y"))
 
         want = _outcome(reference)
         if isinstance(want, tuple):

@@ -7,13 +7,15 @@ import pytest
 import sympy
 
 import dalg.poly
-from dalg import Context, Poly, ansatz_search, pseudo_divide, spec_to_ratfunc
+from dalg import (Context, Poly, RatFunc, ansatz_search, equation_to_ade, pseudo_divide,
+                  spec_to_ratfunc)
+from dalg.ansatz import _Packing
 from dalg.errors import ArgumentError
 from dalg.groebner import buchberger
 from dalg.orders import GrevLex
 from dalg.poly import (content_primitive, exact_div, mono_degree, mono_div,
-                       mono_mul, poly_gcd, primitive_part, substitute_fractions,
-                       try_exact_divide)
+                       mono_mul, over_lcm, poly_gcd, primitive_part,
+                       substitute_fractions, try_exact_divide)
 
 from conftest import (make_rng, mono_divides, mono_lcm, random_poly,
                       weierstrass)
@@ -127,6 +129,36 @@ def test_substitute_fractions_unit_path_matches_general_path():
             continue
         general, common = substitute_fractions(p, {i: (n * h, h) for i, n in values.items()})
         assert general == num * common
+
+
+def test_over_lcm_gcd_fallback(monkeypatch):
+    # neither of (x+1)(x+2) and (x+1)(x+3) divides the other, so the lcm
+    # grows by a gcd: on Polys and on the packed ring of the ansatz's exact
+    # pass, which agree term for term
+    ctx = Context()
+    y = ctx.indeterminate("y")
+    x, y0 = Poly.var(ctx, ctx.indep), Poly.var(ctx, ctx.diff_var(y, 0))
+    one = Poly.const(ctx, 1)
+    pairs = [(y0, (x + one) * (x + one.scale(2))),
+             (x * y0 + one.scale(5), (x + one) * (x + one.scale(3)))]
+    gcds = []
+    real_gcd = dalg.poly.poly_gcd
+    monkeypatch.setattr(dalg.poly, "poly_gcd", lambda f, g: gcds.append(1) or real_gcd(f, g))
+    nums, common = over_lcm(pairs, one)
+    assert gcds == [1]
+    assert common == (x + one) * (x + one.scale(2)) * (x + one.scale(3))
+    for n, (num, den) in zip(nums, pairs):
+        assert n * den == num * common
+
+    ade = equation_to_ade("diff(y(x),x) = y(x)", ctx)
+    ring = _Packing([ade], RatFunc(x))
+    monkeypatch.setattr(ring, "gcd", lambda f, g: gcds.append(1) or _Packing.gcd(ring, f, g))
+    gcds.clear()
+    packed, packed_common = over_lcm(
+        [(ring.encode(num), ring.encode(den)) for num, den in pairs], ([0], [1]), ring)
+    assert gcds == [1]
+    assert ring.decode(packed_common).terms == common.terms
+    assert [ring.decode(n).terms for n in packed] == [n.terms for n in nums]
 
 
 def test_pseudo_divide_identity_random():

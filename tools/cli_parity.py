@@ -7,9 +7,11 @@ benchmark's argvs and for a fixed list of error paths.
 The first form runs every distinct argv of the ``elim`` and ``ansatz``
 workloads and of ``cli-mix`` seeds 1-10 (hard set included), taken from this
 repository's ``perfbench/cases.py``, then the fixed argvs of ``ERROR_ARGVS``
-(error paths, since none of the benchmark's argvs fails, inputs at the
-edge of the input class, eliminations that reach far past an input's
-order, eliminations whose solved variables are substituted away
+(error paths, since none of the benchmark's argvs fails, among them each
+subcommand's equation-count error and a missing ``--spec``, primes after
+an applied name, inputs at the edge of the input class, eliminations that
+reach far past an input's order, eliminations whose solved variables are
+substituted away
 before Buchberger runs, and ansatz searches whose miss certificate meets
 an initial in y, a denominator q, a parameter or coupled inputs, and
 inputs that the parser lowers through a quotient, with Fraction
@@ -45,6 +47,21 @@ ERROR_ARGVS = [
     ("unary", "--ade", "diff(y(x),x = y(x)", "--spec", "z = y"),
     ("unary", "--spec", "z = y"),
     ("unary", "--ade", "diff(y(x),x) = y(x)^\u00b2", "--spec", "z = y"),
+    ("unary", "--ade", "y' = y )", "--spec", "z = y"),
+    # exit 2 with no source position: each subcommand's equation count and
+    # a missing --spec
+    ("inverse", "--ade", "y' = y", "--ade", "w' = w"),
+    ("ddfinite", "--ade", "y'' + y = 0"),
+    ("compose", "--ade", "y' = y"),
+    ("diff", "--ade", "y' = y", "--ade", "w' = w"),
+    ("unary", "--ade", "y' = y", "--ade", "w' = w", "--spec", "z = y"),
+    ("arith", "--ade", "y' = y", "--spec", "z = y"),
+    ("unary", "--ade", "y' = y"),
+    ("arith", "--ade", "y' = y", "--ade", "w' = w"),
+    ("ansatz", "--ade", "y' = y"),
+    # primes after an applied name, exit 0
+    ("unary", "--ade", "y(x)' = y(x)", "--spec", "z = y^2"),
+    ("diff", "--ade", "y(x)'' + y(x)"),
     # exit 3: search exhaustion, and compositions whose inner function has
     # g' = 0 on its generic solution
     ("ansatz", "--ade", WEIER, "--spec", "z = y1", "--degree-de", "1", "--order-cap", "0"),
