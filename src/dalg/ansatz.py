@@ -20,39 +20,45 @@ equation of lower degree exists.  The whole exact pass, from the slot
 values through the rows and the solve to the division by g, runs on the
 Groebner kernel's packed monomials (:class:`dalg.groebner._Kernel`), one
 kernel per search (:class:`_Packing`); only the equation is decoded to
-:class:`Poly`.
+:class:`Poly`.  The miss certificate below runs on the same kernel, a
+second :class:`_Packing` built mod a prime q.
 
 Most candidates fail, so failures are proven before the exact pass, by
 one certificate per derivative order r.  With L the lcm of the
 denominators of z, ..., z^(r), the slot of a monomial m = prod
-(z^(i))^(e_i) of degree |m| <= k gets the column
-L^(k-|m|) * prod (num_i*L/den_i)^(e_i), and the constant slot L^k: every
-slot's value times L^k.  Each base element (L and the num_i*L/den_i) and
-each input is scaled to integer coefficients and mapped to F_q[Y],
-q = 2^31 - 1, where Y are the input dependents' derivatives and x and each
-parameter go to a power of 7.  The columns are built in enumeration order,
-only when the search reaches them, reduced by the inputs' images after
-every product, and kept in an incremental echelon form.  A candidate's
-exact columns are the slot values times its own common denominator c,
-pseudo-reduced, and L^k/c is the same polynomial for all of them, so a
-linear relation among them is one among these columns too.  So when the
-columns of the constant and of m_0, ..., m_i are linearly independent at
-the point, some maximal minor is nonzero there, hence a nonzero
-polynomial (Schwartz, J. ACM 1980), and the candidate with lead m_i is
-inconsistent: it is skipped.  At the first dependency every later
-candidate of the order takes the exact pass.  An initial whose image
-depends on Y is not inverted: each column carries its exponent of that
-initial, and the columns are lifted to a common exponent, which again
-multiplies all of them by one nonzero polynomial.  The image of a column
-is that of the exact reduced column because a reduced form modulo the
-inputs is unique once their initials are units, which holds over the
-field of fractions of the non-leaders when no initial vanishes mod q.
-If one does, the certificate works mod q = 2^31 - 19 instead, and if it
-vanishes there too, every candidate takes the exact pass.  Order 0 needs
-no certificate when the map names input dependents only below their
-orders (:func:`_transcendental`).  So the equation found is the same
-either way.  z^(r) itself is derived only when
-the search reaches order r.
+(z^(i))^(e_i) of degree |m| <= k gets the column L^(k-|m|) * prod
+(num_i*L/den_i)^(e_i), and the constant slot L^k: every slot's value
+times L^k.  Each base element (L and the num_i*L/den_i) and each input
+is scaled to integer coefficients, x and each parameter go to a power of
+7, and the result is packed mod q = 2^31 - 1 by the certificate's
+:class:`_Packing`, built mod q: the exact pass's kernel over the
+variables Y, the input dependents' derivatives, whose sort reduces every
+coefficient mod q.  The columns are built in enumeration order, only
+when the search reaches them, reduced by the inputs' images after every
+product with the exact pass's :meth:`_Packing.reduce`, and kept in an
+incremental echelon form.  The fields hold degree 2^14 - 1, or the
+inputs' degree, and a column that outgrows them declines the certificate
+for the rest of the order.  A candidate's exact columns are the slot
+values times its own common denominator c, pseudo-reduced, and L^k/c is
+the same polynomial for all of them, so a linear relation among them is
+one among these columns too.  So when the columns of the constant and of
+m_0, ..., m_i are linearly independent at the point, some maximal minor
+is nonzero there, hence a nonzero polynomial (Schwartz, J. ACM 1980),
+and the candidate with lead m_i is inconsistent: it is skipped.  At the
+first dependency every later candidate of the order takes the exact
+pass.  An initial whose image depends on Y is not inverted: each column
+carries its exponent of that initial, and the columns are lifted to a
+common exponent, which again multiplies all of them by one nonzero
+polynomial; an input whose initial's image is a constant is made monic
+instead.  The image of a column is that of the exact reduced column
+because a reduced form modulo the inputs is unique once their initials
+are units, which holds over the field of fractions of the non-leaders
+when no initial vanishes mod q.  If one does, the certificate works mod
+q = 2^31 - 19 instead, and if it vanishes there too, every candidate
+takes the exact pass.  Order 0 needs no certificate when the map names
+input dependents only below their orders (:func:`_transcendental`).  So
+the equation found is the same either way.  z^(r) itself is derived only
+when the search reaches order r.
 """
 
 from __future__ import annotations
@@ -70,7 +76,6 @@ from .orders import GrevLex
 from .poly import Poly, mono_div, mono_mul, over_lcm, poly_gcd
 
 _PRIMES = (2 ** 31 - 1, 2 ** 31 - 19)  # the miss certificate's prime, then its fallback
-_BITS = 15      # exponent bits of a packed monomial in the miss certificate
 _ONE = ([0], [1])   # the packed polynomial 1 of any kernel
 
 
@@ -195,11 +200,18 @@ def solve_linear_ratfunc(system: LinearSystem):
     return [nums.get(ci, zero) for ci in range(ncols)], prev
 
 
-_START_DEGREE = 63  # the degree a search's fields hold before any widening
+_START_DEGREE = 63  # the degree the exact pass's fields hold before any widening
+_CERT_DEGREE = 2 ** 14 - 1  # the degree the miss certificate's fields hold
+
+
+class _Declined(Exception):
+    """The miss certificate cannot be used: an input's initial vanishes
+    mod q."""
 
 
 class _Packing:
-    """One search's kernel and what the exact pass reads from it.
+    """One search's kernel and what the exact pass or the miss certificate
+    reads from it.
 
     The kernel orders Y (the y_j^(i) with i <= n_j), the inputs' variables
     and the map's by GrevLex on variable index.  Each closure value and
@@ -208,29 +220,49 @@ class _Packing:
     enough for degree _START_DEGREE, or for the inputs' degree if that is
     larger, and :meth:`widen` rebuilds them wider when a pass outgrows
     them, which a :class:`ResourceCapError` of the kernel signals; the
-    search takes no caps."""
+    search takes no caps.
 
-    def __init__(self, ades, R: RatFunc):
+    With a prime ``q`` it is the miss certificate's image: the kernel has
+    the variables Y only and reduces coefficients mod q, :meth:`encode`
+    sends x and each parameter to the point 7^(5+index) mod q, an input
+    whose initial is a constant is made monic, and the fields hold degree
+    _CERT_DEGREE, or the inputs' degree if that is larger; an overflow is
+    the kernel's :class:`ResourceCapError`, and nothing widens."""
+
+    def __init__(self, ades, R: RatFunc, q=None):
         ctx = ades[0].ctx
-        self.ades = ades
+        self.ades, self.q = ades, q
         self.ys = {ctx.diff_var(a.dep, i) for a in ades for i in range(a.order + 1)}
-        self.variables = self.ys.union(*(a.poly.variables() for a in ades),
-                                       R.variables())
-        self.build(max(_START_DEGREE, *(a.poly.total_degree() for a in ades)))
+        self.variables = self.ys if q else self.ys.union(
+            *(a.poly.variables() for a in ades), R.variables())
+        self.point: dict = {}       # (index, e) -> 7^((5+index)*e) mod q
+        self.build(max(_CERT_DEGREE if q else _START_DEGREE,
+                       *(a.poly.total_degree() for a in ades)))
 
     def build(self, max_degree: int):
+        """The kernel and the inputs at fields for degree ``max_degree``;
+        mod q, raises :class:`_Declined` when an initial vanishes."""
         K = self.K = _Kernel(GrevLex(sorted(self.variables, key=lambda v: v.index)),
-                             max_degree, self.variables)
+                             max_degree, self.variables, self.q)
         field = {idx: (shift, unit) for idx, shift, unit in K.fields}
         self.closure: list = []     # (num, den) of z, z', ...
         self.slots: dict = {}       # ((i, e), ...) -> (num, den) of prod (z^(i))^e
-        # per input: (leader shift, leader^d, d, initial, polynomial)
+        # per input: (leader shift, leader^d, d, initial, polynomial); mod q
+        # the initial is 1 once the input is made monic
         self.inputs = []
         for a in self.ades:
             shift, unit = field[a.leader.index]
             d = a.leader_degree
-            self.inputs.append((shift, d * unit, d, self.encode(a.initial),
-                                self.encode(a.poly)))
+            poly = self.encode(a.poly)
+            # the initial: the terms of leader degree d, over leader^d
+            lc = K.sort({m - d * unit: c for m, c in zip(*poly)
+                         if m >> shift & K.mask == d})
+            if not lc[0]:
+                raise _Declined
+            if self.q and lc[0] == [0]:
+                inv = pow(lc[1][0], -1, self.q)
+                lc, poly = _ONE, (poly[0], [c * inv % self.q for c in poly[1]])
+            self.inputs.append((shift, d * unit, d, lc, poly))
         self.yfields = [field[v.index] for v in self.ys]
         self.ymask = sum(K.mask << shift for shift, _ in self.yfields)
         self.ymonos: dict = {}      # Y fields of a monomial -> that Y monomial
@@ -250,7 +282,29 @@ class _Packing:
                                     for coeffs, const in rows)))
 
     def encode(self, p: Poly):
-        return self.K.sort(self.K.encode(p))
+        """p packed; mod q, the image of p scaled to integer coefficients."""
+        K, q = self.K, self.q
+        if q is None:
+            return K.sort(K.encode(p))
+        unit, point = K.unit, self.point
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        out: dict = {}
+        for mono, c in p.terms.items():
+            m, t, deg = 0, c.numerator * (den // c.denominator), 0
+            for idx, e in mono:
+                u = unit.get(idx)
+                if u is not None:
+                    m += e * u
+                    deg += e
+                else:
+                    v = point.get((idx, e))
+                    if v is None:
+                        v = point[idx, e] = pow(7, (5 + idx) * e, q)
+                    t *= v
+            if deg > K.mask:
+                raise K.degree_error()
+            out[m] = out.get(m, 0) + t
+        return K.sort(out)
 
     def mul(self, f, g):
         return self.K.sort(self.K.product(f, g))
@@ -280,17 +334,23 @@ class _Packing:
     def gcd(self, f, g):
         return self.encode(poly_gcd(self.decode(f), self.decode(g)))
 
-    def reduce(self, cols):
+    def reduce(self, cols, exps=None):
         """The columns pseudo-reduced by each input in lockstep (see
-        :func:`assemble_and_solve`); the leader's exponent is its field."""
+        :func:`assemble_and_solve`); the leader's exponent is its field.
+        A step multiplies every column by the input's initial unless that
+        is 1, and then counts one in ``exps[j]`` for input j, if given."""
         K = self.K
         mask = K.mask
-        for shift, cut, d, lc, poly in self.inputs:
+        for j, (shift, cut, d, lc, poly) in enumerate(self.inputs):
+            unit = lc == _ONE
             while (top := max((m >> shift & mask for c in cols for m in c[0]),
                               default=0)) >= d:
+                if exps is not None and not unit:
+                    exps[j] += 1
                 out = []
                 for monos, coefs in cols:
-                    work = K.product(lc, (monos, coefs))
+                    work = (dict(zip(monos, coefs)) if unit
+                            else K.product(lc, (monos, coefs)))
                     # the top part h*u^top, as -h*u^(top-d)
                     hi = [(m - cut, -c) for m, c in zip(monos, coefs)
                           if m >> shift & mask == top]
@@ -408,120 +468,12 @@ def assemble_and_solve(packing: _Packing, leading, earlier, closure_vals,
     return normalize_ade(equation, dep=z_id)
 
 
-class _Declined(Exception):
-    """The miss certificate cannot be used: an input's initial vanishes
-    mod q, or a packed exponent outgrows its field."""
-
-
-class _PointImage:
-    """The image in F_q[Y] of polynomials in x, the parameters and Y, the
-    input dependents' derivatives: x and each parameter go to the point
-    7^(5+index) mod q, and the inputs' images reduce.  A monomial in Y is
-    one packed int, one field of _BITS bits and a guard bit per variable;
-    an element is a dict monomial -> nonzero residue."""
-
-    def __init__(self, ades, q: int):
-        # Y is y_j^(i) for i <= n_j, all that the input class lets the
-        # inputs, the map and its derivative values hold
-        ctx = ades[0].ctx
-        ys = [ctx.diff_var(a.dep, i).index for a in ades for i in range(a.order + 1)]
-        self.q, self.mask = q, (1 << _BITS) - 1
-        self.shift = {idx: i * (_BITS + 1) for i, idx in enumerate(ys)}
-        self.guard = sum(1 << (s + _BITS) for s in self.shift.values())
-        self.point: dict = {}
-        # per input: (leader shift, leader degree d, minus the terms below
-        # u^d, the initial, None once the input is made monic)
-        self.inputs = []
-        for a in ades:
-            image = self.encode(a.poly)
-            s, d = self.shift[a.leader.index], a.leader_degree
-            initial = {m - (d << s): c for m, c in image.items() if m >> s & self.mask == d}
-            tail = {m: q - c for m, c in image.items() if m >> s & self.mask != d}
-            if not initial:
-                raise _Declined
-            if len(initial) == 1 and 0 in initial:
-                inv = pow(initial[0], -1, q)
-                tail, initial = {m: c * inv % q for m, c in tail.items()}, None
-            self.inputs.append((s, d, tail, initial))
-
-    def encode(self, p: Poly) -> dict:
-        """The image of p scaled to integer coefficients."""
-        q, shift, point = self.q, self.shift, self.point
-        den = lcm(*(c.denominator for c in p.terms.values()))
-        out: dict = {}
-        for mono, c in p.terms.items():
-            m, t = 0, c.numerator * (den // c.denominator)
-            for idx, e in mono:
-                s = shift.get(idx)
-                if s is not None:
-                    if e > self.mask:
-                        raise _Declined
-                    m += e << s
-                else:
-                    v = point.get((idx, e))
-                    if v is None:
-                        v = point[idx, e] = pow(7, (5 + idx) * e, q)
-                    t *= v
-            out[m] = (out.get(m, 0) + t) % q
-        return {m: c for m, c in out.items() if c}
-
-    def mul(self, f: dict, g: dict) -> dict:
-        out: dict = {}
-        get = out.get
-        g_terms = list(g.items())
-        for mf, cf in f.items():
-            for mg, cg in g_terms:
-                m = mf + mg
-                out[m] = get(m, 0) + cf * cg
-        if any(m & self.guard for m in out):
-            raise _Declined
-        q = self.q
-        return {m: r for m, c in out.items() if (r := c % q)}
-
-    def add(self, f: dict, g: dict) -> dict:
-        out, q = dict(f), self.q
-        for m, c in g.items():
-            r = (out.get(m, 0) + c) % q
-            if r:
-                out[m] = r
-            else:
-                out.pop(m, None)
-        return out
-
-    def reduce(self, f: dict, exps: list) -> dict:
-        """f pseudo-reduced by each input in turn, below degree d in its
-        leader u: the top u-degree part h*u^top of f is replaced by
-        h*u^(top-d) times minus the terms below u^d, after the rest is
-        multiplied by the initial (exps[j] counts those multiplications)."""
-        mask = self.mask
-        for j, (s, d, tail, initial) in enumerate(self.inputs):
-            while (top := max((m >> s & mask for m in f), default=0)) >= d:
-                hi, rest, cut = {}, {}, d << s
-                for m, c in f.items():
-                    if m >> s & mask == top:
-                        hi[m - cut] = c
-                    else:
-                        rest[m] = c
-                if initial is not None:
-                    rest = self.mul(rest, initial)
-                    exps[j] += 1
-                f = self.add(rest, self.mul(hi, tail))
-        return f
-
-    def initial_power(self, exps) -> dict:
-        out = {0: 1}
-        for (_, _, _, initial), e in zip(self.inputs, exps):
-            for _ in range(e):
-                out = self.mul(out, initial)
-        return out
-
-
 def _point_image(ades):
-    """The miss certificate's image at the first of _PRIMES where no
-    input's initial vanishes, or None."""
+    """The miss certificate's image, a :class:`_Packing` mod the first of
+    _PRIMES where no input's initial vanishes, or None."""
     for q in _PRIMES:
         try:
-            return _PointImage(ades, q)
+            return _Packing(ades, None, q)
         except _Declined:
             pass
     return None
@@ -530,27 +482,36 @@ def _point_image(ades):
 def _independent_prefixes(img, vals, k: int, monos: list):
     """Yield, for each monomial m_i of ``monos`` in turn, whether the
     columns of the constant slot and of m_0, ..., m_i are linearly
-    independent in the image ``img`` (a :class:`_PointImage`, or None when
-    the certificate declines), which proves the candidate with lead m_i a
-    miss (see the module docstring).  Column i is built only when answer i
-    is asked for.  After the first dependency every answer is False, as is
-    every answer when the certificate declines."""
+    independent in the image ``img`` (a :class:`_Packing` mod q, or None
+    when the certificate declines), which proves the candidate with lead
+    m_i a miss (see the module docstring).  Column i is built only when
+    answer i is asked for.  After the first dependency every answer is
+    False, as is every answer when the certificate declines, and it
+    declines when a column outgrows the kernel's fields."""
     nums, L = over_lcm([(v.num, v.den) for v in vals], Poly.const(vals[0].ctx, 1))
 
-    def element(f: dict, exps=None):
+    def element(f, exps=None):
         """f reduced, with its exponent of each initial."""
         exps = list(exps or [0] * len(img.inputs))
-        return img.reduce(f, exps), exps
+        return img.reduce([f], exps)[0], exps
 
     def times(a, b):
         exps = [x + y for x, y in zip(a[1], b[1])]
-        if len(a[0]) == 1 and 0 in a[0]:
+        if a[0][0] == [0]:
             a, b = b, a
-        if len(b[0]) == 1 and 0 in b[0]:
+        if b[0][0] == [0]:
             # a reduced element times a constant stays reduced
-            c = b[0][0]
-            return {m: v * c % img.q for m, v in a[0].items()}, exps
+            c, q = b[0][1][0], img.q
+            return (a[0][0], [v * c % q for v in a[0][1]]), exps
         return element(img.mul(a[0], b[0]), exps)
+
+    def initials(exps):
+        """The product of each input's initial to the power exps[j]."""
+        out = _ONE
+        for (*_, lc, _), e in zip(img.inputs, exps):
+            for _ in range(e):
+                out = img.mul(out, lc)
+        return out
 
     basis: list = []    # (pivot, vector scaled to 1 there), zero at earlier pivots
 
@@ -582,21 +543,21 @@ def _independent_prefixes(img, vals, k: int, monos: list):
         if top != common:
             # lift the basis: each initial is nonzero and free of the
             # leaders, so the lifted vectors stay reduced and independent
-            lift = img.initial_power([t - c for t, c in zip(top, common)])
-            lifted = [img.mul(b, lift) for _, b in basis]
+            lift = initials([t - c for t, c in zip(top, common)])
+            lifted = [img.mul(img.K.sort(b), lift) for _, b in basis]
             basis.clear()
             common[:] = top
             for v in lifted:
-                independent(v)
+                independent(dict(zip(*v)))
         if exps != common:
-            f = img.mul(f, img.initial_power([c - e for c, e in zip(common, exps)]))
-        return independent(dict(f))
+            f = img.mul(f, initials([c - e for c, e in zip(common, exps)]))
+        return independent(dict(zip(*f)))
 
     alive = img is not None
     try:
         if alive:
             base = [element(img.encode(n)) for n in nums]
-            powers = [element({0: 1})]      # L^0, ..., L^k
+            powers = [element(_ONE)]        # L^0, ..., L^k
             L_img = element(img.encode(L))
             for _ in range(k):
                 powers.append(times(powers[-1], L_img))
@@ -609,7 +570,7 @@ def _independent_prefixes(img, vals, k: int, monos: list):
                 deg = sum(m)
                 alive = insert(prod if deg == k else times(powers[k - deg], prod))
             yield alive
-    except _Declined:
+    except ResourceCapError:
         pass
     while True:
         yield False

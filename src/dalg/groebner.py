@@ -1,5 +1,6 @@
 """Buchberger's algorithm with pair criteria and block elimination orders,
-on a kernel of packed monomials that also runs the ansatz's exact pass.
+on a kernel of packed monomials that also runs the ansatz's exact pass and,
+mod a prime q, its miss certificate.
 
 In the kernel a monomial is one packed int.  Its fixed-width fields hold,
 from the most significant down, the order's rows
@@ -11,7 +12,10 @@ subtraction and turns any field overflow into a
 Groebner caps here, and for the ansatz's exact pass a bound that starts at
 the larger of 63 and the inputs' degree.  An overflow in that pass's
 linear solve rebuilds the kernel once, at the rows' Bareiss bound; only
-an overflow before the rows exist doubles the bound.  A polynomial is a
+an overflow before the rows exist doubles the bound.  The miss
+certificate's kernel holds degree 2^14 - 1, or the inputs' degree, and
+reduces coefficients mod q in :meth:`_Kernel.sort`, which Buchberger
+never calls.  A polynomial is a
 list of packed monomials in descending order with their exact
 coefficients, and both the normal form and the exact quotient pop leading
 terms from a heap of the work polynomial's monomials (lazy deletion;
@@ -122,11 +126,13 @@ class _Kernel:
     field value is at most the monomial's total degree, so the lcm or the
     product of two monomials of degree at most ``max_degree`` always fits,
     and a guard bit is set exactly when a total degree reaches
-    ``2**bits``.
+    ``2**bits``.  With a ``modulus`` q, :meth:`sort` also reduces the
+    coefficients mod q; no other method reads it.
     """
 
-    def __init__(self, order: MonomialOrder, max_degree: int, variables):
-        self.max_degree = max_degree
+    def __init__(self, order: MonomialOrder, max_degree: int, variables,
+                 modulus=None):
+        self.max_degree, self.modulus = max_degree, modulus
         rows = order.rows()
         vars_ = list(dict.fromkeys(v for row in rows for v in row))
         vars_ += sorted(set(variables) - set(vars_), key=lambda v: v.index)
@@ -165,11 +171,16 @@ class _Kernel:
         den = lcm(*(c.denominator for c in p.terms.values()))
         return self.encode(p if den == 1 else p.scale(den))
 
-    @staticmethod
-    def sort(terms: dict):
+    def sort(self, terms: dict):
         """Packed terms as a polynomial, monomials descending; a term that
-        cancelled to 0 is dropped."""
-        monos = sorted((m for m, c in terms.items() if c), reverse=True)
+        cancelled to 0 is dropped.  With a modulus the coefficients are
+        residues, and a term that is 0 mod q is dropped too."""
+        q = self.modulus
+        if q is None:
+            monos = sorted((m for m, c in terms.items() if c), reverse=True)
+        else:
+            terms = {m: r for m, c in terms.items() if (r := c % q)}
+            monos = sorted(terms, reverse=True)
         return monos, [terms[m] for m in monos]
 
     def decode(self, m) -> tuple:

@@ -589,6 +589,51 @@ def test_certified_miss_is_a_rank_test():
     q1, q2 = ansatz._PRIMES
     assert _answers(f"diff(y(x),x) = y(x)/{q1}", "z = y", 0, 1) == [True]
     assert _answers(f"diff(y(x),x) = y(x)/{q1 * q2}", "z = y", 0, 1) == [False]
+    # 3*y' = y has the constant initial 3, which the image mod q makes
+    # monic instead of carrying its exponent: under z = y^2 the column of
+    # z' = 2*y^2/3 is dependent on that of z.  Under 3*y' = y^2 + x and
+    # z = y, z' = (y^2 + x)/3 is independent of 1 and y, and z^2 = y^2 is
+    # dependent on 1 and z': z^2 - 3*z' + x = 0
+    ade = equation_to_ade("3*diff(y(x),x) = y(x)", Context())
+    *_, lc, poly = ansatz._point_image([ade]).inputs[0]
+    assert lc == ansatz._ONE and poly[1][0] == 1
+    assert _answers("3*diff(y(x),x) = y(x)", "z = y^2", 1, 1) == [True, False]
+    assert _answers("3*diff(y(x),x) = y(x)^2 + x", "z = y", 1, 2) == [True, True, False,
+                                                                     False, False]
+
+
+def test_certificate_fields_hold_a_high_degree_input():
+    # y^70 in the input: fields sized like the exact pass's (degree 71 here)
+    # make the certificate decline part-way, at 13 and 8 misses; its own
+    # fields, for degree 2^14 - 1, prove all 14 and 28 of them
+    search = ("diff(y(x),x) = y(x)^70 + x", "z = y^2")
+    assert [sum(_answers(*search, r, 4)) for r in (1, 2)] == [14, 28]
+    assert render(_run_search(*search, 4), "text") == (
+        "19600*diff(z(x),x)^2*z(x)*x^2 - 5041*diff(z(x),x)^4"
+        " + 284*diff(z(x),x,x)*diff(z(x),x)^2*z(x) - 4*diff(z(x),x,x)^2*z(x)^2"
+        " - 1120*diff(z(x),x)*z(x)^2*x + 16*z(x)^3 = 0")
+
+
+def test_certificate_declines_when_a_column_outgrows_its_fields(monkeypatch):
+    # with the bound forced down to 1, the fields hold degree 3 (the
+    # input's degree is 1), and L^4, of degree 4 in y at order 0 and more
+    # later, outgrows them: the kernel's ResourceCapError declines the
+    # certificate before its first answer at every order, every candidate
+    # takes the exact pass, and the equation is the one found with the
+    # certificate patched out
+    search = ("diff(y(x),x) = y(x) + x", "z = y/(x+y)")
+    assert [sum(_answers(*search, r, 4)) for r in range(3)] == [4, 2, 3]
+    found = _run_search(*search, 4)
+    log = _trace_candidates(monkeypatch, lambda fired: False)
+    unchecked = _run_search(*search, 4)
+    monkeypatch.undo()
+    monkeypatch.setattr(ansatz, "_CERT_DEGREE", 1)
+    assert not any(a for r in range(3) for a in _answers(*search, r, 4))
+    declined_log = _trace_candidates(monkeypatch, lambda fired: fired)
+    declined = _run_search(*search, 4)
+    assert len(declined_log) == len(log)
+    assert not any(fired for fired, _ in declined_log)
+    assert render(declined, "text") == render(unchecked, "text") == render(found, "text")
 
 
 def _coupled(spec, k):
@@ -764,11 +809,18 @@ def test_exact_pass_rebuilds_once_at_the_bareiss_bound(monkeypatch):
     # kernel at degree 63, 127, 255 and 511.  The first overflow is in the
     # solve, so the pass now rebuilds once, at the rows' Bareiss bound.  An
     # input of degree above the starting 63 gets fields that hold it at the
-    # first build.  Every exact pass still matches the reference
+    # first build.  Every exact pass still matches the reference.  Only the
+    # exact pass's builds count: the miss certificate's image, mod q, is a
+    # _Packing too
     builds = []
     real_build = ansatz._Packing.build
-    monkeypatch.setattr(ansatz._Packing, "build",
-                        lambda self, degree: builds.append(degree) or real_build(self, degree))
+
+    def build(self, degree):
+        if self.q is None:
+            builds.append(degree)
+        real_build(self, degree)
+
+    monkeypatch.setattr(ansatz._Packing, "build", build)
     seen = _checked_against_reference(monkeypatch)
     _run_search("diff(y(x),x) = x^26*y(x)^2 + x*y(x)", "z = y^2/(x+y)", 3)
     assert len(builds) == 2 and builds[1] > 255, builds

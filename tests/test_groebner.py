@@ -568,6 +568,26 @@ def test_kernel_product_and_exact_quotient():
     assert misses > 0
 
 
+def test_kernel_sort_applies_its_modulus():
+    # with a modulus q, sort returns residues mod q and drops every term
+    # that is 0 mod q; without one it drops only the terms that cancelled
+    # to 0 and keeps every coefficient, Fractions too, as it is
+    ctx, vs = fresh_vars(2)
+    a, b = vs
+    q = 7
+    K, Kq = _Kernel(GrevLex(vs), 12, vs), _Kernel(GrevLex(vs), 12, vs, q)
+    assert Kq.unit == K.unit
+    ua, ub = K.unit[a.index], K.unit[b.index]
+    terms = {2 * ua: 14, ua + ub: 21, ua: 15, ub: -3, 0: 0, 2 * ub: Fraction(1, 2)}
+    monos = sorted([2 * ua, ua + ub, ua, ub, 2 * ub], reverse=True)
+    assert K.sort(dict(terms)) == (monos, [terms[m] for m in monos])
+    del terms[2 * ub]
+    kept = [m for m in monos if m in (ua, ub)]
+    assert Kq.sort(dict(terms)) == (kept, [{ua: 1, ub: 4}[m] for m in kept])
+    assert Kq.sort({ua: q, ub: -q}) == ([], [])
+    assert K.sort({ua: q, ub: 0}) == ([ua], [q])
+
+
 def test_kernel_product_overflow_boundary():
     # under a graded order the leading monomials' degrees decide: a product
     # whose degree reaches 2**bits overflows a field and raises, one of

@@ -13,7 +13,9 @@ an applied name, inputs at the edge of the input class, eliminations that
 reach far past an input's order, eliminations whose solved variables are
 substituted away
 before Buchberger runs, and ansatz searches whose miss certificate meets
-an initial in y, a denominator q, a parameter or coupled inputs, and
+an initial in y, a denominator q, a parameter, coupled inputs, a constant
+initial that it makes monic, an initial that vanishes mod 2^31 - 1, or
+an input of degree 70, and
 inputs that the parser lowers through a quotient, with Fraction
 coefficients or a non-ASCII parameter name), in-process through the
 checkout's ``dalg.cli.main(argv + ["--format", "json"])`` (an argv that
@@ -138,6 +140,12 @@ ERROR_ARGVS = [
     ("ansatz", "--ade", "y1'=y1*y2", "--ade", "y2'=y1+x", "--spec", "z = y1+y2",
      "--degree-de", "2"),
     ("ansatz", "--ade", "y*y' = x", "--spec", "z = y^2/(x+y)", "--degree-de", "3"),
+    # miss certificates that make a constant initial monic mod q, move to
+    # the second prime when the initial vanishes mod 2^31 - 1, and need
+    # fields wider than the exact pass's for an input of degree 70
+    ("ansatz", "--ade", "3*y' = y", "--spec", "z = y^2", "--degree-de", "1"),
+    ("ansatz", "--ade", "2147483647*y' = y + x", "--spec", "z = y^2", "--degree-de", "2"),
+    ("ansatz", "--ade", "y' = y^70 + x", "--spec", "z = y^2", "--degree-de", "4"),
     # exact passes whose equation takes two gcds to strip, whose columns
     # reduce by two inputs with initials y1 and y2, and whose rows carry
     # Fraction coefficients until each is scaled by its lcm
