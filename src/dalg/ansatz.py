@@ -46,7 +46,20 @@ m_0, ..., m_i are linearly independent at the point, some maximal minor
 is nonzero there, hence a nonzero polynomial (Schwartz, J. ACM 1980),
 and the candidate with lead m_i is inconsistent: it is skipped.  At the
 first dependency every later candidate of the order takes the exact
-pass.  An initial whose image depends on Y is not inverted: each column
+pass.  When that dependency falls on a lead m_i of degree k, it also
+hands the exact pass its unknowns: each echelon vector carries its
+combination of the columns, so the column of m_i, reduced to zero,
+carries the one relation mod q among the constant and m_0, ..., m_i, and
+the pass solves only for the monomials of that relation's support, with
+the constant slot always kept.  The columns of the constant and of m_0,
+..., m_(i-1) are independent, so the full exact system has at most one
+solution.  A cut that keeps every monomial of nonzero coefficient has
+that same solution, and so the same equation; a cut that drops one is
+inconsistent, since its solution would be a second one of the full
+system, and then the full pass runs.  The relation mod q is the image of
+the exact one wherever d does not vanish at the point, so the cut keeps
+the monomials of nonzero coefficient unless one of them vanishes there.
+An initial whose image depends on Y is not inverted: each column
 carries its exponent of that initial, and the columns are lifted to a
 common exponent, which again multiplies all of them by one nonzero
 polynomial; an input whose initial's image is a constant is made monic
@@ -73,7 +86,7 @@ from .diffpoly import RatFunc, normalize_ade
 from .errors import AnsatzNotFoundError, ArgumentError, ResourceCapError
 from .groebner import _Kernel
 from .orders import GrevLex
-from .poly import Poly, mono_div, mono_mul, over_lcm, poly_gcd
+from .poly import Poly, exact_div, mono_div, mono_mul, over_lcm, poly_gcd
 
 _PRIMES = (2 ** 31 - 1, 2 ** 31 - 19)  # the miss certificate's prime, then its fallback
 _ONE = ([0], [1])   # the packed polynomial 1 of any kernel
@@ -147,8 +160,12 @@ def solve_linear_ratfunc(system: LinearSystem):
     K = system.kernel
 
     def divide(work, g):
-        if g == _ONE:   # the first step's previous pivot
-            return K.sort(work)
+        if g[0] == [0]:
+            # a constant divisor, as the first step's previous pivot 1 is:
+            # each coefficient divided on its own, as K.quotient would
+            monos, coefs = K.sort(work)
+            c = g[1][0]
+            return monos, coefs if c == 1 else [exact_div(v, c) for v in coefs]
         q = K.quotient(work, g)
         if q is None:
             raise RuntimeError("internal error: Bareiss division is not exact")
@@ -479,16 +496,27 @@ def _point_image(ades):
     return None
 
 
-def _independent_prefixes(img, vals, k: int, monos: list):
-    """Yield, for each monomial m_i of ``monos`` in turn, whether the
-    columns of the constant slot and of m_0, ..., m_i are linearly
-    independent in the image ``img`` (a :class:`_Packing` mod q, or None
-    when the certificate declines), which proves the candidate with lead
-    m_i a miss (see the module docstring).  Column i is built only when
-    answer i is asked for.  After the first dependency every answer is
-    False, as is every answer when the certificate declines, and it
-    declines when a column outgrows the kernel's fields."""
-    nums, L = over_lcm([(v.num, v.den) for v in vals], Poly.const(vals[0].ctx, 1))
+def _independent_prefixes(img, over, k: int, monos: list):
+    """Yield, for each monomial m_i of ``monos`` in turn, the pair (miss,
+    support).  miss is whether the columns of the constant slot and of
+    m_0, ..., m_i are linearly independent in the image ``img`` (a
+    :class:`_Packing` mod q, or None when the certificate declines), which
+    proves the candidate with lead m_i a miss (see the module docstring).
+    ``over`` holds the numerators of z, ..., z^(r) over L, the lcm of their
+    denominators, and L, as :func:`over_lcm` returns them.  Column i is
+    built only when answer i is asked for.  After the first dependency
+    every answer is False, as is every answer when the certificate
+    declines, and it declines when a column outgrows the kernel's fields.
+
+    support is None but at the first dependency: there it lists, in
+    increasing order, the columns with a nonzero coefficient in the one
+    relation mod q among the columns, 0 for the constant slot and j + 1
+    for m_j.  Each echelon vector carries its combination of the columns
+    as a dict, reduced along with it; a lift to a common exponent of the
+    initials multiplies every column by one factor and leaves the
+    combinations as they are, so the column that reduces to zero carries
+    that relation."""
+    nums, L = over
 
     def element(f, exps=None):
         """f reduced, with its exponent of each initial."""
@@ -513,45 +541,58 @@ def _independent_prefixes(img, vals, k: int, monos: list):
                 out = img.mul(out, lc)
         return out
 
-    basis: list = []    # (pivot, vector scaled to 1 there), zero at earlier pivots
-
-    def independent(v: dict) -> bool:
-        """Reduce v by the basis; if it stays nonzero, add it."""
+    def subtract(v: dict, c, w: dict):
+        """v -= c*w mod q, dropping the entries that vanish."""
         q = img.q
-        for piv, b in basis:
+        for m, x in w.items():
+            r = (v.get(m, 0) - c * x) % q
+            if r:
+                v[m] = r
+            else:
+                v.pop(m, None)
+
+    # (pivot, vector, its combination of columns), both scaled so that the
+    # vector is 1 at its pivot; each vector is zero at the earlier pivots
+    basis: list = []
+
+    def independent(v: dict, combination: dict):
+        """Reduce v and its combination by the basis; if v stays nonzero,
+        add it and return None, else return the combination, a relation
+        among the columns."""
+        for piv, b, bc in basis:
             c = v.get(piv)
             if c:
-                for m, w in b.items():
-                    r = (v.get(m, 0) - c * w) % q
-                    if r:
-                        v[m] = r
-                    else:
-                        v.pop(m, None)
+                subtract(v, c, b)
+                subtract(combination, c, bc)
         if not v:
-            return False
+            return combination
+        q = img.q
         piv = next(iter(v))
         inv = pow(v[piv], -1, q)
-        basis.append((piv, {m: c * inv % q for m, c in v.items()}))
-        return True
+        basis.append((piv, {m: c * inv % q for m, c in v.items()},
+                      {j: c * inv % q for j, c in combination.items()}))
+        return None
 
     # the exponents of the initials that every column is lifted to
     common = [0] * len(img.inputs) if img else []
 
-    def insert(col) -> bool:
+    def insert(col, j: int):
+        """Add column j; its support if it is dependent, else None."""
         f, exps = col
         top = [max(a, b) for a, b in zip(common, exps)]
         if top != common:
             # lift the basis: each initial is nonzero and free of the
             # leaders, so the lifted vectors stay reduced and independent
             lift = initials([t - c for t, c in zip(top, common)])
-            lifted = [img.mul(img.K.sort(b), lift) for _, b in basis]
+            lifted = [(img.mul(img.K.sort(b), lift), bc) for _, b, bc in basis]
             basis.clear()
             common[:] = top
-            for v in lifted:
-                independent(dict(zip(*v)))
+            for v, bc in lifted:
+                independent(dict(zip(*v)), bc)
         if exps != common:
             f = img.mul(f, initials([c - e for c, e in zip(common, exps)]))
-        return independent(dict(zip(*f)))
+        relation = independent(dict(zip(*f)), {j: 1})
+        return None if relation is None else sorted(relation)
 
     alive = img is not None
     try:
@@ -561,19 +602,21 @@ def _independent_prefixes(img, vals, k: int, monos: list):
             L_img = element(img.encode(L))
             for _ in range(k):
                 powers.append(times(powers[-1], L_img))
-            prods = {(0,) * len(vals): powers[0]}
-            alive = insert(powers[k])
-        for m in monos:
+            prods = {(0,) * len(nums): powers[0]}
+            alive = insert(powers[k], 0) is None
+        for j, m in enumerate(monos, 1):
+            support = None
             if alive:
-                i = next(j for j, e in enumerate(m) if e)
+                i = next(i for i, e in enumerate(m) if e)
                 prod = prods[m] = times(prods[(*m[:i], m[i] - 1, *m[i + 1:])], base[i])
                 deg = sum(m)
-                alive = insert(prod if deg == k else times(powers[k - deg], prod))
-            yield alive
+                support = insert(prod if deg == k else times(powers[k - deg], prod), j)
+                alive = support is None
+            yield alive, support
     except ResourceCapError:
         pass
     while True:
-        yield False
+        yield False, None
 
 
 def _transcendental(R: RatFunc, ades) -> bool:
@@ -593,8 +636,9 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
     derivative order of the ansatz from 0 up to the cap, and return the first
     equation found.  z^(r) is derived on reaching order r, and each
     candidate that the order's miss certificate does not prove a miss takes
-    the exact pass; order 0 is skipped when :func:`_transcendental` proves
-    its one candidate a miss."""
+    the exact pass, first cut to the support of the certificate's first
+    dependency when that is the candidate's; order 0 is skipped when
+    :func:`_transcendental` proves its one candidate a miss."""
     if k < 1:
         raise ArgumentError("degree bound must be at least 1")
     ades = list(ades)
@@ -603,19 +647,30 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
         order_cap = sum(a.order for a in ades) + 1
     vals = derivative_closure(R, ades, 0)
     img = _point_image(ades)
+    # z, ..., z^(r) over the lcm of their denominators, for the certificate
+    over = ([], Poly.const(R.num.ctx, 1))
     packing = None      # built at the first exact pass
     for r in range(order_cap + 1):
         if r:
             vals.append(derivative_closure(vals[-1], ades, 1)[1])
-        elif _transcendental(R, ades):
+        over = over_lcm([(vals[r].num, vals[r].den)], over[1], nums=over[0])
+        if not r and _transcendental(R, ades):
             continue
         monos = enumerate_delta(k, r)
-        independent = _independent_prefixes(img, vals, k, monos)
-        for i, (leading, miss) in enumerate(zip(monos, independent)):
+        answers = _independent_prefixes(img, over, k, monos)
+        for i, (leading, (miss, support)) in enumerate(zip(monos, answers)):
             if sum(leading) == k and not miss:
                 packing = packing or _Packing(ades, R)
-                found = assemble_and_solve(packing, leading, monos[:i], vals,
-                                           z_name=z_name)
+                found = None
+                if support is not None:
+                    # the first dependency: the unknowns on its support,
+                    # whose last column is the lead's
+                    found = assemble_and_solve(
+                        packing, leading, [monos[j - 1] for j in support[:-1] if j],
+                        vals, z_name=z_name)
+                if found is None:
+                    found = assemble_and_solve(packing, leading, monos[:i], vals,
+                                               z_name=z_name)
                 if found is not None:
                     return found
     raise AnsatzNotFoundError(k, order_cap)

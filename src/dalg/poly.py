@@ -466,18 +466,22 @@ def try_exact_divide(f: Poly, g: Poly):
     return q
 
 
-def over_lcm(pairs, one, ring=None):
+def over_lcm(pairs, one, ring=None, nums=()):
     """Bring (numerator, denominator) pairs over the lcm of the denominators;
     returns the rescaled numerators and the lcm, which starts at ``one``.
     The lcm grows by trial division, and by a gcd only when neither of two
     denominators divides the other.  The arithmetic is Poly's, or that of
     ``ring``: its ``mul``, ``quotient`` (exact, else None) and ``gcd``, as
-    for the packed polynomials of the ansatz's exact pass."""
+    for the packed polynomials of the ansatz's exact pass.
+
+    ``nums`` are numerators already over ``one``, as an earlier call
+    returned them with its lcm: they are rescaled with the rest, so adding
+    pairs to a call's result gives what one call over all the pairs gives."""
     if ring is None:
         mul, quotient, greatest = (lambda f, g: f * g), try_exact_divide, poly_gcd
     else:
         mul, quotient, greatest = ring.mul, ring.quotient, ring.gcd
-    common, nums = one, []
+    common, nums = one, list(nums)
     for num, den in pairs:
         if den == common:
             nums.append(num)

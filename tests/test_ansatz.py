@@ -16,7 +16,7 @@ from dalg.cli import main as cli_main
 from dalg.ansatz import enumerate_delta
 from dalg.context import DIFF
 from dalg.errors import AnsatzNotFoundError, ArgumentError
-from dalg.poly import poly_gcd, try_exact_divide
+from dalg.poly import over_lcm, poly_gcd, try_exact_divide
 
 from conftest import (at_series, certified_by_substitution, make_rng,
                       proportional, random_poly, reference_assemble,
@@ -443,19 +443,25 @@ def _run_search(ade_text, spec, k):
     return ansatz_search([ade], R, k=k, z_name=zname)
 
 
+def _full_pass(answer):
+    """The answer that sends a candidate to the full exact pass."""
+    return False, None
+
+
 def _trace_candidates(monkeypatch, certificate):
     """Patch the search so every exact pass logs (certificate fired on its
-    candidate, result); certificate maps each real answer of the per-order
-    certificate to the one the search acts on.  Order 0 goes through the
-    certificate too, as every order does when the map names a leader."""
+    candidate, result); certificate maps each real answer (miss, support) of
+    the per-order certificate to the one the search acts on.  Order 0 goes
+    through the certificate too, as every order does when the map names a
+    leader."""
     real_cert, real_solve = ansatz._independent_prefixes, ansatz.assemble_and_solve
     log, last = [], [False]
     monkeypatch.setattr(ansatz, "_transcendental", lambda R, ades: False)
 
     def cert(*args):
-        for fired in real_cert(*args):
-            last[0] = fired
-            yield certificate(fired)
+        for answer in real_cert(*args):
+            last[0] = answer[0]
+            yield certificate(answer)
 
     def solve(*args, **kwargs):
         out = real_solve(*args, **kwargs)
@@ -471,7 +477,7 @@ def test_miss_certificate_fires_only_on_inconsistent_candidates(monkeypatch):
     # every candidate runs the exact pass; wherever the certificate fires,
     # that pass must find no solution.  Checking outputs alone would miss a
     # certificate that drops a consistent candidate when a later one hits.
-    log = _trace_candidates(monkeypatch, lambda fired: False)
+    log = _trace_candidates(monkeypatch, _full_pass)
     searches = [("wp", "z = y/(x+y)", 2), ("wp", "z = y/(x+y)", 3),
                 ("diff(y(x),x) = y(x)^2 + x", "z = y^2/(x+y)", 4),
                 ("y(x)*diff(y(x),x) = x", "z = y/(x+y)", 2)]
@@ -548,22 +554,31 @@ def test_miss_certificate_applies_where_it_used_to_fall_back(monkeypatch, ade_te
     # searches too; each candidate it fires on has no exact solution, and
     # the equation is the one found without it
     found = _run_search(ade_text, "z = y/(x+y)", 2)
-    log = _trace_candidates(monkeypatch, lambda fired: False)
+    log = _trace_candidates(monkeypatch, _full_pass)
     unchecked = _run_search(ade_text, "z = y/(x+y)", 2)
     assert any(fired for fired, _ in log)
     assert all(out is None for fired, out in log if fired)
     assert render(found, "text") == render(unchecked, "text")
 
 
-def _answers(ade_text, spec, r, k):
-    """The per-order certificate's answers for every monomial of order r."""
+def _certificate(ades, R, r, k):
+    """The per-order certificate's answers (miss, support) for every
+    monomial of order r."""
+    vals = derivative_closure(R, ades, r)
+    over = over_lcm([(v.num, v.den) for v in vals], Poly.const(R.num.ctx, 1))
+    monos = enumerate_delta(k, r)
+    answers = ansatz._independent_prefixes(ansatz._point_image(ades), over, k, monos)
+    return [next(answers) for _ in monos]
+
+
+def _answers(ade_text, spec, r, k, supports=False):
+    """Whether the certificate proves each monomial of order r a miss, or
+    with ``supports`` its whole answers."""
     ctx = Context()
     ade = equation_to_ade(ade_text, ctx)
     _, R = spec_to_ratfunc(spec, ctx, ["y"])
-    monos = enumerate_delta(k, r)
-    answers = ansatz._independent_prefixes(
-        ansatz._point_image([ade]), derivative_closure(R, [ade], r), k, monos)
-    return [next(answers) for _ in monos]
+    answers = _certificate([ade], R, r, k)
+    return answers if supports else [miss for miss, _ in answers]
 
 
 def test_certified_miss_is_a_rank_test():
@@ -573,14 +588,22 @@ def test_certified_miss_is_a_rank_test():
     assert _answers("diff(y(x),x) = y(x)", "z = y", 1, 1) == [True, False]
     assert _answers("diff(y(x),x) = y(x)", "z = y", 1, 2) == [True, False, False,
                                                               False, False]
+    # the first dependency's answer carries the relation's support: the
+    # columns of z (1) and z' (2), and not the constant's (0)
+    assert _answers("diff(y(x),x) = y(x)", "z = y", 1, 1, supports=True) == [
+        (True, None), (False, [1, 2])]
     # under y*y' = x the column of z' = 2*y*y' reduces to 2*x*y with one
     # factor of the initial y, so 1 and z = y^2 are lifted to y and y^3:
     # z' - 2*x = 0 holds, and the lifted column 2*x*y is dependent
     assert _answers("y(x)*diff(y(x),x) = x", "z = y^2", 1, 1) == [True, False]
+    assert _answers("y(x)*diff(y(x),x) = x", "z = y^2", 1, 1, supports=True)[1] == (
+        False, [0, 2])
     # with z = y the column z^2 = y^2 comes after z' = x and is lifted to
     # y^3, independent of y, y^2 and x; z*z' = y*(x/y) = x is dependent
     assert _answers("y(x)*diff(y(x),x) = x", "z = y", 1, 2) == [True, True, True,
                                                                False, False]
+    assert _answers("y(x)*diff(y(x),x) = x", "z = y", 1, 2, supports=True)[3:] == [
+        (False, [0, 4]), (False, None)]
     # z = x^2 has one row, the monomial 1 in y, which cannot give the two
     # columns 1 and z full rank
     assert _answers("diff(y(x),x) = y(x)", "z = x^2", 0, 2) == [False, False]
@@ -624,12 +647,12 @@ def test_certificate_declines_when_a_column_outgrows_its_fields(monkeypatch):
     search = ("diff(y(x),x) = y(x) + x", "z = y/(x+y)")
     assert [sum(_answers(*search, r, 4)) for r in range(3)] == [4, 2, 3]
     found = _run_search(*search, 4)
-    log = _trace_candidates(monkeypatch, lambda fired: False)
+    log = _trace_candidates(monkeypatch, _full_pass)
     unchecked = _run_search(*search, 4)
     monkeypatch.undo()
     monkeypatch.setattr(ansatz, "_CERT_DEGREE", 1)
     assert not any(a for r in range(3) for a in _answers(*search, r, 4))
-    declined_log = _trace_candidates(monkeypatch, lambda fired: fired)
+    declined_log = _trace_candidates(monkeypatch, lambda answer: answer)
     declined = _run_search(*search, 4)
     assert len(declined_log) == len(log)
     assert not any(fired for fired, _ in declined_log)
@@ -648,7 +671,7 @@ def test_certificate_on_coupled_inputs(monkeypatch):
     # the columns reduce by both inputs; the certificate fires, only on
     # candidates without exact solution, and leaves the equation as it is
     found = _coupled("z = y1", 3)
-    log = _trace_candidates(monkeypatch, lambda fired: False)
+    log = _trace_candidates(monkeypatch, _full_pass)
     unchecked = _coupled("z = y1", 3)
     assert any(fired for fired, _ in log)
     assert all(out is None for fired, out in log if fired)
@@ -660,6 +683,112 @@ def test_exhausting_coupled_search_runs_no_exact_pass(monkeypatch):
     _no_exact_pass(monkeypatch)
     with pytest.raises(AnsatzNotFoundError):
         _coupled("z = y1+y2", 2)
+
+
+def _cut_passes(monkeypatch):
+    """Patch the search so that the first exact pass of each candidate whose
+    answer carries a support also runs the full pass, and logs (the lead's
+    index i, the support's earlier columns, the columns of the full pass's
+    nonzero N_i, the cut pass's equation, the full pass's equation);
+    columns are 0 for the constant slot and j + 1 for m_j."""
+    real_cert, real_pass = ansatz._independent_prefixes, ansatz.assemble_and_solve
+    real_solve = ansatz.solve_linear_ratfunc
+    answer, log = {}, []
+
+    def cert(img, over, k, monos):
+        for miss, support in real_cert(img, over, k, monos):
+            answer.update(support=support, monos=monos, fresh=True)
+            yield miss, support
+
+    def solve(system):
+        answer["solution"] = real_solve(system)
+        return answer["solution"]
+
+    def exact_pass(packing, leading, earlier, vals, z_name="z"):
+        support, fresh = answer["support"], answer["fresh"]
+        answer["fresh"] = False
+        if support is None or not fresh:
+            return real_pass(packing, leading, earlier, vals, z_name=z_name)
+        i = answer["monos"].index(leading)
+        answer["solution"] = None
+        full = real_pass(packing, leading, answer["monos"][:i], vals, z_name=z_name)
+        nonzero = (None if answer["solution"] is None else
+                   [j for j, n in enumerate(answer["solution"][0]) if n[0]])
+        cut = real_pass(packing, leading, earlier, vals, z_name=z_name)
+        log.append((i, support[:-1], nonzero, cut, full))
+        return cut
+
+    monkeypatch.setattr(ansatz, "_independent_prefixes", cert)
+    monkeypatch.setattr(ansatz, "solve_linear_ratfunc", solve)
+    monkeypatch.setattr(ansatz, "assemble_and_solve", exact_pass)
+    return log
+
+
+def test_cut_pass_equals_the_full_pass(monkeypatch, capsys):
+    # every exact pass that the certificate's first dependency cuts to its
+    # support returns the full pass's equation, term for term, on the
+    # ansatz workload and cli-mix seeds 1-2; c7_k4, riccati_y2_k4 and
+    # wp_numeric_k4 drop unknowns
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from cases import ansatz_cases, cli_mix_cases
+
+    log = _cut_passes(monkeypatch)
+    argvs = [case.argv for case in ansatz_cases() + cli_mix_cases(1) + cli_mix_cases(2)
+             if case.argv[0] == "ansatz"]
+    for argv in argvs:
+        assert cli_main(argv) in (0, 3), argv
+    capsys.readouterr()
+    for _, _, _, cut, full in log:
+        assert (cut is None) == (full is None)
+        if cut is not None:
+            assert cut.dep == full.dep
+            assert _typed_terms(cut.poly) == _typed_terms(full.poly)
+    assert len(log) > 30
+    assert sum(len([j for j in columns if j]) < i for i, columns, *_ in log) == 3
+
+
+def test_cut_pass_without_a_nonzero_column_falls_back(monkeypatch):
+    # with one earlier monomial of nonzero coefficient dropped from the
+    # support, the cut system is inconsistent (its solution would be a
+    # second one of the full system), and the full pass finds the equation
+    for search in [("wp", "z = y/(x+y)", 4), ("y(x)*diff(y(x),x) = x", "z = y/(x+y)", 2)]:
+        found = _run_search(*search)
+        real_cert, real_pass = ansatz._independent_prefixes, ansatz.assemble_and_solve
+        passes = []
+
+        def cert(*args):
+            for miss, support in real_cert(*args):
+                if support is not None:
+                    dropped = next(j for j in support if j)
+                    support = [j for j in support if j != dropped]
+                yield miss, support
+
+        def exact_pass(packing, leading, earlier, *args, **kwargs):
+            out = real_pass(packing, leading, earlier, *args, **kwargs)
+            passes.append((len(earlier), out))
+            return out
+
+        monkeypatch.setattr(ansatz, "_independent_prefixes", cert)
+        monkeypatch.setattr(ansatz, "assemble_and_solve", exact_pass)
+        fallen = _run_search(*search)
+        monkeypatch.undo()
+        (cut, none), (full, hit) = passes[-2:]
+        assert none is None and cut < full and hit is fallen
+        assert render(fallen, "text") == render(found, "text")
+
+
+def test_support_is_the_exact_solutions_nonzero_columns(monkeypatch):
+    # at the hit, the support mod q lists exactly the columns whose N_i the
+    # exact solve finds nonzero: for c7_k4, for y*y' = x (the columns are
+    # lifted by the initial y) and for coupled inputs
+    log = _cut_passes(monkeypatch)
+    _run_search("wp", "z = y/(x+y)", 4)
+    _run_search("y(x)*diff(y(x),x) = x", "z = y/(x+y)", 2)
+    _coupled("z = y1", 3)
+    assert [(columns, nonzero) for _, columns, nonzero, _, _ in log] == [
+        ([0, 1, 3, 4, 5, 6, 7], [0, 1, 3, 4, 5, 6, 7]),
+        ([0, 1, 3], [0, 1, 3]),
+        ([4, 6, 7], [4, 6, 7])]
 
 
 @pytest.mark.parametrize("search", [

@@ -149,6 +149,10 @@ def test_over_lcm_gcd_fallback(monkeypatch):
     assert common == (x + one) * (x + one.scale(2)) * (x + one.scale(3))
     for n, (num, den) in zip(nums, pairs):
         assert n * den == num * common
+    # the second pair added to the first one's result: the same lcm and
+    # numerators, as the miss certificate carries them from order to order
+    first, first_common = over_lcm(pairs[:1], one)
+    assert over_lcm(pairs[1:], first_common, nums=first) == (nums, common)
 
     ade = equation_to_ade("diff(y(x),x) = y(x)", ctx)
     ring = _Packing([ade], RatFunc(x))

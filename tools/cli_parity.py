@@ -15,7 +15,9 @@ substituted away
 before Buchberger runs, and ansatz searches whose miss certificate meets
 an initial in y, a denominator q, a parameter, coupled inputs, a constant
 initial that it makes monic, an initial that vanishes mod 2^31 - 1, or
-an input of degree 70, and
+an input of degree 70, exact passes cut to the support of the
+certificate's first dependency (after an initial lift, on coupled inputs,
+and without the constant slot), and
 inputs that the parser lowers through a quotient, with Fraction
 coefficients or a non-ASCII parameter name), in-process through the
 checkout's ``dalg.cli.main(argv + ["--format", "json"])`` (an argv that
@@ -153,6 +155,15 @@ ERROR_ARGVS = [
     ("ansatz", "--ade", "y1*y1' = x", "--ade", "y2*y2' = x", "--spec", "z = y1*y2",
      "--degree-de", "2"),
     ("ansatz", "--ade", "y' = y^2 + x", "--spec", "z = y/(2*x+2*y)", "--degree-de", "2"),
+    # exact passes cut to the support of the miss certificate's first
+    # dependency: after an initial lift, on coupled inputs (with and
+    # without a lift), and on a support without the constant slot
+    ("ansatz", "--ade", "y^2*y' = x", "--spec", "z = y + 1", "--degree-de", "3"),
+    ("ansatz", "--ade", "y1' = y1*y2", "--ade", "y2' = 1", "--spec", "z = y1*y2",
+     "--degree-de", "2"),
+    ("ansatz", "--ade", "y1' = y1*y2", "--ade", "y2*y2' = x", "--spec", "z = y1",
+     "--degree-de", "3"),
+    ("ansatz", "--ade", "y' = y^2 + y", "--spec", "z = y/(x+y)", "--degree-de", "2"),
     # what the parser lowers: a rational right side, Fraction coefficients,
     # a spec whose quotient cancels, and a non-ASCII parameter, which JSON
     # escapes, in text and in json
