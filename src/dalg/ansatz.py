@@ -14,14 +14,20 @@ each row step divides exactly by the previous pivot instead of taking a
 gcd, and Cramer back-substitution, which writes every unknown i as N_i/d
 over the last pivot d.  The equation is d*z_lead + sum N_i*m_i divided
 by g = gcd(d, N_0, ..., N_k); no row and no unknown is reduced on the
-way.  A power of z that divides every term is then divided out: it is
-the spurious branch z = 0 that a lead of degree exactly k brings when an
-equation of lower degree exists.  The whole exact pass, from the slot
-values through the rows and the solve to the division by g, runs on the
-Groebner kernel's packed monomials (:class:`dalg.groebner._Kernel`), one
-kernel per search (:class:`_Packing`); only the equation is decoded to
-:class:`Poly`.  The miss certificate below runs on the same kernel, a
-second :class:`_Packing` built mod a prime q.
+way.  When an equation of lower degree exists, a lead of degree exactly
+k has a system with more than one solution, so a consistent lead m gets
+one canonical equation: that of the lead m/z^e for the largest e >= 1
+whose lead is consistent (the spurious branch z = 0 that the factor z^e
+brings, chosen instead of divided out), or, if there is none, the
+solution that is zero on every column depending on earlier columns,
+which is the one the solve returns when it pivots the columns in order
+(:func:`solve_linear_ratfunc`).  The
+whole exact pass, from the slot values through the rows and the solve to
+the division by g, runs on the Groebner kernel's packed monomials
+(:class:`dalg.groebner._Kernel`), one kernel per search
+(:class:`_Packing`); only the equation is decoded to :class:`Poly`.  The
+miss certificate below runs on the same kernel, a second
+:class:`_Packing` built mod a prime q.
 
 Most candidates fail, so failures are proven before the exact pass, by
 one certificate per derivative order r.  With L the lcm of the
@@ -41,37 +47,52 @@ inputs' degree, and a column that outgrows them declines the certificate
 for the rest of the order.  A candidate's exact columns are the slot
 values times its own common denominator c, pseudo-reduced, and L^k/c is
 the same polynomial for all of them, so a linear relation among them is
-one among these columns too.  So when the columns of the constant and of
-m_0, ..., m_i are linearly independent at the point, some maximal minor
-is nonzero there, hence a nonzero polynomial (Schwartz, J. ACM 1980),
-and the candidate with lead m_i is inconsistent: it is skipped.  At the
-first dependency every later candidate of the order takes the exact
-pass.  When that dependency falls on a lead m_i of degree k, it also
-hands the exact pass its unknowns: each echelon vector carries its
-combination of the columns, so the column of m_i, reduced to zero,
-carries the one relation mod q among the constant and m_0, ..., m_i, and
-the pass solves only for the monomials of that relation's support, with
-the constant slot always kept.  The columns of the constant and of m_0,
-..., m_(i-1) are independent, so the full exact system has at most one
-solution.  A cut that keeps every monomial of nonzero coefficient has
-that same solution, and so the same equation; a cut that drops one is
-inconsistent, since its solution would be a second one of the full
-system, and then the full pass runs.  The relation mod q is the image of
-the exact one wherever d does not vanish at the point, so the cut keeps
-the monomials of nonzero coefficient unless one of them vanishes there.
-An initial whose image depends on Y is not inverted: each column
-carries its exponent of that initial, and the columns are lifted to a
-common exponent, which again multiplies all of them by one nonzero
-polynomial; an input whose initial's image is a constant is made monic
-instead.  The image of a column is that of the exact reduced column
+one among these columns too.  A set of columns linearly independent at
+the point is independent, since some maximal minor is nonzero there,
+hence a nonzero polynomial (Schwartz, J. ACM 1980).  A column that
+reduces to zero is a dependency: it stays out of the echelon form, which
+goes on, and since each echelon vector carries its combination of the
+columns, the dependent column carries its relation mod q, whose support
+names it and independent columns only.  The search confirms a dependency
+by the canonical equation of its lead: the lead m/z^e's, else the exact
+pass cut to the support, the constant slot always kept, else the full
+pass.  Once every dependency before column i is confirmed, the rank at
+the point is the exact rank of the columns before i, so the independent
+ones among them are an exact basis, and by Cramer's rule on a minor that
+is nonzero at the point, a column in their span is in the span of their
+images: a column independent at the point is independent exactly, and
+the candidate with lead m_i is inconsistent and skipped.  A cut's
+columns are independent at the point, hence exactly, so its system has
+at most one solution, the one that is zero on every dependent column;
+the relation mod q is its image wherever d does not vanish at the point,
+so the cut finds it unless one of its coefficients vanishes there, and
+then the full pass runs, with its columns pivoted in order.  A
+dependency that even the full pass cannot
+confirm is an unlucky point, and the certificate declines for the rest
+of the order.  The search confirms in column order and only as far as
+it must: before it skips an independent candidate, before it cuts a
+dependent one, and up to the lead m/z^e that a dependent candidate
+reads; the lead m/z^e's equation times z^e shows m consistent without
+further confirmation.  An initial whose image depends on Y is not
+inverted: each column carries its exponent of that initial, and the
+columns are lifted to a common exponent, which multiplies all of them by
+one nonzero polynomial; an input whose initial's image is a constant is
+made monic instead.  The image of a column is that of the exact reduced column
 because a reduced form modulo the inputs is unique once their initials
 are units, which holds over the field of fractions of the non-leaders
 when no initial vanishes mod q.  If one does, the certificate works mod
-q = 2^31 - 19 instead, and if it vanishes there too, every candidate
-takes the exact pass.  Order 0 needs no certificate when the map names
-input dependents only below their orders (:func:`_transcendental`).  So
-the equation found is the same either way.  z^(r) itself is derived only
-when the search reaches order r.
+q = 2^31 - 19 instead, and if it vanishes there too, it declines.  Where
+the certificate declines, each candidate takes the full pass, which
+pivots on the lowest-degree entry anywhere and so keeps the minors low.
+A consistent one then tries the leads m/z^e, largest e first, and
+without one takes the full pass again with its columns pivoted in order,
+whose free columns are exactly those depending on earlier columns.
+Order 0 needs no
+certificate when the map names input dependents only below their orders
+(:func:`_transcendental`).  So the equation found is the same either way:
+both paths give the canonical equation of the first consistent candidate,
+and a system of full column rank has one solution whatever the pivots.
+z^(r) itself is derived only when the search reaches order r.
 """
 
 from __future__ import annotations
@@ -86,7 +107,7 @@ from .diffpoly import RatFunc, normalize_ade
 from .errors import AnsatzNotFoundError, ArgumentError, ResourceCapError
 from .groebner import _Kernel
 from .orders import GrevLex
-from .poly import Poly, exact_div, mono_div, mono_mul, over_lcm, poly_gcd
+from .poly import Poly, exact_div, mono_mul, over_lcm, poly_gcd
 
 _PRIMES = (2 ** 31 - 1, 2 ** 31 - 19)  # the miss certificate's prime, then its fallback
 _ONE = ([0], [1])   # the packed polynomial 1 of any kernel
@@ -134,7 +155,7 @@ class LinearSystem:
     kernel: _Kernel
 
 
-def solve_linear_ratfunc(system: LinearSystem):
+def solve_linear_ratfunc(system: LinearSystem, in_order: bool = False):
     """Fraction-free (Bareiss) elimination with Cramer back-substitution.
 
     Each step pivots on the nonzero entry of lowest (total degree, terms,
@@ -147,6 +168,14 @@ def solve_linear_ratfunc(system: LinearSystem):
     division by its own pivot; free unknowns get N_i = 0.  Returns the pair
     (N, d), left unreduced and packed, or None as soon as a row reads
     0 = nonzero constant.
+
+    With ``in_order`` each step pivots in the first free column that is
+    nonzero in some unused row, on its entry of lowest (total degree,
+    terms, row), and the free columns before it stay free: those are
+    exactly the columns that depend on earlier ones, so a consistent
+    system gets the solution that is zero on every such column.  A system
+    of full column rank has one solution, which either rule finds; the
+    first rule keeps the minors' degrees lower.
 
     The kernel's order must be graded, so that a leading monomial carries
     the total degree.  Every entry, pivot and numerator is a minor of
@@ -182,13 +211,15 @@ def solve_linear_ratfunc(system: LinearSystem):
                for row in rows):
             return None
         best = None
-        for ri, row in enumerate(rows):
-            for ci in free_cols:
+        for ci in free_cols:
+            for ri, row in enumerate(rows):
                 monos = row[ci][0]
                 if monos:
                     cand = (K.degree(monos[0]), len(monos), ri, ci)
                     if best is None or cand < best:
                         best = cand
+            if in_order and best is not None:
+                break
         if best is None:
             break
         _, _, ri, ci = best
@@ -415,7 +446,7 @@ class _Packing:
 
 
 def assemble_and_solve(packing: _Packing, leading, earlier, closure_vals,
-                       z_name: str = "z"):
+                       z_name: str = "z", in_order: bool = False):
     """Try the ansatz with the given leading monomial (coefficient one) and
     unknowns on the earlier monomials plus a constant slot, all exponent
     tuples.  Returns the solved equation, or None when the linear system is
@@ -430,12 +461,15 @@ def assemble_and_solve(packing: _Packing, leading, earlier, closure_vals,
     multiplies every column by the input's initial and cancels each
     column's own top coefficient, which is pseudo-division of
     sum c_i*col_i term for term.  Each monomial in Y then gives one row,
-    and the rows go to :func:`solve_linear_ratfunc`.  Of the equation
+    and the rows go to :func:`solve_linear_ratfunc`, which pivots the
+    columns in order when ``in_order`` is set.  Of the equation
     d*z_lead + sum N_i*m_i, each part d and N_i is divided by
     g = gcd(d, N_0, ..., N_k) on its own, since the z-monomials m_i are
-    distinct, and only the result is decoded.  :func:`ansatz_search`
-    calls it only for candidates that the miss certificate leaves
-    unproven."""
+    distinct, and only the result is decoded.  No power of z is divided
+    out: :func:`ansatz_search` chooses the lead that the branch z = 0
+    would leave (see the module docstring), and calls this only for
+    candidates that the miss certificate leaves unproven or that confirm
+    one of its dependencies."""
     unknowns = [(0,) * len(leading)] + earlier
     while True:
         rows = None     # the rows once built; an overflow after that is the solve's
@@ -446,7 +480,8 @@ def assemble_and_solve(packing: _Packing, leading, earlier, closure_vals,
             if not any(monos for monos, _ in cols):
                 return None
             rows = packing.rows(cols)
-            solution = solve_linear_ratfunc(LinearSystem(unknowns, rows, packing.K))
+            solution = solve_linear_ratfunc(LinearSystem(unknowns, rows, packing.K),
+                                            in_order=in_order)
             break
         except ResourceCapError:
             packing.widen(rows)
@@ -474,15 +509,7 @@ def assemble_and_solve(packing: _Packing, leading, earlier, closure_vals,
             if g != _ONE:
                 part = packing.quotient(part, g)
             terms.update(packing.decode(part, z_mono).terms)
-    equation = Poly(ctx, terms)
-    # divide out z^e, the branch z = 0 (see the module docstring); a
-    # monomial equation would be left without z and stays
-    z0 = ctx.diff_var(z_id, 0).index
-    e = min(dict(mono).get(z0, 0) for mono in equation.terms)
-    if e and len(equation.terms) > 1:
-        equation = Poly(ctx, {mono_div(mono, ((z0, e),)): c
-                              for mono, c in equation.terms.items()})
-    return normalize_ade(equation, dep=z_id)
+    return normalize_ade(Poly(ctx, terms), dep=z_id)
 
 
 def _point_image(ades):
@@ -498,24 +525,29 @@ def _point_image(ades):
 
 def _independent_prefixes(img, over, k: int, monos: list):
     """Yield, for each monomial m_i of ``monos`` in turn, the pair (miss,
-    support).  miss is whether the columns of the constant slot and of
-    m_0, ..., m_i are linearly independent in the image ``img`` (a
-    :class:`_Packing` mod q, or None when the certificate declines), which
-    proves the candidate with lead m_i a miss (see the module docstring).
-    ``over`` holds the numerators of z, ..., z^(r) over L, the lcm of their
-    denominators, and L, as :func:`over_lcm` returns them.  Column i is
-    built only when answer i is asked for.  After the first dependency
-    every answer is False, as is every answer when the certificate
-    declines, and it declines when a column outgrows the kernel's fields.
+    support), from an echelon form mod q of the columns of the constant
+    slot and of m_0, m_1, ... in the image ``img`` (a :class:`_Packing`
+    mod q, or None when the certificate declines).  ``over`` holds the
+    numerators of z, ..., z^(r) over L, the lcm of their denominators, and
+    L, as :func:`over_lcm` returns them.  Column i is built only when
+    answer i is asked for.
 
-    support is None but at the first dependency: there it lists, in
-    increasing order, the columns with a nonzero coefficient in the one
-    relation mod q among the columns, 0 for the constant slot and j + 1
-    for m_j.  Each echelon vector carries its combination of the columns
-    as a dict, reduced along with it; a lift to a common exponent of the
-    initials multiplies every column by one factor and leaves the
-    combinations as they are, so the column that reduces to zero carries
-    that relation."""
+    A column independent of the earlier ones joins the echelon form, and
+    support is None.  A column that reduces to zero stays out of it, and
+    support lists, in increasing order, the columns with a nonzero
+    coefficient in its relation mod q, 0 for the constant slot and j + 1
+    for m_j; the echelon goes on.  Each echelon vector carries its
+    combination of the columns as a dict, reduced along with it, and only
+    independent columns enter one, so a support names m_i and independent
+    columns only; a lift to a common exponent of the initials multiplies
+    every column by one factor and leaves the combinations as they are.
+
+    miss is whether the column is independent at the point.  Once every
+    earlier dependency is confirmed exact, that proves the candidate with
+    lead m_i a miss (see the module docstring); the caller confirms them.
+    Every answer is (False, None) once the certificate declines: from the
+    start when ``img`` is None or the constant's column is zero mod q, and
+    from a column that outgrows the kernel's fields on."""
     nums, L = over
 
     def element(f, exps=None):
@@ -594,25 +626,22 @@ def _independent_prefixes(img, over, k: int, monos: list):
         relation = independent(dict(zip(*f)), {j: 1})
         return None if relation is None else sorted(relation)
 
-    alive = img is not None
     try:
-        if alive:
+        if img is not None:
             base = [element(img.encode(n)) for n in nums]
             powers = [element(_ONE)]        # L^0, ..., L^k
             L_img = element(img.encode(L))
             for _ in range(k):
                 powers.append(times(powers[-1], L_img))
             prods = {(0,) * len(nums): powers[0]}
-            alive = insert(powers[k], 0) is None
-        for j, m in enumerate(monos, 1):
-            support = None
-            if alive:
-                i = next(i for i, e in enumerate(m) if e)
-                prod = prods[m] = times(prods[(*m[:i], m[i] - 1, *m[i + 1:])], base[i])
-                deg = sum(m)
-                support = insert(prod if deg == k else times(powers[k - deg], prod), j)
-                alive = support is None
-            yield alive, support
+            if insert(powers[k], 0) is None:
+                for j, m in enumerate(monos, 1):
+                    i = next(i for i, e in enumerate(m) if e)
+                    prod = prods[m] = times(prods[(*m[:i], m[i] - 1, *m[i + 1:])],
+                                            base[i])
+                    deg = sum(m)
+                    support = insert(prod if deg == k else times(powers[k - deg], prod), j)
+                    yield support is None, support
     except ResourceCapError:
         pass
     while True:
@@ -634,11 +663,22 @@ def _transcendental(R: RatFunc, ades) -> bool:
 def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z"):
     """Search leading monomials of degree k in enumeration order, raising the
     derivative order of the ansatz from 0 up to the cap, and return the first
-    equation found.  z^(r) is derived on reaching order r, and each
-    candidate that the order's miss certificate does not prove a miss takes
-    the exact pass, first cut to the support of the certificate's first
-    dependency when that is the candidate's; order 0 is skipped when
-    :func:`_transcendental` proves its one candidate a miss."""
+    equation found.  z^(r) is derived on reaching order r, and order 0 is
+    skipped when :func:`_transcendental` proves its one candidate a miss.
+
+    Every lead of the order, of any degree, has one canonical answer (see
+    the module docstring): its equation, or None where it is
+    inconsistent, settled once, when the search first needs it.  The
+    certificate's answer for a column holds only while every earlier
+    dependency is exact, so before the search relies on it, it confirms
+    those dependencies in column order, up to that column.  A dependency's
+    answer is that of the lead m/z^e for the largest e whose lead is
+    consistent, else the exact pass cut to its support, else the full
+    pass in column order; one that none of them confirms was an unlucky
+    point, and from its column on the certificate declines.  Where it
+    declines, a lead takes the full pass, and a consistent one then
+    answers with the lead m/z^e if there is one, else with the full pass
+    in column order."""
     if k < 1:
         raise ArgumentError("degree bound must be at least 1")
     ades = list(ades)
@@ -650,6 +690,71 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
     # z, ..., z^(r) over the lcm of their denominators, for the certificate
     over = ([], Poly.const(R.num.ctx, 1))
     packing = None      # built at the first exact pass
+
+    def exact(i, earlier=None, in_order=False):
+        """The exact pass for the lead monos[i], on ``earlier`` or on every
+        earlier monomial."""
+        nonlocal packing
+        packing = packing or _Packing(ades, R)
+        if earlier is None:
+            earlier = monos[:i]
+        return assemble_and_solve(packing, monos[i], earlier, vals, z_name=z_name,
+                                  in_order=in_order)
+
+    def full(i):
+        """The status of the lead monos[i] without the certificate: the full
+        pass decides whether it is consistent, and a consistent one answers
+        with the branch z = 0, else with the full pass in column order,
+        whose free columns are the dependent ones."""
+        found = exact(i)
+        if found is not None:
+            found = z_branch(i) or exact(i, in_order=True)
+        return found
+
+    def z_branch(i):
+        """The status of the lead monos[i]/z^e for the largest e >= 1 whose
+        lead is consistent, or None: the branch z = 0."""
+        m = monos[i]
+        for e in range(min(m[0], sum(m) - 1), 0, -1):
+            found = status(monos.index((m[0] - e, *m[1:])))
+            if found is not None:
+                return found
+        return None
+
+    def confirmed_before(i):
+        """Settle the dependencies before column i in column order; whether
+        the certificate's answers still hold at i."""
+        for c in range(i):
+            if c < trusted and told[c][1] is not None:
+                status(c)
+        return i < trusted
+
+    def status(i):
+        if i not in known:
+            known[i] = settle(i)
+        return known[i]
+
+    def settle(i):
+        nonlocal trusted
+        miss, support = told[i]
+        if support is not None and i < trusted:
+            found = z_branch(i)
+            if found is not None:
+                return found
+        if (miss or support is not None) and confirmed_before(i):
+            if miss:
+                return None
+            # the unknowns on the support, whose last column is the lead's
+            found = exact(i, [monos[j - 1] for j in support[:-1] if j])
+            if found is None:
+                # the full pass; the lead m/z^e had no answer above
+                found = exact(i, in_order=True)
+            if found is None:
+                # the rank mod q fell short of the exact one at column i
+                trusted = i
+            return found
+        return full(i)
+
     for r in range(order_cap + 1):
         if r:
             vals.append(derivative_closure(vals[-1], ades, 1)[1])
@@ -658,19 +763,13 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
             continue
         monos = enumerate_delta(k, r)
         answers = _independent_prefixes(img, over, k, monos)
-        for i, (leading, (miss, support)) in enumerate(zip(monos, answers)):
-            if sum(leading) == k and not miss:
-                packing = packing or _Packing(ades, R)
-                found = None
-                if support is not None:
-                    # the first dependency: the unknowns on its support,
-                    # whose last column is the lead's
-                    found = assemble_and_solve(
-                        packing, leading, [monos[j - 1] for j in support[:-1] if j],
-                        vals, z_name=z_name)
-                if found is None:
-                    found = assemble_and_solve(packing, leading, monos[:i], vals,
-                                               z_name=z_name)
+        told: list = []         # the certificate's answer for each column
+        known: dict = {}        # column -> the status of its lead
+        trusted = len(monos)    # the answers hold before this column
+        for i, leading in enumerate(monos):
+            told.append(next(answers) if i < trusted else (False, None))
+            if sum(leading) == k:
+                found = status(i)
                 if found is not None:
                     return found
     raise AnsatzNotFoundError(k, order_cap)

@@ -258,7 +258,7 @@ def buchberger_with_certificates(gens, order: MonomialOrder):
 # -- the reference linear solve -----------------------------------------------
 
 
-def solve_poly_rows(unknowns, rows):
+def solve_poly_rows(unknowns, rows, in_order=False):
     """dalg.ansatz.solve_linear_ratfunc on rows (list of entries, entry)
     of Polys: the rows are encoded into a kernel whose fields hold a
     product of two minors, sized by the Bareiss bound (each row's largest
@@ -273,7 +273,7 @@ def solve_poly_rows(unknowns, rows):
         return K.sort(K.encode(p))
 
     packed = [([encode(p) for p in coeffs], encode(const)) for coeffs, const in rows]
-    solution = solve_linear_ratfunc(LinearSystem(unknowns, packed, K))
+    solution = solve_linear_ratfunc(LinearSystem(unknowns, packed, K), in_order=in_order)
     if solution is None:
         return None
     ctx = rows[0][1].ctx
@@ -285,12 +285,14 @@ def solve_poly_rows(unknowns, rows):
     return [decode(n) for n in nums], decode(d)
 
 
-def reference_solve_linear(unknowns, rows):
+def reference_solve_linear(unknowns, rows, in_order=False):
     """Bareiss forward pass and Cramer back-substitution on Poly arithmetic,
-    with the pivot rule of dalg.ansatz.solve_linear_ratfunc: the lowest
-    (total degree, terms, row, column) among the unused rows and columns.
-    Every column of every unused row is updated, pivoted ones included.
-    Returns (N, d) or None for an inconsistent system."""
+    with the pivot rules of dalg.ansatz.solve_linear_ratfunc: the lowest
+    (total degree, terms, row, column) among the unused rows and columns,
+    or with ``in_order`` the lowest among the entries of the first free
+    column that is nonzero in some unused row.  Every column of every
+    unused row is updated, pivoted ones included.  Returns (N, d) or None
+    for an inconsistent system."""
     ncols = len(unknowns)
     ctx = rows[0][1].ctx
     rows = [list(coeffs) + [const] for coeffs, const in rows]
@@ -307,17 +309,15 @@ def reference_solve_linear(unknowns, rows):
         if any(not row[ncols].is_zero() and all(row[c].is_zero() for c in free_cols)
                for row in rows):
             return None
-        best = None
-        for ri, row in enumerate(rows):
-            for ci in free_cols:
-                p = row[ci]
-                if not p.is_zero():
-                    cand = (p.total_degree(), p.num_terms(), ri, ci)
-                    if best is None or cand < best:
-                        best = cand
-        if best is None:
+        cands = [(row[ci].total_degree(), row[ci].num_terms(), ri, ci)
+                 for ri, row in enumerate(rows) for ci in free_cols
+                 if not row[ci].is_zero()]
+        if not cands:
             break
-        _, _, ri, ci = best
+        if in_order:
+            first = min(ci for *_, ci in cands)
+            cands = [cand for cand in cands if cand[3] == first]
+        _, _, ri, ci = min(cands)
         prow = rows.pop(ri)
         pivot = prow[ci]
         rows = [[exact(pivot * p - row[ci] * q, prev) for p, q in zip(row, prow)]
@@ -337,9 +337,10 @@ def reference_solve_linear(unknowns, rows):
 
 
 def reference_assemble(ades, leading, earlier, closure_vals, value_cache: dict,
-                       z_name="z"):
+                       z_name="z", in_order=False):
     """The ansatz's exact pass for one candidate on Poly arithmetic, with
-    :func:`reference_solve_linear` for the solve: what
+    :func:`reference_solve_linear` for the solve (pivoting in column order
+    with ``in_order``): what
     dalg.ansatz.assemble_and_solve returns, term for term, or None.
 
     The slot values' numerators go over the lcm of their denominators
@@ -348,8 +349,7 @@ def reference_assemble(ades, leading, earlier, closure_vals, value_cache: dict,
     monomial in the input dependents gives one row, the rows sorted by
     that monomial as a tuple and each scaled by the lcm of its
     coefficients' denominators; and the solved equation
-    d*z_lead + sum N_i*m_i is divided by g = gcd(d, N_0, ..., N_k) and by
-    the largest power of z that divides every term."""
+    d*z_lead + sum N_i*m_i is divided by g = gcd(d, N_0, ..., N_k)."""
     unknowns = [(0,) * len(leading)] + earlier
     ctx = ades[0].ctx
 
@@ -397,7 +397,7 @@ def reference_assemble(ades, leading, earlier, closure_vals, value_cache: dict,
         row = [Poly(ctx, terms) for terms in entries]
         sys_rows.append((row[:-1], row[-1]))
 
-    solution = reference_solve_linear(unknowns, sys_rows)
+    solution = reference_solve_linear(unknowns, sys_rows, in_order=in_order)
     if solution is None:
         return None
     sol, d = solution
@@ -421,11 +421,6 @@ def reference_assemble(ades, leading, earlier, closure_vals, value_cache: dict,
         equation = equation + z_poly(m) * n
     equation = try_exact_divide(equation, g)
     assert equation is not None, "gcd(d, N_0, ..., N_k) does not divide the equation"
-    z0 = ctx.diff_var(z_id, 0).index
-    e = min(dict(mono).get(z0, 0) for mono in equation.terms)
-    if e and len(equation.terms) > 1:
-        equation = Poly(ctx, {mono_div(mono, ((z0, e),)): c
-                              for mono, c in equation.terms.items()})
     return normalize_ade(equation, dep=z_id)
 
 

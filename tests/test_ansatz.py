@@ -22,6 +22,7 @@ from conftest import (at_series, certified_by_substitution, make_rng,
                       proportional, random_poly, reference_assemble,
                       reference_derivative, reference_solve_linear, same_ratfunc,
                       series_solution, solve_poly_rows, weierstrass)
+from test_acceptance import EQ_ANSATZ_K3_TEXT
 
 
 def test_enumerate_delta_order_and_counts():
@@ -197,6 +198,24 @@ def test_solve_linear_underdetermined_free_unknown():
     assert sum(n.is_zero() for n in sol[0]) == 1
 
 
+def test_solve_linear_in_order_frees_the_dependent_columns():
+    # column 0 is x times column 1, so the system has a line of solutions.
+    # The lowest-degree pivot takes column 1 first and leaves column 0
+    # free; pivoting in order leaves column 1 free, the one that depends on
+    # an earlier column.  Both solve the system
+    ctx = Context()
+    cs = [ctx.param(f"c{i}") for i in range(3)]
+    x = Poly.var(ctx, ctx.indep)
+    one = Poly.const(ctx, 1)
+    rows = [([x, one, one], (x + one).scale(-1)),
+            ([x * x, x, Poly(ctx)], (x * x).scale(-1))]
+    for in_order, free in [(False, 0), (True, 1)]:
+        sol = solve_poly_rows(cs, rows, in_order=in_order)
+        _assert_solves(rows, sol)
+        assert [n.is_zero() for n in sol[0]] == [c == free for c in range(3)]
+        assert sol == reference_solve_linear(cs, rows, in_order=in_order)
+
+
 def test_exact_quotient_by_constant():
     # the equation's division by a constant gcd(d, N_0, ..., N_k) other
     # than +-1 stays exact: int where the quotient is integral, Fraction
@@ -260,24 +279,25 @@ def _typed_terms(p):
 
 def test_solve_linear_matches_poly_reference():
     # the packed solve and the Poly Bareiss of tests/conftest.py pick the
-    # same pivots, so they agree term for term, and on None
+    # same pivots, by either rule, so they agree term for term, and on None
     ctx = Context()
     vs = [ctx.indep, ctx.param("a")]
     rng = make_rng(13)
     seen = {"none": 0, "free": 0, "solved": 0}
     for _ in range(40):
         unknowns, rows = _random_system(ctx, vs, rng)
-        want = reference_solve_linear(unknowns, rows)
-        got = solve_poly_rows(unknowns, rows)
-        if want is None:
-            assert got is None
-            seen["none"] += 1
-            continue
-        assert got is not None
-        _assert_solves(rows, got)
-        assert [_typed_terms(n) for n in got[0]] == [_typed_terms(n) for n in want[0]]
-        assert _typed_terms(got[1]) == _typed_terms(want[1])
-        seen["free" if any(n.is_zero() for n in got[0]) else "solved"] += 1
+        for in_order in (False, True):
+            want = reference_solve_linear(unknowns, rows, in_order=in_order)
+            got = solve_poly_rows(unknowns, rows, in_order=in_order)
+            if want is None:
+                assert got is None
+                seen["none"] += 1
+                continue
+            assert got is not None
+            _assert_solves(rows, got)
+            assert [_typed_terms(n) for n in got[0]] == [_typed_terms(n) for n in want[0]]
+            assert _typed_terms(got[1]) == _typed_terms(want[1])
+            seen["free" if any(n.is_zero() for n in got[0]) else "solved"] += 1
     assert min(seen.values()) > 0, seen
 
 
@@ -408,11 +428,16 @@ def _cli_text(capsys, *argv):
 @pytest.mark.parametrize("ade_text, spec, k", [
     ("diff(y(x),x) = -4*y(x) + 1", "z = -2*y + 3", 2),
     ("diff(y(x),x) = y(x)^2 + x", "z = y/(x+y)", 3),
+    ("y(x)*diff(y(x),x) = x", "z = y^2/(x+y)", 3),
+    ("diff(y(x),x) = y(x) + x", "z = y/(x+y)", 4),
+    ("diff(y(x),x) = y(x)^2 + x", "z = y/(x+y)", 4),
 ])
 def test_ansatz_drops_spurious_z_factor(capsys, ade_text, spec, k):
-    # a lead of degree exactly k multiplies a lower-degree equation by a
-    # power of z (the branch z = 0); divided out, the search prints what
-    # elimination prints
+    # a lead of degree exactly k is consistent when a lower-degree equation
+    # exists: that equation times a power of z (the branch z = 0), or times
+    # another monomial.  The search answers with the equation of the lead
+    # divided by the largest power of z that leaves a consistent lead, and
+    # so prints what elimination prints
     found = _cli_text(capsys, "ansatz", "--ade", ade_text, "--spec", spec,
                       "--degree-de", str(k))
     assert found == _cli_text(capsys, "unary", "--ade", ade_text, "--spec", spec)
@@ -477,10 +502,13 @@ def test_miss_certificate_fires_only_on_inconsistent_candidates(monkeypatch):
     # every candidate runs the exact pass; wherever the certificate fires,
     # that pass must find no solution.  Checking outputs alone would miss a
     # certificate that drops a consistent candidate when a later one hits.
+    # The certificate fires on z^3 and z^2*z' of y*y' = x, z = y^2/(x+y)
+    # after the dependency z'^2
     log = _trace_candidates(monkeypatch, _full_pass)
     searches = [("wp", "z = y/(x+y)", 2), ("wp", "z = y/(x+y)", 3),
                 ("diff(y(x),x) = y(x)^2 + x", "z = y^2/(x+y)", 4),
-                ("y(x)*diff(y(x),x) = x", "z = y/(x+y)", 2)]
+                ("y(x)*diff(y(x),x) = x", "z = y/(x+y)", 2),
+                ("y(x)*diff(y(x),x) = x", "z = y^2/(x+y)", 3)]
     searches += [(a, s, 2) for _, a, s in _seeded_first_order_maps()]
     for search in searches:
         start = len(log)
@@ -582,12 +610,14 @@ def _answers(ade_text, spec, r, k, supports=False):
 
 
 def test_certified_miss_is_a_rank_test():
+    # each answer is the rank test at the point, whatever came before it.
     # y' = y, z = y at order 1: the columns are 1, z = y and z' = y.  1 and
     # y are independent, so z + c = 0 is inconsistent; z' - z = 0 holds, so
-    # z' is dependent, and so is every later column of the order
+    # z' is dependent and stays out of the echelon form.  At k = 2, z^2 = y^2
+    # is independent of 1 and y, and z*z' and z'^2 depend on it
     assert _answers("diff(y(x),x) = y(x)", "z = y", 1, 1) == [True, False]
-    assert _answers("diff(y(x),x) = y(x)", "z = y", 1, 2) == [True, False, False,
-                                                              False, False]
+    assert _answers("diff(y(x),x) = y(x)", "z = y", 1, 2, supports=True) == [
+        (True, None), (False, [1, 2]), (True, None), (False, [3, 4]), (False, [3, 5])]
     # the first dependency's answer carries the relation's support: the
     # columns of z (1) and z' (2), and not the constant's (0)
     assert _answers("diff(y(x),x) = y(x)", "z = y", 1, 1, supports=True) == [
@@ -599,11 +629,10 @@ def test_certified_miss_is_a_rank_test():
     assert _answers("y(x)*diff(y(x),x) = x", "z = y^2", 1, 1, supports=True)[1] == (
         False, [0, 2])
     # with z = y the column z^2 = y^2 comes after z' = x and is lifted to
-    # y^3, independent of y, y^2 and x; z*z' = y*(x/y) = x is dependent
-    assert _answers("y(x)*diff(y(x),x) = x", "z = y", 1, 2) == [True, True, True,
-                                                               False, False]
-    assert _answers("y(x)*diff(y(x),x) = x", "z = y", 1, 2, supports=True)[3:] == [
-        (False, [0, 4]), (False, None)]
+    # y^3, independent of y, y^2 and x; z*z' = y*(x/y) = x is dependent,
+    # and z'^2 = x^2/y^2 is independent again
+    assert _answers("y(x)*diff(y(x),x) = x", "z = y", 1, 2, supports=True) == [
+        (True, None), (True, None), (True, None), (False, [0, 4]), (True, None)]
     # z = x^2 has one row, the monomial 1 in y, which cannot give the two
     # columns 1 and z full rank
     assert _answers("diff(y(x),x) = y(x)", "z = x^2", 0, 2) == [False, False]
@@ -615,22 +644,24 @@ def test_certified_miss_is_a_rank_test():
     # 3*y' = y has the constant initial 3, which the image mod q makes
     # monic instead of carrying its exponent: under z = y^2 the column of
     # z' = 2*y^2/3 is dependent on that of z.  Under 3*y' = y^2 + x and
-    # z = y, z' = (y^2 + x)/3 is independent of 1 and y, and z^2 = y^2 is
-    # dependent on 1 and z': z^2 - 3*z' + x = 0
+    # z = y, z' = (y^2 + x)/3 is independent of 1 and y, z^2 = y^2 is
+    # dependent on 1 and z' (z^2 - 3*z' + x = 0), and z*z' and z'^2 are
+    # independent
     ade = equation_to_ade("3*diff(y(x),x) = y(x)", Context())
     *_, lc, poly = ansatz._point_image([ade]).inputs[0]
     assert lc == ansatz._ONE and poly[1][0] == 1
     assert _answers("3*diff(y(x),x) = y(x)", "z = y^2", 1, 1) == [True, False]
     assert _answers("3*diff(y(x),x) = y(x)^2 + x", "z = y", 1, 2) == [True, True, False,
-                                                                     False, False]
+                                                                     True, True]
 
 
 def test_certificate_fields_hold_a_high_degree_input():
     # y^70 in the input: fields sized like the exact pass's (degree 71 here)
-    # make the certificate decline part-way, at 13 and 8 misses; its own
-    # fields, for degree 2^14 - 1, prove all 14 and 28 of them
+    # make the certificate decline part-way, at 13 and 8 independent
+    # columns; its own fields, for degree 2^14 - 1, hold every column, and
+    # find all 14 of order 1 and 33 of the 34 of order 2 independent
     search = ("diff(y(x),x) = y(x)^70 + x", "z = y^2")
-    assert [sum(_answers(*search, r, 4)) for r in (1, 2)] == [14, 28]
+    assert [sum(_answers(*search, r, 4)) for r in (1, 2)] == [14, 33]
     assert render(_run_search(*search, 4), "text") == (
         "19600*diff(z(x),x)^2*z(x)*x^2 - 5041*diff(z(x),x)^4"
         " + 284*diff(z(x),x,x)*diff(z(x),x)^2*z(x) - 4*diff(z(x),x,x)^2*z(x)^2"
@@ -645,7 +676,7 @@ def test_certificate_declines_when_a_column_outgrows_its_fields(monkeypatch):
     # takes the exact pass, and the equation is the one found with the
     # certificate patched out
     search = ("diff(y(x),x) = y(x) + x", "z = y/(x+y)")
-    assert [sum(_answers(*search, r, 4)) for r in range(3)] == [4, 2, 3]
+    assert [sum(_answers(*search, r, 4)) for r in range(3)] == [4, 8, 12]
     found = _run_search(*search, 4)
     log = _trace_candidates(monkeypatch, _full_pass)
     unchecked = _run_search(*search, 4)
@@ -686,34 +717,36 @@ def test_exhausting_coupled_search_runs_no_exact_pass(monkeypatch):
 
 
 def _cut_passes(monkeypatch):
-    """Patch the search so that the first exact pass of each candidate whose
-    answer carries a support also runs the full pass, and logs (the lead's
-    index i, the support's earlier columns, the columns of the full pass's
-    nonzero N_i, the cut pass's equation, the full pass's equation);
-    columns are 0 for the constant slot and j + 1 for m_j."""
+    """Patch the search so that each exact pass cut to the support of a
+    dependency (a candidate's, or one it confirms) also runs the full pass,
+    and logs (the lead's index i, the support's earlier columns, the columns
+    of the full pass's nonzero N_i, the cut pass's equation, the full pass's
+    equation); columns are 0 for the constant slot and j + 1 for m_j.  The
+    full pass pivots its columns in order, so that it leaves free exactly
+    the columns that depend on earlier ones."""
     real_cert, real_pass = ansatz._independent_prefixes, ansatz.assemble_and_solve
     real_solve = ansatz.solve_linear_ratfunc
-    answer, log = {}, []
+    order, log = {}, []
 
     def cert(img, over, k, monos):
-        for miss, support in real_cert(img, over, k, monos):
-            answer.update(support=support, monos=monos, fresh=True)
+        order.update(monos=monos, supports={})
+        for m, (miss, support) in zip(monos, real_cert(img, over, k, monos)):
+            order["supports"][m] = support
             yield miss, support
 
-    def solve(system):
-        answer["solution"] = real_solve(system)
-        return answer["solution"]
+    def solve(system, **kwargs):
+        order["solution"] = real_solve(system, **kwargs)
+        return order["solution"]
 
-    def exact_pass(packing, leading, earlier, vals, z_name="z"):
-        support, fresh = answer["support"], answer["fresh"]
-        answer["fresh"] = False
-        if support is None or not fresh:
-            return real_pass(packing, leading, earlier, vals, z_name=z_name)
-        i = answer["monos"].index(leading)
-        answer["solution"] = None
-        full = real_pass(packing, leading, answer["monos"][:i], vals, z_name=z_name)
-        nonzero = (None if answer["solution"] is None else
-                   [j for j, n in enumerate(answer["solution"][0]) if n[0]])
+    def exact_pass(packing, leading, earlier, vals, z_name="z", **kwargs):
+        monos, support = order["monos"], order["supports"].get(leading)
+        if support is None or earlier != [monos[j - 1] for j in support[:-1] if j]:
+            return real_pass(packing, leading, earlier, vals, z_name=z_name, **kwargs)
+        i = monos.index(leading)
+        order["solution"] = None
+        full = real_pass(packing, leading, monos[:i], vals, z_name=z_name, in_order=True)
+        nonzero = (None if order["solution"] is None else
+                   [j for j, n in enumerate(order["solution"][0]) if n[0]])
         cut = real_pass(packing, leading, earlier, vals, z_name=z_name)
         log.append((i, support[:-1], nonzero, cut, full))
         return cut
@@ -725,9 +758,13 @@ def _cut_passes(monkeypatch):
 
 
 def test_cut_pass_equals_the_full_pass(monkeypatch, capsys):
-    # every exact pass that the certificate's first dependency cuts to its
+    # every exact pass that a dependency of the certificate cuts to its
     # support returns the full pass's equation, term for term, on the
-    # ansatz workload and cli-mix seeds 1-2; c7_k4, riccati_y2_k4 and
+    # ansatz workload and cli-mix seeds 1-2: first dependencies, later
+    # ones and the confirmed leads that z-rule hits read.  The full pass
+    # leaves every column that depends on earlier ones free, so where the
+    # system is rank-deficient both give the solution that is zero there.
+    # c7_k3 (z^3, after confirming z*z''), c7_k4, riccati_y2_k4 and
     # wp_numeric_k4 drop unknowns
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     from cases import ansatz_cases, cli_mix_cases
@@ -744,7 +781,7 @@ def test_cut_pass_equals_the_full_pass(monkeypatch, capsys):
             assert cut.dep == full.dep
             assert _typed_terms(cut.poly) == _typed_terms(full.poly)
     assert len(log) > 30
-    assert sum(len([j for j in columns if j]) < i for i, columns, *_ in log) == 3
+    assert sum(len([j for j in columns if j]) < i for i, columns, *_ in log) == 4
 
 
 def test_cut_pass_without_a_nonzero_column_falls_back(monkeypatch):
@@ -791,6 +828,95 @@ def test_support_is_the_exact_solutions_nonzero_columns(monkeypatch):
         ([4, 6, 7], [4, 6, 7])]
 
 
+def _answer_log(monkeypatch, rewrite=lambda lead, answer: answer):
+    """Patch the certificate to log (lead, answer) for each column it
+    builds; the search takes ``rewrite(lead, answer)`` instead of each
+    answer."""
+    real_cert, log = ansatz._independent_prefixes, []
+
+    def cert(img, over, k, monos):
+        for m, answer in zip(monos, real_cert(img, over, k, monos)):
+            log.append((m, answer))
+            yield rewrite(m, answer)
+
+    monkeypatch.setattr(ansatz, "_independent_prefixes", cert)
+    return log
+
+
+def _pass_log(monkeypatch):
+    """Patch the search to log (lead, number of earlier monomials, whether
+    the solve pivots in column order) for each exact pass."""
+    real_pass, log = ansatz.assemble_and_solve, []
+
+    def exact_pass(packing, leading, earlier, *args, in_order=False, **kwargs):
+        log.append((leading, len(earlier), in_order))
+        return real_pass(packing, leading, earlier, *args, in_order=in_order, **kwargs)
+
+    monkeypatch.setattr(ansatz, "assemble_and_solve", exact_pass)
+    return log
+
+
+@pytest.mark.parametrize("search", [
+    ("wp", "z = y/(x+y)", 3),
+    ("diff(y(x),x) = y(x)^2 + x", "z = y/(x+y)", 3),
+    ("diff(y(x),x) = y(x)^2 + x", "z = y/(x+y)", 4),
+    ("diff(y(x),x) = y(x) + x", "z = y/(x+y)", 4),
+])
+def test_rank_deficient_hit_is_the_same_either_way(monkeypatch, search):
+    # each of these hits has a system with more than one solution.  The
+    # certificate reads the answer from a confirmed dependency (the lead
+    # m/z^e) or cuts to it.  Without an image, as when an initial vanishes
+    # mod both primes, it declines at every order, and the full passes,
+    # with their columns pivoted in order and the leads m/z^e tried, print
+    # the same text
+    certified = render(_run_search(*search), "text")
+    if search[0] == "wp":
+        assert certified == EQ_ANSATZ_K3_TEXT
+    monkeypatch.setattr(ansatz, "_point_image", lambda ades: None)
+    log = _answer_log(monkeypatch)
+    assert render(_run_search(*search), "text") == certified
+    assert log and not any(miss or support for _, (miss, support) in log)
+
+
+def test_misses_after_a_confirmed_dependency_take_no_exact_pass(monkeypatch):
+    # y*y' = x, z = y^2/(x+y), k = 3: the column of z'^2 is the order's
+    # first dependency, of degree 2.  Its cut pass confirms it, so the rank
+    # mod q is the exact one, and the independent columns of z^3 and
+    # z^2*z' are proven misses without an exact pass.  z*z'^2 is the hit,
+    # and answers with the equation of z'^2
+    answers = _answer_log(monkeypatch)
+    passes = _pass_log(monkeypatch)
+    found = _run_search("y(x)*diff(y(x),x) = x", "z = y^2/(x+y)", 3)
+    answers = dict(answers)
+    assert answers[(0, 2)] == (False, [0, 1, 2, 4, 5])
+    assert answers[(3, 0)] == answers[(2, 1)] == (True, None)
+    assert passes == [((0, 2), 3, False)]
+    assert render(found, "text") == ("diff(z(x),x)^2*x - 3*diff(z(x),x)*z(x)"
+                                     " - 4*diff(z(x),x)*x - 3*z(x) + 4*x = 0")
+
+
+def test_unconfirmed_dependency_declines_the_certificate(monkeypatch):
+    # an answer that reads the independent column of z' as dependent, as an
+    # unlucky point would.  Before the search skips z^3, the first
+    # independent candidate, it confirms that dependency: the cut pass and
+    # the full pass (in column order) of z' find no solution, so the
+    # certificate declines for the rest of the order and builds no later
+    # column.  z^3, z^2*z' and z*z'^2 take full passes, and the hit z*z'^2
+    # answers with the lead z'^2, whose full pass finds it consistent and
+    # whose pass in column order gives the canonical equation: the one
+    # found without the injection
+    search = ("y(x)*diff(y(x),x) = x", "z = y^2/(x+y)", 3)
+    found = render(_run_search(*search), "text")
+    built = _answer_log(monkeypatch, lambda lead, answer: (False, [0, 2])
+                        if lead == (0, 1) else answer)
+    passes = _pass_log(monkeypatch)
+    assert render(_run_search(*search), "text") == found
+    assert [lead for lead, _ in built] == enumerate_delta(3, 1)[:6]
+    assert passes == [((0, 1), 0, False), ((0, 1), 1, True), ((3, 0), 5, False),
+                      ((2, 1), 6, False), ((1, 2), 7, False), ((0, 2), 4, False),
+                      ((0, 2), 4, True)]
+
+
 @pytest.mark.parametrize("search", [
     ("diff(y(x),x) = y(x)", "z = x^2", 1),
     ("diff(y(x),x) = y(x)", "z = y", 1),
@@ -835,7 +961,7 @@ def _checked_against_reference(monkeypatch):
         return [[_typed_terms(decode(p)) for p in [*coeffs, const]]
                 for coeffs, const in rows]
 
-    def solve(system):
+    def solve(system, **kwargs):
         K = system.kernel
         entries = [p for coeffs, const in system.rows for p in [*coeffs, const]]
         assert all(type(c) is int for _, coefs in entries for c in coefs)
@@ -843,17 +969,18 @@ def _checked_against_reference(monkeypatch):
                                                for m in monos))
         systems["packed"] = typed_rows(system.rows, lambda p: Poly(
             systems["ctx"], dict(zip(map(K.decode, p[0]), p[1]))))
-        return real_solve(system)
+        return real_solve(system, **kwargs)
 
-    def reference_solve(unknowns, rows):
+    def reference_solve(unknowns, rows, **kwargs):
         systems["reference"] = typed_rows(rows, lambda p: p)
-        return real_reference_solve(unknowns, rows)
+        return real_reference_solve(unknowns, rows, **kwargs)
 
-    def exact_pass(packing, leading, earlier, vals, z_name="z"):
+    def exact_pass(packing, leading, earlier, vals, z_name="z", in_order=False):
         systems.clear()
         systems["ctx"] = packing.ades[0].ctx
-        got = real_pass(packing, leading, earlier, vals, z_name=z_name)
-        want = reference_assemble(packing.ades, leading, earlier, vals, {}, z_name=z_name)
+        got = real_pass(packing, leading, earlier, vals, z_name=z_name, in_order=in_order)
+        want = reference_assemble(packing.ades, leading, earlier, vals, {}, z_name=z_name,
+                                  in_order=in_order)
         assert systems.get("packed") == systems.get("reference")
         if want is None:
             assert got is None
@@ -870,16 +997,19 @@ def _checked_against_reference(monkeypatch):
 
 
 def test_packed_exact_pass_matches_poly_reference(monkeypatch, capsys):
-    # the ansatz workload (c7_k3 has free columns, so its output depends on
-    # which columns Bareiss pivots), cli-mix seed 1's ansatz rows, and
-    # searches whose exact pass meets an initial in y,
-    # a coefficient denominator q, a parameter, coupled inputs, a gcd strip
-    # that falls back to poly_gcd twice, two inputs with initials y1 and y2,
-    # and rows with Fraction coefficients before their lcm scaling
+    # the ansatz workload, cli-mix seed 1's ansatz rows, and searches whose
+    # exact pass meets an initial in y, a coefficient denominator q, a
+    # parameter, coupled inputs, a gcd strip that falls back to poly_gcd
+    # twice, two inputs with initials y1 and y2, rows with Fraction
+    # coefficients before their lcm scaling, and an initial that vanishes
+    # mod both primes: there the certificate declines, the full pass of z^3
+    # has free columns, so its output depends on which columns Bareiss
+    # pivots, and the full pass of z finds no solution
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     from cases import ansatz_cases, cli_mix_cases
 
     seen = _checked_against_reference(monkeypatch)
+    q1, q2 = ansatz._PRIMES
     argvs = [case.argv for case in ansatz_cases() + cli_mix_cases(1)
              if case.argv[0] == "ansatz"]
     argvs += [["ansatz", "--ade", ade, "--spec", spec, "--degree-de", "2"]
@@ -891,7 +1021,9 @@ def test_packed_exact_pass_matches_poly_reference(monkeypatch, capsys):
     argvs += [["ansatz", "--ade", "y1'=y1*y2", "--ade", "y2'=y1+x", "--spec", "z = y1",
                "--degree-de", "3"],
               ["ansatz", "--ade", "y1*y1' = x", "--ade", "y2*y2' = x",
-               "--spec", "z = y1*y2", "--degree-de", "2"]]
+               "--spec", "z = y1*y2", "--degree-de", "2"],
+              ["ansatz", "--ade", f"{q1 * q2}*y' = y^2 + x", "--spec", "z = y/(x+y)",
+               "--degree-de", "3"]]
     for argv in argvs:
         assert cli_main(argv) in (0, 3), argv
     capsys.readouterr()
@@ -900,37 +1032,44 @@ def test_packed_exact_pass_matches_poly_reference(monkeypatch, capsys):
 
 def test_exact_pass_widens_its_fields(monkeypatch):
     # x^30 in the input puts entries of degree 62 into the rows, past the
-    # Groebner degree cap of 60; with x^40 the minors outgrow the fields the
-    # pass starts with, and it widens them and starts over.  Both return
+    # Groebner degree cap of 60.  The certificate would find z^2's equation
+    # by a cut pass of two unknowns that fits the first fields, so it is
+    # patched out.  With x^40 the minors of the full pass of z^3 outgrow the
+    # fields the pass starts with, and it widens them and starts over.  z^3
+    # is consistent, and answers with the lead z^2 (after the pass of z),
+    # whose full pass and pass in column order follow.  Both searches return
     # the reference equation
     widened = []
     real_widen = ansatz._Packing.widen
     monkeypatch.setattr(ansatz._Packing, "widen",
                         lambda self, rows: widened.append(1) or real_widen(self, rows))
+    _trace_candidates(monkeypatch, _full_pass)
     seen = _checked_against_reference(monkeypatch)
     for e in (30, 40):
         found = _run_search(f"diff(y(x),x) = x^{e}*y(x)^2 + x", "z = y/(x+y)", 3)
         assert render(found, "text") == (f"z(x)^2*x^{e + 2} + z(x)^2*x + z(x)^2"
                                          " - diff(z(x),x)*x - 2*z(x)*x - z(x) + x = 0")
         assert bool(widened) == (e == 40)
-    assert seen["degree"] > 60 and seen["hit"] == 2
+    assert seen["degree"] > 60 and seen["hit"] == 6
 
 
 def test_exact_pass_doubles_its_fields_before_the_rows_exist(monkeypatch):
-    # x^61 in the input: the fields start at degree 63, and a slot value or
-    # a reduction step outgrows them before there are rows to bound the
-    # minors, so the pass doubles the degree and starts over; it still
-    # returns the reference equation
+    # x^61 in the input, and the certificate patched out: the fields start
+    # at degree 63, and a slot value or a reduction step of the full pass
+    # of z^3 outgrows them before there are rows to bound the minors, so
+    # the pass doubles the degree and starts over; it still returns the
+    # reference equation, through the passes of z and z^2 as above
     widened = []
     real_widen = ansatz._Packing.widen
     monkeypatch.setattr(ansatz._Packing, "widen", lambda self, rows: widened.append(
         (self.K.max_degree, rows)) or real_widen(self, rows))
+    _trace_candidates(monkeypatch, _full_pass)
     seen = _checked_against_reference(monkeypatch)
     found = _run_search("diff(y(x),x) = x^61*y(x)^2 + x", "z = y/(x+y)", 3)
     assert render(found, "text") == ("z(x)^2*x^63 + z(x)^2*x + z(x)^2"
                                      " - diff(z(x),x)*x - 2*z(x)*x - z(x) + x = 0")
     assert widened == [(63, None)]
-    assert seen["hit"] == 1
+    assert seen["hit"] == 3
 
 
 def test_exact_pass_rebuilds_once_at_the_bareiss_bound(monkeypatch):
@@ -938,8 +1077,9 @@ def test_exact_pass_rebuilds_once_at_the_bareiss_bound(monkeypatch):
     # kernel at degree 63, 127, 255 and 511.  The first overflow is in the
     # solve, so the pass now rebuilds once, at the rows' Bareiss bound.  An
     # input of degree above the starting 63 gets fields that hold it at the
-    # first build.  Every exact pass still matches the reference.  Only the
-    # exact pass's builds count: the miss certificate's image, mod q, is a
+    # first build.  The certificate is patched out, so that full passes
+    # run.  Every exact pass still matches the reference.  Only the exact
+    # pass's builds count: the miss certificate's image, mod q, is a
     # _Packing too
     builds = []
     real_build = ansatz._Packing.build
@@ -950,6 +1090,7 @@ def test_exact_pass_rebuilds_once_at_the_bareiss_bound(monkeypatch):
         real_build(self, degree)
 
     monkeypatch.setattr(ansatz._Packing, "build", build)
+    _trace_candidates(monkeypatch, _full_pass)
     seen = _checked_against_reference(monkeypatch)
     _run_search("diff(y(x),x) = x^26*y(x)^2 + x*y(x)", "z = y^2/(x+y)", 3)
     assert len(builds) == 2 and builds[1] > 255, builds
@@ -958,4 +1099,4 @@ def test_exact_pass_rebuilds_once_at_the_bareiss_bound(monkeypatch):
     assert render(found, "text") == ("z(x)^2*x^132 + z(x)^2*x + z(x)^2"
                                      " - diff(z(x),x)*x - 2*z(x)*x - z(x) + x = 0")
     assert builds == [132]
-    assert seen["hit"] == 2 and seen["degree"] > 127
+    assert seen["hit"] == 5 and seen["degree"] > 127

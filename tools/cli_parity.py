@@ -17,7 +17,8 @@ an initial in y, a denominator q, a parameter, coupled inputs, a constant
 initial that it makes monic, an initial that vanishes mod 2^31 - 1, or
 an input of degree 70, exact passes cut to the support of the
 certificate's first dependency (after an initial lift, on coupled inputs,
-and without the constant slot), and
+and without the constant slot), a hit after confirmed dependencies on
+coupled inputs, a rank-deficient hit whose certificate declines, and
 inputs that the parser lowers through a quotient, with Fraction
 coefficients or a non-ASCII parameter name), in-process through the
 checkout's ``dalg.cli.main(argv + ["--format", "json"])`` (an argv that
@@ -164,6 +165,14 @@ ERROR_ARGVS = [
     ("ansatz", "--ade", "y1' = y1*y2", "--ade", "y2*y2' = x", "--spec", "z = y1",
      "--degree-de", "3"),
     ("ansatz", "--ade", "y' = y^2 + y", "--spec", "z = y/(x+y)", "--degree-de", "2"),
+    # a hit after confirmed dependencies on coupled inputs (z' - 1 = 0,
+    # read at z^2*z' from its confirmed lead z'), and a rank-deficient hit
+    # whose certificate declines, as the initial vanishes mod both primes:
+    # the full pass of z^3, then the leads z and z^2
+    ("ansatz", "--ade", "y1' = y1 + y2", "--ade", "y2' = y2", "--spec", "z = y1/y2",
+     "--degree-de", "3"),
+    ("ansatz", "--ade", "4611685975477714963*y' = y^2 + x", "--spec", "z = y/(x+y)",
+     "--degree-de", "3"),
     # what the parser lowers: a rational right side, Fraction coefficients,
     # a spec whose quotient cancels, and a non-ASCII parameter, which JSON
     # escapes, in text and in json
