@@ -19,12 +19,13 @@ k has a system with more than one solution, so a consistent lead m gets
 one canonical equation: that of the lead m/z^e for the largest e >= 1
 whose lead is consistent (the spurious branch z = 0 that the factor z^e
 brings, chosen instead of divided out), or, if there is none, the
-solution that is zero on every column depending on earlier columns,
-which is the one the solve returns when it pivots the columns in order
-(:func:`solve_linear_ratfunc`).  The
-whole exact pass, from the slot values through the rows and the solve to
-the division by g, runs on the Groebner kernel's packed monomials
-(:class:`dalg.groebner._Kernel`), one kernel per search
+solution that is zero on every column depending on earlier columns.
+The solve returns that solution for every consistent system, since it
+pivots the columns in order and leaves free exactly the dependent ones
+(:func:`solve_linear_ratfunc`); a system of full column rank has one
+solution anyway.  The whole exact pass, from the slot values through the
+rows and the solve to the division by g, runs on the Groebner kernel's
+packed monomials (:class:`dalg.groebner._Kernel`), one kernel per search
 (:class:`_Packing`); only the equation is decoded to :class:`Poly`.  The
 miss certificate below runs on the same kernel, a second
 :class:`_Packing` built mod a prime q.
@@ -66,8 +67,7 @@ columns are independent at the point, hence exactly, so its system has
 at most one solution, the one that is zero on every dependent column;
 the relation mod q is its image wherever d does not vanish at the point,
 so the cut finds it unless one of its coefficients vanishes there, and
-then the full pass runs, with its columns pivoted in order.  A
-dependency that even the full pass cannot
+then the full pass runs.  A dependency that even the full pass cannot
 confirm is an unlucky point, and the certificate declines for the rest
 of the order.  The search confirms in column order and only as far as
 it must: before it skips an independent candidate, before it cuts a
@@ -82,17 +82,14 @@ because a reduced form modulo the inputs is unique once their initials
 are units, which holds over the field of fractions of the non-leaders
 when no initial vanishes mod q.  If one does, the certificate works mod
 q = 2^31 - 19 instead, and if it vanishes there too, it declines.  Where
-the certificate declines, each candidate takes the full pass, which
-pivots on the lowest-degree entry anywhere and so keeps the minors low.
-A consistent one then tries the leads m/z^e, largest e first, and
-without one takes the full pass again with its columns pivoted in order,
-whose free columns are exactly those depending on earlier columns.
-Order 0 needs no
-certificate when the map names input dependents only below their orders
-(:func:`_transcendental`).  So the equation found is the same either way:
-both paths give the canonical equation of the first consistent candidate,
-and a system of full column rank has one solution whatever the pivots.
-z^(r) itself is derived only when the search reaches order r.
+the certificate declines, each candidate takes one full pass.  A
+consistent one then tries the leads m/z^e, largest e first, and without
+one keeps that pass's solution, which is already the one that is zero on
+every dependent column.  Order 0 needs no certificate when the map names
+input dependents only below their orders (:func:`_transcendental`).  So
+the equation found is the same either way: both paths give the canonical
+equation of the first consistent candidate.  z^(r) itself is derived
+only when the search reaches order r.
 """
 
 from __future__ import annotations
@@ -155,27 +152,23 @@ class LinearSystem:
     kernel: _Kernel
 
 
-def solve_linear_ratfunc(system: LinearSystem, in_order: bool = False):
+def solve_linear_ratfunc(system: LinearSystem):
     """Fraction-free (Bareiss) elimination with Cramer back-substitution.
 
-    Each step pivots on the nonzero entry of lowest (total degree, terms,
-    row, column) among the unused rows and columns, and replaces every other
-    unused row by (pivot*row - row[col]*pivot_row) / previous pivot.  By
-    Sylvester's identity that division is exact: after k steps every entry
-    of an unused row is a (k+1)-minor of the input matrix, so no gcd is
-    taken at all.  With d the last pivot, Cramer's rule makes each pivoted
-    unknown N_i/d with a polynomial N_i, found last pivot first by exact
-    division by its own pivot; free unknowns get N_i = 0.  Returns the pair
-    (N, d), left unreduced and packed, or None as soon as a row reads
-    0 = nonzero constant.
-
-    With ``in_order`` each step pivots in the first free column that is
-    nonzero in some unused row, on its entry of lowest (total degree,
-    terms, row), and the free columns before it stay free: those are
-    exactly the columns that depend on earlier ones, so a consistent
-    system gets the solution that is zero on every such column.  A system
-    of full column rank has one solution, which either rule finds; the
-    first rule keeps the minors' degrees lower.
+    The forward pass walks the columns once, left to right.  A column that
+    is zero in every unused row stays free; any other is pivoted on its
+    entry of lowest (total degree, terms, row) among the unused rows, and
+    every other unused row is replaced by (pivot*row - row[col]*pivot_row)
+    / previous pivot.  By Sylvester's identity that division is exact:
+    after k steps every entry of an unused row is a (k+1)-minor of the
+    input matrix, so no gcd is taken at all.  A column stays free exactly
+    when it depends on the earlier columns, so a consistent system gets the
+    solution that is zero on every such column, and a system of full
+    column rank its one solution.  With d the last pivot, Cramer's rule
+    makes each pivoted unknown N_i/d with a polynomial N_i, found last
+    pivot first by exact division by its own pivot; free unknowns get
+    N_i = 0.  Returns the pair (N, d), left unreduced and packed, or None
+    as soon as a row reads 0 = nonzero constant.
 
     The kernel's order must be graded, so that a leading monomial carries
     the total degree.  Every entry, pivot and numerator is a minor of
@@ -201,42 +194,33 @@ def solve_linear_ratfunc(system: LinearSystem, in_order: bool = False):
         return q
 
     zero = ([], [])
-    pivots: list = []           # (pivot row, column) in selection order
-    free_cols = list(range(ncols))
+    pivots: list = []           # (pivot row, column) in column order
     prev = _ONE                 # the previous pivot; d once elimination ends
-    while True:
-        # an unused row that is zero in every free column reads 0 = constant;
+    for ci in range(ncols):
+        # an unused row that is zero from column ci on reads 0 = constant;
         # it stays so, so the system is inconsistent as soon as one appears
-        if any(row[ncols][0] and not any(row[c][0] for c in free_cols)
+        if any(row[ncols][0] and not any(row[c][0] for c in range(ci, ncols))
                for row in rows):
             return None
-        best = None
-        for ci in free_cols:
-            for ri, row in enumerate(rows):
-                monos = row[ci][0]
-                if monos:
-                    cand = (K.degree(monos[0]), len(monos), ri, ci)
-                    if best is None or cand < best:
-                        best = cand
-            if in_order and best is not None:
-                break
+        best = min(((K.degree(row[ci][0][0]), len(row[ci][0]), ri)
+                    for ri, row in enumerate(rows) if row[ci][0]), default=None)
         if best is None:
-            break
-        _, _, ri, ci = best
-        prow = rows.pop(ri)
+            continue
+        prow = rows.pop(best[2])
         pivot = prow[ci]
-        free_cols.remove(ci)
-        # a pivoted column is zero in every unused row, so only the free
-        # columns and the constant change
+        # the earlier columns are zero in every unused row, so only the
+        # later columns and the constant change
         for row in rows:
             monos, coefs = row[ci]
             factor = (monos, [-c for c in coefs])
-            for c in (*free_cols, ncols):
+            for c in range(ci + 1, ncols + 1):
                 work = K.product(pivot, row[c])
                 row[c] = divide(K.product(factor, prow[c], work), prev)
             row[ci] = zero
         pivots.append((prow, ci))
         prev = pivot
+    if any(row[ncols][0] for row in rows):
+        return None
 
     nums: dict = {}
     for prow, ci in reversed(pivots):
@@ -446,7 +430,7 @@ class _Packing:
 
 
 def assemble_and_solve(packing: _Packing, leading, earlier, closure_vals,
-                       z_name: str = "z", in_order: bool = False):
+                       z_name: str = "z"):
     """Try the ansatz with the given leading monomial (coefficient one) and
     unknowns on the earlier monomials plus a constant slot, all exponent
     tuples.  Returns the solved equation, or None when the linear system is
@@ -461,8 +445,8 @@ def assemble_and_solve(packing: _Packing, leading, earlier, closure_vals,
     multiplies every column by the input's initial and cancels each
     column's own top coefficient, which is pseudo-division of
     sum c_i*col_i term for term.  Each monomial in Y then gives one row,
-    and the rows go to :func:`solve_linear_ratfunc`, which pivots the
-    columns in order when ``in_order`` is set.  Of the equation
+    and the rows go to :func:`solve_linear_ratfunc`, whose free columns
+    are those that depend on earlier ones.  Of the equation
     d*z_lead + sum N_i*m_i, each part d and N_i is divided by
     g = gcd(d, N_0, ..., N_k) on its own, since the z-monomials m_i are
     distinct, and only the result is decoded.  No power of z is divided
@@ -480,8 +464,7 @@ def assemble_and_solve(packing: _Packing, leading, earlier, closure_vals,
             if not any(monos for monos, _ in cols):
                 return None
             rows = packing.rows(cols)
-            solution = solve_linear_ratfunc(LinearSystem(unknowns, rows, packing.K),
-                                            in_order=in_order)
+            solution = solve_linear_ratfunc(LinearSystem(unknowns, rows, packing.K))
             break
         except ResourceCapError:
             packing.widen(rows)
@@ -674,11 +657,11 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
     those dependencies in column order, up to that column.  A dependency's
     answer is that of the lead m/z^e for the largest e whose lead is
     consistent, else the exact pass cut to its support, else the full
-    pass in column order; one that none of them confirms was an unlucky
-    point, and from its column on the certificate declines.  Where it
-    declines, a lead takes the full pass, and a consistent one then
-    answers with the lead m/z^e if there is one, else with the full pass
-    in column order."""
+    pass; one that none of them confirms was an unlucky point, and from
+    its column on the certificate declines.  Where it declines, a lead
+    takes one full pass, and a consistent one then answers with the lead
+    m/z^e if there is one, else with that pass's solution, which is zero
+    on every column that depends on earlier ones."""
     if k < 1:
         raise ArgumentError("degree bound must be at least 1")
     ades = list(ades)
@@ -691,24 +674,22 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
     over = ([], Poly.const(R.num.ctx, 1))
     packing = None      # built at the first exact pass
 
-    def exact(i, earlier=None, in_order=False):
+    def exact(i, earlier=None):
         """The exact pass for the lead monos[i], on ``earlier`` or on every
         earlier monomial."""
         nonlocal packing
         packing = packing or _Packing(ades, R)
         if earlier is None:
             earlier = monos[:i]
-        return assemble_and_solve(packing, monos[i], earlier, vals, z_name=z_name,
-                                  in_order=in_order)
+        return assemble_and_solve(packing, monos[i], earlier, vals, z_name=z_name)
 
     def full(i):
         """The status of the lead monos[i] without the certificate: the full
         pass decides whether it is consistent, and a consistent one answers
-        with the branch z = 0, else with the full pass in column order,
-        whose free columns are the dependent ones."""
+        with the branch z = 0, else with that pass's own solution."""
         found = exact(i)
         if found is not None:
-            found = z_branch(i) or exact(i, in_order=True)
+            found = z_branch(i) or found
         return found
 
     def z_branch(i):
@@ -744,11 +725,9 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
         if (miss or support is not None) and confirmed_before(i):
             if miss:
                 return None
-            # the unknowns on the support, whose last column is the lead's
-            found = exact(i, [monos[j - 1] for j in support[:-1] if j])
-            if found is None:
-                # the full pass; the lead m/z^e had no answer above
-                found = exact(i, in_order=True)
+            # the unknowns on the support, whose last column is the lead's,
+            # else the full pass; the lead m/z^e had no answer above
+            found = exact(i, [monos[j - 1] for j in support[:-1] if j]) or exact(i)
             if found is None:
                 # the rank mod q fell short of the exact one at column i
                 trusted = i

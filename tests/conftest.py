@@ -258,7 +258,7 @@ def buchberger_with_certificates(gens, order: MonomialOrder):
 # -- the reference linear solve -----------------------------------------------
 
 
-def solve_poly_rows(unknowns, rows, in_order=False):
+def solve_poly_rows(unknowns, rows):
     """dalg.ansatz.solve_linear_ratfunc on rows (list of entries, entry)
     of Polys: the rows are encoded into a kernel whose fields hold a
     product of two minors, sized by the Bareiss bound (each row's largest
@@ -273,7 +273,7 @@ def solve_poly_rows(unknowns, rows, in_order=False):
         return K.sort(K.encode(p))
 
     packed = [([encode(p) for p in coeffs], encode(const)) for coeffs, const in rows]
-    solution = solve_linear_ratfunc(LinearSystem(unknowns, packed, K), in_order=in_order)
+    solution = solve_linear_ratfunc(LinearSystem(unknowns, packed, K))
     if solution is None:
         return None
     ctx = rows[0][1].ctx
@@ -285,14 +285,13 @@ def solve_poly_rows(unknowns, rows, in_order=False):
     return [decode(n) for n in nums], decode(d)
 
 
-def reference_solve_linear(unknowns, rows, in_order=False):
+def reference_solve_linear(unknowns, rows):
     """Bareiss forward pass and Cramer back-substitution on Poly arithmetic,
-    with the pivot rules of dalg.ansatz.solve_linear_ratfunc: the lowest
-    (total degree, terms, row, column) among the unused rows and columns,
-    or with ``in_order`` the lowest among the entries of the first free
-    column that is nonzero in some unused row.  Every column of every
-    unused row is updated, pivoted ones included.  Returns (N, d) or None
-    for an inconsistent system."""
+    with the pivot rule of dalg.ansatz.solve_linear_ratfunc: the columns
+    left to right, each pivoted on its entry of lowest (total degree,
+    terms, row) among the unused rows, or left free where it has none.
+    Every column of every unused row is updated, pivoted ones included.
+    Returns (N, d) or None for an inconsistent system."""
     ncols = len(unknowns)
     ctx = rows[0][1].ctx
     rows = [list(coeffs) + [const] for coeffs, const in rows]
@@ -303,28 +302,20 @@ def reference_solve_linear(unknowns, rows, in_order=False):
         return q
 
     pivots = []
-    free_cols = list(range(ncols))
     prev = Poly.const(ctx, 1)
-    while True:
-        if any(not row[ncols].is_zero() and all(row[c].is_zero() for c in free_cols)
-               for row in rows):
-            return None
-        cands = [(row[ci].total_degree(), row[ci].num_terms(), ri, ci)
-                 for ri, row in enumerate(rows) for ci in free_cols
-                 if not row[ci].is_zero()]
+    for ci in range(ncols):
+        cands = [(row[ci].total_degree(), row[ci].num_terms(), ri)
+                 for ri, row in enumerate(rows) if not row[ci].is_zero()]
         if not cands:
-            break
-        if in_order:
-            first = min(ci for *_, ci in cands)
-            cands = [cand for cand in cands if cand[3] == first]
-        _, _, ri, ci = min(cands)
-        prow = rows.pop(ri)
+            continue
+        prow = rows.pop(min(cands)[2])
         pivot = prow[ci]
         rows = [[exact(pivot * p - row[ci] * q, prev) for p, q in zip(row, prow)]
                 for row in rows]
-        free_cols.remove(ci)
         pivots.append((prow, ci))
         prev = pivot
+    if any(not row[ncols].is_zero() for row in rows):
+        return None
 
     nums = {}
     for prow, ci in reversed(pivots):
@@ -337,10 +328,9 @@ def reference_solve_linear(unknowns, rows, in_order=False):
 
 
 def reference_assemble(ades, leading, earlier, closure_vals, value_cache: dict,
-                       z_name="z", in_order=False):
+                       z_name="z"):
     """The ansatz's exact pass for one candidate on Poly arithmetic, with
-    :func:`reference_solve_linear` for the solve (pivoting in column order
-    with ``in_order``): what
+    :func:`reference_solve_linear` for the solve: what
     dalg.ansatz.assemble_and_solve returns, term for term, or None.
 
     The slot values' numerators go over the lcm of their denominators
@@ -397,7 +387,7 @@ def reference_assemble(ades, leading, earlier, closure_vals, value_cache: dict,
         row = [Poly(ctx, terms) for terms in entries]
         sys_rows.append((row[:-1], row[-1]))
 
-    solution = reference_solve_linear(unknowns, sys_rows, in_order=in_order)
+    solution = reference_solve_linear(unknowns, sys_rows)
     if solution is None:
         return None
     sol, d = solution

@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
 import conftest
 from dalg import ansatz
@@ -198,22 +200,21 @@ def test_solve_linear_underdetermined_free_unknown():
     assert sum(n.is_zero() for n in sol[0]) == 1
 
 
-def test_solve_linear_in_order_frees_the_dependent_columns():
+def test_solve_linear_frees_the_dependent_columns():
     # column 0 is x times column 1, so the system has a line of solutions.
-    # The lowest-degree pivot takes column 1 first and leaves column 0
-    # free; pivoting in order leaves column 1 free, the one that depends on
-    # an earlier column.  Both solve the system
+    # The lowest-degree entry is column 1's, but the columns are pivoted in
+    # order, so column 1, the one that depends on an earlier column, is
+    # left free and gets N_1 = 0
     ctx = Context()
     cs = [ctx.param(f"c{i}") for i in range(3)]
     x = Poly.var(ctx, ctx.indep)
     one = Poly.const(ctx, 1)
     rows = [([x, one, one], (x + one).scale(-1)),
             ([x * x, x, Poly(ctx)], (x * x).scale(-1))]
-    for in_order, free in [(False, 0), (True, 1)]:
-        sol = solve_poly_rows(cs, rows, in_order=in_order)
-        _assert_solves(rows, sol)
-        assert [n.is_zero() for n in sol[0]] == [c == free for c in range(3)]
-        assert sol == reference_solve_linear(cs, rows, in_order=in_order)
+    sol = solve_poly_rows(cs, rows)
+    _assert_solves(rows, sol)
+    assert [n.is_zero() for n in sol[0]] == [False, True, False]
+    assert sol == reference_solve_linear(cs, rows)
 
 
 def test_exact_quotient_by_constant():
@@ -279,25 +280,71 @@ def _typed_terms(p):
 
 def test_solve_linear_matches_poly_reference():
     # the packed solve and the Poly Bareiss of tests/conftest.py pick the
-    # same pivots, by either rule, so they agree term for term, and on None
+    # same pivots, so they agree term for term, and on None
     ctx = Context()
     vs = [ctx.indep, ctx.param("a")]
     rng = make_rng(13)
     seen = {"none": 0, "free": 0, "solved": 0}
     for _ in range(40):
         unknowns, rows = _random_system(ctx, vs, rng)
-        for in_order in (False, True):
-            want = reference_solve_linear(unknowns, rows, in_order=in_order)
-            got = solve_poly_rows(unknowns, rows, in_order=in_order)
-            if want is None:
-                assert got is None
-                seen["none"] += 1
-                continue
-            assert got is not None
-            _assert_solves(rows, got)
-            assert [_typed_terms(n) for n in got[0]] == [_typed_terms(n) for n in want[0]]
-            assert _typed_terms(got[1]) == _typed_terms(want[1])
-            seen["free" if any(n.is_zero() for n in got[0]) else "solved"] += 1
+        want = reference_solve_linear(unknowns, rows)
+        got = solve_poly_rows(unknowns, rows)
+        if want is None:
+            assert got is None
+            seen["none"] += 1
+            continue
+        assert got is not None
+        _assert_solves(rows, got)
+        assert [_typed_terms(n) for n in got[0]] == [_typed_terms(n) for n in want[0]]
+        assert _typed_terms(got[1]) == _typed_terms(want[1])
+        seen["free" if any(n.is_zero() for n in got[0]) else "solved"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def _dependent_columns(rows, vs):
+    """The columns of rows that lie in the span of the earlier columns over
+    Q(vs), by sympy's rank of each column prefix."""
+    syms = sympy.symbols(f"s0:{len(vs)}")
+    place = {v.index: sym for v, sym in zip(vs, syms)}
+    field = sympy.QQ.frac_field(*syms)
+
+    def element(p):
+        return field.from_sympy(sum((sympy.Rational(c.numerator, c.denominator)
+                                     * sympy.Mul(*(place[i] ** e for i, e in mono))
+                                     for mono, c in p.terms.items()), sympy.Integer(0)))
+
+    ncols = len(rows[0][0])
+    matrix = DomainMatrix([[element(p) for p in coeffs] for coeffs, _ in rows],
+                          (len(rows), ncols), field)
+    ranks = [matrix[:, :j].rank() for j in range(ncols + 1)]
+    return {j for j in range(ncols) if ranks[j + 1] == ranks[j]}
+
+
+def test_solve_linear_frees_exactly_the_columns_in_the_span_of_earlier_ones():
+    # the canonical solution rests on this: the solve leaves column j free
+    # exactly when column j is in the span of the earlier columns, which
+    # sympy's rank decides independently.  A pivoted column j shows as
+    # N_j != 0 in the solve of the probe A*c = A_j, whose one solution zero
+    # on the free columns is the unit vector e_j; a free one gets N_j = 0.
+    # So every consistent system gets the solution that is zero on exactly
+    # its dependent columns
+    ctx = Context()
+    vs = [ctx.indep, ctx.param("a")]
+    rng = make_rng(13)
+    seen = {"dependent": 0, "independent": 0, "consistent with a dependency": 0}
+    for _ in range(40):
+        unknowns, rows = _random_system(ctx, vs, rng)
+        dependent = _dependent_columns(rows, vs)
+        for j in range(len(unknowns)):
+            probe = [(coeffs, coeffs[j].scale(-1)) for coeffs, _ in rows]
+            nums, _ = solve_poly_rows(unknowns, probe)
+            assert nums[j].is_zero() == (j in dependent)
+            seen["dependent" if j in dependent else "independent"] += 1
+        solution = solve_poly_rows(unknowns, rows)
+        if solution is not None and dependent:
+            _assert_solves(rows, solution)
+            assert all(solution[0][j].is_zero() for j in dependent)
+            seen["consistent with a dependency"] += 1
     assert min(seen.values()) > 0, seen
 
 
@@ -722,8 +769,8 @@ def _cut_passes(monkeypatch):
     and logs (the lead's index i, the support's earlier columns, the columns
     of the full pass's nonzero N_i, the cut pass's equation, the full pass's
     equation); columns are 0 for the constant slot and j + 1 for m_j.  The
-    full pass pivots its columns in order, so that it leaves free exactly
-    the columns that depend on earlier ones."""
+    full pass leaves free exactly the columns that depend on earlier
+    ones."""
     real_cert, real_pass = ansatz._independent_prefixes, ansatz.assemble_and_solve
     real_solve = ansatz.solve_linear_ratfunc
     order, log = {}, []
@@ -744,7 +791,7 @@ def _cut_passes(monkeypatch):
             return real_pass(packing, leading, earlier, vals, z_name=z_name, **kwargs)
         i = monos.index(leading)
         order["solution"] = None
-        full = real_pass(packing, leading, monos[:i], vals, z_name=z_name, in_order=True)
+        full = real_pass(packing, leading, monos[:i], vals, z_name=z_name)
         nonzero = (None if order["solution"] is None else
                    [j for j, n in enumerate(order["solution"][0]) if n[0]])
         cut = real_pass(packing, leading, earlier, vals, z_name=z_name)
@@ -844,13 +891,13 @@ def _answer_log(monkeypatch, rewrite=lambda lead, answer: answer):
 
 
 def _pass_log(monkeypatch):
-    """Patch the search to log (lead, number of earlier monomials, whether
-    the solve pivots in column order) for each exact pass."""
+    """Patch the search to log (lead, number of earlier monomials) for each
+    exact pass."""
     real_pass, log = ansatz.assemble_and_solve, []
 
-    def exact_pass(packing, leading, earlier, *args, in_order=False, **kwargs):
-        log.append((leading, len(earlier), in_order))
-        return real_pass(packing, leading, earlier, *args, in_order=in_order, **kwargs)
+    def exact_pass(packing, leading, earlier, *args, **kwargs):
+        log.append((leading, len(earlier)))
+        return real_pass(packing, leading, earlier, *args, **kwargs)
 
     monkeypatch.setattr(ansatz, "assemble_and_solve", exact_pass)
     return log
@@ -890,7 +937,7 @@ def test_misses_after_a_confirmed_dependency_take_no_exact_pass(monkeypatch):
     answers = dict(answers)
     assert answers[(0, 2)] == (False, [0, 1, 2, 4, 5])
     assert answers[(3, 0)] == answers[(2, 1)] == (True, None)
-    assert passes == [((0, 2), 3, False)]
+    assert passes == [((0, 2), 3)]
     assert render(found, "text") == ("diff(z(x),x)^2*x - 3*diff(z(x),x)*z(x)"
                                      " - 4*diff(z(x),x)*x - 3*z(x) + 4*x = 0")
 
@@ -899,12 +946,11 @@ def test_unconfirmed_dependency_declines_the_certificate(monkeypatch):
     # an answer that reads the independent column of z' as dependent, as an
     # unlucky point would.  Before the search skips z^3, the first
     # independent candidate, it confirms that dependency: the cut pass and
-    # the full pass (in column order) of z' find no solution, so the
-    # certificate declines for the rest of the order and builds no later
-    # column.  z^3, z^2*z' and z*z'^2 take full passes, and the hit z*z'^2
-    # answers with the lead z'^2, whose full pass finds it consistent and
-    # whose pass in column order gives the canonical equation: the one
-    # found without the injection
+    # the full pass of z' find no solution, so the certificate declines for
+    # the rest of the order and builds no later column.  z^3, z^2*z' and
+    # z*z'^2 take full passes, and the hit z*z'^2 answers with the lead
+    # z'^2, whose one full pass finds it consistent and gives the canonical
+    # equation: the one found without the injection
     search = ("y(x)*diff(y(x),x) = x", "z = y^2/(x+y)", 3)
     found = render(_run_search(*search), "text")
     built = _answer_log(monkeypatch, lambda lead, answer: (False, [0, 2])
@@ -912,9 +958,8 @@ def test_unconfirmed_dependency_declines_the_certificate(monkeypatch):
     passes = _pass_log(monkeypatch)
     assert render(_run_search(*search), "text") == found
     assert [lead for lead, _ in built] == enumerate_delta(3, 1)[:6]
-    assert passes == [((0, 1), 0, False), ((0, 1), 1, True), ((3, 0), 5, False),
-                      ((2, 1), 6, False), ((1, 2), 7, False), ((0, 2), 4, False),
-                      ((0, 2), 4, True)]
+    assert passes == [((0, 1), 0), ((0, 1), 1), ((3, 0), 5), ((2, 1), 6), ((1, 2), 7),
+                      ((0, 2), 4)]
 
 
 @pytest.mark.parametrize("search", [
@@ -975,12 +1020,11 @@ def _checked_against_reference(monkeypatch):
         systems["reference"] = typed_rows(rows, lambda p: p)
         return real_reference_solve(unknowns, rows, **kwargs)
 
-    def exact_pass(packing, leading, earlier, vals, z_name="z", in_order=False):
+    def exact_pass(packing, leading, earlier, vals, z_name="z"):
         systems.clear()
         systems["ctx"] = packing.ades[0].ctx
-        got = real_pass(packing, leading, earlier, vals, z_name=z_name, in_order=in_order)
-        want = reference_assemble(packing.ades, leading, earlier, vals, {}, z_name=z_name,
-                                  in_order=in_order)
+        got = real_pass(packing, leading, earlier, vals, z_name=z_name)
+        want = reference_assemble(packing.ades, leading, earlier, vals, {}, z_name=z_name)
         assert systems.get("packed") == systems.get("reference")
         if want is None:
             assert got is None
@@ -1030,57 +1074,70 @@ def test_packed_exact_pass_matches_poly_reference(monkeypatch, capsys):
     assert seen["hit"] > 30 and seen["none"] > 0, seen
 
 
+def _widen_log(monkeypatch):
+    """Patch the exact pass's :meth:`_Packing.widen` to log (the degree its
+    fields held, whether the overflow came before the rows, the degree
+    they hold after) for each call."""
+    real_widen, log = ansatz._Packing.widen, []
+
+    def widen(self, rows):
+        low = self.K.max_degree
+        real_widen(self, rows)
+        log.append((low, rows is None, self.K.max_degree))
+
+    monkeypatch.setattr(ansatz._Packing, "widen", widen)
+    return log
+
+
 def test_exact_pass_widens_its_fields(monkeypatch):
-    # x^30 in the input puts entries of degree 62 into the rows, past the
-    # Groebner degree cap of 60.  The certificate would find z^2's equation
-    # by a cut pass of two unknowns that fits the first fields, so it is
-    # patched out.  With x^40 the minors of the full pass of z^3 outgrow the
-    # fields the pass starts with, and it widens them and starts over.  z^3
-    # is consistent, and answers with the lead z^2 (after the pass of z),
-    # whose full pass and pass in column order follow.  Both searches return
-    # the reference equation
-    widened = []
-    real_widen = ansatz._Packing.widen
-    monkeypatch.setattr(ansatz._Packing, "widen",
-                        lambda self, rows: widened.append(1) or real_widen(self, rows))
+    # the certificate would find z^2's equation by a cut pass of two
+    # unknowns that fits the first fields, so it is patched out.  With x^20
+    # in the input every full pass fits the fields it starts with, for
+    # degree 63.  With x^40 the rows carry entries past the Groebner degree
+    # cap of 60, the minors of the full pass of z^3 outgrow the first
+    # fields, and the pass rebuilds them at the rows' Bareiss bound, 174,
+    # and starts over.  z^3 is consistent, and answers with the lead z^2
+    # (after the pass of z), whose one full pass follows.  Both searches
+    # return the reference equation
+    widened = _widen_log(monkeypatch)
     _trace_candidates(monkeypatch, _full_pass)
     seen = _checked_against_reference(monkeypatch)
-    for e in (30, 40):
+    for e in (20, 40):
         found = _run_search(f"diff(y(x),x) = x^{e}*y(x)^2 + x", "z = y/(x+y)", 3)
         assert render(found, "text") == (f"z(x)^2*x^{e + 2} + z(x)^2*x + z(x)^2"
                                          " - diff(z(x),x)*x - 2*z(x)*x - z(x) + x = 0")
         assert bool(widened) == (e == 40)
-    assert seen["degree"] > 60 and seen["hit"] == 6
+    assert widened == [(63, False, 174)]
+    assert seen["degree"] > 60 and seen["hit"] == 4
 
 
 def test_exact_pass_doubles_its_fields_before_the_rows_exist(monkeypatch):
     # x^61 in the input, and the certificate patched out: the fields start
     # at degree 63, and a slot value or a reduction step of the full pass
     # of z^3 outgrows them before there are rows to bound the minors, so
-    # the pass doubles the degree and starts over; it still returns the
-    # reference equation, through the passes of z and z^2 as above
-    widened = []
-    real_widen = ansatz._Packing.widen
-    monkeypatch.setattr(ansatz._Packing, "widen", lambda self, rows: widened.append(
-        (self.K.max_degree, rows)) or real_widen(self, rows))
+    # the pass doubles the degree and starts over.  Its solve then outgrows
+    # those fields too, and the pass rebuilds them once, at the rows'
+    # Bareiss bound.  It still returns the reference equation, through the
+    # passes of z and z^2 as above
+    widened = _widen_log(monkeypatch)
     _trace_candidates(monkeypatch, _full_pass)
     seen = _checked_against_reference(monkeypatch)
     found = _run_search("diff(y(x),x) = x^61*y(x)^2 + x", "z = y/(x+y)", 3)
     assert render(found, "text") == ("z(x)^2*x^63 + z(x)^2*x + z(x)^2"
                                      " - diff(z(x),x)*x - 2*z(x)*x - z(x) + x = 0")
-    assert widened == [(63, None)]
-    assert seen["hit"] == 3
+    assert widened == [(63, True, 127), (127, False, 258)]
+    assert seen["hit"] == 2
 
 
 def test_exact_pass_rebuilds_once_at_the_bareiss_bound(monkeypatch):
     # the minors of this search need degree above 255: doubling built the
     # kernel at degree 63, 127, 255 and 511.  The first overflow is in the
-    # solve, so the pass now rebuilds once, at the rows' Bareiss bound.  An
+    # solve, so the pass rebuilds once, at the rows' Bareiss bound.  An
     # input of degree above the starting 63 gets fields that hold it at the
-    # first build.  The certificate is patched out, so that full passes
-    # run.  Every exact pass still matches the reference.  Only the exact
-    # pass's builds count: the miss certificate's image, mod q, is a
-    # _Packing too
+    # first build, and the solve of z^3 rebuilds those once too.  The
+    # certificate is patched out, so that full passes run.  Every exact
+    # pass still matches the reference.  Only the exact pass's builds
+    # count: the miss certificate's image, mod q, is a _Packing too
     builds = []
     real_build = ansatz._Packing.build
 
@@ -1093,10 +1150,10 @@ def test_exact_pass_rebuilds_once_at_the_bareiss_bound(monkeypatch):
     _trace_candidates(monkeypatch, _full_pass)
     seen = _checked_against_reference(monkeypatch)
     _run_search("diff(y(x),x) = x^26*y(x)^2 + x*y(x)", "z = y^2/(x+y)", 3)
-    assert len(builds) == 2 and builds[1] > 255, builds
+    assert builds == [63, 256]
     builds.clear()
     found = _run_search("diff(y(x),x) = x^130*y(x)^2 + x", "z = y/(x+y)", 3)
     assert render(found, "text") == ("z(x)^2*x^132 + z(x)^2*x + z(x)^2"
                                      " - diff(z(x),x)*x - 2*z(x)*x - z(x) + x = 0")
-    assert builds == [132]
-    assert seen["hit"] == 5 and seen["degree"] > 127
+    assert builds == [132, 534]
+    assert seen["hit"] == 3 and seen["degree"] > 127

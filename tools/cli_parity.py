@@ -18,7 +18,9 @@ initial that it makes monic, an initial that vanishes mod 2^31 - 1, or
 an input of degree 70, exact passes cut to the support of the
 certificate's first dependency (after an initial lift, on coupled inputs,
 and without the constant slot), a hit after confirmed dependencies on
-coupled inputs, a rank-deficient hit whose certificate declines, and
+coupled inputs, searches whose certificate declines, as an initial
+vanishes mod both primes (a rank-deficient Riccati hit at k = 3, the same
+input at k = 4, and a Weierstrass input at k = 3 and 4), and
 inputs that the parser lowers through a quotient, with Fraction
 coefficients or a non-ASCII parameter name), in-process through the
 checkout's ``dalg.cli.main(argv + ["--format", "json"])`` (an argv that
@@ -173,6 +175,14 @@ ERROR_ARGVS = [
      "--degree-de", "3"),
     ("ansatz", "--ade", "4611685975477714963*y' = y^2 + x", "--spec", "z = y/(x+y)",
      "--degree-de", "3"),
+    # the same declined path at k = 4, and on a Weierstrass input at k = 3
+    # and 4
+    ("ansatz", "--ade", "4611685975477714963*y' = y^2 + x", "--spec", "z = y/(x+y)",
+     "--degree-de", "4"),
+    ("ansatz", "--ade", "4611685975477714963*diff(y(x),x)^2 = 4*y(x)^3 - g2*y(x) - g3",
+     "--spec", "z = y/(x+y)", "--degree-de", "3"),
+    ("ansatz", "--ade", "4611685975477714963*diff(y(x),x)^2 = 4*y(x)^3 - g2*y(x) - g3",
+     "--spec", "z = y/(x+y)", "--degree-de", "4"),
     # what the parser lowers: a rational right side, Fraction coefficients,
     # a spec whose quotient cancels, and a non-ASCII parameter, which JSON
     # escapes, in text and in json
