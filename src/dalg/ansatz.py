@@ -43,53 +43,52 @@ variables Y, the input dependents' derivatives, whose sort reduces every
 coefficient mod q.  The columns are built in enumeration order, only
 when the search reaches them, reduced by the inputs' images after every
 product with the exact pass's :meth:`_Packing.reduce`, and kept in an
-incremental echelon form.  The fields hold degree 2^14 - 1, or the
-inputs' degree, and a column that outgrows them declines the certificate
-for the rest of the order.  A candidate's exact columns are the slot
-values times its own common denominator c, pseudo-reduced, and L^k/c is
-the same polynomial for all of them, so a linear relation among them is
-one among these columns too.  A set of columns linearly independent at
-the point is independent, since some maximal minor is nonzero there,
-hence a nonzero polynomial (Schwartz, J. ACM 1980).  A column that
-reduces to zero is a dependency: it stays out of the echelon form, which
-goes on, and since each echelon vector carries its combination of the
-columns, the dependent column carries its relation mod q, whose support
-names it and independent columns only.  The search confirms a dependency
-by the canonical equation of its lead: the lead m/z^e's, else the exact
-pass cut to the support, the constant slot always kept, else the full
-pass.  Once every dependency before column i is confirmed, the rank at
-the point is the exact rank of the columns before i, so the independent
-ones among them are an exact basis, and by Cramer's rule on a minor that
-is nonzero at the point, a column in their span is in the span of their
-images: a column independent at the point is independent exactly, and
-the candidate with lead m_i is inconsistent and skipped.  A cut's
-columns are independent at the point, hence exactly, so its system has
-at most one solution, the one that is zero on every dependent column;
-the relation mod q is its image wherever d does not vanish at the point,
-so the cut finds it unless one of its coefficients vanishes there, and
-then the full pass runs.  A dependency that even the full pass cannot
-confirm is an unlucky point, and the certificate declines for the rest
-of the order.  The search confirms in column order and only as far as
-it must: before it skips an independent candidate, before it cuts a
-dependent one, and up to the lead m/z^e that a dependent candidate
-reads; the lead m/z^e's equation times z^e shows m consistent without
-further confirmation.  An initial whose image depends on Y is not
+incremental echelon form.  An initial whose image depends on Y is not
 inverted: each column carries its exponent of that initial, and the
 columns are lifted to a common exponent, which multiplies all of them by
 one nonzero polynomial; an input whose initial's image is a constant is
-made monic instead.  The image of a column is that of the exact reduced column
-because a reduced form modulo the inputs is unique once their initials
-are units, which holds over the field of fractions of the non-leaders
-when no initial vanishes mod q.  If one does, the certificate works mod
-q = 2^31 - 19 instead, and if it vanishes there too, it declines.  Where
-the certificate declines, each candidate takes one full pass.  A
-consistent one then tries the leads m/z^e, largest e first, and without
-one keeps that pass's solution, which is already the one that is zero on
-every dependent column.  Order 0 needs no certificate when the map names
-input dependents only below their orders (:func:`_transcendental`).  So
-the equation found is the same either way: both paths give the canonical
-equation of the first consistent candidate.  z^(r) itself is derived
-only when the search reaches order r.
+made monic instead.  The image of a column is that of the exact reduced
+column because a reduced form modulo the inputs is unique once their
+initials are units, which holds over the field of fractions of the
+non-leaders when no initial vanishes mod q.  A candidate's exact columns
+are the slot values times its own common denominator c, pseudo-reduced,
+and L^k/c is the same polynomial for all of them, so a linear relation
+among them is one among these columns too.  A set of columns linearly
+independent at the point is independent, since some maximal minor is
+nonzero there, hence a nonzero polynomial (Schwartz, J. ACM 1980).  A
+column that reduces to zero is a dependency: it stays out of the echelon
+form, which goes on, and since each echelon vector carries its
+combination of the columns, the dependent column carries its relation
+mod q, whose support names it and independent columns only.
+
+Every lead is settled by one rule, once, when the search first needs
+it.  A proven miss takes no pass.  Otherwise the answer is the lead
+m/z^e's, for the largest e whose lead is consistent: its equation times
+z^e shows m consistent.  Otherwise a confirmed dependency gets the exact
+pass cut to its support, the constant slot always kept.  Otherwise the
+lead gets the full pass.  Once every dependency before column i is
+confirmed, the rank at the point is the exact rank of the columns before
+i, so the independent ones among them are an exact basis, and by
+Cramer's rule on a minor that is nonzero at the point, a column in their
+span is in the span of their images: a column independent at the point
+is independent exactly, and the candidate with lead m_i is a proven
+miss.  A cut's columns are independent at the point, hence exactly, so
+its system has at most one solution, the one that is zero on every
+dependent column; the relation mod q is its image wherever d does not
+vanish at the point, so the cut finds it unless one of its coefficients
+vanishes there, and then the full pass runs.  The search confirms in
+column order and only as far as it must: before it skips an independent
+candidate and before it cuts a dependent one.  The certificate stops
+answering where it cannot answer: from the start where an input's
+initial or the constant's column vanishes mod q, at a column that
+outgrows its fields (which hold degree 2^14 - 1, or the inputs' degree),
+and at a dependency that even the full pass cannot confirm, an unlucky
+point, whose answer and every later one are forgotten.  A lead it does
+not answer just skips the miss and cut steps, so the equation found is
+the same either way: the canonical equation of the first consistent
+candidate.  Order 0 needs no certificate when the map names input
+dependents only below their orders (:func:`_transcendental`).  z^(r)
+itself is derived only when the search reaches order r.
 """
 
 from __future__ import annotations
@@ -106,7 +105,8 @@ from .groebner import _Kernel
 from .orders import GrevLex
 from .poly import Poly, exact_div, mono_mul, over_lcm, poly_gcd
 
-_PRIMES = (2 ** 31 - 1, 2 ** 31 - 19)  # the miss certificate's prime, then its fallback
+_PRIME = 2 ** 31 - 1  # the miss certificate's modulus
+_NO_ANSWER = (False, None)  # a column the miss certificate does not answer
 _ONE = ([0], [1])   # the packed polynomial 1 of any kernel
 
 
@@ -496,24 +496,21 @@ def assemble_and_solve(packing: _Packing, leading, earlier, closure_vals,
 
 
 def _point_image(ades):
-    """The miss certificate's image, a :class:`_Packing` mod the first of
-    _PRIMES where no input's initial vanishes, or None."""
-    for q in _PRIMES:
-        try:
-            return _Packing(ades, None, q)
-        except _Declined:
-            pass
-    return None
+    """The miss certificate's image, a :class:`_Packing` mod _PRIME, or None
+    when an input's initial vanishes mod _PRIME."""
+    try:
+        return _Packing(ades, None, _PRIME)
+    except _Declined:
+        return None
 
 
 def _independent_prefixes(img, over, k: int, monos: list):
     """Yield, for each monomial m_i of ``monos`` in turn, the pair (miss,
     support), from an echelon form mod q of the columns of the constant
     slot and of m_0, m_1, ... in the image ``img`` (a :class:`_Packing`
-    mod q, or None when the certificate declines).  ``over`` holds the
-    numerators of z, ..., z^(r) over L, the lcm of their denominators, and
-    L, as :func:`over_lcm` returns them.  Column i is built only when
-    answer i is asked for.
+    mod q, or None).  ``over`` holds the numerators of z, ..., z^(r) over
+    L, the lcm of their denominators, and L, as :func:`over_lcm` returns
+    them.  Column i is built only when answer i is asked for.
 
     A column independent of the earlier ones joins the echelon form, and
     support is None.  A column that reduces to zero stays out of it, and
@@ -528,9 +525,11 @@ def _independent_prefixes(img, over, k: int, monos: list):
     miss is whether the column is independent at the point.  Once every
     earlier dependency is confirmed exact, that proves the candidate with
     lead m_i a miss (see the module docstring); the caller confirms them.
-    Every answer is (False, None) once the certificate declines: from the
-    start when ``img`` is None or the constant's column is zero mod q, and
-    from a column that outgrows the kernel's fields on."""
+    The answers stop, and the generator returns, where the certificate
+    cannot answer: at once when ``img`` is None or the constant's column is
+    zero mod q, and at a column that outgrows the kernel's fields."""
+    if img is None:
+        return
     nums, L = over
 
     def element(f, exps=None):
@@ -589,7 +588,7 @@ def _independent_prefixes(img, over, k: int, monos: list):
         return None
 
     # the exponents of the initials that every column is lifted to
-    common = [0] * len(img.inputs) if img else []
+    common = [0] * len(img.inputs)
 
     def insert(col, j: int):
         """Add column j; its support if it is dependent, else None."""
@@ -610,25 +609,22 @@ def _independent_prefixes(img, over, k: int, monos: list):
         return None if relation is None else sorted(relation)
 
     try:
-        if img is not None:
-            base = [element(img.encode(n)) for n in nums]
-            powers = [element(_ONE)]        # L^0, ..., L^k
-            L_img = element(img.encode(L))
-            for _ in range(k):
-                powers.append(times(powers[-1], L_img))
-            prods = {(0,) * len(nums): powers[0]}
-            if insert(powers[k], 0) is None:
-                for j, m in enumerate(monos, 1):
-                    i = next(i for i, e in enumerate(m) if e)
-                    prod = prods[m] = times(prods[(*m[:i], m[i] - 1, *m[i + 1:])],
-                                            base[i])
-                    deg = sum(m)
-                    support = insert(prod if deg == k else times(powers[k - deg], prod), j)
-                    yield support is None, support
+        base = [element(img.encode(n)) for n in nums]
+        powers = [element(_ONE)]        # L^0, ..., L^k
+        L_img = element(img.encode(L))
+        for _ in range(k):
+            powers.append(times(powers[-1], L_img))
+        prods = {(0,) * len(nums): powers[0]}
+        if insert(powers[k], 0) is not None:
+            return
+        for j, m in enumerate(monos, 1):
+            i = next(i for i, e in enumerate(m) if e)
+            prod = prods[m] = times(prods[(*m[:i], m[i] - 1, *m[i + 1:])], base[i])
+            deg = sum(m)
+            support = insert(prod if deg == k else times(powers[k - deg], prod), j)
+            yield support is None, support
     except ResourceCapError:
-        pass
-    while True:
-        yield False, None
+        return
 
 
 def _transcendental(R: RatFunc, ades) -> bool:
@@ -651,17 +647,15 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
 
     Every lead of the order, of any degree, has one canonical answer (see
     the module docstring): its equation, or None where it is
-    inconsistent, settled once, when the search first needs it.  The
-    certificate's answer for a column holds only while every earlier
-    dependency is exact, so before the search relies on it, it confirms
-    those dependencies in column order, up to that column.  A dependency's
-    answer is that of the lead m/z^e for the largest e whose lead is
-    consistent, else the exact pass cut to its support, else the full
-    pass; one that none of them confirms was an unlucky point, and from
-    its column on the certificate declines.  Where it declines, a lead
-    takes one full pass, and a consistent one then answers with the lead
-    m/z^e if there is one, else with that pass's solution, which is zero
-    on every column that depends on earlier ones."""
+    inconsistent, settled once, when the search first needs it, by one
+    rule: a proven miss, else the lead m/z^e for the largest e whose lead
+    is consistent, else a confirmed dependency's exact pass cut to its
+    support, else the full pass.  The certificate's answer for a column
+    holds only while every earlier dependency is exact, so before the
+    search relies on it, it confirms those dependencies in column order,
+    up to that column.  A dependency that even the full pass cannot
+    confirm was an unlucky point: the search closes the certificate and
+    forgets its answers from that column on."""
     if k < 1:
         raise ArgumentError("degree bound must be at least 1")
     ades = list(ades)
@@ -683,32 +677,13 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
             earlier = monos[:i]
         return assemble_and_solve(packing, monos[i], earlier, vals, z_name=z_name)
 
-    def full(i):
-        """The status of the lead monos[i] without the certificate: the full
-        pass decides whether it is consistent, and a consistent one answers
-        with the branch z = 0, else with that pass's own solution."""
-        found = exact(i)
-        if found is not None:
-            found = z_branch(i) or found
-        return found
-
-    def z_branch(i):
-        """The status of the lead monos[i]/z^e for the largest e >= 1 whose
-        lead is consistent, or None: the branch z = 0."""
-        m = monos[i]
-        for e in range(min(m[0], sum(m) - 1), 0, -1):
-            found = status(monos.index((m[0] - e, *m[1:])))
-            if found is not None:
-                return found
-        return None
-
     def confirmed_before(i):
         """Settle the dependencies before column i in column order; whether
-        the certificate's answers still hold at i."""
+        the certificate still answers at i."""
         for c in range(i):
-            if c < trusted and told[c][1] is not None:
+            if told[c][1] is not None:
                 status(c)
-        return i < trusted
+        return told[i] != _NO_ANSWER
 
     def status(i):
         if i not in known:
@@ -716,23 +691,25 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
         return known[i]
 
     def settle(i):
-        nonlocal trusted
-        miss, support = told[i]
-        if support is not None and i < trusted:
-            found = z_branch(i)
+        if told[i][0] and confirmed_before(i):
+            return None         # a proven miss
+        m = monos[i]
+        for e in range(min(m[0], sum(m) - 1), 0, -1):
+            # the lead m/z^e for the largest consistent e: the branch z = 0
+            found = status(monos.index((m[0] - e, *m[1:])))
             if found is not None:
                 return found
-        if (miss or support is not None) and confirmed_before(i):
-            if miss:
-                return None
+        support = told[i][1]
+        if support is not None and confirmed_before(i):
             # the unknowns on the support, whose last column is the lead's,
-            # else the full pass; the lead m/z^e had no answer above
+            # else the full pass
             found = exact(i, [monos[j - 1] for j in support[:-1] if j]) or exact(i)
             if found is None:
                 # the rank mod q fell short of the exact one at column i
-                trusted = i
+                answers.close()
+                told[i:] = [_NO_ANSWER] * (len(told) - i)
             return found
-        return full(i)
+        return exact(i)
 
     for r in range(order_cap + 1):
         if r:
@@ -744,11 +721,13 @@ def ansatz_search(ades, R: RatFunc, k: int = 2, order_cap=None, z_name: str = "z
         answers = _independent_prefixes(img, over, k, monos)
         told: list = []         # the certificate's answer for each column
         known: dict = {}        # column -> the status of its lead
-        trusted = len(monos)    # the answers hold before this column
         for i, leading in enumerate(monos):
-            told.append(next(answers) if i < trusted else (False, None))
+            told.append(next(answers, _NO_ANSWER))
             if sum(leading) == k:
                 found = status(i)
                 if found is not None:
+                    # settle's closure keeps the generator, and with it the
+                    # echelon form, alive until the cycle collector runs
+                    answers.close()
                     return found
     raise AnsatzNotFoundError(k, order_cap)

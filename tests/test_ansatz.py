@@ -12,12 +12,12 @@ from sympy.polys.matrices import DomainMatrix
 import conftest
 from dalg import ansatz
 from dalg import (Context, Poly, RatFunc, ansatz_search, derivative_closure,
-                  equation_to_ade, implicit_higher_derivative, render,
-                  spec_to_ratfunc, unary_dalg)
+                  arithmetic_dalg, equation_to_ade, implicit_higher_derivative,
+                  render, spec_to_ratfunc, unary_dalg)
 from dalg.cli import main as cli_main
 from dalg.ansatz import enumerate_delta
 from dalg.context import DIFF
-from dalg.errors import AnsatzNotFoundError, ArgumentError
+from dalg.errors import AnsatzNotFoundError, ArgumentError, EliminationFailedError
 from dalg.poly import over_lcm, poly_gcd, try_exact_divide
 
 from conftest import (at_series, certified_by_substitution, make_rng,
@@ -404,6 +404,30 @@ def test_ansatz_not_found():
         ansatz_search([ade], R, k=0, z_name=zname)
 
 
+def test_map_that_vanishes_on_the_inputs_is_not_found(monkeypatch):
+    # y1^2 = x and y2^2 = x, both of order 0: the map's numerator and
+    # denominator both reduce to zero, so every column of every exact pass
+    # does too, and the pass finds no solution without building a row or
+    # calling the solve (which would raise on an empty system).  The search
+    # ends in AnsatzNotFoundError; elimination fails on its saturation
+    # factor, the map's denominator
+    ctx = Context()
+    ades = [equation_to_ade(f"{y}(x)^2 - x = 0", ctx, dep=y, extra_deps=[y])
+            for y in ("y1", "y2")]
+    zname, R = spec_to_ratfunc("z = (y1^2 - x)/(y2^2 - x)", ctx, ["y1", "y2"])
+    with pytest.raises(EliminationFailedError):
+        arithmetic_dalg(ades, R, z_name=zname)
+    passes = _pass_log(monkeypatch)
+
+    def solve(system):
+        raise AssertionError("a system was solved")
+
+    monkeypatch.setattr(ansatz, "solve_linear_ratfunc", solve)
+    with pytest.raises(AnsatzNotFoundError):
+        ansatz_search(ades, R, k=2, z_name=zname)
+    assert passes
+
+
 def test_ansatz_needs_an_input_equation():
     ctx = Context()
     zname, R = spec_to_ratfunc("z = x^2", ctx, [])
@@ -522,22 +546,24 @@ def _full_pass(answer):
 
 def _trace_candidates(monkeypatch, certificate):
     """Patch the search so every exact pass logs (certificate fired on its
-    candidate, result); certificate maps each real answer (miss, support) of
-    the per-order certificate to the one the search acts on.  Order 0 goes
+    lead, result); certificate maps each real answer (miss, support) of the
+    per-order certificate to the one the search acts on.  A lead whose
+    column the certificate did not answer has not fired.  Order 0 goes
     through the certificate too, as every order does when the map names a
     leader."""
     real_cert, real_solve = ansatz._independent_prefixes, ansatz.assemble_and_solve
-    log, last = [], [False]
+    log, fired = [], {}
     monkeypatch.setattr(ansatz, "_transcendental", lambda R, ades: False)
 
-    def cert(*args):
-        for answer in real_cert(*args):
-            last[0] = answer[0]
+    def cert(img, over, k, monos):
+        fired.clear()
+        for m, answer in zip(monos, real_cert(img, over, k, monos)):
+            fired[m] = answer[0]
             yield certificate(answer)
 
-    def solve(*args, **kwargs):
-        out = real_solve(*args, **kwargs)
-        log.append((last[0], out))
+    def solve(packing, leading, *args, **kwargs):
+        out = real_solve(packing, leading, *args, **kwargs)
+        log.append((fired.get(leading, False), out))
         return out
 
     monkeypatch.setattr(ansatz, "_independent_prefixes", cert)
@@ -550,7 +576,9 @@ def test_miss_certificate_fires_only_on_inconsistent_candidates(monkeypatch):
     # that pass must find no solution.  Checking outputs alone would miss a
     # certificate that drops a consistent candidate when a later one hits.
     # The certificate fires on z^3 and z^2*z' of y*y' = x, z = y^2/(x+y)
-    # after the dependency z'^2
+    # after the dependency z'^2.  The exhausting search makes 31 passes: a
+    # lead without an answer tries its leads m/z^e first, and each of them
+    # is a miss too
     log = _trace_candidates(monkeypatch, _full_pass)
     searches = [("wp", "z = y/(x+y)", 2), ("wp", "z = y/(x+y)", 3),
                 ("diff(y(x),x) = y(x)^2 + x", "z = y^2/(x+y)", 4),
@@ -564,7 +592,7 @@ def test_miss_certificate_fires_only_on_inconsistent_candidates(monkeypatch):
     start = len(log)
     with pytest.raises(AnsatzNotFoundError):
         _run_search("wp", "z = y^2/(x+y)", 3)
-    assert len(log) - start == 15
+    assert len(log) - start == 31
     assert all(fired for fired, _ in log[start:])
     for fired, out in log:
         assert not fired or out is None
@@ -617,7 +645,10 @@ def test_miss_certificate_exhausts_hard_search(monkeypatch):
 
 
 @pytest.mark.parametrize("ade_text", [
-    # the closure values carry coefficients with denominator q
+    # the closure values carry coefficients with denominator q = 2^31 - 1:
+    # scaled to integer coefficients, the input's initial is q, which
+    # vanishes mod q, so the certificate gives no answer and fires on no
+    # candidate
     "diff(y(x),x) = y(x)/2147483647 + 1",
     # an initial, y, that is not constant at the point
     "y(x)*diff(y(x),x) = x",
@@ -631,19 +662,18 @@ def test_miss_certificate_applies_where_it_used_to_fall_back(monkeypatch, ade_te
     found = _run_search(ade_text, "z = y/(x+y)", 2)
     log = _trace_candidates(monkeypatch, _full_pass)
     unchecked = _run_search(ade_text, "z = y/(x+y)", 2)
-    assert any(fired for fired, _ in log)
+    assert any(fired for fired, _ in log) == ("2147483647" not in ade_text)
     assert all(out is None for fired, out in log if fired)
     assert render(found, "text") == render(unchecked, "text")
 
 
 def _certificate(ades, R, r, k):
-    """The per-order certificate's answers (miss, support) for every
-    monomial of order r."""
+    """The per-order certificate's answers (miss, support), one for each
+    monomial of order r until the answers stop."""
     vals = derivative_closure(R, ades, r)
     over = over_lcm([(v.num, v.den) for v in vals], Poly.const(R.num.ctx, 1))
     monos = enumerate_delta(k, r)
-    answers = ansatz._independent_prefixes(ansatz._point_image(ades), over, k, monos)
-    return [next(answers) for _ in monos]
+    return list(ansatz._independent_prefixes(ansatz._point_image(ades), over, k, monos))
 
 
 def _answers(ade_text, spec, r, k, supports=False):
@@ -683,11 +713,9 @@ def test_certified_miss_is_a_rank_test():
     # z = x^2 has one row, the monomial 1 in y, which cannot give the two
     # columns 1 and z full rank
     assert _answers("diff(y(x),x) = y(x)", "z = x^2", 0, 2) == [False, False]
-    # an initial that vanishes mod 2^31 - 1 moves the certificate to the
-    # second prime; one that vanishes mod both declines it
-    q1, q2 = ansatz._PRIMES
-    assert _answers(f"diff(y(x),x) = y(x)/{q1}", "z = y", 0, 1) == [True]
-    assert _answers(f"diff(y(x),x) = y(x)/{q1 * q2}", "z = y", 0, 1) == [False]
+    # an initial that vanishes mod q = 2^31 - 1 leaves the certificate
+    # without an image, and it gives no answer
+    assert _answers(f"diff(y(x),x) = y(x)/{ansatz._PRIME}", "z = y", 0, 1) == []
     # 3*y' = y has the constant initial 3, which the image mod q makes
     # monic instead of carrying its exponent: under z = y^2 the column of
     # z' = 2*y^2/3 is dependent on that of z.  Under 3*y' = y^2 + x and
@@ -704,7 +732,7 @@ def test_certified_miss_is_a_rank_test():
 
 def test_certificate_fields_hold_a_high_degree_input():
     # y^70 in the input: fields sized like the exact pass's (degree 71 here)
-    # make the certificate decline part-way, at 13 and 8 independent
+    # make the certificate's answers stop part-way, at 13 and 8 independent
     # columns; its own fields, for degree 2^14 - 1, hold every column, and
     # find all 14 of order 1 and 33 of the 34 of order 2 independent
     search = ("diff(y(x),x) = y(x)^70 + x", "z = y^2")
@@ -718,7 +746,7 @@ def test_certificate_fields_hold_a_high_degree_input():
 def test_certificate_declines_when_a_column_outgrows_its_fields(monkeypatch):
     # with the bound forced down to 1, the fields hold degree 3 (the
     # input's degree is 1), and L^4, of degree 4 in y at order 0 and more
-    # later, outgrows them: the kernel's ResourceCapError declines the
+    # later, outgrows them: the kernel's ResourceCapError ends the
     # certificate before its first answer at every order, every candidate
     # takes the exact pass, and the equation is the one found with the
     # certificate patched out
@@ -735,6 +763,33 @@ def test_certificate_declines_when_a_column_outgrows_its_fields(monkeypatch):
     assert len(declined_log) == len(log)
     assert not any(fired for fired, _ in declined_log)
     assert render(declined, "text") == render(unchecked, "text") == render(found, "text")
+
+
+def test_certificate_answers_end_for_good(monkeypatch):
+    # the answers stop, and the generator yields nothing more: at once
+    # without an image, as for an initial that vanishes mod q, and at once
+    # too with the certificate's degree bound forced down to 1, whose
+    # fields L^4 outgrows.  For y' = y^70 + x the same bound leaves fields
+    # that hold the input's degree, and the answers stop part-way, after
+    # 13 independent columns of order 1
+    def prefixes(ade_text, spec, r, k):
+        ctx = Context()
+        ade = equation_to_ade(ade_text, ctx)
+        _, R = spec_to_ratfunc(spec, ctx, ["y"])
+        vals = derivative_closure(R, [ade], r)
+        over = over_lcm([(v.num, v.den) for v in vals], Poly.const(ctx, 1))
+        return ansatz._independent_prefixes(ansatz._point_image([ade]), over, k,
+                                            enumerate_delta(k, r))
+
+    def ended(answers):
+        return next(answers, None) is None and next(answers, None) is None
+
+    assert ended(prefixes(f"{ansatz._PRIME}*diff(y(x),x) = y(x) + x", "z = y", 1, 2))
+    monkeypatch.setattr(ansatz, "_CERT_DEGREE", 1)
+    assert ended(prefixes("diff(y(x),x) = y(x) + x", "z = y/(x+y)", 1, 4))
+    answers = prefixes("diff(y(x),x) = y(x)^70 + x", "z = y^2", 1, 4)
+    assert [next(answers) for _ in range(13)] == [(True, None)] * 13
+    assert ended(answers)
 
 
 def _coupled(spec, k):
@@ -913,16 +968,16 @@ def test_rank_deficient_hit_is_the_same_either_way(monkeypatch, search):
     # each of these hits has a system with more than one solution.  The
     # certificate reads the answer from a confirmed dependency (the lead
     # m/z^e) or cuts to it.  Without an image, as when an initial vanishes
-    # mod both primes, it declines at every order, and the full passes,
-    # with their columns pivoted in order and the leads m/z^e tried, print
-    # the same text
+    # mod q, it gives no answer at any order, and the leads take the same
+    # rule without the miss and cut steps: the lead m/z^e, else the full
+    # pass with its columns pivoted in order.  They print the same text
     certified = render(_run_search(*search), "text")
     if search[0] == "wp":
         assert certified == EQ_ANSATZ_K3_TEXT
     monkeypatch.setattr(ansatz, "_point_image", lambda ades: None)
     log = _answer_log(monkeypatch)
     assert render(_run_search(*search), "text") == certified
-    assert log and not any(miss or support for _, (miss, support) in log)
+    assert log == []
 
 
 def test_misses_after_a_confirmed_dependency_take_no_exact_pass(monkeypatch):
@@ -946,11 +1001,13 @@ def test_unconfirmed_dependency_declines_the_certificate(monkeypatch):
     # an answer that reads the independent column of z' as dependent, as an
     # unlucky point would.  Before the search skips z^3, the first
     # independent candidate, it confirms that dependency: the cut pass and
-    # the full pass of z' find no solution, so the certificate declines for
-    # the rest of the order and builds no later column.  z^3, z^2*z' and
-    # z*z'^2 take full passes, and the hit z*z'^2 answers with the lead
-    # z'^2, whose one full pass finds it consistent and gives the canonical
-    # equation: the one found without the injection
+    # the full pass of z' find no solution, so the certificate stops
+    # answering from z' on and builds no later column.  z^3 then takes the
+    # rule without the certificate: its leads m/z^e, z (a proven miss, as
+    # it comes before z') and z^2 (a full pass), then its own full pass;
+    # z^2*z' reads z' and z*z', then its full pass; and the hit z*z'^2
+    # answers with the lead z'^2, whose one full pass finds it consistent
+    # and gives the canonical equation: the one found without the injection
     search = ("y(x)*diff(y(x),x) = x", "z = y^2/(x+y)", 3)
     found = render(_run_search(*search), "text")
     built = _answer_log(monkeypatch, lambda lead, answer: (False, [0, 2])
@@ -958,8 +1015,24 @@ def test_unconfirmed_dependency_declines_the_certificate(monkeypatch):
     passes = _pass_log(monkeypatch)
     assert render(_run_search(*search), "text") == found
     assert [lead for lead, _ in built] == enumerate_delta(3, 1)[:6]
-    assert passes == [((0, 1), 0), ((0, 1), 1), ((3, 0), 5), ((2, 1), 6), ((1, 2), 7),
-                      ((0, 2), 4)]
+    assert passes == [((0, 1), 0), ((0, 1), 1), ((2, 0), 2), ((3, 0), 5), ((1, 1), 3),
+                      ((2, 1), 6), ((0, 2), 4)]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_declined_search_reads_the_lead_m_over_z_first(monkeypatch, k):
+    # the initial 4611685975477714963, a multiple of q = 2^31 - 1, vanishes
+    # mod q, so the certificate gives no answer.  z^k first tries its leads
+    # z^(k-1), ..., z: z finds no solution and z^2 hits, so the search
+    # makes these two small passes only, and no full pass of z^k (9
+    # unknowns at k = 4), and answers with the equation of z^2
+    passes = _pass_log(monkeypatch)
+    found = _run_search("4611685975477714963*diff(y(x),x) = y(x)^2 + x", "z = y/(x+y)", k)
+    assert passes == [((1, 0), 0), ((2, 0), 2)]
+    assert render(found, "text") == (
+        "z(x)^2*x^2 + z(x)^2*x + 4611685975477714963*z(x)^2"
+        " - 4611685975477714963*diff(z(x),x)*x - 2*z(x)*x - 4611685975477714963*z(x)"
+        " + x = 0")
 
 
 @pytest.mark.parametrize("search", [
@@ -1045,15 +1118,16 @@ def test_packed_exact_pass_matches_poly_reference(monkeypatch, capsys):
     # exact pass meets an initial in y, a coefficient denominator q, a
     # parameter, coupled inputs, a gcd strip that falls back to poly_gcd
     # twice, two inputs with initials y1 and y2, rows with Fraction
-    # coefficients before their lcm scaling, and an initial that vanishes
-    # mod both primes: there the certificate declines, the full pass of z^3
-    # has free columns, so its output depends on which columns Bareiss
-    # pivots, and the full pass of z finds no solution
+    # coefficients before their lcm scaling, and initials that vanish mod
+    # q: there the certificate gives no answer.  The Riccati search's full
+    # pass of z finds no solution, and the Weierstrass search's full pass
+    # of z^3 has free columns, so its output depends on which columns
+    # Bareiss pivots
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     from cases import ansatz_cases, cli_mix_cases
 
     seen = _checked_against_reference(monkeypatch)
-    q1, q2 = ansatz._PRIMES
+    q = ansatz._PRIME
     argvs = [case.argv for case in ansatz_cases() + cli_mix_cases(1)
              if case.argv[0] == "ansatz"]
     argvs += [["ansatz", "--ade", ade, "--spec", spec, "--degree-de", "2"]
@@ -1066,7 +1140,9 @@ def test_packed_exact_pass_matches_poly_reference(monkeypatch, capsys):
                "--degree-de", "3"],
               ["ansatz", "--ade", "y1*y1' = x", "--ade", "y2*y2' = x",
                "--spec", "z = y1*y2", "--degree-de", "2"],
-              ["ansatz", "--ade", f"{q1 * q2}*y' = y^2 + x", "--spec", "z = y/(x+y)",
+              ["ansatz", "--ade", f"{q}*y' = y^2 + x", "--spec", "z = y/(x+y)",
+               "--degree-de", "3"],
+              ["ansatz", "--ade", f"{q}*y'^2 = 4*y^3 - g2*y - g3", "--spec", "z = y/(x+y)",
                "--degree-de", "3"]]
     for argv in argvs:
         assert cli_main(argv) in (0, 3), argv
@@ -1090,43 +1166,47 @@ def _widen_log(monkeypatch):
 
 
 def test_exact_pass_widens_its_fields(monkeypatch):
-    # the certificate would find z^2's equation by a cut pass of two
-    # unknowns that fits the first fields, so it is patched out.  With x^20
-    # in the input every full pass fits the fields it starts with, for
-    # degree 63.  With x^40 the rows carry entries past the Groebner degree
-    # cap of 60, the minors of the full pass of z^3 outgrow the first
-    # fields, and the pass rebuilds them at the rows' Bareiss bound, 174,
-    # and starts over.  z^3 is consistent, and answers with the lead z^2
-    # (after the pass of z), whose one full pass follows.  Both searches
-    # return the reference equation
+    # the certificate is patched out, so that full passes run.  With
+    # y' = x^e*y^2 + x and z = y/(x+y) at k = 2, every full pass fits the
+    # fields it starts with, for degree 63 or for the input's degree,
+    # although from x^61 on the rows carry entries past the Groebner
+    # degree cap of 60.  With y' = x^40*y^2 + x*y and z = y^2/(x+y) at
+    # k = 3, the minors of the full pass of z^3 at order 1 outgrow the
+    # first fields, and the pass rebuilds them at the rows' Bareiss bound,
+    # 382, and starts over.  Every pass matches the reference, and the
+    # search returns the equation that the certified search finds
+    search = ("diff(y(x),x) = x^40*y(x)^2 + x*y(x)", "z = y^2/(x+y)", 3)
+    certified = render(_run_search(*search), "text")
     widened = _widen_log(monkeypatch)
     _trace_candidates(monkeypatch, _full_pass)
     seen = _checked_against_reference(monkeypatch)
-    for e in (20, 40):
-        found = _run_search(f"diff(y(x),x) = x^{e}*y(x)^2 + x", "z = y/(x+y)", 3)
+    for e in (40, 61, 130):
+        found = _run_search(f"diff(y(x),x) = x^{e}*y(x)^2 + x", "z = y/(x+y)", 2)
         assert render(found, "text") == (f"z(x)^2*x^{e + 2} + z(x)^2*x + z(x)^2"
                                          " - diff(z(x),x)*x - 2*z(x)*x - z(x) + x = 0")
-        assert bool(widened) == (e == 40)
-    assert widened == [(63, False, 174)]
-    assert seen["degree"] > 60 and seen["hit"] == 4
+    assert widened == [] and seen["degree"] > 60 and seen["hit"] == 3
+    assert render(_run_search(*search), "text") == certified
+    assert widened == [(63, False, 382)]
+    assert seen["hit"] == 4
 
 
 def test_exact_pass_doubles_its_fields_before_the_rows_exist(monkeypatch):
-    # x^61 in the input, and the certificate patched out: the fields start
-    # at degree 63, and a slot value or a reduction step of the full pass
-    # of z^3 outgrows them before there are rows to bound the minors, so
-    # the pass doubles the degree and starts over.  Its solve then outgrows
-    # those fields too, and the pass rebuilds them once, at the rows'
-    # Bareiss bound.  It still returns the reference equation, through the
-    # passes of z and z^2 as above
+    # x^61 in the input of the search above, and the certificate patched
+    # out: the fields start at degree 63, and a slot value or a reduction
+    # step of the full pass of z^3 at order 1 outgrows them before there
+    # are rows to bound the minors, so the pass doubles the degree and
+    # starts over.  Its solve then outgrows those fields too, and the pass
+    # rebuilds them once, at the rows' Bareiss bound.  Every pass still
+    # matches the reference, and the search returns the equation that the
+    # certified search finds
+    search = ("diff(y(x),x) = x^61*y(x)^2 + x*y(x)", "z = y^2/(x+y)", 3)
+    certified = render(_run_search(*search), "text")
     widened = _widen_log(monkeypatch)
     _trace_candidates(monkeypatch, _full_pass)
     seen = _checked_against_reference(monkeypatch)
-    found = _run_search("diff(y(x),x) = x^61*y(x)^2 + x", "z = y/(x+y)", 3)
-    assert render(found, "text") == ("z(x)^2*x^63 + z(x)^2*x + z(x)^2"
-                                     " - diff(z(x),x)*x - 2*z(x)*x - z(x) + x = 0")
-    assert widened == [(63, True, 127), (127, False, 258)]
-    assert seen["hit"] == 2
+    assert render(_run_search(*search), "text") == certified
+    assert widened == [(63, True, 127), (127, False, 571)]
+    assert seen["hit"] == 1
 
 
 def test_exact_pass_rebuilds_once_at_the_bareiss_bound(monkeypatch):
@@ -1136,8 +1216,12 @@ def test_exact_pass_rebuilds_once_at_the_bareiss_bound(monkeypatch):
     # input of degree above the starting 63 gets fields that hold it at the
     # first build, and the solve of z^3 rebuilds those once too.  The
     # certificate is patched out, so that full passes run.  Every exact
-    # pass still matches the reference.  Only the exact pass's builds
-    # count: the miss certificate's image, mod q, is a _Packing too
+    # pass still matches the reference, and each search returns the
+    # equation that the certified search finds.  Only the exact pass's
+    # builds count: the miss certificate's image, mod q, is a _Packing too
+    searches = [(f"diff(y(x),x) = x^{e}*y(x)^2 + x*y(x)", "z = y^2/(x+y)", 3)
+                for e in (26, 130)]
+    certified = [render(_run_search(*search), "text") for search in searches]
     builds = []
     real_build = ansatz._Packing.build
 
@@ -1149,11 +1233,9 @@ def test_exact_pass_rebuilds_once_at_the_bareiss_bound(monkeypatch):
     monkeypatch.setattr(ansatz._Packing, "build", build)
     _trace_candidates(monkeypatch, _full_pass)
     seen = _checked_against_reference(monkeypatch)
-    _run_search("diff(y(x),x) = x^26*y(x)^2 + x*y(x)", "z = y^2/(x+y)", 3)
+    assert render(_run_search(*searches[0]), "text") == certified[0]
     assert builds == [63, 256]
     builds.clear()
-    found = _run_search("diff(y(x),x) = x^130*y(x)^2 + x", "z = y/(x+y)", 3)
-    assert render(found, "text") == ("z(x)^2*x^132 + z(x)^2*x + z(x)^2"
-                                     " - diff(z(x),x)*x - 2*z(x)*x - z(x) + x = 0")
-    assert builds == [132, 534]
-    assert seen["hit"] == 3 and seen["degree"] > 127
+    assert render(_run_search(*searches[1]), "text") == certified[1]
+    assert builds == [132, 1192]
+    assert seen["hit"] == 2 and seen["degree"] > 511

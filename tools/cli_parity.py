@@ -13,14 +13,14 @@ an applied name, inputs at the edge of the input class, eliminations that
 reach far past an input's order, eliminations whose solved variables are
 substituted away
 before Buchberger runs, and ansatz searches whose miss certificate meets
-an initial in y, a denominator q, a parameter, coupled inputs, a constant
-initial that it makes monic, an initial that vanishes mod 2^31 - 1, or
-an input of degree 70, exact passes cut to the support of the
-certificate's first dependency (after an initial lift, on coupled inputs,
-and without the constant slot), a hit after confirmed dependencies on
-coupled inputs, searches whose certificate declines, as an initial
-vanishes mod both primes (a rank-deficient Riccati hit at k = 3, the same
-input at k = 4, and a Weierstrass input at k = 3 and 4), and
+an initial in y, a parameter, coupled inputs, a constant initial that it
+makes monic, or an input of degree 70, exact passes cut to the support
+of the certificate's first dependency (after an initial lift, on coupled
+inputs, and without the constant slot), a hit after confirmed
+dependencies on coupled inputs, searches whose certificate gives no
+answer, as an input's initial vanishes mod q = 2^31 - 1 (a coefficient
+denominator q, an initial q, a rank-deficient Riccati hit at k = 3, the
+same input at k = 4, and a Weierstrass input at k = 3 and 4), and
 inputs that the parser lowers through a quotient, with Fraction
 coefficients or a non-ASCII parameter name), in-process through the
 checkout's ``dalg.cli.main(argv + ["--format", "json"])`` (an argv that
@@ -136,8 +136,10 @@ ERROR_ARGVS = [
     ("arith", "--ade", "y1' = y1^2 + 1", "--ade", "y2' = y2^2 - 1", "--spec", "z = 2*y1 - 3*y2"),
     ("diff", "--ade", "y'' + y = 0", "--j", "1"),
     # ansatz searches whose miss certificate meets an initial that depends
-    # on y, a coefficient denominator q = 2^31 - 1, a parameter, and coupled
-    # inputs (a hit at order 2 and an exhausting search)
+    # on y, a parameter, and coupled inputs (a hit at order 2 and an
+    # exhausting search); a coefficient denominator q = 2^31 - 1 makes the
+    # scaled input's initial q, which vanishes mod q, so that search's
+    # certificate gives no answer
     ("ansatz", "--ade", "y*y' = x", "--spec", "z = y/(x+y)", "--degree-de", "2"),
     ("ansatz", "--ade", "y' = y/2147483647 + 1", "--spec", "z = y/(x+y)", "--degree-de", "2"),
     ("ansatz", "--ade", "y' = a*y", "--spec", "z = y/(x+y)", "--degree-de", "2"),
@@ -145,9 +147,9 @@ ERROR_ARGVS = [
     ("ansatz", "--ade", "y1'=y1*y2", "--ade", "y2'=y1+x", "--spec", "z = y1+y2",
      "--degree-de", "2"),
     ("ansatz", "--ade", "y*y' = x", "--spec", "z = y^2/(x+y)", "--degree-de", "3"),
-    # miss certificates that make a constant initial monic mod q, move to
-    # the second prime when the initial vanishes mod 2^31 - 1, and need
-    # fields wider than the exact pass's for an input of degree 70
+    # miss certificates that make a constant initial monic mod q, give no
+    # answer when the initial vanishes mod q = 2^31 - 1, and need fields
+    # wider than the exact pass's for an input of degree 70
     ("ansatz", "--ade", "3*y' = y", "--spec", "z = y^2", "--degree-de", "1"),
     ("ansatz", "--ade", "2147483647*y' = y + x", "--spec", "z = y^2", "--degree-de", "2"),
     ("ansatz", "--ade", "y' = y^70 + x", "--spec", "z = y^2", "--degree-de", "4"),
@@ -169,14 +171,14 @@ ERROR_ARGVS = [
     ("ansatz", "--ade", "y' = y^2 + y", "--spec", "z = y/(x+y)", "--degree-de", "2"),
     # a hit after confirmed dependencies on coupled inputs (z' - 1 = 0,
     # read at z^2*z' from its confirmed lead z'), and a rank-deficient hit
-    # whose certificate declines, as the initial vanishes mod both primes:
-    # the full pass of z^3, then the leads z and z^2
+    # whose certificate gives no answer, as the initial vanishes mod q: the
+    # leads z, which has no solution, and z^2, which answers for z^3
     ("ansatz", "--ade", "y1' = y1 + y2", "--ade", "y2' = y2", "--spec", "z = y1/y2",
      "--degree-de", "3"),
     ("ansatz", "--ade", "4611685975477714963*y' = y^2 + x", "--spec", "z = y/(x+y)",
      "--degree-de", "3"),
-    # the same declined path at k = 4, and on a Weierstrass input at k = 3
-    # and 4
+    # the same search at k = 4, and a Weierstrass input at k = 3 and 4,
+    # whose full passes of z^3 and z^4 have free columns
     ("ansatz", "--ade", "4611685975477714963*y' = y^2 + x", "--spec", "z = y/(x+y)",
      "--degree-de", "4"),
     ("ansatz", "--ade", "4611685975477714963*diff(y(x),x)^2 = 4*y(x)^3 - g2*y(x) - g3",
