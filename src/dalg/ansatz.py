@@ -103,7 +103,7 @@ from .diffpoly import RatFunc, normalize_ade
 from .errors import AnsatzNotFoundError, ArgumentError, ResourceCapError
 from .groebner import _Kernel
 from .orders import GrevLex
-from .poly import Poly, exact_div, mono_mul, over_lcm, poly_gcd
+from .poly import Poly, mono_mul, over_lcm, poly_gcd
 
 _PRIME = 2 ** 31 - 1  # the miss certificate's modulus
 _NO_ANSWER = (False, None)  # a column the miss certificate does not answer
@@ -182,12 +182,6 @@ def solve_linear_ratfunc(system: LinearSystem):
     K = system.kernel
 
     def divide(work, g):
-        if g[0] == [0]:
-            # a constant divisor, as the first step's previous pivot 1 is:
-            # each coefficient divided on its own, as K.quotient would
-            monos, coefs = K.sort(work)
-            c = g[1][0]
-            return monos, coefs if c == 1 else [exact_div(v, c) for v in coefs]
         q = K.quotient(work, g)
         if q is None:
             raise RuntimeError("internal error: Bareiss division is not exact")
@@ -539,12 +533,6 @@ def _independent_prefixes(img, over, k: int, monos: list):
 
     def times(a, b):
         exps = [x + y for x, y in zip(a[1], b[1])]
-        if a[0][0] == [0]:
-            a, b = b, a
-        if b[0][0] == [0]:
-            # a reduced element times a constant stays reduced
-            c, q = b[0][1][0], img.q
-            return (a[0][0], [v * c % q for v in a[0][1]]), exps
         return element(img.mul(a[0], b[0]), exps)
 
     def initials(exps):

@@ -238,8 +238,7 @@ def arithmetic_dalg(ades, R: RatFunc, z_name: str = "z",
     return _rational(ades, R, z_name, config)
 
 
-def compose_dalg(outer: ADE, inner: ADE, z_name: str = "z",
-                 config: GBConfig | None = None) -> ClosureResult:
+def compose_dalg(outer: ADE, inner: ADE, config: GBConfig | None = None) -> ClosureResult:
     """Equation of order <= n + k satisfied by f(g(x)) where f solves the
     outer equation (order n) and g the inner one (order k).
 
@@ -260,15 +259,11 @@ def compose_dalg(outer: ADE, inner: ADE, z_name: str = "z",
     _check_inputs([inner])
     ctx = outer.ctx
     n = outer.order
-    z_id = _output_id(ctx, z_name, [outer, inner])
+    z_id = _output_id(ctx, "z", [outer, inner])
     v_ids = [ctx.indeterminate(f"_v{i}") for i in range(n + 1)]
     v = [Poly.var(ctx, ctx.diff_var(v_id, 0)) for v_id in v_ids]
     g1 = (implicit_higher_derivative(inner, 1) if inner.order == 0
           else RatFunc(Poly.var(ctx, ctx.diff_var(inner.dep, 1))))
-    if g1.num.is_zero():
-        # g is constant: its inverted g' makes the saturated ideal the unit one
-        raise EliminationFailedError(VANISHING_FACTOR)
-
     bindings = {ctx.indep: Poly.var(ctx, ctx.diff_var(inner.dep, 0))}
     for i in range(n + 1):
         bindings[ctx.diff_var(outer.dep, i)] = v[i]
@@ -280,8 +275,7 @@ def compose_dalg(outer: ADE, inner: ADE, z_name: str = "z",
     return _close([*chain, evaluated, inner], z - v[0], z_id, config, [g1.num])
 
 
-def diff_dalg(ade: ADE, j: int = 1, z_name: str = "z",
-              config: GBConfig | None = None) -> ClosureResult:
+def diff_dalg(ade: ADE, j: int = 1, config: GBConfig | None = None) -> ClosureResult:
     """Equation satisfied by the j-th derivative of every solution of the
     input equation; output order <= n: the rational map y^(j), written
     through the input's derivation in y, ..., y^(n) when j > n."""
@@ -289,10 +283,10 @@ def diff_dalg(ade: ADE, j: int = 1, z_name: str = "z",
         raise ArgumentError("derivative count must be positive")
     value = (implicit_higher_derivative(ade, j - ade.order) if j > ade.order
              else RatFunc(Poly.var(ade.ctx, ade.ctx.diff_var(ade.dep, j))))
-    return _rational([ade], value, z_name, config)
+    return _rational([ade], value, "z", config)
 
 
-def inv_dalg(ade: ADE, z_name: str = "z") -> ClosureResult:
+def inv_dalg(ade: ADE) -> ClosureResult:
     """Equation of order n for the functional inverse, written down
     explicitly (no elimination): substitute x -> z, y -> x, and
     y^(i) -> D_i with D_1 = 1/z', D_{i+1} = D_i' / z'.  P = a(x, y)*y'^d,
@@ -302,7 +296,7 @@ def inv_dalg(ade: ADE, z_name: str = "z") -> ClosureResult:
     n = ade.order
     if n < 1:
         raise ArgumentError("input equation must have order at least one")
-    z_id = ctx.indeterminate(z_name)
+    z_id = ctx.indeterminate("z")
     z0 = RatFunc(Poly.var(ctx, ctx.diff_var(z_id, 0)))
     z1 = RatFunc(Poly.var(ctx, ctx.diff_var(z_id, 1)))
     bindings = {

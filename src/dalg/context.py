@@ -9,7 +9,7 @@ registration is stable for the lifetime of the context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ArgumentError, ContextError
 
@@ -37,12 +37,12 @@ class Var:
 class Context:
     """Registry of all variables of one computation (the VarTable)."""
 
-    def __init__(self, indep_name="x"):
+    def __init__(self):
         self._vars: list[Var] = []
         self._params: dict[str, Var] = {}
         self._diffs: dict[tuple[int, int], Var] = {}
         self._indets: list[str] = []
-        self._indep = self._register(Var(INDEP, indep_name))
+        self._indep = self._register(Var(INDEP, "x"))
 
     def _register(self, var: Var) -> Var:
         var = Var(var.kind, var.name, var.indet, var.order, len(self._vars))

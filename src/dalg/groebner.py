@@ -113,10 +113,6 @@ class IdealBasis:
     order: MonomialOrder
 
 
-def _degree_error(cap: int) -> ResourceCapError:
-    return ResourceCapError(f"intermediate degree exceeded cap {cap}")
-
-
 class _Kernel:
     """Packed monomials of one computation and the operations on them.
 
@@ -153,7 +149,7 @@ class _Kernel:
                              for k, v in enumerate(vars_))
 
     def degree_error(self):
-        return _degree_error(self.max_degree)
+        return ResourceCapError(f"intermediate degree exceeded cap {self.max_degree}")
 
     def encode(self, p: Poly) -> dict:
         """Packed monomial -> coefficient of p."""
@@ -340,20 +336,12 @@ def buchberger(gens, order: MonomialOrder, config: GBConfig | None = None,
     basis {1}.  With ``keep_vars``, the last block of a block order, only
     the reduced-basis elements in those variables are finished and
     returned: the basis of the elimination ideal, [] when it is zero.
-    One nonzero generator is its own reduced basis, up to its content and
-    sign, and skips the kernel when the order tells its monomials apart.
     """
     if not gens:
         raise ArgumentError("empty generator list")
     ctx = same_context(*gens)
     config = config or GBConfig()
     nonzero = [p for p in gens if not p.is_zero()]
-    if len(nonzero) == 1:
-        g = nonzero[0]
-        # the kernel compares the order's rows first, so where order.key
-        # separates g's monomials the two orders agree on them
-        if len({order.key(m) for m in g.terms}) == len(g.terms):
-            return IdealBasis(_one_generator(g, order, config, keep_vars), order)
     K = _Kernel(order, config.max_degree, set().union(*(g.variables() for g in gens)))
     G, lms = _pair_loop(K, [K.integral(p) for p in nonzero], config)
     if not G:
@@ -448,24 +436,6 @@ def _pair_loop(K: _Kernel, inputs, config: GBConfig):
             check_caps(f, len(G))
             pairs = update(f, s)
     return G, lms
-
-
-def _one_generator(g: Poly, order: MonomialOrder, config: GBConfig, keep_vars) -> list:
-    """What the kernel path of :func:`buchberger` returns for the single
-    nonzero generator g, whose monomials have distinct order keys: the
-    primitive part with positive leading coefficient, terms in descending
-    order, or [] when its leading monomial has a variable outside
-    keep_vars."""
-    if g.total_degree() > config.max_degree:
-        raise _degree_error(config.max_degree)
-    terms = sorted(content_primitive(g)[1].terms.items(),
-                   key=lambda t: order.key(t[0]), reverse=True)
-    if keep_vars is not None:
-        keep_idx = {v.index for v in keep_vars}
-        if any(idx not in keep_idx for idx, _ in terms[0][0]):
-            return []
-    sign = 1 if terms[0][1] > 0 else -1
-    return [Poly(g.ctx, {m: sign * c for m, c in terms})]
 
 
 def elimination_order(ctx, elim_vars, keep_vars, first=()) -> MonomialOrder:

@@ -294,10 +294,7 @@ def content_primitive(f: Poly):
     den = lcm(*(c.denominator for c in f.terms.values()))
     cleared = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
     g = gcd(*cleared.values())
-    # the leading coefficient's sign, found without the order when all
-    # coefficients share it
-    low, high = min(cleared.values()), max(cleared.values())
-    if high < 0 or (low < 0 and f.leading()[1] < 0):
+    if f.leading()[1] < 0:
         g = -g
     return exact_div(g, den), Poly(f.ctx, {m: c // g for m, c in cleared.items()})
 
@@ -483,9 +480,6 @@ def over_lcm(pairs, one, ring=None, nums=()):
         mul, quotient, greatest = ring.mul, ring.quotient, ring.gcd
     common, nums = one, list(nums)
     for num, den in pairs:
-        if den == common:
-            nums.append(num)
-            continue
         q = quotient(common, den)
         if q is not None:
             nums.append(mul(num, q))

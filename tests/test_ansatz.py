@@ -1214,14 +1214,16 @@ def test_exact_pass_rebuilds_once_at_the_bareiss_bound(monkeypatch):
     # kernel at degree 63, 127, 255 and 511.  The first overflow is in the
     # solve, so the pass rebuilds once, at the rows' Bareiss bound.  An
     # input of degree above the starting 63 gets fields that hold it at the
-    # first build, and the solve of z^3 rebuilds those once too.  The
-    # certificate is patched out, so that full passes run.  Every exact
-    # pass still matches the reference, and each search returns the
-    # equation that the certified search finds.  Only the exact pass's
-    # builds count: the miss certificate's image, mod q, is a _Packing too
+    # first build, and the solve of z^3 rebuilds those once too.  With
+    # x^2000 the certified search rebuilds at degree 22,024, past the miss
+    # certificate's fixed fields (_CERT_DEGREE), so no fixed width would
+    # hold every search.  The certificate is then patched out, so that full
+    # passes run.  Every exact pass still matches the reference, and each
+    # search returns the equation that the certified search finds.  Only
+    # the exact pass's builds count: the miss certificate's image, mod q,
+    # is a _Packing too
     searches = [(f"diff(y(x),x) = x^{e}*y(x)^2 + x*y(x)", "z = y^2/(x+y)", 3)
-                for e in (26, 130)]
-    certified = [render(_run_search(*search), "text") for search in searches]
+                for e in (26, 130, 2000)]
     builds = []
     real_build = ansatz._Packing.build
 
@@ -1231,11 +1233,17 @@ def test_exact_pass_rebuilds_once_at_the_bareiss_bound(monkeypatch):
         real_build(self, degree)
 
     monkeypatch.setattr(ansatz._Packing, "build", build)
+    certified = []
+    for search, rebuilt in zip(searches, ([63, 310], [132, 1454], [2002, 22024])):
+        builds.clear()
+        certified.append(render(_run_search(*search), "text"))
+        assert builds == rebuilt
+    assert builds[-1] > ansatz._CERT_DEGREE
     _trace_candidates(monkeypatch, _full_pass)
     seen = _checked_against_reference(monkeypatch)
-    assert render(_run_search(*searches[0]), "text") == certified[0]
-    assert builds == [63, 256]
-    builds.clear()
-    assert render(_run_search(*searches[1]), "text") == certified[1]
-    assert builds == [132, 1192]
-    assert seen["hit"] == 2 and seen["degree"] > 511
+    for search, equation, rebuilt in zip(searches, certified,
+                                         ([63, 256], [132, 1192], [2002, 18022])):
+        builds.clear()
+        assert render(_run_search(*search), "text") == equation
+        assert builds == rebuilt
+    assert seen["hit"] == 3 and seen["degree"] > 511

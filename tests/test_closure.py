@@ -286,17 +286,20 @@ def test_inconsistent_compose_fails_after_one_elimination(eliminations, capsys):
     assert len(eliminations) == 2
 
 
-def test_compose_with_algebraic_inner():
+def test_compose_with_algebraic_inner(eliminations):
     # f = exp composed with g = sqrt(x): z' = z/(2*sqrt(x)), so 4*x*z'^2 = z^2;
-    # a constant algebraic g has g' = 0 and fails as u' = 0 does
+    # a constant algebraic g has g' = 0 and fails as u' = 0 does: the one
+    # elimination saturates by the zero factor g', which gives the unit ideal
     ctx = Context()
     outer = equation_to_ade("y' = y", ctx, extra_deps=["y"])
     inner = equation_to_ade("u^2 - x = 0", ctx, dep="u", extra_deps=["u"])
     res = compose_dalg(outer, inner)
     assert poly_to_text(res.ade.poly) == "4*diff(z(x),x)^2*x - z(x)^2"
     const = equation_to_ade("u - 1 = 0", ctx, dep="u", extra_deps=["u"])
+    del eliminations[:]
     with pytest.raises(EliminationFailedError, match="saturation factor"):
         compose_dalg(outer, const)
+    assert len(eliminations) == 1
 
 
 def _weierstrass_shift_ratio(ctx):
